@@ -259,9 +259,11 @@ def _cmd_fput(args) -> int:
             names, params, args.T if args.T else 3.0, h_grid, omega_grid,
             config=_stage_config(args), reference_tol=args.ref_tol)
         table.write_csv(args.out or "reduction.csv")
-        bad = sum(1 for r in table.rows if math.isnan(r.err_slow_q))
-        print(f"reduction: {len(table.rows)} rows, {bad} failed points", file=sys.stderr)
-        return 1 if bad else 0
+        print(f"reduction: {len(table.rows)} rows, {len(table.failures)} failed points",
+              file=sys.stderr)
+        for idx, msg in table.failures:
+            print(f"  row {idx} failed: {msg}", file=sys.stderr)
+        return 1 if table.failures else 0
 
     raise ValueError(f"unknown experiment {args.experiment!r}")
 

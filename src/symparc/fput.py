@@ -9,16 +9,28 @@ slow and fast variables,
                       + sum_{i<ell} (q_s,i+1 - q_f,i+1 - q_s,i - q_f,i)^4
                       + (q_s,ell + q_f,ell)^4 ].
 
-The quartic part supplies the slow force F1 (differentiated analytically),
-the quadratic part the linear fast force F2 = -Omega^2 q with
-Omega^2 = diag(0, ..., 0, omega^2, ..., omega^2).  The oscillatory energy
-I_i = p_f,i^2/2 + omega^2 q_f,i^2/2 of each stiff spring is an adiabatic
-invariant; resonance sweeps and order-reduction studies track how well the
-integrators preserve H and I.
+The quartic part supplies the slow force F1, the quadratic part the linear
+fast force F2 = -Omega^2 q with Omega^2 = diag(0, ..., 0, omega^2, ..., omega^2).
+The oscillatory energy I_i = p_f,i^2/2 + omega^2 q_f,i^2/2 of each stiff
+spring is an adiabatic invariant; resonance sweeps and order-reduction
+studies track how well the integrators preserve H and I.
+
+The ell + 1 elongations of the soft springs are linear in q, e = E q, so
+the quartic part is V = 1/4 sum e^4 and the slow force is F1 = -E^T e^3.
+E is applied as two constant +-1 factors: first q -> (u, v) with
+u = q_s - q_f and v = q_s + q_f, then (u, v) -> e with e_1 = u_1,
+e_i+1 = u_i+1 - v_i and e_ell+1 = v_ell.  Each output of either factor,
+and each entry of -E^T e^3, is then a sum of at most two +-1 terms, which
+rounds correctly whatever order the matrix product adds it in.  A single E
+would have four terms in its middle rows, and a batch of states would no
+longer give bitwise the forces of the states taken one at a time.  Inputs
+of any leading shape are flattened to one row per state before the
+products: one 2-d product is much cheaper than a stack of small ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from symparc.integrator import (
+    NonconvergenceError,
+    NumericalFailureError,
     PhaseState,
+    SingularStageSystemError,
     SplitForceSystem,
     StageSolveConfig,
     integrate,
@@ -70,36 +85,43 @@ class FputParams:
         return 2 * self.ell
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_matrices(ell: int):
+    """The constant factors of the elongation map, as right-multipliers of
+    row vectors: q @ to_uv = (u, v), (u, v) @ to_e = e, e^3 @ from_g = F1."""
+    i = np.arange(ell)
+    to_uv = np.zeros((2 * ell, 2 * ell))
+    to_uv[i, i] = to_uv[i, ell + i] = to_uv[ell + i, ell + i] = 1.0
+    to_uv[ell + i, i] = -1.0
+    to_e = np.zeros((2 * ell, ell + 1))
+    to_e[i, i] = 1.0
+    to_e[ell + i, i + 1] = -1.0
+    to_e[2 * ell - 1, ell] = 1.0
+    from_g = -(to_uv @ to_e).T
+    for m in (to_uv, to_e, from_g):
+        m.setflags(write=False)
+    return to_uv, to_e, from_g
+
+
 def _extensions(q, ell: int):
-    """Spring elongations of the quartic part, shape (..., ell + 1)."""
-    qs = q[..., :ell]
-    qf = q[..., ell:]
-    e = np.empty(q.shape[:-1] + (ell + 1,))
-    e[..., 0] = qs[..., 0] - qf[..., 0]
-    if ell > 1:
-        e[..., 1:ell] = qs[..., 1:] - qf[..., 1:] - qs[..., :-1] - qf[..., :-1]
-    e[..., ell] = qs[..., -1] + qf[..., -1]
-    return e
+    """Spring elongations e = E q of the quartic part, one row per state."""
+    to_uv, to_e, _ = _chain_matrices(ell)
+    return q.reshape(-1, 2 * ell).dot(to_uv).dot(to_e)
 
 
 def _quartic_potential(q, ell: int):
+    q = np.asarray(q)
     e = _extensions(q, ell)
     e *= e
-    return 0.25 * np.sum(e * e, axis=-1)
+    return 0.25 * np.sum(e * e, axis=-1).reshape(q.shape[:-1])
 
 
 def _slow_force(q, ell: int):
-    e = _extensions(q, ell)
-    g = e * e
-    g *= e
-    out = np.empty_like(q)
-    fs = out[..., :ell]
-    ff = out[..., ell:]
-    fs[..., :ell - 1] = g[..., 1:ell] - g[..., :ell - 1]
-    fs[..., ell - 1] = -g[..., ell - 1] - g[..., ell]
-    ff[..., :ell - 1] = g[..., 1:ell] + g[..., :ell - 1]
-    ff[..., ell - 1] = g[..., ell - 1] - g[..., ell]
-    return out
+    """F1 = -E^T e^3, broadcast over leading axes."""
+    q = np.asarray(q)
+    g = _extensions(q, ell)
+    g *= g * g
+    return g.dot(_chain_matrices(ell)[2]).reshape(q.shape)
 
 
 def fput_system(params: FputParams) -> SplitForceSystem:
@@ -402,7 +424,11 @@ class ReductionRow:
 
 @dataclass(frozen=True)
 class ReductionTable:
+    """Rows in (omega, scheme, h) order; ``failures`` holds
+    (row index, "Type: message") for each row recorded with NaN errors."""
+
     rows: tuple
+    failures: tuple = ()
 
     def errors(self, scheme: str, omega: float):
         """(h, err_q, err_p) arrays for one scheme and frequency, sorted by h."""
@@ -430,11 +456,13 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     One reference solve per omega is shared by all (scheme, h) pairs.  Each
     requested h is nudged to the nearest value with an integer step count,
     so every run lands exactly on T (a terminal-time offset of even 1e-5
-    would swamp the errors measured here).  Failed points are recorded with
-    NaN errors.
+    would swamp the errors measured here).  A run that fails in the stage
+    solve is recorded with NaN errors and its cause in ``failures``; any
+    other exception propagates.
     """
     ell = params.ell
     rows = []
+    failures = []
     for omega in np.asarray(omega_grid, dtype=float):
         p = FputParams(ell=ell, omega=float(omega))
         system = fput_system(p)
@@ -450,12 +478,14 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
                     final = traj.final_state()
                     err_q = float(np.max(np.abs(final.q[:ell] - ref.q[:ell])))
                     err_p = float(np.max(np.abs(final.p[:ell] - ref.p[:ell])))
-                except Exception:
+                except (NonconvergenceError, NumericalFailureError,
+                        SingularStageSystemError) as exc:
+                    failures.append((len(rows), f"{type(exc).__name__}: {exc}"))
                     err_q = err_p = math.nan
                 rows.append(ReductionRow(scheme=name, omega=float(omega),
                                          h=h_run, err_slow_q=err_q,
                                          err_slow_p=err_p))
-    return ReductionTable(rows=tuple(rows))
+    return ReductionTable(rows=tuple(rows), failures=tuple(failures))
 
 
 def convergence_errors(scheme, params: FputParams, h_list, T: float,

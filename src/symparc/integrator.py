@@ -490,15 +490,28 @@ class ComposedStepper:
     """Symmetric composition of a base one-step map with fractional substeps."""
 
     def __init__(self, base, substeps):
-        self._step_fn = base.step if hasattr(base, "step") else base
+        counted = getattr(base, "step_with_iterations", None)
+        if counted is None:
+            plain = base.step if hasattr(base, "step") else base
+
+            def counted(state, h):
+                return plain(state, h), 0
+        self._step_fn = counted
         self.substeps = tuple(float(w) for w in substeps)
 
     def step(self, state: PhaseState, h: float) -> PhaseState:
+        return self.step_with_iterations(state, h)[0]
+
+    def step_with_iterations(self, state: PhaseState, h: float):
+        """The composed step and the stage iterations of all its substeps
+        (0 for a base without iteration counts)."""
         t0 = state.t
+        total = 0
         for w in self.substeps:
-            state = self._step_fn(state, w * h)
+            state, iterations = self._step_fn(state, w * h)
+            total += iterations
         # substep times accumulate roundoff; pin the exact step
-        return PhaseState(q=state.q, p=state.p, t=t0 + h)
+        return PhaseState(q=state.q, p=state.p, t=t0 + h), total
 
 
 def yoshida_compose(base, target_order: int) -> ComposedStepper:
@@ -557,31 +570,40 @@ def _rk8_final_state(system: SplitForceSystem, state0: PhaseState, duration: flo
                      n_steps: int) -> np.ndarray:
     d = state0.dimension
     h = duration / n_steps
+    ha, hb = h * _rk8.A, h * _rk8.B
     y = np.concatenate([state0.q, state0.p])
-    a, b = _rk8.A, _rk8.B
-    n_stages = _rk8.N_STAGES
-    k = np.empty((n_stages, 2 * d))
+    k = np.empty((_rk8.N_STAGES, 2 * d))
     stage = np.empty(2 * d)
+    incr = np.empty(2 * d)
+    wq = np.empty(d)
     f1, f2, w = system.f1, system.f2, system.omega_sq
+    kq, kp = list(k[:, :d]), list(k[:, d:])
+    # stage i is y + (h A[i, :i]) @ k[:i]; the views stay bound to the buffers
+    stages = [(ha[i, :i], k[:i]) for i in range(1, _rk8.N_STAGES)]
 
-    def rhs_into(yv, out):
-        q = yv[:d]
-        out[:d] = yv[d:]
-        acc = out[d:]
-        acc[:] = f1(q) if f1 is not None else 0.0
+    def derivative(q, p, i):
+        """k[i] = (p, F1(q) + F2(q)), written into the rows of k."""
+        kq[i][...] = p
         if w is not None:
-            acc -= w * q
-        elif f2 is not None:
-            acc += f2(q)
+            np.multiply(w, q, out=wq)
+            if f1 is None:
+                np.negative(wq, out=kp[i])
+            else:
+                np.subtract(f1(q), wq, out=kp[i])
+        else:
+            kp[i][...] = 0.0 if f1 is None else f1(q)
+            if f2 is not None:
+                kp[i] += f2(q)
 
+    y_q, y_p, stage_q, stage_p = y[:d], y[d:], stage[:d], stage[d:]
     for step in range(n_steps):
-        rhs_into(y, k[0])
-        for i in range(1, n_stages):
-            np.matmul(a[i, :i], k[:i], out=stage)
-            stage *= h
+        derivative(y_q, y_p, 0)
+        for i, (ha_i, k_i) in enumerate(stages, start=1):
+            np.matmul(ha_i, k_i, out=stage)
             stage += y
-            rhs_into(stage, k[i])
-        y = y + h * (b @ k)
+            derivative(stage_q, stage_p, i)
+        np.matmul(hb, k, out=incr)
+        y += incr
         if step % 64 == 0 and not np.all(np.isfinite(y)):
             raise OracleFailureError("reference integration produced NaN/Inf")
     if not np.all(np.isfinite(y)):

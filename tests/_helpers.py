@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from symparc import _rk8
 from symparc.integrator import ArkStepper, PhaseState, SplitForceSystem, StageSolveConfig
 
 
@@ -41,3 +42,56 @@ def symplectic_residual(jac: np.ndarray) -> float:
 
 def tight_config(mode=None) -> StageSolveConfig:
     return StageSolveConfig(tolerance=1e-14, max_iterations=200, mode=mode)
+
+
+def textbook_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,
+                 n_steps: int) -> np.ndarray:
+    """The order-8 Dormand-Prince loop as written in the textbook: fresh
+    arrays everywhere, forces through the system's public accessors."""
+    d = state0.dimension
+    h = duration / n_steps
+
+    def rhs(y):
+        q = y[:d]
+        return np.concatenate([y[d:], system.slow_force(q) + system.fast_force(q)])
+
+    y = np.concatenate([state0.q, state0.p])
+    for _ in range(n_steps):
+        k = np.zeros((_rk8.N_STAGES, 2 * d))
+        for i in range(_rk8.N_STAGES):
+            k[i] = rhs(y + h * (_rk8.A[i, :i] @ k[:i]))
+        y = y + h * (_rk8.B @ k)
+    return y
+
+
+def slicing_extensions(q, ell: int):
+    """Spring elongations of the chain, written out spring by spring."""
+    qs = q[..., :ell]
+    qf = q[..., ell:]
+    e = np.empty(q.shape[:-1] + (ell + 1,))
+    e[..., 0] = qs[..., 0] - qf[..., 0]
+    if ell > 1:
+        e[..., 1:ell] = qs[..., 1:] - qf[..., 1:] - qs[..., :-1] - qf[..., :-1]
+    e[..., ell] = qs[..., -1] + qf[..., -1]
+    return e
+
+
+def slicing_quartic_potential(q, ell: int):
+    e = slicing_extensions(q, ell)
+    e *= e
+    return 0.25 * np.sum(e * e, axis=-1)
+
+
+def slicing_slow_force(q, ell: int):
+    """The chain's slow force, each spring's pull and push written out."""
+    e = slicing_extensions(q, ell)
+    g = e * e
+    g *= e
+    out = np.empty_like(q)
+    fs = out[..., :ell]
+    ff = out[..., ell:]
+    fs[..., :ell - 1] = g[..., 1:ell] - g[..., :ell - 1]
+    fs[..., ell - 1] = -g[..., ell - 1] - g[..., ell]
+    ff[..., :ell - 1] = g[..., 1:ell] + g[..., :ell - 1]
+    ff[..., ell - 1] = g[..., ell - 1] - g[..., ell]
+    return out

@@ -17,7 +17,9 @@ from symparc.fput import (
     fput_system,
     paper_initial_state,
 )
-from symparc.integrator import PhaseState, reference_solve
+from symparc.integrator import PhaseState, StageSolveConfig, reference_solve
+
+from _helpers import slicing_quartic_potential, slicing_slow_force
 
 
 def test_params_validation():
@@ -60,6 +62,19 @@ def test_slow_force_broadcasts():
     for i in range(4):
         for j in range(5):
             assert np.array_equal(out[i, j], _slow_force(batch[i, j], ell))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 5])
+def test_matrix_force_matches_slicing_form(ell):
+    from symparc.fput import _quartic_potential, _slow_force
+    rng = np.random.default_rng(ell)
+    d = 2 * ell
+    for shape in [(d,), (4, d), (450, 3, d)]:
+        q = rng.uniform(-2.0, 2.0, size=shape)
+        for got, ref in ((_slow_force(q, ell), slicing_slow_force(q, ell)),
+                         (_quartic_potential(q, ell), slicing_quartic_potential(q, ell))):
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_paper_initial_state():
@@ -206,6 +221,23 @@ def test_reduction_table(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "scheme,omega,h,err_qs,err_ps"
     assert len(lines) == 5
+
+
+def test_reduction_records_stage_solve_failures():
+    params = FputParams(ell=3, omega=10.0)
+    table = experiment_order_reduction(["lgl4", "imex-yoshida4"], params, 10.0, [5.0],
+                                       [10.0], config=StageSolveConfig(max_iterations=1),
+                                       reference_tol=1e-10)
+    assert len(table.rows) == 2
+    assert [i for i, _ in table.failures] == [0, 1]
+    assert all(msg.startswith("NonconvergenceError: step 0") for _, msg in table.failures)
+    assert all(math.isnan(r.err_slow_q) and math.isnan(r.err_slow_p) for r in table.rows)
+
+
+def test_reduction_propagates_other_errors():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        experiment_order_reduction(["not-a-scheme"], FputParams(ell=3, omega=10.0), 1.0,
+                                   [0.1], [10.0], reference_tol=1e-10)
 
 
 def test_convergence_errors_and_slope():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import symparc.fput as fput
 from symparc.integrator import (
     ArkStepper,
+    ComposedStepper,
     NonconvergenceError,
     PhaseState,
     SolverMode,
@@ -32,6 +33,7 @@ from _helpers import (
     harmonic_system,
     scaled_stability_map,
     symplectic_residual,
+    textbook_rk8,
     tight_config,
 )
 
@@ -269,6 +271,28 @@ def test_yoshida_of_exact_flow_is_exact_flow():
         assert out.t == 0.5
 
 
+def test_composition_reports_substep_iterations(tmp_path):
+    params = fput.FputParams(ell=3, omega=50.0)
+    system = fput.fput_system(params)
+    traj = integrate("imex-yoshida4", system, fput.paper_initial_state(params), 0.04, 20)
+    assert np.all(traj.stage_iterations > 0)
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0].endswith(",stage_iters")
+    assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[2:])
+
+
+def test_composition_of_plain_callable_reports_zero_iterations():
+    def drift(state, h):
+        return PhaseState(q=state.q + h * state.p, p=state.p, t=state.t + h)
+
+    composed = ComposedStepper(drift, YOSHIDA4_SUBSTEPS)
+    state, iterations = composed.step_with_iterations(PhaseState(q=[0.0], p=[1.0]), 0.5)
+    assert iterations == 0
+    assert state.t == 0.5
+
+
 @pytest.mark.parametrize("name", ["imex-yoshida4", "imex-yoshida6"])
 def test_composition_time_symmetry(name):
     params = fput.FputParams(ell=2, omega=3.0)
@@ -333,3 +357,21 @@ def test_reference_agrees_with_ark_on_smooth_problem(T, q0, p0):
     final = traj.final_state()
     assert abs(final.q[0] - ref.q[0]) < 1e-9
     assert abs(final.p[0] - ref.p[0]) < 1e-9
+
+
+def _oracle_cases():
+    params = fput.FputParams(ell=3, omega=1e4)
+    chain = (fput.fput_system(params), fput.paper_initial_state(params), 0.02, 2000)
+    harmonic = (harmonic_system(3.0, 2), PhaseState(q=[1.0, 2.0], p=[-0.5, 0.25]), 2.0, 200)
+    duffing = (SplitForceSystem(dimension=2, f1=lambda q: -q ** 3, f2=lambda q: -4.0 * q),
+               PhaseState(q=[1.0, -0.5], p=[0.0, 0.3]), 3.0, 300)
+    return {"chain": chain, "no-f1": harmonic, "explicit-f2": duffing}
+
+
+@pytest.mark.parametrize("case", ["chain", "no-f1", "explicit-f2"])
+def test_rk8_matches_textbook_loop(case):
+    from symparc.integrator import _rk8_final_state
+    system, state0, duration, n_steps = _oracle_cases()[case]
+    got = _rk8_final_state(system, state0, duration, n_steps)
+    ref = textbook_rk8(system, state0, duration, n_steps)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
