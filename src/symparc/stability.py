@@ -12,6 +12,18 @@ circle exactly when |tr M| <= 2.  Where the method is stable it acts as a
 rotation by the modified frequency  mu_tilde = arccos(tr M / 2), and on
 q'' = -omega^2 q + f(q) it admits a two-step trigonometric form with filter
 weights  psi_i = b^T (I + mu^2 AtH At)^{-1} ahat_i.
+
+Every mu sweep goes through one kernel, :func:`stability_matrix_samples`.
+It reduces T to upper Hessenberg form once per call, T = Q H Q^T, so that
+I + mu*H is upper Hessenberg for every mu (Laub, IEEE TAC 26, 1981).  A chunk
+of mu values is then factored at once, pivoting only between adjacent rows.
+The orthogonal reduction does not keep the zero blocks of T, and at large mu
+the collocation family would lose 2-3 digits; one step of iterative
+refinement, with the residual formed against the original T, restores the
+accuracy of Gaussian elimination on the stage block itself (Skeel, Math.
+Comp. 35, 1980).  All per-mu sums are accumulated elementwise, term by term,
+never through BLAS, so a mu gives bitwise the same M in any batch: a scalar
+call agrees with the sweep that contains it.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from symparc.integrator import (
     ArkStepper,
@@ -147,22 +160,86 @@ def _blocks(scheme: ArkScheme):
     return T, E, W
 
 
-def stability_matrix_samples(scheme: ArkScheme, mus, chunk: int = 65536) -> np.ndarray:
+# mu values per pass of the kernel; bounds the (n, n, chunk) work arrays
+_CHUNK = 8192
+
+
+def _lu_hessenberg(H, mus):
+    """Row-pivoted LU of I + mu*H for every mu at once, H upper Hessenberg.
+
+    Works in an (n, n, N) layout with mu last.  Elimination only ever pivots
+    between adjacent rows, so the factors are the swap masks, the multipliers
+    and the upper triangle U.  A zero pivot raises SingularStageSystemError.
+    """
+    n = H.shape[0]
+    U = H[:, :, None] * mus
+    U[np.arange(n), np.arange(n)] += 1.0
+    swaps = np.empty((n - 1, len(mus)), dtype=bool)
+    mults = np.empty((n - 1, len(mus)))
+    for j in range(n - 1):
+        top, low = U[j, j:], U[j + 1, j:]
+        swap = np.abs(low[0]) > np.abs(top[0])
+        top, low = np.where(swap, low, top), np.where(swap, top, low)
+        _check_pivot(top[0], mus)
+        mults[j] = low[0] / top[0]
+        swaps[j] = swap
+        U[j, j:] = top
+        U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
+    _check_pivot(U[n - 1, n - 1], mus)
+    return U, swaps, mults
+
+
+def _check_pivot(pivot, mus):
+    if not np.all(pivot):
+        mu = mus[np.flatnonzero(pivot == 0.0)[0]]
+        raise SingularStageSystemError(f"stage block I + mu*T singular at mu = {mu:.17g}")
+
+
+def _lu_solve(lu, B):
+    """Solve (I + mu*H) Y = B in place for B of shape (n, k, N)."""
+    U, swaps, mults = lu
+    n = U.shape[0]
+    for j in range(n - 1):
+        top = np.where(swaps[j], B[j + 1], B[j])
+        B[j + 1] = np.where(swaps[j], B[j], B[j + 1]) - mults[j] * top
+        B[j] = top
+    for j in range(n - 1, -1, -1):
+        B[j] /= U[j, j]
+        B[:j] -= U[:j, j, None] * B[j]
+    return B
+
+
+def _apply(A, X):
+    """A @ X for each mu, X of shape (n, k, N), summed term by term over n.
+
+    Plain elementwise accumulation adds in the same order for every batch
+    size, where a BLAS product may not.
+    """
+    out = A[:, 0, None, None] * X[0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None, None] * X[j]
+    return out
+
+
+def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     T, E, W = _blocks(scheme)
-    n = T.shape[0]
-    eye = np.eye(n)
+    s2 = scheme.s2
+    H, Q = scipy.linalg.hessenberg(T, calc_q=True)
+    QtE, WQ = Q.T @ E, W @ Q
     out = np.empty((len(mus), 2, 2))
-    for start in range(0, len(mus), chunk):
-        m = mus[start:start + chunk]
-        S = eye + m[:, None, None] * T
-        try:
-            X = np.linalg.solve(S, np.broadcast_to(E, (len(m), n, 2)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularStageSystemError(
-                "stage block singular inside the sampled mu range") from exc
-        out[start:start + chunk] = np.eye(2) + m[:, None, None] * (W @ X)
+    for start in range(0, len(mus), _CHUNK):
+        m = mus[start:start + _CHUNK]
+        lu = _lu_hessenberg(H, m)
+        X = _apply(Q, _lu_solve(lu, np.repeat(QtE[:, :, None], len(m), axis=2)))
+        # one refinement step, with the residual formed against the original
+        # T; its diagonal blocks are zero, so T X takes the two coupling blocks
+        TX = np.concatenate([_apply(T[:s2, s2:], X[s2:]), _apply(T[s2:, :s2], X[:s2])])
+        D = _lu_solve(lu, _apply(Q.T, E[:, :, None] - X - m * TX))
+        # M needs only W X, so the correction Q D enters through W Q
+        WX = _apply(W, X) + _apply(WQ, D)
+        out[start:start + _CHUNK] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
     return out
 
 
@@ -172,23 +249,14 @@ def stability_matrix(scheme: ArkScheme, mu: float) -> StabilityMatrix:
     return StabilityMatrix(m=m, mu=float(mu))
 
 
-def half_trace_samples(scheme: ArkScheme, mus, chunk: int = 65536) -> np.ndarray:
+def half_trace_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """tr M(mu) / 2 on an array of mu values (the stability function up to sign)."""
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    T, E, W = _blocks(scheme)
-    n = T.shape[0]
-    eye = np.eye(n)
-    out = np.empty(len(mus))
-    for start in range(0, len(mus), chunk):
-        m = mus[start:start + chunk]
-        S = eye + m[:, None, None] * T
-        X = np.linalg.solve(S, np.broadcast_to(E, (len(m), n, 2)))
-        MM = W @ X
-        out[start:start + chunk] = 1.0 + 0.5 * m * (MM[:, 0, 0] + MM[:, 1, 1])
-    return out
+    M = stability_matrix_samples(scheme, mus)
+    return 0.5 * (M[:, 0, 0] + M[:, 1, 1])
 
 
 def half_trace(scheme: ArkScheme, mu: float) -> float:
+    """tr M(mu) / 2 at one mu; sweeps should call :func:`half_trace_samples`."""
     return float(half_trace_samples(scheme, [mu])[0])
 
 
@@ -238,33 +306,48 @@ def filter_functions(scheme: ArkScheme, mu: float) -> FilterEvaluation:
 # Stability intervals and resonances
 # ---------------------------------------------------------------------------
 
-def _bisect(fn, lo, hi, f_lo, f_hi, tol=1e-10, max_iter=200):
-    """Root of a scalar function given a sign-changing bracket."""
+def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
+    """Roots on sign-changing brackets, all bisected in lock step.
+
+    ``fn(x, idx)`` evaluates the functions of brackets ``idx`` at the points
+    ``x``, so each iteration costs one batched call.  A bracket stops once it
+    is narrower than ``tol`` or hits an exact zero, and returns its midpoint.
+    """
+    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    root = np.empty(len(lo))
+    idx = np.arange(len(lo))
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        done = hi[idx] - lo[idx] < tol
+        root[idx[done]] = mid[done]
+        idx, mid = idx[~done], mid[~done]
+        if not len(idx):
+            return root
+        f_mid = fn(mid, idx)
+        done = f_mid == 0.0
+        root[idx[done]] = mid[done]
+        idx, mid, f_mid = idx[~done], mid[~done], f_mid[~done]
+        left = (f_lo[idx] < 0.0) != (f_mid < 0.0)
+        hi[idx[left]] = mid[left]
+        lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
+    root[idx] = 0.5 * (lo[idx] + hi[idx])
+    return root
 
 
-def _refine_extremum(fn, lo, hi, tol=1e-10):
-    """Stationary point inside (lo, hi) by bisection on a central difference."""
+def _refine_extrema(fn, lo, hi, tol=1e-10):
+    """Stationary points inside each (lo, hi) by bisection on a central difference."""
     fd_step = 1e-6
 
-    def deriv(x):
-        return fn(x + fd_step) - fn(x - fd_step)
+    def deriv(x, idx=None):
+        v = fn(np.concatenate([x + fd_step, x - fd_step]))
+        return v[:len(x)] - v[len(x):]
 
-    d_lo, d_hi = deriv(lo), deriv(hi)
-    if (d_lo < 0.0) == (d_hi < 0.0):
-        return 0.5 * (lo + hi)
-    return _bisect(deriv, lo, hi, d_lo, d_hi, tol=tol)
+    d = deriv(np.concatenate([lo, hi]))
+    d_lo, d_hi = d[:len(lo)], d[len(lo):]
+    out = 0.5 * (lo + hi)
+    change = (d_lo < 0.0) != (d_hi < 0.0)
+    out[change] = _bisect(deriv, lo[change], hi[change], d_lo[change], tol=tol)
+    return out
 
 
 # sampled |half trace| within this slack of 1 still counts as stable, so a
@@ -280,7 +363,8 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     become interval boundaries; interior extrema touching +-1 (to within
     1e-7) are reported as tangent resonances.  ``p_stable`` holds when the
     single interval covers [0, mu_max] and every resonance point carries two
-    independent eigenvectors (M = +-I there).
+    independent eigenvectors (M = +-I there).  All brackets are refined
+    together, one batched half-trace call per bisection step.
     """
     if not mu_max > 0.0:
         raise ValueError("mu_max must be positive")
@@ -289,25 +373,20 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     f = half_trace_samples(scheme, mus)
 
     def f_at(x):
-        return half_trace(scheme, x)
+        return half_trace_samples(scheme, x)
 
     stable = np.abs(f) <= 1.0 + _TANGENCY_SLACK
 
-    boundaries = []          # (mu, sign at the boundary)
-    for i in range(n - 1):
-        if stable[i] == stable[i + 1]:
-            continue
-        # the crossing is through +1 or -1 depending on the local values
-        target = 1.0 if max(f[i], f[i + 1]) > 1.0 or min(f[i], f[i + 1]) > 0.0 else -1.0
-        g = (lambda x, t=target: f_at(x) - t)
-        g_lo, g_hi = f[i] - target, f[i + 1] - target
-        if (g_lo < 0.0) == (g_hi < 0.0):
-            # kinked bracket (|f|-1 changes via the other branch); fall back
-            target = -target
-            g = (lambda x, t=target: f_at(x) - t)
-            g_lo, g_hi = f[i] - target, f[i + 1] - target
-        root = _bisect(g, mus[i], mus[i + 1], g_lo, g_hi)
-        boundaries.append((root, int(target)))
+    # the crossing is through +1 or -1 depending on the local values; in a
+    # kinked bracket |f| - 1 changes sign via the other branch
+    cross = np.flatnonzero(stable[:-1] != stable[1:])
+    f0, f1 = f[cross], f[cross + 1]
+    target = np.where((np.maximum(f0, f1) > 1.0) | (np.minimum(f0, f1) > 0.0), 1.0, -1.0)
+    kinked = (f0 - target < 0.0) == (f1 - target < 0.0)
+    target[kinked] = -target[kinked]
+    roots = _bisect(lambda x, idx: f_at(x) - target[idx],
+                    mus[cross], mus[cross + 1], f0 - target)
+    boundaries = [(float(r), int(t)) for r, t in zip(roots, target)]
 
     intervals = []
     resonances = [Resonance(mu=b, sign=s, tangent=False) for b, s in boundaries]
@@ -322,11 +401,10 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
 
     # interior extrema that touch the lines +-1 without crossing
     df = np.diff(f)
-    for i in range(1, n - 2):
-        if (df[i - 1] > 0.0) == (df[i] > 0.0):
-            continue
-        mu_star = _refine_extremum(f_at, mus[i - 1], mus[i + 1])
-        val = f_at(mu_star)
+    i = np.arange(1, n - 2)
+    i = i[(df[i - 1] > 0.0) != (df[i] > 0.0)]
+    mu_stars = _refine_extrema(f_at, mus[i - 1], mus[i + 1])
+    for mu_star, val in zip(mu_stars.tolist(), f_at(mu_stars).tolist()):
         for sign in (1, -1):
             if abs(val - sign) < 1e-7 and not any(
                     abs(mu_star - r.mu) < 10.0 * grid_step for r in resonances):
@@ -336,11 +414,9 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
 
     covered = (len(intervals) == 1
                and intervals[0][0] <= grid_step and intervals[0][1] >= mu_max - grid_step)
-    non_defective = True
-    for r in resonances:
-        m = stability_matrix(scheme, r.mu).m
-        if np.max(np.abs(m - r.sign * np.eye(2))) > 1e-6:
-            non_defective = False
+    M = stability_matrix_samples(scheme, [r.mu for r in resonances])
+    signs = np.array([r.sign for r in resonances], dtype=float)
+    non_defective = not np.any(np.abs(M - signs[:, None, None] * np.eye(2)) > 1e-6)
     p_stable = bool(covered and non_defective)
 
     return StabilityReport(

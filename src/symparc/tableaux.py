@@ -152,9 +152,7 @@ class QuadratureRule:
         """max_n |sum_i w_i c_i^n - 1/(n+1)| over n = 0..degree."""
         if degree is None:
             degree = self.order - 1
-        n = np.arange(degree + 1)
-        moments = self.weights @ np.power.outer(self.nodes, n)
-        return float(np.max(np.abs(moments - 1.0 / (n + 1))))
+        return _quadrature_residual(self.weights, self.nodes, degree)
 
 
 @dataclass(frozen=True)

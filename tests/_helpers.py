@@ -95,3 +95,19 @@ def slicing_slow_force(q, ell: int):
     ff[..., :ell - 1] = g[..., 1:ell] + g[..., :ell - 1]
     ff[..., ell - 1] = g[..., ell - 1] - g[..., ell]
     return out
+
+
+def scalar_bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
+    """One bracket at a time: the reference for the lock-step bisection."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            return mid
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symparc.integrator import PhaseState, SplitForceSystem
+from symparc.integrator import PhaseState, SingularStageSystemError, SplitForceSystem
 from symparc.stability import (
     NotStableError,
     check_m11_equals_m22,
@@ -17,8 +18,9 @@ from symparc.stability import (
     stability_matrix,
     stability_matrix_samples,
     trig_form_step_check,
+    _bisect,
 )
-from symparc.tableaux import ArkScheme, Variant, build_scheme
+from symparc.tableaux import MAX_STAGES, ArkScheme, Variant, build_scheme
 
 from _golden import (
     COLLOCATION_INTERVALS,
@@ -28,6 +30,7 @@ from _golden import (
     half_trace_order4,
     half_trace_order6,
 )
+from _helpers import scalar_bisect
 
 LGL2 = build_scheme(2, Variant.INTERPOLATION)
 LGL4 = build_scheme(3, Variant.INTERPOLATION)
@@ -95,16 +98,82 @@ def test_diagonal_closed_forms_from_row_sum_identities():
             assert abs(m[1, 1] - m22) < 1e-12
 
 
-def test_singular_mu_raises():
+def _singular_at_one():
     # coupling chosen so the stage block I + mu*T is singular at mu = 1
-    bad = ArkScheme(
+    return ArkScheme(
         s1=1, s2=1,
         a=[[0.5]], a_hat=[[0.5]], a_tilde=[[1.0]], a_tilde_hat=[[-1.0]],
         b=[1.0], c=[0.5], b_tilde=[1.0], c_tilde=[0.5],
         order=1, variant=Variant.INTERPOLATION)
-    from symparc.integrator import SingularStageSystemError
+
+
+def test_singular_mu_raises():
     with pytest.raises(SingularStageSystemError):
-        stability_matrix(bad, 1.0)
+        stability_matrix(_singular_at_one(), 1.0)
+
+
+def test_singular_mu_raises_from_half_trace():
+    bad = _singular_at_one()
+    with pytest.raises(SingularStageSystemError):
+        half_trace(bad, 1.0)
+    with pytest.raises(SingularStageSystemError):
+        half_trace_samples(bad, [0.5, 1.0])
+
+
+def _mpmath_matrix(scheme, mu):
+    """M(mu) from a 30-digit solve of the stage block [[I, -mu At], [mu AtH, I]]."""
+    s1, s2 = scheme.s1, scheme.s2
+    mp = mpmath.mp
+    mu = mp.mpf(float(mu))
+    S = mp.eye(s1 + s2)
+    for i in range(s2):
+        for j in range(s1):
+            S[i, s2 + j] = -mu * mp.mpf(float(scheme.a_tilde[i, j]))
+    for i in range(s1):
+        for j in range(s2):
+            S[s2 + i, j] = mu * mp.mpf(float(scheme.a_tilde_hat[i, j]))
+    lu, piv = mp.LU_decomp(S)
+    m = np.empty((2, 2))
+    for k, rows in enumerate((range(s2), range(s2, s1 + s2))):
+        e = mp.matrix([1 if i in rows else 0 for i in range(s1 + s2)])
+        x = mp.U_solve(lu, mp.L_solve(lu, e, piv))
+        m[0, k] = float((k == 0) + mu * mp.fsum(mp.mpf(float(w)) * x[s2 + j]
+                                                for j, w in enumerate(scheme.b)))
+        m[1, k] = float((k == 1) - mu * mp.fsum(mp.mpf(float(w)) * x[j]
+                                                for j, w in enumerate(scheme.b_tilde)))
+    return m
+
+
+_RNG = np.random.default_rng(20)
+_ACCURACY_MUS = np.concatenate([
+    [0.0, 2.0 * math.sqrt(3.0), math.sqrt(10.0), 2.0 * math.sqrt(15.0)],
+    _RNG.uniform(0.0, 20.0, 3), _RNG.uniform(20.0, 1000.0, 2), [1000.0]])
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
+def test_matrix_matches_mpmath(s1, variant):
+    scheme = build_scheme(s1, variant)
+    M = stability_matrix_samples(scheme, _ACCURACY_MUS)
+    with mpmath.workdps(30):
+        for mu, m in zip(_ACCURACY_MUS, M):
+            ref = _mpmath_matrix(scheme, mu)
+            assert np.max(np.abs(m - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), mu
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("s1", [2, 3, 4, 8, 12])
+def test_samples_are_batch_independent(s1, variant):
+    scheme = build_scheme(s1, variant)
+    mus = np.concatenate([[0.0, 1e-3, 2.0 * math.sqrt(3.0)],
+                          np.random.default_rng(s1).uniform(0.0, 1000.0, 9)])
+    M = stability_matrix_samples(scheme, mus)
+    ht = half_trace_samples(scheme, mus)
+    for i, mu in enumerate(mus):
+        assert np.array_equal(M[i], stability_matrix(scheme, mu).m)
+        assert np.array_equal(M[i], stability_matrix_samples(scheme, mus[i:i + 5])[0])
+        assert half_trace(scheme, mu) == ht[i]
+    assert stability_matrix_samples(scheme, []).shape == (0, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +249,21 @@ def test_tangent_resonances_located():
     assert len(mus) == 2
     assert abs(mus[0] - math.sqrt(10.0)) < 1e-8
     assert abs(mus[1] - 2.0 * math.sqrt(15.0)) < 1e-8
+
+
+@pytest.mark.parametrize("max_iter", [200, 10])
+def test_lockstep_bisection_matches_scalar_loop(max_iter):
+    # brackets that stop on the tolerance, on an exact zero at the first
+    # midpoint (targets 0 and 1/8), narrower than tol from the start, and
+    # after max_iter steps when that is small
+    targets = np.array([0.3, -0.7, 0.0, 0.125, 0.008])
+    lo = np.array([0.0, -1.0, -0.5, 0.0, 0.2])
+    hi = np.array([1.0, 0.0, 0.5, 1.0, 0.2 + 1e-11])
+    f_lo = lo ** 3 - targets
+    roots = _bisect(lambda x, idx: x ** 3 - targets[idx], lo, hi, f_lo, max_iter=max_iter)
+    for k, t in enumerate(targets):
+        assert roots[k] == scalar_bisect(lambda x: x ** 3 - t, lo[k], hi[k], f_lo[k],
+                                         max_iter=max_iter)
 
 
 def test_tangency_matrix_is_minus_identity():
