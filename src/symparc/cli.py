@@ -230,13 +230,15 @@ def _cmd_fput(args) -> int:
         return 0
 
     if args.experiment == "sweep":
+        if args.points < 1:
+            raise ValueError("--points must be at least 1")
         params = fputmod.FputParams(ell=args.ell, omega=args.omega)
         h = args.h if args.h else 0.02
         T = args.T if args.T else 100.0
         ratios = np.linspace(4.5 / args.points, 4.5, args.points)
         omegas = ratios * math.pi / h
         result = fputmod.experiment_resonance_sweep(
-            _known_scheme(args.scheme), params, h, T, omegas, jobs=args.jobs,
+            _known_scheme(args.scheme), params, h, T, omegas,
             tolerance=args.tol if args.tol else 1e-12)
         result.write_csv(args.out or "sweep.csv")
         peak = result.h_omega_over_pi[int(np.nanargmax(result.max_energy_error))]
@@ -348,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=450, help="sweep grid size")
     p.add_argument("--h-list", default=None, dest="h_list")
     p.add_argument("--omega-list", default=None, dest="omega_list")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tol", type=float, default=None, help="stage tolerance")
     p.add_argument("--solver", choices=[m.value for m in SolverMode], default=None)
     p.add_argument("--ref-tol", type=float, default=1e-9, dest="ref_tol")

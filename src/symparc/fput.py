@@ -32,18 +32,15 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from symparc.integrator import (
-    NonconvergenceError,
-    NumericalFailureError,
     PhaseState,
-    SingularStageSystemError,
     SplitForceSystem,
     StageSolveConfig,
+    StageSolveError,
     integrate,
     make_stepper,
     reference_solve,
@@ -124,21 +121,30 @@ def _slow_force(q, ell: int):
     return g.dot(_chain_matrices(ell)[2]).reshape(q.shape)
 
 
+def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
+    """The chain with stiff frequency ``omegas``: a scalar for one chain, an
+    array of n for a batch of n chains (omega_sq of shape (n, 2*ell))."""
+    w2 = np.asarray(omegas, dtype=float) ** 2
+    omega_sq = np.zeros(w2.shape + (2 * ell,))
+    omega_sq[..., ell:] = w2[..., None]
+
+    def f1(q):
+        return _slow_force(q, ell)
+
+    return SplitForceSystem(dimension=2 * ell, f1=f1, omega_sq=omega_sq,
+                            hamiltonian=hamiltonian)
+
+
 def fput_system(params: FputParams) -> SplitForceSystem:
     """Split system for the chain; forces broadcast over leading axes."""
     ell = params.ell
     w2 = params.omega ** 2
-    omega_sq = np.concatenate([np.zeros(ell), np.full(ell, w2)])
-
-    def f1(q):
-        return _slow_force(q, ell)
 
     def hamiltonian(q, p):
         return (0.5 * float(p @ p) + 0.5 * w2 * float(q[ell:] @ q[ell:])
                 + float(_quartic_potential(q, ell)))
 
-    return SplitForceSystem(dimension=2 * ell, f1=f1, omega_sq=omega_sq,
-                            hamiltonian=hamiltonian)
+    return _chain_system(ell, params.omega, hamiltonian)
 
 
 def paper_initial_state(params: FputParams) -> PhaseState:
@@ -254,162 +260,70 @@ class SweepResult:
                     self.max_scaled_i_deviation[i])) + "\n")
 
 
-def _sweep_batched(scheme, ell: int, omegas, h: float, T: float, tolerance: float):
-    """All sweep frequencies advanced together as one batched state.
-
-    Equivalent to and cross-checked against the per-point engine; one
-    vectorized linearly-implicit solve replaces hundreds of scalar runs.
-    Returns (max_H_err, max_scaled_I_dev, failure message or None) per run.
-    """
-    from symparc.integrator import scheme_from_name
-    from symparc.tableaux import ArkScheme
-
-    sch = scheme if isinstance(scheme, ArkScheme) else scheme_from_name(scheme)
-    s1, s2 = sch.s1, sch.s2
-    m = s1 + s2
-    n = len(omegas)
-    d = 2 * ell
-    w2 = np.asarray(omegas, dtype=float) ** 2
-
-    # block inverses: the zero-frequency (slow) block is shared, the fast
-    # block is one small matrix per frequency
-    slow_block = np.eye(m)
-    slow_block[:s2, s2:] = -h * sch.a_tilde
-    inv_slow = np.linalg.inv(slow_block)
-    fast_blocks = np.broadcast_to(slow_block, (n, m, m)).copy()
-    fast_blocks[:, s2:, :s2] = (h * w2)[:, None, None] * sch.a_tilde_hat
-    inv_fast = np.linalg.inv(fast_blocks)
-
-    q = np.zeros((n, d))
-    p = np.zeros((n, d))
-    q[:, 0] = 1.0
-    q[:, ell] = 1.0 / np.asarray(omegas, dtype=float)
-    p[:, 0] = 1.0
-    p[:, ell] = 1.0
-
-    def hamiltonian(qb, pb):
-        return (0.5 * np.sum(pb * pb, axis=1)
-                + 0.5 * w2 * np.sum(qb[:, ell:] ** 2, axis=1)
-                + _quartic_potential(qb, ell))
-
-    def osc_total(qb, pb):
-        return (0.5 * np.sum(pb[:, ell:] ** 2, axis=1)
-                + 0.5 * w2 * np.sum(qb[:, ell:] ** 2, axis=1))
-
-    omega_arr = np.asarray(omegas, dtype=float)
-    h0 = hamiltonian(q, p)
-    i0 = omega_arr * osc_total(q, p)
-    worst_h = np.zeros(n)
-    worst_i = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
-    scale = np.maximum(1.0, np.maximum(np.max(np.abs(q), axis=1),
-                                       np.max(np.abs(p), axis=1)))
-
-    n_steps = int(round(T / h))
-    max_iterations = 50
-    rhs = np.empty((n, m, d))
-    for _ in range(n_steps):
-        Q = q[:, None, :] + h * sch.c[None, :, None] * p[:, None, :]
-        F1 = _slow_force(Q, ell)
-        done = False
-        for _ in range(max_iterations):
-            rhs[:, :s2, :] = q[:, None, :]
-            rhs[:, s2:, :] = p[:, None, :] + h * (sch.a_hat @ F1)
-            sol_s = inv_slow @ rhs[:, :, :ell]
-            sol_f = inv_fast @ rhs[:, :, ell:]
-            P = np.concatenate([sol_s[:, s2:, :], sol_f[:, s2:, :]], axis=2)
-            Q_new = q[:, None, :] + h * (sch.a @ P)
-            residual = np.max(np.abs(Q_new - Q), axis=(1, 2))
-            Q = Q_new
-            F1 = _slow_force(Q, ell)
-            bad = ~np.isfinite(residual) | (residual > 1e12 * scale)
-            if np.any(bad & ~failed):
-                failed |= bad
-                q[bad], p[bad] = 0.0, 0.0
-            if np.all((residual <= tolerance * scale) | failed):
-                done = True
-                break
-        if not done:
-            stuck = (residual > tolerance * scale) & ~failed
-            failed |= stuck
-            q[stuck], p[stuck] = 0.0, 0.0
-        Qt = np.concatenate([sol_s[:, :s2, :], sol_f[:, :s2, :]], axis=2)
-        F2 = np.empty_like(Qt)
-        F2[:, :, :ell] = 0.0
-        F2[:, :, ell:] = -w2[:, None, None] * Qt[:, :, ell:]
-        q = q + h * (sch.b @ P)
-        p = p + h * (sch.b @ F1 + sch.b_tilde @ F2)
-        np.maximum(worst_h, np.abs(hamiltonian(q, p) - h0), out=worst_h)
-        np.maximum(worst_i, np.abs(omega_arr * osc_total(q, p) - i0), out=worst_i)
-
-    out = []
-    for i in range(n):
-        if failed[i]:
-            out.append((math.nan, math.nan, "NonconvergenceError: batched stage solve"))
-        else:
-            out.append((worst_h[i], worst_i[i], None))
-    return out
-
-
-def _sweep_point(task):
-    scheme, ell, omega, h, T, tolerance = task
-    params = FputParams(ell=ell, omega=omega)
-    system = fput_system(params)
-    state0 = paper_initial_state(params)
-    b0 = energy_breakdown(params, state0)
-    h0 = b0.hamiltonian
-    i0 = omega * b0.total_oscillatory
-    worst = [0.0, 0.0]
-
-    def observer(state):
-        b = energy_breakdown(params, state)
-        worst[0] = max(worst[0], abs(b.hamiltonian - h0))
-        worst[1] = max(worst[1], abs(omega * b.total_oscillatory - i0))
-
-    n_steps = int(round(T / h))
-    try:
-        integrate(scheme, system, state0, h, n_steps,
-                  config=StageSolveConfig(tolerance=tolerance),
-                  observer=observer, stride=max(1, n_steps))
-    except Exception as exc:  # sweep continues past bad points
-        return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-    return worst[0], worst[1], None
+def _sweep_energies(state: PhaseState, omegas, ell: int):
+    """H and omega * I_total of each row of a batch of chains."""
+    qf, pf = state.q[:, ell:], state.p[:, ell:]
+    fast = 0.5 * omegas ** 2 * np.sum(qf * qf, axis=1)
+    hamiltonian = (0.5 * np.sum(state.p * state.p, axis=1) + fast
+                   + _quartic_potential(state.q, ell))
+    return hamiltonian, omegas * (0.5 * np.sum(pf * pf, axis=1) + fast)
 
 
 def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
-                               omega_grid, jobs: int = 1,
-                               tolerance: float = 1e-12,
-                               engine: str = "batched") -> SweepResult:
-    """Run one integration per omega, recording worst-case energy deviations.
+                               omega_grid, tolerance: float = 1e-12) -> SweepResult:
+    """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
 
-    Points are independent.  The default engine advances all of them in one
-    vectorized batch; ``engine="per-point"`` runs separate integrations
-    instead, distributed over ``jobs`` processes and merged back in grid
-    order (both engines agree to solver tolerance).  Failures are recorded
-    per point (NaN in the result arrays) and do not abort the sweep.
+    All chains start from the standard initial state of their frequency and
+    are stepped together as one batched state, one row per omega, by
+    ``make_stepper(scheme, ...)``; compositions batch the same way.  A row
+    whose stage solve fails is recorded in ``failures`` as (index,
+    "Type: message") with NaN results, and the step is redone without it;
+    any other error propagates.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.size == 0:
+    omegas = np.asarray(omega_grid, dtype=float)
+    if omegas.size == 0:
         raise ValueError("omega grid must be nonempty")
-    if engine == "batched" and not (isinstance(scheme, str)
-                                    and scheme.startswith("imex")):
-        results = _sweep_batched(scheme, params.ell, omega_grid, h, T, tolerance)
-    else:
-        tasks = [(scheme, params.ell, float(w), h, T, tolerance) for w in omega_grid]
-        if jobs > 1:
-            chunk = max(1, len(tasks) // (8 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_point, tasks, chunksize=chunk))
-        else:
-            results = [_sweep_point(t) for t in tasks]
-    h_err = np.array([r[0] for r in results])
-    i_dev = np.array([r[1] for r in results])
-    failures = tuple((i, r[2]) for i, r in enumerate(results) if r[2] is not None)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"T must be nonnegative and finite, got {T!r}")
+    if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
+        raise ValueError("every omega must be positive and finite")
+    ell = params.ell
+    config = StageSolveConfig(tolerance=tolerance)
+    base = paper_initial_state(FputParams(ell=ell, omega=1.0))
+    q, p = np.tile(base.q, (len(omegas), 1)), np.tile(base.p, (len(omegas), 1))
+    q[:, ell] = 1.0 / omegas
+    state = PhaseState(q=q, p=p)
+    rows = np.arange(len(omegas))   # the rows still running
+    h0, i0 = _sweep_energies(state, omegas, ell)
+    worst = np.zeros((2, len(omegas)))
+    failures = []
+    stepper = make_stepper(scheme, _chain_system(ell, omegas), config)
+    n_steps, step = int(round(T / h)), 0
+    while step < n_steps and len(rows):
+        try:
+            state = stepper.step(state, h)
+        except StageSolveError as exc:
+            keep = np.zeros(len(rows), dtype=bool)
+            if exc.members:   # a failure not pinned to rows fails them all
+                keep[:] = True
+                keep[list(exc.members)] = False
+            failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
+            rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
+            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
+            stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
+            continue
+        step += 1
+        hamiltonian, scaled_i = _sweep_energies(state, omegas[rows], ell)
+        np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
+    results = np.full((2, len(omegas)), math.nan)
+    results[:, rows] = worst
     return SweepResult(
-        h_omega_over_pi=h * omega_grid / math.pi,
-        max_energy_error=h_err,
-        max_scaled_i_deviation=i_dev,
-        failures=failures,
+        h_omega_over_pi=h * omegas / math.pi,
+        max_energy_error=results[0],
+        max_scaled_i_deviation=results[1],
+        failures=tuple(sorted(failures)),
     )
 
 
@@ -478,8 +392,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
                     final = traj.final_state()
                     err_q = float(np.max(np.abs(final.q[:ell] - ref.q[:ell])))
                     err_p = float(np.max(np.abs(final.p[:ell] - ref.p[:ell])))
-                except (NonconvergenceError, NumericalFailureError,
-                        SingularStageSystemError) as exc:
+                except StageSolveError as exc:
                     failures.append((len(rows), f"{type(exc).__name__}: {exc}"))
                     err_q = err_p = math.nan
                 rows.append(ReductionRow(scheme=name, omega=float(omega),

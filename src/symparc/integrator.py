@@ -20,8 +20,15 @@ solved exactly per distinct diagonal entry W of Omega^2.  Plain fixed-point
 contracts only for h*omega below ~2, so the linear path is the default
 whenever the diagonal structure is available.
 
+The linear path also steps a batch: q and p of shape (n, d) are n
+independent states, and omega_sq of shape (n, d) gives each its own
+diagonal.  The stage arrays then hold all n*d coordinates as columns, shape
+(s, n*d), and every member converges against its own scale and stops
+iterating once it has converged, so it runs as it would alone.
+
 Force callbacks must be vectorized over leading axes: they receive arrays of
-shape (..., d) and return the force row-wise.
+shape (..., d) -- (s, d) for one state, (s, n, d) for a batch -- and return
+the force row-wise.
 """
 
 from __future__ import annotations
@@ -45,12 +52,14 @@ __all__ = [
     "Trajectory",
     "ArkStepper",
     "ComposedStepper",
+    "StageSolveError",
     "NonconvergenceError",
     "NumericalFailureError",
     "SingularStageSystemError",
     "OracleFailureError",
     "ark_step",
     "solve_stages",
+    "stage_block",
     "integrate",
     "yoshida_compose",
     "reference_solve",
@@ -61,21 +70,31 @@ __all__ = [
 ]
 
 
-class NonconvergenceError(RuntimeError):
+class StageSolveError(RuntimeError):
+    """A stage solve failed.  ``members`` holds the failing rows of a batched
+    state (0 for a single state)."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(int(i) for i in members)
+
+
+class NonconvergenceError(StageSolveError):
     """Stage iteration failed to reach the requested tolerance."""
 
-    def __init__(self, message, residual=math.inf, iterations=0, step_index=None):
-        super().__init__(message)
+    def __init__(self, message, residual=math.inf, iterations=0, step_index=None,
+                 members=()):
+        super().__init__(message, members)
         self.residual = residual
         self.iterations = iterations
         self.step_index = step_index
 
 
-class NumericalFailureError(RuntimeError):
+class NumericalFailureError(StageSolveError):
     """A force evaluation returned NaN or Inf for finite input."""
 
 
-class SingularStageSystemError(RuntimeError):
+class SingularStageSystemError(StageSolveError):
     """The linear stage block could not be factorized."""
 
 
@@ -85,7 +104,11 @@ class OracleFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Positions and momenta at one time."""
+    """Positions and momenta at one time.
+
+    ``q`` and ``p`` have shape (d,) for one state, or (n, d) for a batch of
+    n states that :class:`ArkStepper` steps together (linear path only).
+    """
 
     q: np.ndarray
     p: np.ndarray
@@ -94,8 +117,8 @@ class PhaseState:
     def __post_init__(self):
         q = np.atleast_1d(np.array(self.q, dtype=float))
         p = np.atleast_1d(np.array(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError("q and p must be 1-d arrays of equal length")
+        if q.shape != p.shape or q.ndim > 2:
+            raise ValueError("q and p must be arrays of equal shape (d,) or (n, d)")
         q.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -104,7 +127,7 @@ class PhaseState:
 
     @property
     def dimension(self) -> int:
-        return len(self.q)
+        return self.q.shape[-1]
 
 
 def _probe_points(d: int):
@@ -119,7 +142,8 @@ class SplitForceSystem:
     ``f1`` is the slow (typically nonlinear) force, ``f2`` the fast one.
     When the fast force is linear, pass the diagonal of Omega^2 as
     ``omega_sq``; ``f2`` is then derived automatically (or cross-checked on
-    probe points if given explicitly).  Both callbacks must broadcast over
+    probe points if given explicitly); shape (n, d) gives each member of a
+    batched state its own diagonal.  Both callbacks must broadcast over
     leading axes.  ``hamiltonian(q, p)`` is optional and used only for
     diagnostics.
     """
@@ -135,8 +159,9 @@ class SplitForceSystem:
             raise ValueError("dimension must be at least 1")
         if self.omega_sq is not None:
             w = np.array(self.omega_sq, dtype=float)
-            if w.shape != (self.dimension,):
-                raise ValueError("omega_sq must be the diagonal of Omega^2, length d")
+            if w.ndim not in (1, 2) or w.shape[-1] != self.dimension:
+                raise ValueError("omega_sq must be the diagonal of Omega^2, "
+                                 "shape (d,) or (n, d)")
             if np.any(w < 0.0):
                 raise ValueError("omega_sq entries must be nonnegative")
             w.setflags(write=False)
@@ -145,6 +170,8 @@ class SplitForceSystem:
                 object.__setattr__(self, "f2", lambda q: -w * q)
             else:
                 probes = _probe_points(self.dimension)
+                if w.ndim == 2:
+                    probes = np.repeat(probes[:, None], len(w), axis=1)
                 expected = -w * probes
                 got = np.asarray(self.f2(probes), dtype=float)
                 scale = max(1.0, float(np.max(np.abs(expected))))
@@ -197,12 +224,25 @@ class StageSolveConfig:
 _DIVERGENCE_FACTOR = 1e12
 
 
+def stage_block(scheme: ArkScheme, h: float, w):
+    """The linear stage block [[I, -h At], [h w AtH, I]] of the unknowns
+    (Qt, P); an array of w gives one block per entry, shape w.shape + (m, m)."""
+    s2, m = scheme.s2, scheme.s1 + scheme.s2
+    w = np.asarray(w, dtype=float)
+    block = np.broadcast_to(np.eye(m), w.shape + (m, m)).copy()
+    block[..., :s2, s2:] = -h * scheme.a_tilde
+    block[..., s2:, :s2] = (h * w)[..., None, None] * scheme.a_tilde_hat
+    return block
+
+
 class ArkStepper:
     """One-step map of an additive scheme applied to a split system.
 
-    Holds a small factorization cache for the linearly-implicit stage solve
-    (keyed by the step size; the system's Omega^2 is fixed).  Instances are
-    cheap to build and must not be shared across threads.
+    On the linearly-implicit path a state may be a batch of shape (n, d),
+    the shape of the system's omega_sq; see the module docstring.  Holds a
+    small factorization cache (keyed by the step size; the system's Omega^2
+    is fixed).  Instances are cheap to build and must not be shared across
+    threads.
     """
 
     def __init__(self, scheme: ArkScheme, system: SplitForceSystem,
@@ -221,58 +261,62 @@ class ArkStepper:
         # alternate between a handful of substep sizes
         self._block_cache = {}
         if system.omega_sq is not None:
-            values, inverse = np.unique(system.omega_sq, return_inverse=True)
-            self._groups = [np.nonzero(inverse == k)[0] for k in range(len(values))]
-            self._group_values = values
-        else:
-            self._groups = None
+            # one block per distinct entry of Omega^2; _columns maps each
+            # coordinate of the flattened state to its block
+            self._values, self._columns = np.unique(system.omega_sq.ravel(),
+                                                    return_inverse=True)
 
     # -- linear block ------------------------------------------------------
 
     def _block_inverses(self, h: float):
+        """The inverse stage block of every state coordinate, shape (m, m, N)."""
         cached = self._block_cache.get(h)
         if cached is not None:
             return cached
-        s1, s2 = self.scheme.s1, self.scheme.s2
-        n = s1 + s2
-        inverses = []
-        for w in self._group_values:
-            block = np.eye(n)
-            block[:s2, s2:] = -h * self.scheme.a_tilde
-            block[s2:, :s2] = h * w * self.scheme.a_tilde_hat
+        m = self.scheme.s1 + self.scheme.s2
+        blocks = stage_block(self.scheme, h, self._values)
+        inverses = np.empty((m, m, len(self._values)))
+        for k, w in enumerate(self._values):
             try:
-                lu, piv = lu_factor(block)
+                lu, piv = lu_factor(blocks[k])
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise SingularStageSystemError(
-                    f"stage block factorization failed for h={h}, omega^2={w}") from exc
+                    f"stage block factorization failed for h={h}, omega^2={w}",
+                    self._rows_with(k)) from exc
             if np.min(np.abs(np.diag(lu))) < 1e-14 * max(1.0, float(np.max(np.abs(lu)))):
                 raise SingularStageSystemError(
-                    f"stage block is numerically singular for h={h}, omega^2={w}")
-            inverses.append(lu_solve((lu, piv), np.eye(n)))
+                    f"stage block is numerically singular for h={h}, omega^2={w}",
+                    self._rows_with(k))
+            inverses[:, :, k] = lu_solve((lu, piv), np.eye(m))
+        inverses = np.take(inverses, self._columns, axis=2)
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = inverses
         return inverses
 
+    def _rows_with(self, k: int):
+        """Rows of omega_sq (0 for a single diagonal) holding its k-th value."""
+        hit = (self._columns == k).reshape(-1, self.system.dimension)
+        return np.flatnonzero(hit.any(axis=1))
+
     # -- stage solvers -----------------------------------------------------
 
     def solve_stages(self, state: PhaseState, h: float):
-        """Return (Q, P, Q_tilde, iterations) for one step of size h."""
+        """Return (Q, P, Q_tilde, iterations) for one step of size h; the
+        stage arrays have shape (stages,) + state shape."""
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            return self._solve_linearly_implicit(state, h)
-        return self._solve_fixed_point(state, h)
-
-    def _scale(self, state: PhaseState) -> float:
-        return max(1.0, float(np.max(np.abs(state.q))), float(np.max(np.abs(state.p))))
-
-    def _solve_fixed_point(self, state, h):
+            Q, P, Qt, iteration, _ = self._linearly_implicit_full(state, h)
+            shape = (-1,) + state.q.shape
+            return Q.reshape(shape), P.reshape(shape), Qt.reshape(shape), iteration
         Q, P, Qt, iteration, _, _ = self._fixed_point_full(state, h)
         return Q, P, Qt, iteration
 
     def _fixed_point_full(self, state, h):
         scheme, system, cfg = self.scheme, self.system, self.config
         q0, p0 = state.q, state.p
-        scale = self._scale(state)
+        if q0.ndim != 1:
+            raise ValueError("fixed-point mode steps one state, not a batch")
+        scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
         P = np.tile(p0, (scheme.s1, 1))
         Q = q0 + h * np.outer(scheme.c, p0)
         Qt = q0 + h * np.outer(scheme.c_tilde, p0)
@@ -282,10 +326,10 @@ class ArkStepper:
         for iteration in range(1, cfg.max_iterations + 1):
             if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
                 if iteration == 1:
-                    raise NumericalFailureError("force evaluation returned NaN/Inf")
+                    raise NumericalFailureError("force evaluation returned NaN/Inf", (0,))
                 raise NonconvergenceError(
                     f"fixed-point stage iteration diverged after {iteration} iterations",
-                    residual=math.inf, iterations=iteration)
+                    residual=math.inf, iterations=iteration, members=(0,))
             P_new = p0 + h * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
             Q_new = q0 + h * (scheme.a @ P_new)
             Qt_new = q0 + h * (scheme.a_tilde @ P_new)
@@ -302,57 +346,85 @@ class ArkStepper:
             if residual > _DIVERGENCE_FACTOR * scale:
                 raise NonconvergenceError(
                     f"fixed-point stage iteration diverged after {iteration} iterations",
-                    residual=residual, iterations=iteration)
+                    residual=residual, iterations=iteration, members=(0,))
         raise NonconvergenceError(
             f"stage iteration did not reach tolerance {cfg.tolerance:g} "
             f"within {cfg.max_iterations} iterations (residual {residual:.3e})",
-            residual=residual, iterations=cfg.max_iterations)
-
-    def _solve_linearly_implicit(self, state, h):
-        Q, P, Qt, iteration, _ = self._linearly_implicit_full(state, h)
-        return Q, P, Qt, iteration
+            residual=residual, iterations=cfg.max_iterations, members=(0,))
 
     def _linearly_implicit_full(self, state, h):
-        """Also returns the slow force at the converged primary stages."""
+        """(Q, P, Q_tilde, iterations, F1(Q)) with the state flattened to
+        N = n*d columns: every stage array has shape (stages, N)."""
         scheme, system, cfg = self.scheme, self.system, self.config
-        q0, p0 = state.q, state.p
+        shape = state.q.shape
+        if shape != system.omega_sq.shape:
+            raise ValueError(f"state shape {shape} does not match omega_sq "
+                             f"{system.omega_sq.shape}")
+        n = shape[0] if len(shape) == 2 else 1
         s1, s2 = scheme.s1, scheme.s2
-        scale = self._scale(state)
-        invs = self._block_inverses(h)
-        rhs = np.empty((s1 + s2, len(q0)))
-        sol = np.empty_like(rhs)
+        q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
+        scale = np.abs(np.concatenate((state.q.reshape(n, -1), state.p.reshape(n, -1)),
+                                      axis=1)).max(axis=1)
+        np.maximum(scale, 1.0, out=scale)
+        limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
+        inv = self._block_inverses(h)
+
+        def slow_force(Q):
+            return system.slow_force(Q.reshape((len(Q),) + shape)).reshape(len(Q), -1)
+
         # second-order Taylor predictor for the primary stages
-        F1 = system.slow_force(q0)
-        acc = F1 + system.fast_force(q0)
+        acc = (system.slow_force(state.q) + system.fast_force(state.q)).reshape(-1)
         Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
-        F1 = system.slow_force(Q)
-        residual = math.inf
+        F1 = slow_force(Q)
+        rhs = np.empty((s1 + s2, len(q0)))
+        rhs[:s2] = q0
+        sol = None
+        done = None   # the members that have converged, once some but not all have
         for iteration in range(1, cfg.max_iterations + 1):
-            if not np.all(np.isfinite(F1)):
+            if not np.isfinite(F1).all():
+                bad = ~np.all(np.isfinite(F1).reshape(s1, n, -1), axis=(0, 2))
+                if done is not None:
+                    bad &= ~done
                 if iteration == 1:
-                    raise NumericalFailureError("force evaluation returned NaN/Inf")
-                raise NonconvergenceError(
-                    f"stage iteration diverged after {iteration} iterations",
-                    residual=math.inf, iterations=iteration)
-            rhs[:s2] = q0
+                    raise NumericalFailureError("force evaluation returned NaN/Inf",
+                                                np.flatnonzero(bad))
+                if bad.any():
+                    raise NonconvergenceError(
+                        f"stage iteration diverged after {iteration} iterations",
+                        residual=math.inf, iterations=iteration,
+                        members=np.flatnonzero(bad))
             rhs[s2:] = p0 + h * (scheme.a_hat @ F1)
-            for inv, cols in zip(invs, self._groups):
-                sol[:, cols] = inv @ rhs[:, cols]
-            P = sol[s2:]
-            Q_new = q0 + h * (scheme.a @ P)
-            residual = float(np.max(np.abs(Q_new - Q)))
-            Q = Q_new
-            F1 = system.slow_force(Q)
-            if residual <= cfg.tolerance * scale:
-                return Q, P, sol[:s2].copy(), iteration, F1
-            if residual > _DIVERGENCE_FACTOR * scale:
+            sol_new = np.einsum("ijc,jc->ic", inv, rhs)
+            Q_new = q0 + h * (scheme.a @ sol_new[s2:])
+            residual = np.abs(Q_new - Q).max(axis=0).reshape(n, -1).max(axis=1)
+            F1_new = slow_force(Q_new)
+            if done is not None:
+                # converged members keep the stages they converged with
+                frozen = np.repeat(done, len(q0) // n)
+                np.copyto(Q_new, Q, where=frozen)
+                np.copyto(F1_new, F1, where=frozen)
+                np.copyto(sol_new, sol, where=frozen)
+                residual[done] = 0.0
+            Q, F1, sol = Q_new, F1_new, sol_new
+            # count_nonzero is much cheaper than all/any on a few members
+            converged = residual <= limit
+            n_converged = np.count_nonzero(converged)
+            if n_converged == n:
+                return Q, sol[s2:], sol[:s2], iteration, F1
+            diverged = residual > blowup
+            if np.count_nonzero(diverged):
                 raise NonconvergenceError(
                     f"slow-force iteration diverged after {iteration} iterations",
-                    residual=residual, iterations=iteration)
+                    residual=float(np.max(residual[diverged])), iterations=iteration,
+                    members=np.flatnonzero(diverged))
+            if n_converged:
+                done = converged
+        worst = float(np.max(residual))
         raise NonconvergenceError(
             f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-            f"within {cfg.max_iterations} iterations (residual {residual:.3e})",
-            residual=residual, iterations=cfg.max_iterations)
+            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
+            residual=worst, iterations=cfg.max_iterations,
+            members=np.flatnonzero(~converged))
 
     # -- stepping ----------------------------------------------------------
 
@@ -360,14 +432,17 @@ class ArkStepper:
         return self.step_with_iterations(state, h)[0]
 
     def step_with_iterations(self, state: PhaseState, h: float):
+        """The next state and the number of stage-loop passes (for a batch,
+        the largest over its members)."""
         scheme, system = self.scheme, self.system
+        shape = state.q.shape
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
             _, P, Qt, iterations, F1 = self._linearly_implicit_full(state, h)
-            F2 = system.fast_force(Qt)
+            F2 = system.fast_force(Qt.reshape((-1,) + shape)).reshape(len(Qt), -1)
         else:
             _, P, Qt, iterations, F1, F2 = self._fixed_point_full(state, h)
-        q1 = state.q + h * (scheme.b @ P)
-        p1 = state.p + h * (scheme.b @ F1 + scheme.b_tilde @ F2)
+        q1 = state.q + h * (scheme.b @ P).reshape(shape)
+        p1 = state.p + h * (scheme.b @ F1 + scheme.b_tilde @ F2).reshape(shape)
         return PhaseState(q=q1, p=p1, t=state.t + h), iterations
 
 
@@ -435,6 +510,8 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
         raise ValueError("n_steps must be nonnegative")
     if stride < 1:
         raise ValueError("stride must be at least 1")
+    if state0.q.ndim != 1:
+        raise ValueError("integrate steps one state, not a batch")
     stepper = make_stepper(scheme, system, config)
     d = state0.dimension
     n_records = n_steps // stride + 1
@@ -455,7 +532,7 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
             exc.step_index = i
             raise NonconvergenceError(
                 f"step {i} (t={state.t:g}): {exc}", residual=exc.residual,
-                iterations=exc.iterations, step_index=i) from exc
+                iterations=exc.iterations, step_index=i, members=exc.members) from exc
         state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
         iters[i] = it
         if observer is not None:

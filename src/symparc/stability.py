@@ -40,6 +40,7 @@ from symparc.integrator import (
     SingularStageSystemError,
     SplitForceSystem,
     StageSolveConfig,
+    stage_block,
 )
 from symparc.tableaux import ArkScheme
 
@@ -148,9 +149,8 @@ class M11M22Check:
 def _blocks(scheme: ArkScheme):
     s1, s2 = scheme.s1, scheme.s2
     n = s1 + s2
-    T = np.zeros((n, n))
-    T[:s2, s2:] = -scheme.a_tilde
-    T[s2:, :s2] = scheme.a_tilde_hat
+    # exact: the unit diagonal cancels and the couplings are scaled by 1
+    T = stage_block(scheme, 1.0, 1.0) - np.eye(n)
     E = np.zeros((n, 2))
     E[:s2, 0] = 1.0
     E[s2:, 1] = 1.0
@@ -455,11 +455,10 @@ def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
     omega = math.sqrt(float(w2[0]))
     mu = omega * h
 
-    ht = half_trace(scheme, abs(mu))
-    if abs(ht) > 1.0 + _STABLE_SLACK:
+    filters = filter_functions(scheme, abs(mu))
+    if math.isnan(filters.modified_mu):
         raise NotStableError(f"method unstable at mu = {mu:g}")
-    mu_tilde = math.acos(min(1.0, max(-1.0, ht)))
-    psi = filter_functions(scheme, abs(mu)).psi
+    psi, mu_tilde = filters.psi, filters.modified_mu
 
     if config is None:
         config = StageSolveConfig(tolerance=1e-14, max_iterations=200)

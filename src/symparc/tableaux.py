@@ -78,9 +78,10 @@ def _legendre_pair(n: int, x):
 
 
 def _legendre_deriv(n: int, x):
-    """P_n'(x) for |x| < 1 via the recurrence-based identity."""
+    """(P_n(x), P_n'(x)) for |x| < 1, the derivative via the recurrence-based
+    identity."""
     p, p_prev = _legendre_pair(n, x)
-    return n * (x * p - p_prev) / (x * x - 1.0)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 def _gauss_nodes(n: int):
@@ -88,8 +89,7 @@ def _gauss_nodes(n: int):
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(100):
-        p, p_prev = _legendre_pair(n, x)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre_deriv(n, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
@@ -107,8 +107,7 @@ def _lobatto_interior_nodes(n: int):
     k = np.arange(1, n)
     x = np.cos(np.pi * k / n)
     for _ in range(100):
-        dp = _legendre_deriv(n, x)
-        p, _ = _legendre_pair(n, x)
+        p, dp = _legendre_deriv(n, x)
         # (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n
         ddp = (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
         dx = dp / ddp
@@ -287,7 +286,7 @@ def gauss_legendre_quadrature(s: int) -> QuadratureRule:
     if s > MAX_STAGES:
         raise ValueError(f"stage count {s} exceeds supported maximum {MAX_STAGES}")
     x = _gauss_nodes(s)
-    dp = _legendre_deriv(s, x)
+    _, dp = _legendre_deriv(s, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=2 * s)
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from symparc import _rk8
 from symparc.integrator import ArkStepper, PhaseState, SplitForceSystem, StageSolveConfig
+from symparc.tableaux import ArkScheme, Variant
 
 
 def harmonic_system(omega: float, dimension: int = 1) -> SplitForceSystem:
@@ -38,6 +39,16 @@ def symplectic_residual(jac: np.ndarray) -> float:
     n = jac.shape[0] // 2
     s = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     return float(np.max(np.abs(jac.T @ s @ jac - s)))
+
+
+def singular_at_one() -> ArkScheme:
+    """A scheme whose stage block [[1, -h], [-h w, 1]] is singular at h^2 w = 1,
+    i.e. the stability block I + mu*T at mu = h*omega = 1."""
+    return ArkScheme(
+        s1=1, s2=1,
+        a=[[0.5]], a_hat=[[0.5]], a_tilde=[[1.0]], a_tilde_hat=[[-1.0]],
+        b=[1.0], c=[0.5], b_tilde=[1.0], c_tilde=[0.5],
+        order=1, variant=Variant.INTERPOLATION)
 
 
 def tight_config(mode=None) -> StageSolveConfig:

@@ -144,6 +144,16 @@ def test_fput_sweep_small(tmp_path, capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("flags", [["--points", "0"], ["--h", "-0.02"], ["--T", "-1"]],
+                         ids=["points-zero", "h-negative", "T-negative"])
+def test_fput_sweep_rejects_invalid_input(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["fput", "sweep", "--points", "4", "--T", "1", "--out", str(out)]
+                   + flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_fput_reduction_small(tmp_path, capsys):
     out = tmp_path / "reduction.csv"
     assert run_cli(["fput", "reduction", "--schemes", "lgl4",

@@ -19,7 +19,7 @@ from symparc.fput import (
 )
 from symparc.integrator import PhaseState, StageSolveConfig, reference_solve
 
-from _helpers import slicing_quartic_potential, slicing_slow_force
+from _helpers import singular_at_one, slicing_quartic_potential, slicing_slow_force
 
 
 def test_params_validation():
@@ -162,35 +162,41 @@ def test_energy_history_run_and_csv(tmp_path):
     assert len(lines) == 202
 
 
-def test_sweep_engines_agree():
-    params = FputParams(ell=3)
-    omegas = np.array([0.4, 0.9, 1.1027, 1.6]) * math.pi / 0.02
-    batched = experiment_resonance_sweep("lgl4", params, 0.02, 4.0, omegas)
-    serial = experiment_resonance_sweep("lgl4", params, 0.02, 4.0, omegas,
-                                        engine="per-point")
-    assert np.max(np.abs(batched.max_energy_error - serial.max_energy_error)
-                  / serial.max_energy_error) < 1e-6
-    assert np.max(np.abs(batched.max_scaled_i_deviation - serial.max_scaled_i_deviation)
-                  / serial.max_scaled_i_deviation) < 1e-6
-    assert np.array_equal(batched.h_omega_over_pi, omegas * 0.02 / math.pi)
-
-
-def test_sweep_parallel_matches_serial():
-    params = FputParams(ell=3)
-    omegas = np.array([20.0, 60.0, 110.0])
-    serial = experiment_resonance_sweep("lgl4", params, 0.02, 2.0, omegas,
-                                        engine="per-point")
-    parallel = experiment_resonance_sweep("lgl4", params, 0.02, 2.0, omegas,
-                                          engine="per-point", jobs=2)
-    assert np.array_equal(serial.max_energy_error, parallel.max_energy_error)
-
-
 def test_sweep_records_failures_and_continues():
+    # h * omega = 1 at omega = 50 makes the stage block singular; the scheme is
+    # far from stable at omega = 80, so the horizon is five steps
     params = FputParams(ell=3)
-    result = experiment_resonance_sweep("not-a-scheme", params, 0.02, 1.0,
-                                        [10.0, 20.0], engine="per-point")
-    assert len(result.failures) == 2
-    assert np.all(np.isnan(result.max_energy_error))
+    omegas = [20.0, 50.0, 80.0]
+    result = experiment_resonance_sweep(singular_at_one(), params, 0.02, 0.1, omegas)
+    assert [i for i, _ in result.failures] == [1]
+    assert result.failures[0][1].startswith("SingularStageSystemError: ")
+    assert math.isnan(result.max_energy_error[1])
+    assert math.isnan(result.max_scaled_i_deviation[1])
+    for i in (0, 2):
+        alone = experiment_resonance_sweep(singular_at_one(), params, 0.02, 0.1, [omegas[i]])
+        assert not alone.failures
+        for got, ref in ((result.max_energy_error[i], alone.max_energy_error[0]),
+                         (result.max_scaled_i_deviation[i], alone.max_scaled_i_deviation[0])):
+            assert math.isfinite(got) and ref > 0.0
+            assert abs(got - ref) <= 1e-13 * ref
+    with pytest.raises(ValueError, match="unknown scheme"):
+        experiment_resonance_sweep("not-a-scheme", params, 0.02, 1.0, [10.0, 20.0])
+
+
+@pytest.mark.parametrize("h, T, omegas", [
+    (0.0, 1.0, [10.0]),
+    (-0.02, 1.0, [10.0]),
+    (math.inf, 1.0, [10.0]),
+    (0.02, -1.0, [10.0]),
+    (0.02, 1.0, [10.0, 0.0]),
+    (0.02, 1.0, [-10.0]),
+    (0.02, 1.0, [math.nan]),
+    (0.02, 1.0, [math.inf]),
+], ids=["h-zero", "h-negative", "h-infinite", "T-negative", "omega-zero",
+        "omega-negative", "omega-nan", "omega-infinite"])
+def test_sweep_rejects_invalid_input(h, T, omegas):
+    with pytest.raises(ValueError):
+        experiment_resonance_sweep("lgl4", FputParams(ell=3), h, T, omegas)
 
 
 def test_sweep_empty_grid_rejected():

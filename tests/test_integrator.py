@@ -10,7 +10,9 @@ from symparc.integrator import (
     ArkStepper,
     ComposedStepper,
     NonconvergenceError,
+    NumericalFailureError,
     PhaseState,
+    SingularStageSystemError,
     SolverMode,
     SplitForceSystem,
     StageSolveConfig,
@@ -32,6 +34,7 @@ from _helpers import (
     flow_jacobian_fd,
     harmonic_system,
     scaled_stability_map,
+    singular_at_one,
     symplectic_residual,
     textbook_rk8,
     tight_config,
@@ -131,10 +134,81 @@ def test_fput_iteration_counts_stay_small():
 
 def test_numerical_failure_on_bad_force():
     system = SplitForceSystem(dimension=1, f1=lambda q: q * np.nan)
-    from symparc.integrator import NumericalFailureError
     with pytest.raises(NumericalFailureError):
         ark_step(build_scheme(2, Variant.INTERPOLATION), system,
                  PhaseState(q=[1.0], p=[0.0]), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-6])
+@pytest.mark.parametrize("name", ["lgl4", "lgl6", "imex-yoshida4"])
+def test_batch_matches_single_state_runs(name, tolerance):
+    # the two frequencies near 173.2 sit at h*omega/pi = 1.1027 and h*omega = 2 sqrt(3);
+    # at the loose tolerance one stage pass more or less moves a state far
+    # beyond the bound, so every member must stop where it would alone
+    h = 0.02
+    config = StageSolveConfig(tolerance=tolerance)
+    omegas = [20.0, 50.0, 1.1027 * math.pi / h, 2.0 * math.sqrt(3.0) / h, 300.0, 1000.0]
+    systems = [fput.fput_system(fput.FputParams(ell=3, omega=w)) for w in omegas]
+    singles = [make_stepper(name, system, config) for system in systems]
+    states = [fput.paper_initial_state(fput.FputParams(ell=3, omega=w)) for w in omegas]
+    batch_system = SplitForceSystem(dimension=6, f1=systems[0].f1,
+                                    omega_sq=np.stack([s.omega_sq for s in systems]))
+    batch = make_stepper(name, batch_system, config)
+    state = PhaseState(q=np.stack([s.q for s in states]), p=np.stack([s.p for s in states]))
+    for _ in range(200):
+        state, iterations = batch.step_with_iterations(state, h)
+        counts = []
+        for k, stepper in enumerate(singles):
+            states[k], count = stepper.step_with_iterations(states[k], h)
+            counts.append(count)
+        assert type(iterations) is int and iterations == max(counts)
+    for k, single in enumerate(states):
+        scale = max(np.max(np.abs(single.q)), np.max(np.abs(single.p)))
+        assert np.max(np.abs(state.q[k] - single.q)) <= 1e-13 * scale
+        assert np.max(np.abs(state.p[k] - single.p)) <= 1e-13 * scale
+
+
+def test_batch_failures_name_their_members():
+    system = SplitForceSystem(dimension=1, omega_sq=[[400.0], [2500.0], [6400.0]])
+    state = PhaseState(q=[[1.0], [1.0], [1.0]], p=[[0.0], [0.0], [0.0]])
+    with pytest.raises(SingularStageSystemError) as info:
+        ArkStepper(singular_at_one(), system).step(state, 0.02)
+    assert info.value.members == (1,)
+
+    # the resting member converges at once, the displaced one needs more passes
+    cubic = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[[1.0], [1.0]])
+    with pytest.raises(NonconvergenceError) as info:
+        ArkStepper(scheme_from_name("lgl4"), cubic, StageSolveConfig(max_iterations=1)).step(
+            PhaseState(q=[[0.0], [2.0]], p=[[0.0], [1.0]]), 0.1)
+    assert info.value.members == (1,)
+
+    def blows_up(q):
+        return np.where(np.abs(q) > 1.5, np.nan, -q)
+
+    bad = SplitForceSystem(dimension=1, f1=blows_up, omega_sq=[[1.0], [1.0], [1.0]])
+    with pytest.raises(NumericalFailureError) as info:
+        ark_step(scheme_from_name("lgl4"), bad, PhaseState(q=[[0.5], [2.0], [3.0]],
+                                                           p=[[0.0], [0.0], [0.0]]), 0.1)
+    assert info.value.members == (1, 2)
+
+
+def test_batched_state_rejected_where_unsupported():
+    system = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[[1.0], [4.0]])
+    batch = PhaseState(q=[[0.1], [0.2]], p=[[0.0], [0.0]])
+    with pytest.raises(ValueError):
+        ark_step(scheme_from_name("lgl4"), system, batch, 0.1,
+                 StageSolveConfig(mode=SolverMode.FIXED_POINT))
+    with pytest.raises(ValueError):
+        integrate("lgl4", system, batch, 0.1, 2)
+    with pytest.raises(ValueError):   # one member too many for omega_sq
+        ark_step(scheme_from_name("lgl4"), system,
+                 PhaseState(q=np.zeros((3, 1)), p=np.zeros((3, 1))), 0.1)
+    with pytest.raises(ValueError):
+        PhaseState(q=np.zeros((2, 2, 1)), p=np.zeros((2, 2, 1)))
 
 
 # ---------------------------------------------------------------------------

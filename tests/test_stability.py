@@ -20,7 +20,7 @@ from symparc.stability import (
     trig_form_step_check,
     _bisect,
 )
-from symparc.tableaux import MAX_STAGES, ArkScheme, Variant, build_scheme
+from symparc.tableaux import MAX_STAGES, Variant, build_scheme
 
 from _golden import (
     COLLOCATION_INTERVALS,
@@ -30,7 +30,7 @@ from _golden import (
     half_trace_order4,
     half_trace_order6,
 )
-from _helpers import scalar_bisect
+from _helpers import scalar_bisect, singular_at_one
 
 LGL2 = build_scheme(2, Variant.INTERPOLATION)
 LGL4 = build_scheme(3, Variant.INTERPOLATION)
@@ -98,22 +98,13 @@ def test_diagonal_closed_forms_from_row_sum_identities():
             assert abs(m[1, 1] - m22) < 1e-12
 
 
-def _singular_at_one():
-    # coupling chosen so the stage block I + mu*T is singular at mu = 1
-    return ArkScheme(
-        s1=1, s2=1,
-        a=[[0.5]], a_hat=[[0.5]], a_tilde=[[1.0]], a_tilde_hat=[[-1.0]],
-        b=[1.0], c=[0.5], b_tilde=[1.0], c_tilde=[0.5],
-        order=1, variant=Variant.INTERPOLATION)
-
-
 def test_singular_mu_raises():
     with pytest.raises(SingularStageSystemError):
-        stability_matrix(_singular_at_one(), 1.0)
+        stability_matrix(singular_at_one(), 1.0)
 
 
 def test_singular_mu_raises_from_half_trace():
-    bad = _singular_at_one()
+    bad = singular_at_one()
     with pytest.raises(SingularStageSystemError):
         half_trace(bad, 1.0)
     with pytest.raises(SingularStageSystemError):
