@@ -38,7 +38,12 @@ def _fmt(x) -> str:
 def _stage_config(args) -> StageSolveConfig:
     mode = SolverMode(args.solver) if getattr(args, "solver", None) else None
     tol = getattr(args, "tol", None)
-    return StageSolveConfig(tolerance=tol if tol else 1e-12, mode=mode)
+    return StageSolveConfig(tolerance=_given(tol, 1e-12), mode=mode)
+
+
+def _given(value, default):
+    """An option's value, or the default when it was not given (0 is given)."""
+    return default if value is None else value
 
 
 def _known_scheme(name: str) -> str:
@@ -208,9 +213,9 @@ def _write_trajectory_json(traj, path):
 
 def _cmd_fput(args) -> int:
     if args.experiment == "energy":
-        params = fputmod.FputParams(ell=args.ell, omega=args.omega)
-        h = args.h if args.h else 2.0 / params.omega
-        T = args.T if args.T else 200.0
+        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
+        h = _given(args.h, 2.0 / params.omega)
+        T = _given(args.T, 200.0)
         history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
                                             config=_stage_config(args))
         history.write_csv(args.out or "energy.csv")
@@ -219,9 +224,9 @@ def _cmd_fput(args) -> int:
         return 0
 
     if args.experiment == "highfreq":
-        params = fputmod.FputParams(ell=args.ell, omega=args.omega if args.omega != 50.0 else 1000.0)
-        h = args.h if args.h else 0.1
-        T = args.T if args.T else 4000.0
+        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 1000.0))
+        h = _given(args.h, 0.1)
+        T = _given(args.T, 4000.0)
         history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
                                             config=_stage_config(args))
         history.write_csv(args.out or "highfreq.csv")
@@ -232,14 +237,16 @@ def _cmd_fput(args) -> int:
     if args.experiment == "sweep":
         if args.points < 1:
             raise ValueError("--points must be at least 1")
-        params = fputmod.FputParams(ell=args.ell, omega=args.omega)
-        h = args.h if args.h else 0.02
-        T = args.T if args.T else 100.0
+        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
+        h = _given(args.h, 0.02)
+        T = _given(args.T, 100.0)
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ValueError("--h must be positive and finite")  # the grid divides by h
         ratios = np.linspace(4.5 / args.points, 4.5, args.points)
         omegas = ratios * math.pi / h
         result = fputmod.experiment_resonance_sweep(
             _known_scheme(args.scheme), params, h, T, omegas,
-            tolerance=args.tol if args.tol else 1e-12)
+            tolerance=_given(args.tol, 1e-12))
         result.write_csv(args.out or "sweep.csv")
         peak = result.h_omega_over_pi[int(np.nanargmax(result.max_energy_error))]
         print(f"sweep: {args.points} points, largest peak at h*omega/pi = {_fmt(peak)}",
@@ -252,13 +259,13 @@ def _cmd_fput(args) -> int:
 
     if args.experiment == "reduction":
         names = [_known_scheme(s) for s in args.schemes.split(",")]
-        params = fputmod.FputParams(ell=args.ell, omega=args.omega)
+        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
         h_grid = ([float(x) for x in args.h_list.split(",")] if args.h_list
                   else [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
         omega_grid = ([float(x) for x in args.omega_list.split(",")] if args.omega_list
                       else [10.0, 100.0, 1000.0, 10000.0])
         table = fputmod.experiment_order_reduction(
-            names, params, args.T if args.T else 3.0, h_grid, omega_grid,
+            names, params, _given(args.T, 3.0), h_grid, omega_grid,
             config=_stage_config(args), reference_tol=args.ref_tol)
         table.write_csv(args.out or "reduction.csv")
         print(f"reduction: {len(table.rows)} rows, {len(table.failures)} failed points",
@@ -344,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", default="lgl4,imex-yoshida4",
                    help="comma list for the reduction experiment")
     p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--omega", type=float, default=50.0)
+    p.add_argument("--omega", type=float, default=None,
+                   help="stiff frequency (default 50; 1000 for highfreq)")
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--points", type=int, default=450, help="sweep grid size")

@@ -218,6 +218,8 @@ class EnergyHistory:
 def experiment_energy(scheme, params: FputParams, h: float, T: float,
                       config: StageSolveConfig | None = None) -> EnergyHistory:
     """Integrate from the standard initial state, recording H and I_i per step."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     if not T >= 0.0:
         raise ValueError("T must be nonnegative")
     system = fput_system(params)

@@ -34,12 +34,13 @@ the force row-wise.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from symparc import _rk8
 from symparc.tableaux import ArkScheme, Variant, build_scheme
@@ -276,18 +277,22 @@ class ArkStepper:
         m = self.scheme.s1 + self.scheme.s2
         blocks = stage_block(self.scheme, h, self._values)
         inverses = np.empty((m, m, len(self._values)))
-        for k, w in enumerate(self._values):
-            try:
-                lu, piv = lu_factor(blocks[k])
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularStageSystemError(
-                    f"stage block factorization failed for h={h}, omega^2={w}",
-                    self._rows_with(k)) from exc
-            if np.min(np.abs(np.diag(lu))) < 1e-14 * max(1.0, float(np.max(np.abs(lu)))):
-                raise SingularStageSystemError(
-                    f"stage block is numerically singular for h={h}, omega^2={w}",
-                    self._rows_with(k))
-            inverses[:, :, k] = lu_solve((lu, piv), np.eye(m))
+        # an exactly singular block raises SingularStageSystemError below;
+        # SciPy's warning about its zero pivot would only repeat that
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            for k, w in enumerate(self._values):
+                try:
+                    lu, piv = lu_factor(blocks[k])
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    raise SingularStageSystemError(
+                        f"stage block factorization failed for h={h}, omega^2={w}",
+                        self._rows_with(k)) from exc
+                if np.min(np.abs(np.diag(lu))) < 1e-14 * max(1.0, float(np.max(np.abs(lu)))):
+                    raise SingularStageSystemError(
+                        f"stage block is numerically singular for h={h}, omega^2={w}",
+                        self._rows_with(k))
+                inverses[:, :, k] = lu_solve((lu, piv), np.eye(m))
         inverses = np.take(inverses, self._columns, axis=2)
         if len(self._block_cache) > 16:
             self._block_cache.clear()

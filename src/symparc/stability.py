@@ -14,20 +14,32 @@ q'' = -omega^2 q + f(q) it admits a two-step trigonometric form with filter
 weights  psi_i = b^T (I + mu^2 AtH At)^{-1} ahat_i.
 
 Every mu sweep goes through one kernel, :func:`stability_matrix_samples`.
-It reduces T to upper Hessenberg form once per call, T = Q H Q^T, so that
-I + mu*H is upper Hessenberg for every mu (Laub, IEEE TAC 26, 1981).  A chunk
-of mu values is then factored at once, pivoting only between adjacent rows.
-The orthogonal reduction does not keep the zero blocks of T, and at large mu
-the collocation family would lose 2-3 digits; one step of iterative
-refinement, with the residual formed against the original T, restores the
-accuracy of Gaussian elimination on the stage block itself (Skeel, Math.
-Comp. 35, 1980).  All per-mu sums are accumulated elementwise, term by term,
-never through BLAS, so a mu gives bitwise the same M in any batch: a scalar
-call agrees with the sweep that contains it.
+It never factors the (s2+s1) stage block itself.  Writing the stage vector as
+(Qt, P), the momenta satisfy P = R_p - mu AtH Qt, which leaves the s2 x s2
+Schur complement  (I + nu G) Qt = R_q + mu At R_p  with G = At AtH and
+nu = mu^2: the same (I + mu^2 ...)^{-1} structure as the filter functions,
+on the smaller of the two blocks (s2 = s1 - 1 for the paper's methods), so
+the factors hold about a quarter of the whole block's entries.  By Sylvester's determinant identity
+det S(mu) = det(I + nu G), so the kernel fails exactly where the stage block
+is singular.  G is reduced to upper Hessenberg form once per call,
+G = Q H Q^T, so that I + nu H is upper Hessenberg for every mu (Laub, IEEE
+TAC 26, 1981), and a chunk of mu values is factored at once, pivoting only
+between adjacent rows.  G is a rounded product and Q is not exact, so one
+step of iterative refinement follows, with the residual R - S X formed
+against the original coupling blocks At and AtH; this restores the accuracy
+of Gaussian elimination on the stage block itself (Skeel, Math. Comp. 35,
+1980), also for the odd entries of M at negative mu and for nu up to 1e10.
+Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
+X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
+the same factors gives M'(mu) = W S(mu)^{-1} X; the interval
+search bisects it to locate tangencies.  All per-mu sums are accumulated
+elementwise, term by term, never through BLAS, so a mu gives bitwise the
+same M in any batch: a scalar call agrees with the sweep that contains it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +52,6 @@ from symparc.integrator import (
     SingularStageSystemError,
     SplitForceSystem,
     StageSolveConfig,
-    stage_block,
 )
 from symparc.tableaux import ArkScheme
 
@@ -146,33 +157,20 @@ class M11M22Check:
         return np.abs(self.lhs - self.rhs)
 
 
-def _blocks(scheme: ArkScheme):
-    s1, s2 = scheme.s1, scheme.s2
-    n = s1 + s2
-    # exact: the unit diagonal cancels and the couplings are scaled by 1
-    T = stage_block(scheme, 1.0, 1.0) - np.eye(n)
-    E = np.zeros((n, 2))
-    E[:s2, 0] = 1.0
-    E[s2:, 1] = 1.0
-    W = np.zeros((2, n))
-    W[0, s2:] = scheme.b
-    W[1, :s2] = -scheme.b_tilde
-    return T, E, W
-
-
-# mu values per pass of the kernel; bounds the (n, n, chunk) work arrays
+# mu values per pass of the kernel; bounds the (s2, s2, chunk) factors and
+# the (s2 + s1, 2, chunk) solutions
 _CHUNK = 8192
 
 
 def _lu_hessenberg(H, mus):
-    """Row-pivoted LU of I + mu*H for every mu at once, H upper Hessenberg.
+    """Row-pivoted LU of I + mu^2 H for every mu at once, H upper Hessenberg.
 
     Works in an (n, n, N) layout with mu last.  Elimination only ever pivots
     between adjacent rows, so the factors are the swap masks, the multipliers
     and the upper triangle U.  A zero pivot raises SingularStageSystemError.
     """
     n = H.shape[0]
-    U = H[:, :, None] * mus
+    U = H[:, :, None] * (mus * mus)
     U[np.arange(n), np.arange(n)] += 1.0
     swaps = np.empty((n - 1, len(mus)), dtype=bool)
     mults = np.empty((n - 1, len(mus)))
@@ -192,11 +190,11 @@ def _lu_hessenberg(H, mus):
 def _check_pivot(pivot, mus):
     if not np.all(pivot):
         mu = mus[np.flatnonzero(pivot == 0.0)[0]]
-        raise SingularStageSystemError(f"stage block I + mu*T singular at mu = {mu:.17g}")
+        raise SingularStageSystemError(f"stage block singular at mu = {mu:.17g}")
 
 
 def _lu_solve(lu, B):
-    """Solve (I + mu*H) Y = B in place for B of shape (n, k, N)."""
+    """Solve (I + mu^2 H) Y = B in place for B of shape (n, k, N)."""
     U, swaps, mults = lu
     n = U.shape[0]
     for j in range(n - 1):
@@ -221,25 +219,68 @@ def _apply(A, X):
     return out
 
 
+def _refined_solve(scheme: ArkScheme, Q, lu, m, R):
+    """S(mu)^{-1} R for R of shape (s2 + s1, k, N), rows (Qt, P).
+
+    Each pass solves the Schur complement (I + mu^2 G) Qt = R_q + mu At R_p
+    in the Hessenberg basis of G = Q H Q^T, then sets P = R_p - mu AtH Qt.
+    The second pass solves for the residual R - S X, formed against At and
+    AtH themselves rather than the rounded G.
+    """
+    At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
+
+    def schur_pass(R):
+        Qt = _apply(Q, _lu_solve(lu, _apply(Q.T, R[:s2] + m * _apply(At, R[s2:]))))
+        return np.concatenate([Qt, R[s2:] - m * _apply(AtH, Qt)])
+
+    X = schur_pass(R)
+    Qt, P = X[:s2], X[s2:]
+    residual = np.concatenate([R[:s2] - Qt + m * _apply(At, P),
+                               R[s2:] - P - m * _apply(AtH, Qt)])
+    return X + schur_pass(residual)
+
+
+def _chunk_solvers(scheme: ArkScheme, mus):
+    """Yield (slice, mu chunk, solve) with solve(R) = S(mu)^{-1} R per chunk."""
+    H, Q = scipy.linalg.hessenberg(scheme.a_tilde @ scheme.a_tilde_hat, calc_q=True)
+    for start in range(0, len(mus), _CHUNK):
+        m = mus[start:start + _CHUNK]
+        yield (slice(start, start + len(m)), m,
+               functools.partial(_refined_solve, scheme, Q, _lu_hessenberg(H, m), m))
+
+
+def _unit_rhs(scheme: ArkScheme, n: int):
+    """E: the all-ones vectors of the two stage blocks, once per mu."""
+    E = np.zeros((scheme.s2 + scheme.s1, 2, n))
+    E[:scheme.s2, 0] = 1.0
+    E[scheme.s2:, 1] = 1.0
+    return E
+
+
+def _weigh(scheme: ArkScheme, X):
+    """W X for each mu, shape (2, k, N): b against P, -b_tilde against Qt."""
+    s2 = scheme.s2
+    return np.concatenate([_apply(scheme.b[None, :], X[s2:]),
+                           -_apply(scheme.b_tilde[None, :], X[:s2])])
+
+
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    T, E, W = _blocks(scheme)
-    s2 = scheme.s2
-    H, Q = scipy.linalg.hessenberg(T, calc_q=True)
-    QtE, WQ = Q.T @ E, W @ Q
     out = np.empty((len(mus), 2, 2))
-    for start in range(0, len(mus), _CHUNK):
-        m = mus[start:start + _CHUNK]
-        lu = _lu_hessenberg(H, m)
-        X = _apply(Q, _lu_solve(lu, np.repeat(QtE[:, :, None], len(m), axis=2)))
-        # one refinement step, with the residual formed against the original
-        # T; its diagonal blocks are zero, so T X takes the two coupling blocks
-        TX = np.concatenate([_apply(T[:s2, s2:], X[s2:]), _apply(T[s2:, :s2], X[:s2])])
-        D = _lu_solve(lu, _apply(Q.T, E[:, :, None] - X - m * TX))
-        # M needs only W X, so the correction Q D enters through W Q
-        WX = _apply(W, X) + _apply(WQ, D)
-        out[start:start + _CHUNK] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
+    for part, m, solve in _chunk_solvers(scheme, mus):
+        WX = _weigh(scheme, solve(_unit_rhs(scheme, len(m))))
+        out[part] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
+    return out
+
+
+def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
+    """d/dmu of the half trace, from M'(mu) = W S(mu)^{-1} X with X = S(mu)^{-1} E."""
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    out = np.empty(len(mus))
+    for part, m, solve in _chunk_solvers(scheme, mus):
+        WY = _weigh(scheme, solve(solve(_unit_rhs(scheme, len(m)))))
+        out[part] = 0.5 * (WY[0, 0] + WY[1, 1])
     return out
 
 
@@ -311,14 +352,16 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
 
     ``fn(x, idx)`` evaluates the functions of brackets ``idx`` at the points
     ``x``, so each iteration costs one batched call.  A bracket stops once it
-    is narrower than ``tol`` or hits an exact zero, and returns its midpoint.
+    is narrower than ``tol`` (one width, or one per bracket) or hits an exact
+    zero, and returns its midpoint.
     """
     lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    tol = np.broadcast_to(tol, lo.shape)
     root = np.empty(len(lo))
     idx = np.arange(len(lo))
     for _ in range(max_iter):
         mid = 0.5 * (lo[idx] + hi[idx])
-        done = hi[idx] - lo[idx] < tol
+        done = hi[idx] - lo[idx] < tol[idx]
         root[idx[done]] = mid[done]
         idx, mid = idx[~done], mid[~done]
         if not len(idx):
@@ -334,19 +377,20 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
     return root
 
 
-def _refine_extrema(fn, lo, hi, tol=1e-10):
-    """Stationary points inside each (lo, hi) by bisection on a central difference."""
-    fd_step = 1e-6
+# bracket width at which an extremum is located; from mu = 8 on, eight ulps
+# of mu take over, since a bracket of floats cannot narrow below one ulp
+_EXTREMUM_TOL = 1e-14
 
-    def deriv(x, idx=None):
-        v = fn(np.concatenate([x + fd_step, x - fd_step]))
-        return v[:len(x)] - v[len(x):]
 
-    d = deriv(np.concatenate([lo, hi]))
+def _refine_extrema(scheme: ArkScheme, lo, hi):
+    """Half-trace extrema inside each (lo, hi) by bisection on the exact slope."""
+    d = _half_trace_slopes(scheme, np.concatenate([lo, hi]))
     d_lo, d_hi = d[:len(lo)], d[len(lo):]
     out = 0.5 * (lo + hi)
     change = (d_lo < 0.0) != (d_hi < 0.0)
-    out[change] = _bisect(deriv, lo[change], hi[change], d_lo[change], tol=tol)
+    out[change] = _bisect(lambda x, idx: _half_trace_slopes(scheme, x),
+                          lo[change], hi[change], d_lo[change],
+                          tol=np.maximum(_EXTREMUM_TOL, 8.0 * np.spacing(hi[change])))
     return out
 
 
@@ -360,11 +404,12 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     """Sample the stability function on [0, mu_max] and locate its structure.
 
     Sign changes of half-trace -+ 1 are refined by bisection to 1e-10 and
-    become interval boundaries; interior extrema touching +-1 (to within
-    1e-7) are reported as tangent resonances.  ``p_stable`` holds when the
-    single interval covers [0, mu_max] and every resonance point carries two
+    become interval boundaries.  Interior extrema are located by bisecting
+    the exact slope to 1e-14 (eight ulps from mu = 8 on); those touching +-1 (to within 1e-7)
+    are reported as tangent resonances.  ``p_stable`` holds when the single
+    interval covers [0, mu_max] and every resonance point carries two
     independent eigenvectors (M = +-I there).  All brackets are refined
-    together, one batched half-trace call per bisection step.
+    together, one batched call per bisection step.
     """
     if not mu_max > 0.0:
         raise ValueError("mu_max must be positive")
@@ -403,7 +448,7 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     df = np.diff(f)
     i = np.arange(1, n - 2)
     i = i[(df[i - 1] > 0.0) != (df[i] > 0.0)]
-    mu_stars = _refine_extrema(f_at, mus[i - 1], mus[i + 1])
+    mu_stars = _refine_extrema(scheme, mus[i - 1], mus[i + 1])
     for mu_star, val in zip(mu_stars.tolist(), f_at(mu_stars).tolist()):
         for sign in (1, -1):
             if abs(val - sign) < 1e-7 and not any(

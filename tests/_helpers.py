@@ -43,7 +43,7 @@ def symplectic_residual(jac: np.ndarray) -> float:
 
 def singular_at_one() -> ArkScheme:
     """A scheme whose stage block [[1, -h], [-h w, 1]] is singular at h^2 w = 1,
-    i.e. the stability block I + mu*T at mu = h*omega = 1."""
+    i.e. the stability block S(mu) at mu = h*omega = +-1."""
     return ArkScheme(
         s1=1, s2=1,
         a=[[0.5]], a_hat=[[0.5]], a_tilde=[[1.0]], a_tilde_hat=[[-1.0]],

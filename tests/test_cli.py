@@ -144,14 +144,32 @@ def test_fput_sweep_small(tmp_path, capsys):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("flags", [["--points", "0"], ["--h", "-0.02"], ["--T", "-1"]],
-                         ids=["points-zero", "h-negative", "T-negative"])
+@pytest.mark.parametrize("flags", [["--points", "0"], ["--h", "-0.02"], ["--T", "-1"],
+                                   ["--h", "0"]],
+                         ids=["points-zero", "h-negative", "T-negative", "h-zero"])
 def test_fput_sweep_rejects_invalid_input(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"
     assert run_cli(["fput", "sweep", "--points", "4", "--T", "1", "--out", str(out)]
                    + flags) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_fput_energy_rejects_zero_step(tmp_path, capsys):
+    out = tmp_path / "energy.csv"
+    assert run_cli(["fput", "energy", "--h", "0", "--T", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_fput_highfreq_runs_at_given_omega(tmp_path, capsys):
+    # 50 is the other experiments' default; highfreq must not replace it by 1000
+    out = tmp_path / "highfreq.csv"
+    assert run_cli(["fput", "highfreq", "--omega", "50", "--T", "0.4",
+                    "--out", str(out)]) == 0
+    ratio = float(capsys.readouterr().err.split("h*omega/pi = ")[1].split(",")[0])
+    assert ratio == pytest.approx(0.1 * 50.0 / math.pi, rel=1e-15)
+    assert len(out.read_text().strip().split("\n")) == 6
 
 
 def test_fput_reduction_small(tmp_path, capsys):

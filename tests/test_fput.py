@@ -162,6 +162,7 @@ def test_energy_history_run_and_csv(tmp_path):
     assert len(lines) == 202
 
 
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_sweep_records_failures_and_continues():
     # h * omega = 1 at omega = 50 makes the stage block singular; the scheme is
     # far from stable at omega = 80, so the horizon is five steps

@@ -172,6 +172,7 @@ def test_batch_matches_single_state_runs(name, tolerance):
         assert np.max(np.abs(state.p[k] - single.p)) <= 1e-13 * scale
 
 
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_batch_failures_name_their_members():
     system = SplitForceSystem(dimension=1, omega_sq=[[400.0], [2500.0], [6400.0]])
     state = PhaseState(q=[[1.0], [1.0], [1.0]], p=[[0.0], [0.0], [0.0]])

@@ -103,6 +103,12 @@ def test_singular_mu_raises():
         stability_matrix(singular_at_one(), 1.0)
 
 
+def test_singular_negative_mu_raises():
+    # the Schur complement sees only mu^2, so -1 is as singular as +1
+    with pytest.raises(SingularStageSystemError):
+        stability_matrix(singular_at_one(), -1.0)
+
+
 def test_singular_mu_raises_from_half_trace():
     bad = singular_at_one()
     with pytest.raises(SingularStageSystemError):
@@ -138,7 +144,9 @@ def _mpmath_matrix(scheme, mu):
 _RNG = np.random.default_rng(20)
 _ACCURACY_MUS = np.concatenate([
     [0.0, 2.0 * math.sqrt(3.0), math.sqrt(10.0), 2.0 * math.sqrt(15.0)],
-    _RNG.uniform(0.0, 20.0, 3), _RNG.uniform(20.0, 1000.0, 2), [1000.0]])
+    _RNG.uniform(0.0, 20.0, 3), _RNG.uniform(20.0, 1000.0, 2), [1000.0],
+    # negative mu, where the odd entries flip sign, and mu^2 up to 1e10
+    [-1000.0, -7.3, -1e-3, 3e3, 1e4, 1e5]])
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -150,6 +158,8 @@ def test_matrix_matches_mpmath(s1, variant):
         for mu, m in zip(_ACCURACY_MUS, M):
             ref = _mpmath_matrix(scheme, mu)
             assert np.max(np.abs(m - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), mu
+            assert np.sign(m[0, 1]) == np.sign(ref[0, 1]), mu
+            assert np.sign(m[1, 0]) == np.sign(ref[1, 0]), mu
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -240,6 +250,17 @@ def test_tangent_resonances_located():
     assert len(mus) == 2
     assert abs(mus[0] - math.sqrt(10.0)) < 1e-8
     assert abs(mus[1] - 2.0 * math.sqrt(15.0)) < 1e-8
+
+
+def test_tangent_resonances_to_roundoff():
+    report = stability_intervals(LGL4, 10.0)
+    mus = [r.mu for r in report.resonance_points if r.tangent]
+    assert len(mus) == 1 and abs(mus[0] - 2.0 * math.sqrt(3.0)) < 1e-12
+    report6 = stability_intervals(LGL6, 10.0)
+    mus = sorted(r.mu for r in report6.resonance_points if r.tangent)
+    assert len(mus) == 2
+    assert abs(mus[0] - math.sqrt(10.0)) < 1e-12
+    assert abs(mus[1] - 2.0 * math.sqrt(15.0)) < 1e-12
 
 
 @pytest.mark.parametrize("max_iter", [200, 10])
