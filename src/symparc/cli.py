@@ -122,8 +122,8 @@ def _report_json(report: stab.StabilityReport) -> str:
 
 
 def _cmd_stability(args) -> int:
-    if not args.mu_max > 0.0:
-        raise ValueError("--mu-max must be positive")
+    if not (args.mu_max > 0.0 and math.isfinite(args.mu_max)):
+        raise ValueError("--mu-max must be positive and finite")
     scheme = scheme_from_name(args.scheme)
     report = stab.stability_intervals(scheme, args.mu_max)
 
@@ -163,6 +163,10 @@ def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
 
 def _cmd_integrate(args) -> int:
     name = _known_scheme(args.scheme)
+    if not (args.h > 0.0 and math.isfinite(args.h)):
+        raise ValueError("--h must be positive and finite")  # the step count divides by h
+    if not math.isfinite(args.T):
+        raise ValueError("--T must be finite")
     if args.problem == "fput":
         params = fputmod.FputParams(ell=args.ell, omega=args.omega)
         system = fputmod.fput_system(params)

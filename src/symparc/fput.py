@@ -74,8 +74,8 @@ class FputParams:
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise ValueError("omega must be positive and finite")
 
     @property
     def dimension(self) -> int:

@@ -75,6 +75,41 @@ def textbook_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,
     return y
 
 
+def textbook_lawson_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,
+                        n_steps: int) -> np.ndarray:
+    """Lawson's integrating-factor form of the same tableau, as written in the
+    textbook: with L the linear part (q' = p, p' = -Omega^2 q) and
+    N(y) = (0, F1(q)),
+
+        Y_i     = exp(c_i h L) (y_n + h sum_j a_ij exp(-c_j h L) N(Y_j))
+        y_{n+1} = exp(h L) (y_n + h sum_j b_j exp(-c_j h L) N(Y_j)),
+
+    with fresh arrays everywhere, the slow force through the system's public
+    accessor and every rotation recomputed from cos and sin where it is used."""
+    d = state0.dimension
+    h = duration / n_steps
+    omega = np.sqrt(system.omega_sq)
+
+    def flow(y, t):
+        """exp(t L) y: a rotation per coordinate, free flight where omega = 0."""
+        q, p = y[:d], y[d:]
+        cos, sin = np.cos(omega * t), np.sin(omega * t)
+        sin_over_omega = np.array([s / w if w > 0 else t for s, w in zip(sin, omega)])
+        return np.concatenate([cos * q + sin_over_omega * p, -omega * sin * q + cos * p])
+
+    def slow(y):
+        return np.concatenate([np.zeros(d), system.slow_force(y[:d])])
+
+    y = np.concatenate([state0.q, state0.p])
+    for _ in range(n_steps):
+        k = np.zeros((_rk8.N_STAGES, 2 * d))
+        for i in range(_rk8.N_STAGES):
+            stage = flow(y + h * (_rk8.A[i, :i] @ k[:i]), _rk8.C[i] * h)
+            k[i] = flow(slow(stage), -_rk8.C[i] * h)
+        y = flow(y + h * (_rk8.B @ k), h)
+    return y
+
+
 def slicing_extensions(q, ell: int):
     """Spring elongations of the chain, written out spring by spring."""
     qs = q[..., :ell]

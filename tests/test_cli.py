@@ -80,9 +80,11 @@ def test_stability_p_stable_scheme(tmp_path, capsys):
     assert len(tangents) == 2
 
 
-def test_stability_usage_error(capsys):
+def test_stability_usage_error(tmp_path, capsys):
     assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "0",
                     "--out", "/tmp/x"]) == 2
+    assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "inf",
+                    "--out", str(tmp_path / "x")]) == 2
 
 
 def test_integrate_free_problem(tmp_path, capsys):
@@ -122,6 +124,16 @@ def test_integrate_fixed_point_nonconvergence(tmp_path, capsys):
 def test_integrate_rejects_unknown_scheme(tmp_path, capsys):
     assert run_cli(["integrate", "--scheme", "rk4", "--T", "1",
                     "--out", str(tmp_path / "t.csv")]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "inf"], ["--T", "inf"]],
+                         ids=["h-zero", "h-inf", "T-inf"])
+def test_integrate_rejects_invalid_step(tmp_path, capsys, flags):
+    out = tmp_path / "traj.csv"
+    assert run_cli(["integrate", "--scheme", "lgl4", "--h", "0.1", "--T", "1",
+                    "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_fput_energy_deterministic_reruns(tmp_path, capsys):
@@ -180,6 +192,26 @@ def test_fput_reduction_small(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "scheme,omega,h,err_qs,err_ps"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", [["fput", "reduction", "--schemes", "lgl4",
+                                      "--h-list", "0.1", "--omega-list", "10", "--T", "1"],
+                                     ["converge", "--schemes", "lgl2", "--T", "0.5",
+                                      "--h-list", "0.05,0.025"]],
+                         ids=["fput-reduction", "converge"])
+def test_reference_tolerance_zero_rejected(tmp_path, capsys, monkeypatch, command):
+    # a tolerance of 0 can never be certified; it must be refused before the
+    # oracle runs, never by doubling the step count until it gives up
+    import symparc.integrator as integrator
+
+    def never(*args):
+        raise AssertionError("the oracle ran before its tolerance was checked")
+
+    monkeypatch.setattr(integrator, "_rk8_final_state", never)
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--ref-tol", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_fput_unknown_experiment():

@@ -25,8 +25,9 @@ from _helpers import singular_at_one, slicing_quartic_potential, slicing_slow_fo
 def test_params_validation():
     with pytest.raises(ValueError):
         FputParams(ell=0, omega=1.0)
-    with pytest.raises(ValueError):
-        FputParams(ell=3, omega=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FputParams(ell=3, omega=bad)
 
 
 def test_forces_vanish_at_origin():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from _helpers import (
     scaled_stability_map,
     singular_at_one,
     symplectic_residual,
+    textbook_lawson_rk8,
     textbook_rk8,
     tight_config,
 )
@@ -217,8 +219,9 @@ def test_batched_state_rejected_where_unsupported():
 # ---------------------------------------------------------------------------
 
 def test_split_system_validation():
-    with pytest.raises(ValueError):
-        SplitForceSystem(dimension=2, omega_sq=[1.0, -1.0])
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SplitForceSystem(dimension=2, omega_sq=[1.0, bad])
     with pytest.raises(ValueError):
         SplitForceSystem(dimension=2, omega_sq=[1.0])
     # explicit f2 must agree with -omega_sq * q
@@ -436,17 +439,81 @@ def test_reference_agrees_with_ark_on_smooth_problem(T, q0, p0):
 
 def _oracle_cases():
     params = fput.FputParams(ell=3, omega=1e4)
-    chain = (fput.fput_system(params), fput.paper_initial_state(params), 0.02, 2000)
-    harmonic = (harmonic_system(3.0, 2), PhaseState(q=[1.0, 2.0], p=[-0.5, 0.25]), 2.0, 200)
+    chain = (fput.fput_system(params), fput.paper_initial_state(params), 0.02, 2000,
+             textbook_lawson_rk8)
+    harmonic = (harmonic_system(3.0, 2), PhaseState(q=[1.0, 2.0], p=[-0.5, 0.25]), 2.0, 200,
+                textbook_lawson_rk8)
     duffing = (SplitForceSystem(dimension=2, f1=lambda q: -q ** 3, f2=lambda q: -4.0 * q),
-               PhaseState(q=[1.0, -0.5], p=[0.0, 0.3]), 3.0, 300)
+               PhaseState(q=[1.0, -0.5], p=[0.0, 0.3]), 3.0, 300, textbook_rk8)
     return {"chain": chain, "no-f1": harmonic, "explicit-f2": duffing}
 
 
 @pytest.mark.parametrize("case", ["chain", "no-f1", "explicit-f2"])
 def test_rk8_matches_textbook_loop(case):
+    # systems with omega_sq take the integrating-factor path, the others the
+    # plain loop; each is checked against its textbook form
     from symparc.integrator import _rk8_final_state
-    system, state0, duration, n_steps = _oracle_cases()[case]
+    system, state0, duration, n_steps, textbook = _oracle_cases()[case]
     got = _rk8_final_state(system, state0, duration, n_steps)
-    ref = textbook_rk8(system, state0, duration, n_steps)
+    ref = textbook(system, state0, duration, n_steps)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("omega, T, n_steps", [(1.0, 1.0, 100), (50.0, 0.5, 500),
+                                               (1e3, 0.05, 1000), (1e4, 0.005, 1000)])
+def test_reference_matches_fine_plain_rk8(omega, T, n_steps):
+    # the plain loop at h*omega <= 0.05 is converged to a few 1e-15 here; the
+    # certified oracle agreed with it to 2.1e-14 at worst (omega = 1)
+    params = fput.FputParams(ell=3, omega=omega)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    fine = textbook_rk8(system, state0, T, n_steps)
+    ref = reference_solve(system, state0, T, tol=1e-12)
+    assert np.max(np.abs(np.concatenate([ref.q, ref.p]) - fine)) <= 5e-14
+
+
+def test_reference_rotation_and_free_flight_exact():
+    from symparc.integrator import _rk8_final_state
+    omega = np.array([0.0, 1.0, 50.0, 0.0, 1e4])
+    system = SplitForceSystem(dimension=5, omega_sq=omega ** 2)
+    state0 = PhaseState(q=[1.0, -0.5, 0.02, 0.3, 1e-4], p=[0.25, 1.0, -1.0, -2.0, 1.0])
+    T = 0.05
+    rotating = omega > 0.0
+    w = np.where(rotating, omega, 1.0)
+    q = np.where(rotating, np.cos(w * T) * state0.q + np.sin(w * T) / w * state0.p,
+                 state0.q + T * state0.p)
+    p = np.where(rotating, -w * np.sin(w * T) * state0.q + np.cos(w * T) * state0.p,
+                 state0.p)
+    exact = np.concatenate([q, p])
+    # one step is one rotation by T; the composed rotations drift by roundoff
+    # in the phase (omega T = 500), measured 3.6e-14
+    assert np.max(np.abs(_rk8_final_state(system, state0, T, 1) - exact)) <= 1e-15
+    assert np.max(np.abs(_rk8_final_state(system, state0, T, 1000) - exact)) <= 1e-13
+    out = reference_solve(system, state0, T, tol=1e-13)
+    assert np.max(np.abs(np.concatenate([out.q, out.p]) - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan},
+                                    {"tol": math.inf}, {"max_refinements": 0}],
+                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf",
+                              "no-refinements"])
+def test_reference_rejects_uncertifiable_tolerance(monkeypatch, kwargs):
+    import symparc.integrator as integrator
+
+    def never(*args):
+        raise AssertionError("the oracle ran before its arguments were checked")
+
+    monkeypatch.setattr(integrator, "_rk8_final_state", never)
+    with pytest.raises(ValueError):
+        reference_solve(harmonic_system(1.0), PhaseState(q=[1.0], p=[0.0]), 1.0, **kwargs)
+
+
+def test_reference_logs_each_level(caplog):
+    caplog.set_level(logging.DEBUG, logger="symparc.integrator")
+    params = fput.FputParams(ell=3, omega=1e4)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    reference_solve(system, state0, 0.02, tol=1e-9)
+    levels = [r.getMessage() for r in caplog.records if r.name == "symparc.integrator"]
+    assert len(levels) == 2 and levels[0] == "reference level: 100 steps"
+    head, agreement = levels[1].split(", agreement ")
+    assert head == "reference level: 200 steps"
+    assert agreement.endswith(" tol") and float(agreement[:-4]) <= 1.0
