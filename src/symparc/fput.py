@@ -41,6 +41,7 @@ from symparc.integrator import (
     SplitForceSystem,
     StageSolveConfig,
     StageSolveError,
+    _write_table,
     integrate,
     make_stepper,
     reference_solve,
@@ -204,15 +205,10 @@ class EnergyHistory:
     def write_csv(self, path):
         ell = self.oscillatory.shape[1]
         header = "t,H_err," + ",".join(f"I{i + 1}" for i in range(ell)) + ",I_total"
-        err = self.energy_error
-        total = self.total_oscillatory
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self.times)):
-                cells = [format(self.times[i], ".17g"), format(err[i], ".17g")]
-                cells += [format(x, ".17g") for x in self.oscillatory[i]]
-                cells.append(format(total[i], ".17g"))
-                fh.write(",".join(cells) + "\n")
+        cells = np.column_stack((self.times, self.energy_error, self.oscillatory,
+                                 self.total_oscillatory))
+        _write_table(path, header, ",".join(["%.17g"] * (3 + ell)),
+                     (tuple(row.tolist()) for row in cells))
 
 
 def experiment_energy(scheme, params: FputParams, h: float, T: float,
@@ -253,13 +249,10 @@ class SweepResult:
     failures: tuple = ()
 
     def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("h_omega_over_pi,max_H_err,max_scaled_I_dev\n")
-            for i in range(len(self.h_omega_over_pi)):
-                fh.write(",".join(format(x, ".17g") for x in (
-                    self.h_omega_over_pi[i],
-                    self.max_energy_error[i],
-                    self.max_scaled_i_deviation[i])) + "\n")
+        cells = np.column_stack((self.h_omega_over_pi, self.max_energy_error,
+                                 self.max_scaled_i_deviation))
+        _write_table(path, "h_omega_over_pi,max_H_err,max_scaled_I_dev",
+                     "%.17g,%.17g,%.17g", (tuple(row.tolist()) for row in cells))
 
 
 def _sweep_energies(state: PhaseState, omegas, ell: int):
@@ -329,6 +322,14 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     )
 
 
+def _step_grid(h_grid) -> np.ndarray:
+    """The step sizes as an array, each checked to be positive and finite."""
+    hs = np.asarray(h_grid, dtype=float)
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise ValueError(f"every h must be positive and finite, got {hs.tolist()}")
+    return hs
+
+
 @dataclass(frozen=True)
 class ReductionRow:
     scheme: str
@@ -356,11 +357,8 @@ class ReductionTable:
                 np.array([r.err_slow_p for r in sel]))
 
     def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("scheme,omega,h,err_qs,err_ps\n")
-            for r in self.rows:
-                fh.write(f"{r.scheme},{format(r.omega, '.17g')},{format(r.h, '.17g')},"
-                         f"{format(r.err_slow_q, '.17g')},{format(r.err_slow_p, '.17g')}\n")
+        _write_table(path, "scheme,omega,h,err_qs,err_ps", "%s,%.17g,%.17g,%.17g,%.17g",
+                     ((r.scheme, r.omega, r.h, r.err_slow_q, r.err_slow_p) for r in self.rows))
 
 
 def experiment_order_reduction(scheme_names, params: FputParams, T: float,
@@ -376,6 +374,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     solve is recorded with NaN errors and its cause in ``failures``; any
     other exception propagates.
     """
+    h_grid = _step_grid(h_grid)
     ell = params.ell
     rows = []
     failures = []
@@ -385,7 +384,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
         state0 = paper_initial_state(p)
         ref = reference_solve(system, state0, T, tol=reference_tol)
         for name in scheme_names:
-            for h in np.asarray(h_grid, dtype=float):
+            for h in h_grid:
                 n_steps = max(1, int(round(T / h)))
                 h_run = T / n_steps
                 try:
@@ -410,6 +409,7 @@ def convergence_errors(scheme, params: FputParams, h_list, T: float,
 
     As in the reduction study, each h is nudged so the run lands on T.
     """
+    h_list = _step_grid(h_list)
     system = fput_system(params)
     state0 = paper_initial_state(params)
     ref = reference_solve(system, state0, T, tol=reference_tol)

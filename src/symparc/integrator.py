@@ -20,6 +20,13 @@ solved exactly per distinct diagonal entry W of Omega^2.  Plain fixed-point
 contracts only for h*omega below ~2, so the linear path is the default
 whenever the diagonal structure is available.
 
+A pass of that loop is affine in F1, so the block solve is folded into the
+tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8): per
+coordinate, Q = c0 + K F1 with K = h^2 a [M^-1]_PP Ahat an s1 x s1 matrix
+and c0 = u q0 + v p0 formed once per step, and (q1, p1) is one more affine
+map of (q0, p0, F1), plus h b F1(Q) in p1.  A pass then costs one product
+with K and one slow-force call; the step never forms P and Qt.
+
 The linear path also steps a batch: q and p of shape (n, d) are n
 independent states, and omega_sq of shape (n, d) gives each its own
 diagonal.  The stage arrays then hold all n*d coordinates as columns, shape
@@ -38,7 +45,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -217,8 +224,8 @@ class StageSolveConfig:
     mode: Optional[SolverMode] = None
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -239,14 +246,41 @@ def stage_block(scheme: ArkScheme, h: float, w):
     return block
 
 
+def _member_max(columns, n: int):
+    """The largest of each member's entries in ``columns``, shape (n*d,) -> (n,)."""
+    # NumPy reduces a short contiguous axis slowly; the transposed copy is
+    # reduced along its long leading axis instead
+    return np.ascontiguousarray(columns.reshape(n, -1).T).max(axis=0)
+
+
+class _StageMaps(NamedTuple):
+    """One linearly-implicit step at a fixed h as affine maps, per column c
+    of the flattened state.  With F1 the slow forces (rows j) that the
+    primary stages Q are computed from:
+
+        Q[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
+                         + sum_j primary[i, j, c] F1[j, c]
+        (q1, p1)[i, c] = sum_j update[i, j, c] (q0, p0, F1)[j, c]
+                         + (0, h b . F1(Q)[:, c])[i]
+
+    ``solution`` is the (Qt, P) map over (q0, p0, F1) of each distinct
+    Omega^2 value, shape (V, s2 + s1, 2 + s1).
+    """
+
+    start: np.ndarray      # (s1, 2, N)
+    primary: np.ndarray    # (s1, s1, N)
+    update: np.ndarray     # (2, 2 + s1, N)
+    solution: np.ndarray   # (V, s2 + s1, 2 + s1)
+
+
 class ArkStepper:
     """One-step map of an additive scheme applied to a split system.
 
     On the linearly-implicit path a state may be a batch of shape (n, d),
     the shape of the system's omega_sq; see the module docstring.  Holds a
-    small factorization cache (keyed by the step size; the system's Omega^2
-    is fixed).  Instances are cheap to build and must not be shared across
-    threads.
+    small cache of folded stage maps (keyed by the step size; the system's
+    Omega^2 is fixed).  Instances are cheap to build and must not be shared
+    across threads.
     """
 
     def __init__(self, scheme: ArkScheme, system: SplitForceSystem,
@@ -261,7 +295,7 @@ class ArkStepper:
         if mode is SolverMode.LINEARLY_IMPLICIT and system.omega_sq is None:
             raise ValueError("linearly-implicit mode needs the diagonal omega_sq")
         self.mode = mode
-        # step-size keyed cache of the solved linear blocks; compositions
+        # step-size keyed cache of the folded stage maps; compositions
         # alternate between a handful of substep sizes
         self._block_cache = {}
         if system.omega_sq is not None:
@@ -272,14 +306,32 @@ class ArkStepper:
 
     # -- linear block ------------------------------------------------------
 
-    def _block_inverses(self, h: float):
-        """The inverse stage block of every state coordinate, shape (m, m, N)."""
+    def _block_inverses(self, h: float) -> _StageMaps:
+        """The stage solve at step size h, folded into affine maps per column.
+
+        Each distinct entry w of Omega^2 has its stage block factorized once;
+        solving it against the right-hand side [q0; p0 + h Ahat F1] column by
+        column gives (Qt, P) as affine functions of (q0, p0, F1), and with
+        them Q = q0 + h a P, q1 = q0 + h b P and p1 - h b F1(Q) = p0 - h w bt Qt.
+        The maps are built on the distinct values and gathered to the N
+        state columns; see :class:`_StageMaps`.  The cache keeps, per step
+        size, the gathered start, primary and update weights (together
+        s1^2 + 4 s1 + 4 numbers per column, no more than the (2 s1 - 1)^2 of
+        the block inverse for s1 >= 3) and the per-value (Qt, P) solution,
+        which only solve_stages gathers.
+        """
         cached = self._block_cache.get(h)
         if cached is not None:
             return cached
-        m = self.scheme.s1 + self.scheme.s2
-        blocks = stage_block(self.scheme, h, self._values)
-        inverses = np.empty((m, m, len(self._values)))
+        scheme = self.scheme
+        s1, s2 = scheme.s1, scheme.s2
+        blocks = stage_block(scheme, h, self._values)
+        # columns (q0, p0, F1_1, ..., F1_s1) of the right-hand side
+        rhs = np.zeros((s1 + s2, 2 + s1))
+        rhs[:s2, 0] = 1.0
+        rhs[s2:, 1] = 1.0
+        rhs[s2:, 2:] = h * scheme.a_hat
+        solution = np.empty((len(self._values),) + rhs.shape)
         # an exactly singular block raises SingularStageSystemError below;
         # SciPy's warning about its zero pivot would only repeat that
         with warnings.catch_warnings():
@@ -295,12 +347,25 @@ class ArkStepper:
                     raise SingularStageSystemError(
                         f"stage block is numerically singular for h={h}, omega^2={w}",
                         self._rows_with(k))
-                inverses[:, :, k] = lu_solve((lu, piv), np.eye(m))
-        inverses = np.take(inverses, self._columns, axis=2)
+                solution[k] = lu_solve((lu, piv), rhs)
+        Qt, P = solution[:, :s2], solution[:, s2:]
+        primary = h * (scheme.a @ P)
+        primary[:, :, 0] += 1.0
+        update = np.stack((h * (scheme.b @ P),
+                           (-h * self._values)[:, None] * (scheme.b_tilde @ Qt)), axis=1)
+        update[:, 0, 0] += 1.0
+        update[:, 1, 1] += 1.0
+        maps = _StageMaps(start=self._gather(primary[:, :, :2]),
+                          primary=self._gather(primary[:, :, 2:]),
+                          update=self._gather(update), solution=solution)
         if len(self._block_cache) > 16:
             self._block_cache.clear()
-        self._block_cache[h] = inverses
-        return inverses
+        self._block_cache[h] = maps
+        return maps
+
+    def _gather(self, by_value):
+        """(V, ...) weights of the distinct values as (..., N) state columns."""
+        return np.take(np.moveaxis(by_value, 0, -1), self._columns, axis=-1)
 
     def _rows_with(self, k: int):
         """Rows of omega_sq (0 for a single diagonal) holding its k-th value."""
@@ -313,9 +378,12 @@ class ArkStepper:
         """Return (Q, P, Q_tilde, iterations) for one step of size h; the
         stage arrays have shape (stages,) + state shape."""
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            Q, P, Qt, iteration, _ = self._linearly_implicit_full(state, h)
+            maps, x, Q, _, iteration = self._linearly_implicit_full(state, h)
+            s2 = self.scheme.s2
+            sol = np.einsum("ijc,jc->ic", self._gather(maps.solution), x)
             shape = (-1,) + state.q.shape
-            return Q.reshape(shape), P.reshape(shape), Qt.reshape(shape), iteration
+            return (Q.reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
+                    iteration)
         Q, P, Qt, iteration, _, _ = self._fixed_point_full(state, h)
         return Q, P, Qt, iteration
 
@@ -361,21 +429,25 @@ class ArkStepper:
             residual=residual, iterations=cfg.max_iterations, members=(0,))
 
     def _linearly_implicit_full(self, state, h):
-        """(Q, P, Q_tilde, iterations, F1(Q)) with the state flattened to
-        N = n*d columns: every stage array has shape (stages, N)."""
+        """Iterate the primary stages with the state flattened to N = n*d
+        columns.  Returns (maps, x, Q, F1(Q), iterations): the step's
+        :class:`_StageMaps`, their inputs x = (q0, p0, F1) stacked to shape
+        (2 + s1, N), where F1 are the forces Q was computed from, and the
+        converged Q and its forces, shape (s1, N)."""
         scheme, system, cfg = self.scheme, self.system, self.config
         shape = state.q.shape
         if shape != system.omega_sq.shape:
             raise ValueError(f"state shape {shape} does not match omega_sq "
                              f"{system.omega_sq.shape}")
         n = shape[0] if len(shape) == 2 else 1
-        s1, s2 = scheme.s1, scheme.s2
+        s1 = scheme.s1
         q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
-        scale = np.abs(np.concatenate((state.q.reshape(n, -1), state.p.reshape(n, -1)),
-                                      axis=1)).max(axis=1)
+        qp = np.stack((q0, p0))
+        scale = _member_max(np.abs(qp).max(axis=0), n)
         np.maximum(scale, 1.0, out=scale)
         limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
-        inv = self._block_inverses(h)
+        maps = self._block_inverses(h)
+        c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
         def slow_force(Q):
             return system.slow_force(Q.reshape((len(Q),) + shape)).reshape(len(Q), -1)
@@ -384,10 +456,8 @@ class ArkStepper:
         acc = (system.slow_force(state.q) + system.fast_force(state.q)).reshape(-1)
         Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
         F1 = slow_force(Q)
-        rhs = np.empty((s1 + s2, len(q0)))
-        rhs[:s2] = q0
-        sol = None
-        done = None   # the members that have converged, once some but not all have
+        source = None   # the forces Q was computed from
+        done = None     # the members that have converged, once some but not all have
         for iteration in range(1, cfg.max_iterations + 1):
             if not np.isfinite(F1).all():
                 bad = ~np.all(np.isfinite(F1).reshape(s1, n, -1), axis=(0, 2))
@@ -401,24 +471,24 @@ class ArkStepper:
                         f"stage iteration diverged after {iteration} iterations",
                         residual=math.inf, iterations=iteration,
                         members=np.flatnonzero(bad))
-            rhs[s2:] = p0 + h * (scheme.a_hat @ F1)
-            sol_new = np.einsum("ijc,jc->ic", inv, rhs)
-            Q_new = q0 + h * (scheme.a @ sol_new[s2:])
-            residual = np.abs(Q_new - Q).max(axis=0).reshape(n, -1).max(axis=1)
+            Q_new = np.einsum("ijc,jc->ic", maps.primary, F1)
+            Q_new += c0
+            change = Q_new - Q
+            residual = _member_max(np.abs(change, out=change).max(axis=0), n)
             F1_new = slow_force(Q_new)
             if done is not None:
                 # converged members keep the stages they converged with
                 frozen = np.repeat(done, len(q0) // n)
                 np.copyto(Q_new, Q, where=frozen)
                 np.copyto(F1_new, F1, where=frozen)
-                np.copyto(sol_new, sol, where=frozen)
+                F1 = np.where(frozen, source, F1)
                 residual[done] = 0.0
-            Q, F1, sol = Q_new, F1_new, sol_new
+            Q, source, F1 = Q_new, F1, F1_new
             # count_nonzero is much cheaper than all/any on a few members
             converged = residual <= limit
             n_converged = np.count_nonzero(converged)
             if n_converged == n:
-                return Q, sol[s2:], sol[:s2], iteration, F1
+                return maps, np.concatenate((qp, source)), Q, F1, iteration
             diverged = residual > blowup
             if np.count_nonzero(diverged):
                 raise NonconvergenceError(
@@ -442,15 +512,17 @@ class ArkStepper:
     def step_with_iterations(self, state: PhaseState, h: float):
         """The next state and the number of stage-loop passes (for a batch,
         the largest over its members)."""
-        scheme, system = self.scheme, self.system
         shape = state.q.shape
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            _, P, Qt, iterations, F1 = self._linearly_implicit_full(state, h)
-            F2 = system.fast_force(Qt.reshape((-1,) + shape)).reshape(len(Qt), -1)
-        else:
-            _, P, Qt, iterations, F1, F2 = self._fixed_point_full(state, h)
-        q1 = state.q + h * (scheme.b @ P).reshape(shape)
-        p1 = state.p + h * (scheme.b @ F1 + scheme.b_tilde @ F2).reshape(shape)
+            maps, x, _, F1, iterations = self._linearly_implicit_full(state, h)
+            q1, p1 = np.einsum("ijc,jc->ic", maps.update, x)
+            p1 += (h * self.scheme.b) @ F1
+            return (PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=state.t + h),
+                    iterations)
+        scheme = self.scheme
+        _, P, _, iterations, F1, F2 = self._fixed_point_full(state, h)
+        q1 = state.q + h * (scheme.b @ P)
+        p1 = state.p + h * (scheme.b @ F1 + scheme.b_tilde @ F2)
         return PhaseState(q=q1, p=p1, t=state.t + h), iterations
 
 
@@ -493,16 +565,23 @@ class Trajectory:
         d = self.qs.shape[1]
         header = ("t," + ",".join(f"q_{k + 1}" for k in range(d)) + ","
                   + ",".join(f"p_{k + 1}" for k in range(d)) + ",stage_iters")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in range(len(self)):
-                step = row * self.stride - 1
-                iters = int(self.stage_iterations[step]) if row > 0 else 0
-                cells = [format(self.times[row], ".17g")]
-                cells += [format(x, ".17g") for x in self.qs[row]]
-                cells += [format(x, ".17g") for x in self.ps[row]]
-                cells.append(str(iters))
-                fh.write(",".join(cells) + "\n")
+        # the first record has no step behind it
+        iters = np.zeros(len(self), dtype=int)
+        iters[1:] = self.stage_iterations[np.arange(1, len(self)) * self.stride - 1]
+        cells = np.column_stack((self.times, self.qs, self.ps))
+        _write_table(path, header, ",".join(["%.17g"] * (1 + 2 * d) + ["%d"]),
+                     ((*row.tolist(), k) for row, k in zip(cells, iters.tolist())))
+
+
+def _write_table(path, header: str, template: str, rows):
+    """Write a CSV file: ``header``, then ``template % row`` for each tuple
+    in ``rows``, every line ending in a bare newline.  "%.17g" prints a float
+    exactly as format(x, ".17g") does.  Lines are written as they are made,
+    so a long table is never held in memory as text."""
+    line = template + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,

@@ -3,7 +3,14 @@
 import numpy as np
 
 from symparc import _rk8
-from symparc.integrator import ArkStepper, PhaseState, SplitForceSystem, StageSolveConfig
+from symparc.integrator import (
+    ArkStepper,
+    NonconvergenceError,
+    PhaseState,
+    SplitForceSystem,
+    StageSolveConfig,
+    StageSolveError,
+)
 from symparc.tableaux import ArkScheme, Variant
 
 
@@ -108,6 +115,83 @@ def textbook_lawson_rk8(system: SplitForceSystem, state0: PhaseState, duration: 
             k[i] = flow(slow(stage), -_rk8.C[i] * h)
         y = flow(y + h * (_rk8.B @ k), h)
     return y
+
+
+def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
+                               state: PhaseState, h: float,
+                               config: StageSolveConfig | None = None):
+    """One linearly-implicit step as written in the textbook.
+
+    Each pass solves the full stage block [[I, -h At], [h w AtH, I]] of
+    every coordinate with np.linalg.solve for (Qt, P), with the right-hand
+    side (q0, p0 + h Ahat F1) built afresh, then sets Q = q0 + h a P and
+    F1 = F1(Q); F2 is -Omega^2 Qt.  The predictor, the convergence test
+    (max |Q_new - Q| against tolerance * max(1, |q0|, |p0|)) and the
+    divergence bound are the engine's.  A batch (n, d) is stepped member by
+    member.  Returns (q1, p1, Q, P, Qt, iterations), iterations being the
+    largest over the members; raises NonconvergenceError naming every
+    member that failed.
+    """
+    cfg = config if config is not None else StageSolveConfig()
+    if state.q.ndim == 2:
+        out, failed = [], []
+        for k in range(len(state.q)):
+            member = SplitForceSystem(dimension=system.dimension, f1=system.f1,
+                                      omega_sq=system.omega_sq[k])
+            try:
+                out.append(textbook_linear_stage_step(
+                    scheme, member, PhaseState(q=state.q[k], p=state.p[k]), h, cfg))
+            except StageSolveError:
+                failed.append(k)
+        if failed:
+            raise NonconvergenceError("members failed", members=failed)
+        q1, p1, Q, P, Qt, iters = zip(*out)
+        return (np.stack(q1), np.stack(p1), np.stack(Q, axis=1), np.stack(P, axis=1),
+                np.stack(Qt, axis=1), max(iters))
+    s1, s2 = scheme.s1, scheme.s2
+    q0, p0, w = state.q, state.p, system.omega_sq
+    d = len(q0)
+    scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
+    acc = system.slow_force(q0) - w * q0
+    Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
+    F1 = system.slow_force(Q)
+    for iteration in range(1, cfg.max_iterations + 1):
+        if not np.all(np.isfinite(F1)):
+            raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
+        Qt, P = np.empty((s2, d)), np.empty((s1, d))
+        for k in range(d):
+            block = np.block([[np.eye(s2), -h * scheme.a_tilde],
+                              [h * w[k] * scheme.a_tilde_hat, np.eye(s1)]])
+            rhs = np.concatenate([np.full(s2, q0[k]), p0[k] + h * (scheme.a_hat @ F1[:, k])])
+            sol = np.linalg.solve(block, rhs)
+            Qt[:, k], P[:, k] = sol[:s2], sol[s2:]
+        Q_new = q0 + h * (scheme.a @ P)
+        residual = float(np.max(np.abs(Q_new - Q)))
+        Q = Q_new
+        F1 = system.slow_force(Q)
+        if residual <= cfg.tolerance * scale:
+            break
+        if residual > 1e12 * scale:
+            raise NonconvergenceError("diverged", members=(0,))
+    else:
+        raise NonconvergenceError("no convergence", members=(0,))
+    q1 = q0 + h * (scheme.b @ P)
+    p1 = p0 + h * (scheme.b @ F1 + scheme.b_tilde @ (-w * Qt))
+    return q1, p1, Q, P, Qt, iteration
+
+
+# floats whose "%.17g" and format(x, ".17g") must print byte for byte alike
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.0 / 3.0]
+
+
+def cellwise_csv(header: str, rows) -> bytes:
+    """A CSV file formatted one cell at a time: floats with format(x, ".17g"),
+    other cells with str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x)
+                              for x in row))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def slicing_extensions(q, ell: int):

@@ -126,8 +126,9 @@ def test_integrate_rejects_unknown_scheme(tmp_path, capsys):
                     "--out", str(tmp_path / "t.csv")]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "inf"], ["--T", "inf"]],
-                         ids=["h-zero", "h-inf", "T-inf"])
+@pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "inf"], ["--T", "inf"],
+                                   ["--tol", "inf"]],
+                         ids=["h-zero", "h-inf", "T-inf", "tol-inf"])
 def test_integrate_rejects_invalid_step(tmp_path, capsys, flags):
     out = tmp_path / "traj.csv"
     assert run_cli(["integrate", "--scheme", "lgl4", "--h", "0.1", "--T", "1",
@@ -210,6 +211,24 @@ def test_reference_tolerance_zero_rejected(tmp_path, capsys, monkeypatch, comman
     monkeypatch.setattr(integrator, "_rk8_final_state", never)
     out = tmp_path / "out.csv"
     assert run_cli(command + ["--ref-tol", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fput", "reduction", "--schemes", "lgl4",
+                                      "--h-list", "0", "--omega-list", "10", "--T", "1"],
+                                     ["converge", "--schemes", "lgl2", "--T", "0.5",
+                                      "--h-list", "0,0.1"]],
+                         ids=["fput-reduction", "converge"])
+def test_zero_step_in_h_list_rejected(tmp_path, capsys, monkeypatch, command):
+    import symparc.fput as fput
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran before the h grid was checked")
+
+    monkeypatch.setattr(fput, "reference_solve", never)
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 

@@ -19,7 +19,13 @@ from symparc.fput import (
 )
 from symparc.integrator import PhaseState, StageSolveConfig, reference_solve
 
-from _helpers import singular_at_one, slicing_quartic_potential, slicing_slow_force
+from _helpers import (
+    SPECIAL_FLOATS as SPECIAL,
+    cellwise_csv,
+    singular_at_one,
+    slicing_quartic_potential,
+    slicing_slow_force,
+)
 
 
 def test_params_validation():
@@ -229,6 +235,43 @@ def test_reduction_table(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "scheme,omega,h,err_qs,err_ps"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("h_grid", [[0.0, 0.1], [0.1, -0.05], [math.inf], [math.nan]],
+                         ids=["zero", "negative", "infinite", "nan"])
+def test_h_grids_rejected_before_the_oracle(monkeypatch, h_grid):
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran before the h grid was checked")
+
+    monkeypatch.setattr(fput, "reference_solve", never)
+    params = FputParams(ell=3, omega=10.0)
+    with pytest.raises(ValueError, match="every h"):
+        experiment_order_reduction(["lgl4"], params, 1.0, h_grid, [10.0])
+    with pytest.raises(ValueError, match="every h"):
+        convergence_errors("lgl4", params, h_grid, 1.0)
+
+
+def test_csv_writers_match_cellwise_formatting(tmp_path):
+    special = np.array(SPECIAL)
+    hist = fput.EnergyHistory(times=special, hamiltonian=special[::-1].copy(),
+                              oscillatory=np.stack([special, special[::-1]], axis=1))
+    result = fput.SweepResult(h_omega_over_pi=special, max_energy_error=-special,
+                              max_scaled_i_deviation=special[::-1].copy())
+    table = fput.ReductionTable(rows=tuple(
+        fput.ReductionRow(scheme="lgl4", omega=x, h=-x, err_slow_q=y, err_slow_p=x)
+        for x, y in zip(SPECIAL, SPECIAL[::-1])))
+    expected = {
+        "energy": cellwise_csv("t,H_err,I1,I2,I_total", zip(
+            hist.times.tolist(), hist.energy_error.tolist(), SPECIAL, SPECIAL[::-1],
+            hist.total_oscillatory.tolist())),
+        "sweep": cellwise_csv("h_omega_over_pi,max_H_err,max_scaled_I_dev", zip(
+            SPECIAL, (-special).tolist(), SPECIAL[::-1])),
+        "reduction": cellwise_csv("scheme,omega,h,err_qs,err_ps", (
+            (r.scheme, r.omega, r.h, r.err_slow_q, r.err_slow_p) for r in table.rows)),
+    }
+    for name, obj in (("energy", hist), ("sweep", result), ("reduction", table)):
+        obj.write_csv(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected[name]
 
 
 def test_reduction_records_stage_solve_failures():

@@ -17,6 +17,7 @@ from symparc.integrator import (
     SolverMode,
     SplitForceSystem,
     StageSolveConfig,
+    StageSolveError,
     Trajectory,
     YOSHIDA4_SUBSTEPS,
     YOSHIDA6_SUBSTEPS,
@@ -32,12 +33,15 @@ from symparc.stability import stability_matrix
 from symparc.tableaux import Variant, build_scheme
 
 from _helpers import (
+    SPECIAL_FLOATS,
+    cellwise_csv,
     flow_jacobian_fd,
     harmonic_system,
     scaled_stability_map,
     singular_at_one,
     symplectic_residual,
     textbook_lawson_rk8,
+    textbook_linear_stage_step,
     textbook_rk8,
     tight_config,
 )
@@ -174,6 +178,65 @@ def test_batch_matches_single_state_runs(name, tolerance):
         assert np.max(np.abs(state.p[k] - single.p)) <= 1e-13 * scale
 
 
+def _chain_batch(omegas):
+    """The chain at each of ``omegas`` as one batched system and state."""
+    params = [fput.FputParams(ell=3, omega=w) for w in omegas]
+    systems = [fput.fput_system(p) for p in params]
+    states = [fput.paper_initial_state(p) for p in params]
+    system = SplitForceSystem(dimension=6, f1=systems[0].f1,
+                              omega_sq=np.stack([s.omega_sq for s in systems]))
+    return system, PhaseState(q=np.stack([s.q for s in states]),
+                              p=np.stack([s.p for s in states]))
+
+
+def _assert_members_close(got, want):
+    """Row k of ``got`` within 1e-13 of row k of ``want``, relative to
+    max(1, the largest entry of want's row k)."""
+    for g, w in zip(got.reshape(len(got), -1), want.reshape(len(want), -1)):
+        assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, float(np.max(np.abs(w))))
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("omega, h", [(50.0, 0.04), (1e3, 0.1)], ids=["w50", "w1e3"])
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "lglc4"])
+def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
+    # one step at a time along a 200-step chain run, each from the engine's
+    # state: whole trajectories of the chaotic chain drift apart from roundoff
+    scheme = scheme_from_name(name)
+    if batch:
+        system, state = _chain_batch([omega, 0.3 * omega, 2.0 * omega])
+    else:
+        params = fput.FputParams(ell=3, omega=omega)
+        system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    stepper = ArkStepper(scheme, system)
+
+    def members(x, axis=0):
+        """Member-first view: one row for a single state."""
+        return np.moveaxis(x, axis, 0) if batch else x[None]
+
+    for step in range(200):
+        try:
+            q1, p1, Q, P, Qt, iterations = textbook_linear_stage_step(scheme, system, state, h)
+        except StageSolveError as exc:
+            # lglc4 at h*omega = 100 is outside its stability interval: the
+            # slow-force iteration diverges for both, in the same members
+            with pytest.raises(StageSolveError) as info:
+                stepper.step_with_iterations(state, h)
+            assert set(info.value.members) <= set(exc.members)
+            assert (name, omega) == ("lglc4", 1e3)
+            return
+        got, count = stepper.step_with_iterations(state, h)
+        assert count == iterations, f"step {step}"
+        _assert_members_close(np.stack([members(got.q), members(got.p)], axis=1),
+                              np.stack([members(q1), members(p1)], axis=1))
+        if step % 20 == 0:
+            *stages, count = stepper.solve_stages(state, h)
+            assert count == iterations
+            for got_stage, want_stage in zip(stages, (Q, P, Qt)):
+                _assert_members_close(members(got_stage, 1), members(want_stage, 1))
+        state = got
+
+
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_batch_failures_name_their_members():
     system = SplitForceSystem(dimension=1, omega_sq=[[400.0], [2500.0], [6400.0]])
@@ -217,6 +280,16 @@ def test_batched_state_rejected_where_unsupported():
 # ---------------------------------------------------------------------------
 # system validation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [{"tolerance": 0.0}, {"tolerance": -1e-12},
+                                    {"tolerance": math.nan}, {"tolerance": math.inf},
+                                    {"max_iterations": 0}],
+                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "iters-zero"])
+def test_stage_config_validation(kwargs):
+    # an infinite tolerance would accept the predictor as the converged stages
+    with pytest.raises(ValueError):
+        StageSolveConfig(**kwargs)
+
 
 def test_split_system_validation():
     for bad in (-1.0, math.inf, math.nan):
@@ -289,6 +362,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1], traj.qs[:, 0])
+
+
+def test_trajectory_csv_matches_cellwise_formatting(tmp_path):
+    qs = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]]).T
+    n = len(SPECIAL_FLOATS)
+    traj = Trajectory(times=np.array(SPECIAL_FLOATS), qs=qs, ps=-qs,
+                      stage_iterations=np.arange(3, 3 + 2 * (n - 1)), stride=2)
+    iters = [0] + [int(traj.stage_iterations[2 * row - 1]) for row in range(1, n)]
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == cellwise_csv(
+        "t,q_1,q_2,p_1,p_2,stage_iters",
+        (row + [k] for row, k in zip(np.column_stack((traj.times, qs, -qs)).tolist(), iters)))
 
 
 def test_determinism_bitwise():
