@@ -3,8 +3,6 @@ integration runs and the oscillatory-chain experiment suite.
 
 All numeric output uses 17 significant digits, '.' as decimal separator and
 LF line endings; reruns with identical flags produce byte-identical files.
-The environment variable SYMPARC_SEED is reserved but unused -- every
-computation here is deterministic.
 """
 
 from __future__ import annotations

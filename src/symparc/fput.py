@@ -107,19 +107,41 @@ def _extensions(q, ell: int):
     return q.reshape(-1, 2 * ell).dot(to_uv).dot(to_e)
 
 
-def _quartic_potential(q, ell: int):
-    q = np.asarray(q)
-    e = _extensions(q, ell)
-    e *= e
-    return 0.25 * np.sum(e * e, axis=-1).reshape(q.shape[:-1])
-
-
 def _slow_force(q, ell: int):
     """F1 = -E^T e^3, broadcast over leading axes."""
     q = np.asarray(q)
     g = _extensions(q, ell)
     g *= g * g
     return g.dot(_chain_matrices(ell)[2]).reshape(q.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _energy_weights(ell: int):
+    """Weights of the squared columns of z = (p, omega q_f, e^2) in H."""
+    w = np.full(4 * ell + 1, 0.5)
+    w[3 * ell:] = 0.25
+    w.setflags(write=False)
+    return w
+
+
+def _chain_energies(q, p, omegas, ell: int):
+    """H and the oscillatory energies I_i of chains stacked along leading
+    axes; ``omegas`` is one stiff frequency, or one per chain.
+
+    H has the leading shape and I the leading shape + (ell,).  Every term
+    of H is a square of an entry of z = (p, omega q_f, e^2), so H is one
+    product of z^2 with constant weights, however many chains there are.
+    """
+    q, p = np.asarray(q), np.asarray(p)
+    lead = q.shape[:-1]
+    q, p = q.reshape(-1, 2 * ell), p.reshape(-1, 2 * ell)
+    e = _extensions(q, ell)
+    e *= e
+    w = np.asarray(omegas, dtype=float).reshape(-1, 1)
+    z = np.concatenate((p, w * q[:, ell:], e), axis=1)
+    z *= z
+    osc = 0.5 * (z[:, ell:2 * ell] + z[:, 2 * ell:3 * ell])
+    return z.dot(_energy_weights(ell)).reshape(lead), osc.reshape(lead + (ell,))
 
 
 def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
@@ -138,14 +160,10 @@ def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
 
 def fput_system(params: FputParams) -> SplitForceSystem:
     """Split system for the chain; forces broadcast over leading axes."""
-    ell = params.ell
-    w2 = params.omega ** 2
-
     def hamiltonian(q, p):
-        return (0.5 * float(p @ p) + 0.5 * w2 * float(q[ell:] @ q[ell:])
-                + float(_quartic_potential(q, ell)))
+        return _chain_energies(q, p, params.omega, params.ell)[0]
 
-    return _chain_system(ell, params.omega, hamiltonian)
+    return _chain_system(params.ell, params.omega, hamiltonian)
 
 
 def paper_initial_state(params: FputParams) -> PhaseState:
@@ -169,17 +187,11 @@ class EnergyBreakdown:
 
 
 def energy_breakdown(params: FputParams, state: PhaseState) -> EnergyBreakdown:
-    ell = params.ell
     if state.dimension != params.dimension:
         raise ValueError(f"state dimension {state.dimension} != 2*ell = {params.dimension}")
-    qf = state.q[ell:]
-    pf = state.p[ell:]
-    osc = 0.5 * pf ** 2 + 0.5 * params.omega ** 2 * qf ** 2
-    h = (0.5 * float(state.p @ state.p)
-         + 0.5 * params.omega ** 2 * float(qf @ qf)
-         + float(_quartic_potential(state.q, ell)))
-    return EnergyBreakdown(hamiltonian=h, oscillatory=osc,
-                           total_oscillatory=float(np.sum(osc)))
+    h, osc = _chain_energies(state.q, state.p, params.omega, params.ell)
+    return EnergyBreakdown(hamiltonian=float(h), oscillatory=osc,
+                           total_oscillatory=float(osc.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +267,6 @@ class SweepResult:
                      "%.17g,%.17g,%.17g", (tuple(row.tolist()) for row in cells))
 
 
-def _sweep_energies(state: PhaseState, omegas, ell: int):
-    """H and omega * I_total of each row of a batch of chains."""
-    qf, pf = state.q[:, ell:], state.p[:, ell:]
-    fast = 0.5 * omegas ** 2 * np.sum(qf * qf, axis=1)
-    hamiltonian = (0.5 * np.sum(state.p * state.p, axis=1) + fast
-                   + _quartic_potential(state.q, ell))
-    return hamiltonian, omegas * (0.5 * np.sum(pf * pf, axis=1) + fast)
-
-
 def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
                                omega_grid, tolerance: float = 1e-12) -> SweepResult:
     """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
@@ -291,7 +294,14 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     q[:, ell] = 1.0 / omegas
     state = PhaseState(q=q, p=p)
     rows = np.arange(len(omegas))   # the rows still running
-    h0, i0 = _sweep_energies(state, omegas, ell)
+    ones = np.ones(ell)
+
+    def energies(state, omegas):
+        """H and omega * I_total of each row."""
+        hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
+        return hamiltonian, omegas * osc.dot(ones)
+
+    h0, i0 = energies(state, omegas)
     worst = np.zeros((2, len(omegas)))
     failures = []
     stepper = make_stepper(scheme, _chain_system(ell, omegas), config)
@@ -310,7 +320,7 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
             stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
             continue
         step += 1
-        hamiltonian, scaled_i = _sweep_energies(state, omegas[rows], ell)
+        hamiltonian, scaled_i = energies(state, omegas[rows])
         np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
     results = np.full((2, len(omegas)), math.nan)
     results[:, rows] = worst

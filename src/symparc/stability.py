@@ -411,8 +411,9 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     independent eigenvectors (M = +-I there).  All brackets are refined
     together, one batched call per bisection step.
     """
-    if not mu_max > 0.0:
-        raise ValueError("mu_max must be positive")
+    for name, value in (("mu_max", mu_max), ("grid_step", grid_step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     n = int(math.ceil(mu_max / grid_step)) + 1
     mus = np.linspace(0.0, mu_max, n)
     f = half_trace_samples(scheme, mus)

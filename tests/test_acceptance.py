@@ -30,7 +30,7 @@ from symparc.stability import (
     stability_matrix_samples,
     trig_form_step_check,
 )
-from symparc.tableaux import Variant, build_scheme, verify_order_conditions
+from symparc.tableaux import MAX_STAGES, Variant, build_scheme, verify_order_conditions
 
 from _golden import (
     COLLOCATION_INTERVALS,
@@ -82,7 +82,7 @@ def test_criterion_02_order_condition_suite():
     start = time.time()
     worst = 0.0
     gated = []
-    for s1 in range(2, 9):
+    for s1 in range(2, MAX_STAGES + 1):
         for variant in (Variant.INTERPOLATION, Variant.COLLOCATION):
             report = verify_order_conditions(build_scheme(s1, variant))
             worst = max(worst, report.max_required_residual())
@@ -98,7 +98,7 @@ def test_criterion_02_order_condition_suite():
             elif row.residual > 1e-11:
                 gated.append((s1, variant.value, "row sums off"))
     ok = worst < 1e-11 and not gated
-    _criterion(2, "order conditions for s1=2..8", ok,
+    _criterion(2, f"order conditions for s1=2..{MAX_STAGES}", ok,
                f"max required residual {worst:.2e} < 1e-11, hypothesis gating correct",
                time.time() - start, 1.0)
 

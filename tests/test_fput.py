@@ -28,6 +28,11 @@ from _helpers import (
 )
 
 
+def _quartic_potential(q, ell):
+    """V = 1/4 sum e^4: the chain energy at p = 0 without stiff springs."""
+    return fput._chain_energies(q, np.zeros_like(q), 0.0, ell)[0]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         FputParams(ell=0, omega=1.0)
@@ -45,7 +50,7 @@ def test_forces_vanish_at_origin():
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 5])
 def test_slow_force_is_gradient_of_quartic_potential(ell):
-    from symparc.fput import _quartic_potential, _slow_force
+    from symparc.fput import _slow_force
     rng = np.random.default_rng(42)
     eps = 1e-6
     for _ in range(100):
@@ -73,7 +78,7 @@ def test_slow_force_broadcasts():
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 5])
 def test_matrix_force_matches_slicing_form(ell):
-    from symparc.fput import _quartic_potential, _slow_force
+    from symparc.fput import _slow_force
     rng = np.random.default_rng(ell)
     d = 2 * ell
     for shape in [(d,), (4, d), (450, 3, d)]:
@@ -109,6 +114,28 @@ def test_energy_breakdown_values():
     expected_h = 1.0 + 0.5 + (0.98 ** 4 + 1.02 ** 4) / 4.0
     assert abs(b.hamiltonian - expected_h) < 1e-14
     assert abs(b.hamiltonian - 2.00120008) < 1e-9
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_chain_energies_batch_rows_match_single_states(ell):
+    rng = np.random.default_rng(3 + ell)
+    omegas = np.geomspace(1.0, 1e4, 450)
+    q = rng.uniform(-2.0, 2.0, (450, 2 * ell)) / np.c_[np.ones((450, ell)),
+                                                       np.tile(omegas[:, None], ell)]
+    p = rng.uniform(-2.0, 2.0, (450, 2 * ell))
+    h, osc = fput._chain_energies(q, p, omegas, ell)
+    assert h.shape == (450,) and osc.shape == (450, ell)
+    for i, omega in enumerate(omegas):
+        params = FputParams(ell=ell, omega=omega)
+        single = energy_breakdown(params, PhaseState(q=q[i], p=p[i]))
+        assert abs(h[i] - single.hamiltonian) <= 1e-15 * abs(single.hamiltonian)
+        assert np.all(np.abs(osc[i] - single.oscillatory) <= 1e-15 * single.oscillatory)
+        assert fput_system(params).energy(PhaseState(q=q[i], p=p[i])) == single.hamiltonian
+    # a stack of chains with one frequency broadcasts over every leading axis
+    stacked = fput._chain_energies(q.reshape(3, 150, -1), p.reshape(3, 150, -1), 2.0, ell)
+    flat = fput._chain_energies(q, p, 2.0, ell)
+    assert stacked[0].shape == (3, 150) and stacked[1].shape == (3, 150, ell)
+    assert np.allclose(stacked[0].ravel(), flat[0], rtol=1e-15, atol=0.0)
 
 
 def test_energy_breakdown_dimension_mismatch():

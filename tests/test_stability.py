@@ -286,6 +286,12 @@ def test_tangency_matrix_is_minus_identity():
 def test_intervals_argument_validation():
     with pytest.raises(ValueError):
         stability_intervals(LGL4, 0.0)
+    for mu_max in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu_max"):
+            stability_intervals(LGL4, mu_max)
+    for grid_step in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid_step"):
+            stability_intervals(LGL4, 1.0, grid_step=grid_step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symparc.tableaux import (
+    MAX_STAGES,
     Variant,
     build_scheme,
     conjugate_primary,
@@ -113,13 +115,35 @@ def test_cardinal_duplicate_nodes_rejected():
         lagrange_cardinal_integral([0.0, 0.0, 1.0], 1, 0.5)
 
 
+def test_cardinal_index_out_of_range_rejected():
+    nodes = [0.0, 0.5, 1.0]
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="cardinal index"):
+            lagrange_cardinal(nodes, j, 0.3)
+        with pytest.raises(ValueError, match="cardinal index"):
+            lagrange_cardinal_integral(nodes, j, 0.3)
+
+
+def test_cardinal_scalar_and_array_arguments():
+    nodes = lobatto_quadrature(4).nodes
+    ts = np.array([[0.1, 0.6], [0.9, 1.0]])
+    assert isinstance(lagrange_cardinal(nodes, 1, 0.1), float)
+    assert isinstance(lagrange_cardinal_integral(nodes, 1, 0.1), float)
+    values = lagrange_cardinal(nodes, 1, ts)
+    integrals = lagrange_cardinal_integral(nodes, 1, ts)
+    assert values.shape == integrals.shape == ts.shape
+    for t, v, i in zip(ts.ravel(), values.ravel(), integrals.ravel()):
+        assert v == lagrange_cardinal(nodes, 1, t)
+        assert i == lagrange_cardinal_integral(nodes, 1, t)
+
+
 def test_cardinal_integral_examples():
     assert lagrange_cardinal_integral([0.0, 1.0], 0, 0.0) == 0.0
     assert abs(lagrange_cardinal_integral([0.0, 1.0], 0, 0.5) - 3.0 / 8.0) < 1e-16
     assert abs(lagrange_cardinal_integral([0.0, 1.0], 1, 0.5) - 1.0 / 8.0) < 1e-16
 
 
-@pytest.mark.parametrize("s", [3, 5, 8])
+@pytest.mark.parametrize("s", [3, 5, 8, 12])
 def test_cardinal_integral_against_mpmath_quadrature(s):
     nodes = lobatto_quadrature(s).nodes
     uppers = [0.21, 0.5, 0.77, 1.0]
@@ -132,8 +156,7 @@ def test_cardinal_integral_against_mpmath_quadrature(s):
             return out
         for upper in uppers:
             oracle = float(mpmath.quad(cardinal, [0.0, upper]))
-            bound = 1e-13 if s <= 6 else 1e-12
-            assert abs(lagrange_cardinal_integral(nodes, j, upper) - oracle) < bound
+            assert abs(lagrange_cardinal_integral(nodes, j, upper) - oracle) < 1e-13
 
 
 def test_cardinal_evaluation_consistent_with_interpolation_coupling():
@@ -160,10 +183,9 @@ def test_lobatto_iiia_golden_rows():
     assert np.max(np.abs(t4.a[-1] - t4.b)) < 1e-15
 
 
-@pytest.mark.parametrize("s", range(2, 13))
+@pytest.mark.parametrize("s", range(2, MAX_STAGES + 1))
 def test_lobatto_iiia_row_sums(s):
-    bound = 1e-14 if s <= 6 else (1e-11 if s <= 10 else 1e-9)
-    assert lobatto_iiia(s).row_sum_residual() < bound
+    assert lobatto_iiia(s).row_sum_residual() < 1e-14
 
 
 def test_conjugate_primary_golden():
@@ -205,14 +227,12 @@ def test_tilde_a_values():
     assert abs(a_col4[0, 0] - (1 / 6 - R3 / 108)) < 1e-16
 
 
-@given(st.integers(min_value=2, max_value=8),
+@given(st.integers(min_value=2, max_value=MAX_STAGES),
        st.sampled_from([Variant.INTERPOLATION, Variant.COLLOCATION]))
 @settings(max_examples=20, deadline=None)
 def test_coupling_row_sums_are_secondary_nodes(s1, variant):
     scheme = build_scheme(s1, variant)
-    # monomial-basis integration roundoff grows with the stage count
-    bound = 1e-13 if s1 <= 6 else 1e-11
-    assert np.max(np.abs(scheme.a_tilde.sum(axis=1) - scheme.c_tilde)) < bound
+    assert np.max(np.abs(scheme.a_tilde.sum(axis=1) - scheme.c_tilde)) < 1e-13
 
 
 def test_conjugate_tilde_values():
@@ -241,6 +261,96 @@ def test_build_scheme_matches_golden(s1, variant):
     assert np.max(np.abs(scheme.a_tilde_hat - coupling["AtildeHat"])) < 1e-14
     assert scheme.order == 2 * (s1 - 1)
     assert scheme.s2 == s1 - 1
+
+
+def _mp_legendre(n, x):
+    """(P_n(x), P_{n-1}(x), P_n'(x)) by the three-term recurrence."""
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    return p, p_prev, n * (x * p - p_prev) / (x * x - 1)
+
+
+def _mp_newton(step, guesses):
+    roots = []
+    for x in guesses:
+        x = mpmath.mpf(float(x))
+        for _ in range(100):
+            dx = step(x)
+            x -= dx
+            if abs(dx) < mpmath.mpf(10) ** (-mpmath.mp.dps + 5):
+                break
+        roots.append(x)
+    return roots
+
+
+def _mp_cardinal(nodes, j):
+    """Monomial coefficients (increasing powers) of L_j; at 50 digits the
+    basis' ill-conditioning costs nothing visible in doubles."""
+    coeffs = [mpmath.mpf(1)]
+    for k, ck in enumerate(nodes):
+        if k != j:
+            shifted = [mpmath.mpf(0)] + coeffs          # t * L
+            scaled = [-ck * a for a in coeffs] + [0]    # -c_k * L
+            coeffs = [(u + v) / (nodes[j] - ck) for u, v in zip(shifted, scaled)]
+    return coeffs
+
+
+def _mp_eval(coeffs, t):
+    return mpmath.polyval(coeffs[::-1], t)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_scheme(s1, variant):
+    """The eight coefficient arrays of build_scheme(s1, variant) at 50 digits,
+    as nested lists of mpf: nodes by Newton on the Legendre recurrence,
+    integrals of monomial expansions."""
+    with mpmath.workdps(50):
+        n, s2 = s1 - 1, s1 - 1
+
+        def lobatto_step(x):
+            p, _, dp = _mp_legendre(n, x)
+            return dp * (1 - x * x) / (2 * x * dp - n * (n + 1) * p)
+
+        def gauss_step(x):
+            p, _, dp = _mp_legendre(s2, x)
+            return p / dp
+
+        guess = 2 * lobatto_quadrature(s1).nodes[1:-1] - 1
+        x = [mpmath.mpf(-1)] + _mp_newton(lobatto_step, guess) + [mpmath.mpf(1)]
+        c = [(xi + 1) / 2 for xi in x]
+        b = [mpmath.mpf(1) / (s1 * n)] + [1 / (s1 * n * _mp_legendre(n, xi)[0] ** 2)
+                                           for xi in x[1:-1]] + [mpmath.mpf(1) / (s1 * n)]
+        xt = _mp_newton(gauss_step, 2 * gauss_legendre_quadrature(s2).nodes - 1)
+        ct = [(xi + 1) / 2 for xi in xt]
+        bt = [1 / ((1 - xi * xi) * _mp_legendre(s2, xi)[2] ** 2) for xi in xt]
+        cardinals = [_mp_cardinal(c, j) for j in range(s1)]
+        anti = [[0] + [a / (i + 1) for i, a in enumerate(ell)] for ell in cardinals]
+        a = [[_mp_eval(anti[j], ci) for j in range(s1)] for ci in c]
+        a_hat = [[b[j] - b[j] * a[j][i] / b[i] for j in range(s1)] for i in range(s1)]
+        if variant is Variant.INTERPOLATION:
+            a_tilde = [[mpmath.fsum(_mp_eval(cardinals[k], cti) * a[k][j] for k in range(s1))
+                        for j in range(s1)] for cti in ct]
+        else:
+            a_tilde = [[_mp_eval(anti[j], cti) for j in range(s1)] for cti in ct]
+        a_tilde_hat = [[bt[k] * (1 - a_tilde[k][i] / b[i]) for k in range(s2)]
+                       for i in range(s1)]
+    return {"a": a, "a_hat": a_hat, "a_tilde": a_tilde, "a_tilde_hat": a_tilde_hat,
+            "b": b, "c": c, "b_tilde": bt, "c_tilde": ct}
+
+
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
+@pytest.mark.parametrize("variant", [Variant.INTERPOLATION, Variant.COLLOCATION])
+def test_tableaux_match_mpmath(s1, variant):
+    scheme = build_scheme(s1, variant)
+    exact = _mp_scheme(s1, variant)
+    with mpmath.workdps(50):
+        for name, ref in exact.items():
+            got = np.atleast_2d(getattr(scheme, name))
+            ref = ref if isinstance(ref[0], list) else [ref]
+            worst = max(abs(mpmath.mpf(float(g)) - r)
+                        for grow, rrow in zip(got, ref) for g, r in zip(grow, rrow))
+            assert worst < 2e-15, (name, float(worst))
 
 
 def test_build_scheme_errors():
@@ -272,7 +382,7 @@ def test_symplectic_conjugacy_entrywise(s1, variant):
 # the weighted row/column identities behind the order statement
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("s1", range(2, 9))
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
 def test_interpolation_weight_transfer(s1):
     # L(ct)^T bt = b whenever the secondary rule is exact to degree s1-1
     scheme = build_scheme(s1, Variant.INTERPOLATION)
@@ -281,7 +391,7 @@ def test_interpolation_weight_transfer(s1):
     assert np.max(np.abs(ell.T @ scheme.b_tilde - scheme.b)) < 1e-13
 
 
-@pytest.mark.parametrize("s1", range(3, 9))
+@pytest.mark.parametrize("s1", range(3, MAX_STAGES + 1))
 @pytest.mark.parametrize("variant", [Variant.INTERPOLATION, Variant.COLLOCATION])
 def test_coupling_transpose_identity(s1, variant):
     # At^T bt = B (1 - c) under the lemma hypotheses (s1 >= 3)
@@ -301,7 +411,7 @@ def test_coupling_transpose_identity_fails_for_two_stages():
         assert not conjugate_row_sum_hypotheses_met(scheme)
 
 
-@pytest.mark.parametrize("s1", range(2, 9))
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
 @pytest.mark.parametrize("variant", [Variant.INTERPOLATION, Variant.COLLOCATION])
 def test_order_condition_report(s1, variant):
     scheme = build_scheme(s1, variant)
