@@ -21,6 +21,7 @@ from symparc.integrator import (
     SolverMode,
     SplitForceSystem,
     StageSolveConfig,
+    _write_table,
     integrate,
     scheme_from_name,
 )
@@ -75,17 +76,9 @@ def _tableau_csv(scheme) -> str:
 
 def _cmd_tableau(args) -> int:
     scheme = build_scheme(args.s1, args.variant)
-    if args.format == "csv":
-        text = _tableau_csv(scheme)
-        if args.verify:
-            raise ValueError("--verify needs --format json")
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return 0
-    text = scheme_to_json(scheme)
+    if args.verify and args.format == "csv":
+        raise ValueError("--verify needs --format json")
+    text = _tableau_csv(scheme) if args.format == "csv" else scheme_to_json(scheme)
     if args.verify:
         report = verify_order_conditions(scheme)
         entries = ",\n    ".join(
@@ -100,9 +93,7 @@ def _cmd_tableau(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.verify and not report.passed:
-        return 1
-    return 0
+    return 1 if args.verify and not report.passed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +113,20 @@ def _report_json(report: stab.StabilityReport) -> str:
 def _cmd_stability(args) -> int:
     if not (args.mu_max > 0.0 and math.isfinite(args.mu_max)):
         raise ValueError("--mu-max must be positive and finite")
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1")
     scheme = scheme_from_name(args.scheme)
     report = stab.stability_intervals(scheme, args.mu_max)
 
     mus = np.linspace(0.0, args.mu_max, args.grid)
     M = stab.stability_matrix_samples(scheme, mus)
-    ht = 0.5 * (M[:, 0, 0] + M[:, 1, 1])
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    with np.errstate(invalid="ignore"):
-        mu_t = np.arccos(np.clip(ht, -1.0, 1.0))
-        mu_t[np.abs(ht) > 1.0 + 1e-12] = math.nan
-
-    csv_path = args.out + ".csv"
-    json_path = args.out + ".json"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("mu,half_trace,det,m11,m22,modified_mu\n")
-        for i in range(len(mus)):
-            fh.write(",".join(_fmt(x) for x in (
-                mus[i], ht[i], det[i], M[i, 0, 0], M[i, 1, 1], mu_t[i])) + "\n")
-    with open(json_path, "w", newline="\n") as fh:
+    m11, m22 = M[:, 0, 0], M[:, 1, 1]
+    ht = 0.5 * (m11 + m22)
+    det = m11 * m22 - M[:, 0, 1] * M[:, 1, 0]
+    _write_table(args.out + ".csv", "mu,half_trace,det,m11,m22,modified_mu",
+                 ",".join(["%.17g"] * 6), zip(*(col.tolist() for col in (
+                     mus, ht, det, m11, m22, stab._modified_mu(ht)))))
+    with open(args.out + ".json", "w", newline="\n") as fh:
         fh.write(_report_json(report) + "\n")
     print(f"{report.scheme_id}: p_stable={report.p_stable} "
           f"intervals={[(round(a, 6), round(b, 6)) for a, b in report.intervals]}",
@@ -214,25 +200,18 @@ def _write_trajectory_json(traj, path):
 # ---------------------------------------------------------------------------
 
 def _cmd_fput(args) -> int:
-    if args.experiment == "energy":
-        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
-        h = _given(args.h, 2.0 / params.omega)
-        T = _given(args.T, 200.0)
+    if args.experiment in ("energy", "highfreq"):
+        energy = args.experiment == "energy"
+        params = fputmod.FputParams(ell=args.ell,
+                                    omega=_given(args.omega, 50.0 if energy else 1000.0))
+        h = _given(args.h, 2.0 / params.omega if energy else 0.1)
+        T = _given(args.T, 200.0 if energy else 4000.0)
         history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
                                             config=_stage_config(args))
-        history.write_csv(args.out or "energy.csv")
-        print(f"energy: {len(history.times) - 1} steps, "
-              f"max |H-H0| = {_fmt(np.max(history.energy_error))}", file=sys.stderr)
-        return 0
-
-    if args.experiment == "highfreq":
-        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 1000.0))
-        h = _given(args.h, 0.1)
-        T = _given(args.T, 4000.0)
-        history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
-                                            config=_stage_config(args))
-        history.write_csv(args.out or "highfreq.csv")
-        print(f"highfreq: h*omega/pi = {_fmt(h * params.omega / math.pi)}, "
+        history.write_csv(args.out or args.experiment + ".csv")
+        detail = (f"{len(history.times) - 1} steps" if energy
+                  else f"h*omega/pi = {_fmt(h * params.omega / math.pi)}")
+        print(f"{args.experiment}: {detail}, "
               f"max |H-H0| = {_fmt(np.max(history.energy_error))}", file=sys.stderr)
         return 0
 
@@ -296,10 +275,7 @@ def _cmd_converge(args) -> int:
         slope = fputmod.fit_loglog_slope(h_list, errs, floor=1e-12)
         print(f"{name}: slope {slope:.3f}", file=sys.stderr)
         rows += [(name, h, e) for h, e in zip(h_list, errs)]
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("scheme,h,err\n")
-        for name, h, e in rows:
-            fh.write(f"{name},{_fmt(h)},{_fmt(e)}\n")
+    _write_table(args.out, "scheme,h,err", "%s,%.17g,%.17g", rows)
     return 0
 
 

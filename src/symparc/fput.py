@@ -228,8 +228,8 @@ def experiment_energy(scheme, params: FputParams, h: float, T: float,
     """Integrate from the standard initial state, recording H and I_i per step."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    if not T >= 0.0:
-        raise ValueError("T must be nonnegative")
+    if not (T >= 0.0 and math.isfinite(T)):
+        raise ValueError(f"T must be nonnegative and finite, got {T!r}")
     system = fput_system(params)
     state0 = paper_initial_state(params)
     n_steps = int(round(T / h)) if T > 0 else 0

@@ -13,8 +13,10 @@ rotation by the modified frequency  mu_tilde = arccos(tr M / 2), and on
 q'' = -omega^2 q + f(q) it admits a two-step trigonometric form with filter
 weights  psi_i = b^T (I + mu^2 AtH At)^{-1} ahat_i.
 
-Every mu sweep goes through one kernel, :func:`stability_matrix_samples`.
-It never factors the (s2+s1) stage block itself.  Writing the stage vector as
+Every mu-dependent quantity goes through one kernel, for an array of mu at
+once.  It solves S(mu) X = [E | (0; ahat_i)]; the column (0; ahat_i) gives
+Qt = mu At P and P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  It
+never factors the (s2+s1) stage block itself.  Writing the stage vector as
 (Qt, P), the momenta satisfy P = R_p - mu AtH Qt, which leaves the s2 x s2
 Schur complement  (I + nu G) Qt = R_q + mu At R_p  with G = At AtH and
 nu = mu^2: the same (I + mu^2 ...)^{-1} structure as the filter functions,
@@ -34,7 +36,7 @@ X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
 the same factors gives M'(mu) = W S(mu)^{-1} X; the interval
 search bisects it to locate tangencies.  All per-mu sums are accumulated
 elementwise, term by term, never through BLAS, so a mu gives bitwise the
-same M in any batch: a scalar call agrees with the sweep that contains it.
+same M and psi in any batch: a scalar call agrees with any sweep holding it.
 """
 
 from __future__ import annotations
@@ -129,15 +131,16 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class FilterEvaluation:
-    """Filter weights psi_i and modified frequency at one mu.
+    """Filter weights psi_i and modified frequency at one mu, or at N of them
+    with shapes mu (N,), psi (N, s1) and modified_mu (N,).
 
     ``modified_mu`` is NaN where the method is unstable.  For a Lobatto
     primary the last filter vanishes identically (last column of a_hat).
     """
 
-    mu: float
+    mu: float | np.ndarray
     psi: np.ndarray
-    modified_mu: float
+    modified_mu: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class M11M22Check:
 
 
 # mu values per pass of the kernel; bounds the (s2, s2, chunk) factors and
-# the (s2 + s1, 2, chunk) solutions
+# the (s2 + s1, 2 + k, chunk) solutions
 _CHUNK = 8192
 
 
@@ -249,11 +252,14 @@ def _chunk_solvers(scheme: ArkScheme, mus):
                functools.partial(_refined_solve, scheme, Q, _lu_hessenberg(H, m), m))
 
 
-def _unit_rhs(scheme: ArkScheme, n: int):
-    """E: the all-ones vectors of the two stage blocks, once per mu."""
-    E = np.zeros((scheme.s2 + scheme.s1, 2, n))
+def _unit_rhs(scheme: ArkScheme, n: int, extra=None):
+    """E: the all-ones vectors of the two stage blocks, once per mu, followed
+    by a column (0; extra[:, i]) for each column of ``extra`` (s1, k)."""
+    extra = np.empty((scheme.s1, 0)) if extra is None else extra
+    E = np.zeros((scheme.s2 + scheme.s1, 2 + extra.shape[1], n))
     E[:scheme.s2, 0] = 1.0
     E[scheme.s2:, 1] = 1.0
+    E[scheme.s2:, 2:] = extra[:, :, None]
     return E
 
 
@@ -264,14 +270,24 @@ def _weigh(scheme: ArkScheme, X):
                            -_apply(scheme.b_tilde[None, :], X[:s2])])
 
 
+def _solve_samples(scheme: ArkScheme, mus, extra=None):
+    """M(mu), shape (N, 2, 2), and b^T P for each column (0; extra[:, i]),
+    shape (N, k), from one refined solve of [E | (0; extra)] per chunk."""
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    if mus.ndim != 1:
+        raise ValueError("mu must be a scalar or a 1-d array")
+    M = np.empty((len(mus), 2, 2))
+    bP = np.empty((len(mus), 0 if extra is None else extra.shape[1]))
+    for part, m, solve in _chunk_solvers(scheme, mus):
+        WX = _weigh(scheme, solve(_unit_rhs(scheme, len(m), extra)))
+        M[part] = np.eye(2) + m[:, None, None] * WX[:, :2].transpose(2, 0, 1)
+        bP[part] = WX[0, 2:].T
+    return M, bP
+
+
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out = np.empty((len(mus), 2, 2))
-    for part, m, solve in _chunk_solvers(scheme, mus):
-        WX = _weigh(scheme, solve(_unit_rhs(scheme, len(m))))
-        out[part] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
-    return out
+    return _solve_samples(scheme, mus)[0]
 
 
 def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
@@ -318,29 +334,39 @@ def check_m11_equals_m22(scheme: ArkScheme, mu_samples) -> M11M22Check:
     return M11M22Check(max_deviation=deviation, lhs=lhs, rhs=rhs)
 
 
-def modified_frequency(scheme: ArkScheme, mu: float) -> float:
-    """mu_tilde = arccos(half trace) in [0, pi]; raises where unstable."""
-    ht = half_trace(scheme, mu)
-    if abs(ht) > 1.0 + _STABLE_SLACK:
-        raise NotStableError(f"|half trace| = {abs(ht):.6g} > 1 at mu = {mu:g}")
-    return math.acos(min(1.0, max(-1.0, ht)))
+def _modified_mu(half_trace):
+    """arccos of the half trace in [0, pi]; NaN where |half trace| > 1 + slack."""
+    ht = np.asarray(half_trace, dtype=float)
+    return np.where(np.abs(ht) > 1.0 + _STABLE_SLACK, np.nan,
+                    np.arccos(np.clip(ht, -1.0, 1.0)))
 
 
-def filter_functions(scheme: ArkScheme, mu: float) -> FilterEvaluation:
-    """psi_i(mu) = b^T (I + mu^2 AtH At)^{-1} ahat_i for each column of a_hat."""
-    mu = float(mu)
-    K = np.eye(scheme.s1) + mu * mu * (scheme.a_tilde_hat @ scheme.a_tilde)
-    try:
-        v = np.linalg.solve(K.T, scheme.b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStageSystemError(f"I + mu^2 AtH At singular at mu = {mu:g}") from exc
-    psi = scheme.a_hat.T @ v
-    ht = half_trace(scheme, mu)
-    if abs(ht) <= 1.0 + _STABLE_SLACK:
-        mu_tilde = math.acos(min(1.0, max(-1.0, ht)))
-    else:
-        mu_tilde = math.nan
-    return FilterEvaluation(mu=mu, psi=psi, modified_mu=mu_tilde)
+def modified_frequency(scheme: ArkScheme, mu):
+    """mu_tilde = arccos(half trace) in [0, pi] for a scalar or a 1-d array of
+    mu; raises NotStableError naming the first unstable mu."""
+    mus = np.asarray(mu, dtype=float)
+    ht = half_trace_samples(scheme, mus)
+    mu_t = _modified_mu(ht)
+    if np.isnan(mu_t).any():
+        i = int(np.argmax(np.isnan(mu_t)))
+        raise NotStableError(
+            f"|half trace| = {abs(ht[i]):.6g} > 1 at mu = {np.atleast_1d(mus)[i]:g}")
+    return float(mu_t[0]) if mus.ndim == 0 else mu_t
+
+
+def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
+    """psi_i(mu) = b^T (I + mu^2 AtH At)^{-1} ahat_i for each column of a_hat,
+    with the modified frequency, for a scalar or a 1-d array of mu.
+
+    psi_i is b^T P for the right-hand side (0; ahat_i) of the kernel's own
+    refined solve: eliminating Qt = mu At P leaves (I + mu^2 AtH At) P = ahat_i.
+    """
+    mus = np.array(mu, dtype=float)
+    M, psi = _solve_samples(scheme, mus, scheme.a_hat)
+    mu_t = _modified_mu(0.5 * (M[:, 0, 0] + M[:, 1, 1]))
+    if mus.ndim == 0:
+        return FilterEvaluation(mu=float(mus), psi=psi[0], modified_mu=float(mu_t[0]))
+    return FilterEvaluation(mu=mus, psi=psi, modified_mu=mu_t)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +443,7 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     n = int(math.ceil(mu_max / grid_step)) + 1
     mus = np.linspace(0.0, mu_max, n)
     f = half_trace_samples(scheme, mus)
-
-    def f_at(x):
-        return half_trace_samples(scheme, x)
-
+    f_at = functools.partial(half_trace_samples, scheme)
     stable = np.abs(f) <= 1.0 + _TANGENCY_SLACK
 
     # the crossing is through +1 or -1 depending on the local values; in a

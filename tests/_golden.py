@@ -158,7 +158,7 @@ def filters_order4(mu):
     den = mu ** 4 + 12.0 * mu ** 2 + 144.0
     return np.array([2.0 * (-mu ** 2 + 12.0) / den,
                      2.0 * (mu ** 2 + 24.0) / den,
-                     0.0])
+                     0.0 * den])
 
 
 def filters_order6(mu):
@@ -168,5 +168,5 @@ def filters_order6(mu):
         (2.0 * mu ** 4 - 140.0 * mu ** 2 + 1200.0) / den,
         (-core - 50.0 * mu ** 2 + 3000.0) / den,
         (core - 50.0 * mu ** 2 + 3000.0) / den,
-        0.0,
+        0.0 * den,
     ])

@@ -140,12 +140,10 @@ def test_criterion_04_closed_form_agreement(schemes):
         min(abs(m - 2.0 * math.sqrt(15.0)) for m in res6),
     )
 
-    filt_err = 0.0
-    for mu in np.linspace(0.0, 15.0, 401):
-        filt_err = max(filt_err, float(np.max(np.abs(
-            filter_functions(schemes["lgl4"], mu).psi - filters_order4(mu)))))
-        filt_err = max(filt_err, float(np.max(np.abs(
-            filter_functions(schemes["lgl6"], mu).psi - filters_order6(mu)))))
+    mus = np.linspace(0.0, 15.0, 401)
+    filt_err = max(
+        float(np.max(np.abs(filter_functions(schemes["lgl4"], mus).psi - filters_order4(mus).T))),
+        float(np.max(np.abs(filter_functions(schemes["lgl6"], mus).psi - filters_order6(mus).T))))
 
     s6 = schemes["lgl6"]
     g = s6.a_tilde_hat @ s6.a_tilde

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from symparc import fput, stability
 from symparc.cli import main
+from symparc.integrator import scheme_from_name
+
+from _helpers import cellwise_csv
 
 R3 = math.sqrt(3.0)
 
@@ -85,6 +89,30 @@ def test_stability_usage_error(tmp_path, capsys):
                     "--out", "/tmp/x"]) == 2
     assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "inf",
                     "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_stability_rejects_empty_grid(tmp_path, capsys, grid):
+    assert run_cli(["stability", "--scheme", "lgl4", "--grid", grid,
+                    "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: --grid")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_csv_is_cellwise(tmp_path, capsys):
+    # lglc4 on [0, 12] has unstable stretches, so modified_mu holds NaNs
+    assert run_cli(["stability", "--scheme", "lglc4", "--mu-max", "12",
+                    "--grid", "97", "--out", str(tmp_path / "s")]) == 0
+    mus = np.linspace(0.0, 12.0, 97)
+    scheme = scheme_from_name("lglc4")
+    M = stability.stability_matrix_samples(scheme, mus)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    mu_t = stability.filter_functions(scheme, mus).modified_mu
+    assert np.isnan(mu_t).any()
+    rows = zip(mus.tolist(), stability.half_trace_samples(scheme, mus).tolist(),
+               det.tolist(), M[:, 0, 0].tolist(), M[:, 1, 1].tolist(), mu_t.tolist())
+    expected = cellwise_csv("mu,half_trace,det,m11,m22,modified_mu", rows)
+    assert (tmp_path / "s.csv").read_bytes() == expected
 
 
 def test_integrate_free_problem(tmp_path, capsys):
@@ -175,6 +203,14 @@ def test_fput_energy_rejects_zero_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["energy", "highfreq"])
+def test_fput_energy_rejects_infinite_time(tmp_path, capsys, experiment):
+    out = tmp_path / "energy.csv"
+    assert run_cli(["fput", experiment, "--T", "inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: T must be nonnegative and finite")
+    assert not out.exists()
+
+
 def test_fput_highfreq_runs_at_given_omega(tmp_path, capsys):
     # 50 is the other experiments' default; highfreq must not replace it by 1000
     out = tmp_path / "highfreq.csv"
@@ -249,3 +285,14 @@ def test_converge_runs(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "scheme,h,err"
     assert len(lines) == 4
+
+
+def test_converge_csv_is_cellwise(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    h_list = [0.05, 0.025]
+    assert run_cli(["converge", "--schemes", "lgl2,lgl4", "--omega", "1", "--T", "0.5",
+                    "--h-list", "0.05,0.025", "--out", str(out)]) == 0
+    rows = [(name, h, e) for name in ("lgl2", "lgl4")
+            for h, e in zip(h_list, fput.convergence_errors(
+                name, fput.FputParams(ell=3, omega=1.0), h_list, 0.5))]
+    assert out.read_bytes() == cellwise_csv("scheme,h,err", rows)
