@@ -37,10 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from symparc.integrator import (
+    NonconvergenceError,
     PhaseState,
     SplitForceSystem,
     StageSolveConfig,
     StageSolveError,
+    _at_step,
     _write_table,
     integrate,
     make_stepper,
@@ -371,6 +373,55 @@ class ReductionTable:
                      ((r.scheme, r.omega, r.h, r.err_slow_q, r.err_slow_p) for r in self.rows))
 
 
+def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: float,
+                       h_grid: np.ndarray, config: StageSolveConfig | None):
+    """States at T of one run of ``scheme`` per step size, stepped as one batch.
+
+    Each h is nudged to T / n with n = max(1, round(T / h)) steps, so every
+    run lands exactly on T.  The runs start from ``state0`` as the members of
+    one batched state, which one stepper advances by one step of each
+    member's own size at a time; a member leaves the batch after its n-th
+    step.  Each member's state is bitwise the one a single-state
+    :func:`integrate` run reaches.  A member whose stage solve fails leaves
+    the batch, and the step is redone without it.
+
+    Returns (h_run, q, p, failures): the nudged step sizes, the final q and
+    p of each run (NaN rows for a failed run), shape (len(h_grid), d), and
+    (index, error) for each failed run in h-grid order; a
+    NonconvergenceError is restated with its step as :func:`integrate`
+    states it.
+    """
+    n_steps = np.maximum(1, np.rint(T / h_grid)).astype(int)
+    h_run = T / n_steps
+    stepper = make_stepper(scheme, system, config)
+    runs = len(h_grid)
+    finals = np.full((2, runs, state0.dimension), math.nan)
+    failures = []
+    rows = np.arange(runs)   # the runs still in the batch
+    state = PhaseState(q=np.tile(state0.q, (runs, 1)), p=np.tile(state0.p, (runs, 1)),
+                       t=np.full(runs, state0.t))
+    step = 0
+    while len(rows):
+        try:
+            state = stepper.step(state, h_run[rows])
+        except StageSolveError as exc:
+            keep = np.zeros(len(rows), dtype=bool)
+            if exc.members:   # a failure not pinned to members fails them all
+                keep[:] = True
+                keep[list(exc.members)] = False
+            for i in rows[~keep]:
+                failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
+                                 if isinstance(exc, NonconvergenceError) else exc))
+        else:
+            step += 1
+            keep = n_steps[rows] != step
+            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
+        if not keep.all():
+            rows = rows[keep]
+            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
+    return h_run, finals[0], finals[1], sorted(failures, key=lambda failure: failure[0])
+
+
 def experiment_order_reduction(scheme_names, params: FputParams, T: float,
                                h_grid, omega_grid,
                                config: StageSolveConfig | None = None,
@@ -380,9 +431,10 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     One reference solve per omega is shared by all (scheme, h) pairs.  Each
     requested h is nudged to the nearest value with an integer step count,
     so every run lands exactly on T (a terminal-time offset of even 1e-5
-    would swamp the errors measured here).  A run that fails in the stage
-    solve is recorded with NaN errors and its cause in ``failures``; any
-    other exception propagates.
+    would swamp the errors measured here).  A scheme's runs over the h grid
+    are stepped as one batch, each as it would run alone.  A run that fails
+    in the stage solve is recorded with NaN errors and its cause in
+    ``failures``; any other exception propagates.
     """
     h_grid = _step_grid(h_grid)
     ell = params.ell
@@ -394,21 +446,14 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
         state0 = paper_initial_state(p)
         ref = reference_solve(system, state0, T, tol=reference_tol)
         for name in scheme_names:
-            for h in h_grid:
-                n_steps = max(1, int(round(T / h)))
-                h_run = T / n_steps
-                try:
-                    traj = integrate(name, system, state0, h_run, n_steps,
-                                     config=config, stride=n_steps)
-                    final = traj.final_state()
-                    err_q = float(np.max(np.abs(final.q[:ell] - ref.q[:ell])))
-                    err_p = float(np.max(np.abs(final.p[:ell] - ref.p[:ell])))
-                except StageSolveError as exc:
-                    failures.append((len(rows), f"{type(exc).__name__}: {exc}"))
-                    err_q = err_p = math.nan
-                rows.append(ReductionRow(scheme=name, omega=float(omega),
-                                         h=h_run, err_slow_q=err_q,
-                                         err_slow_p=err_p))
+            h_run, q, p_final, failed = _grid_final_states(name, system, state0, T,
+                                                           h_grid, config)
+            err_q = np.max(np.abs(q[:, :ell] - ref.q[:ell]), axis=1)
+            err_p = np.max(np.abs(p_final[:, :ell] - ref.p[:ell]), axis=1)
+            failures += [(len(rows) + i, f"{type(exc).__name__}: {exc}") for i, exc in failed]
+            rows += [ReductionRow(scheme=name, omega=float(omega), h=h, err_slow_q=eq,
+                                  err_slow_p=ep)
+                     for h, eq, ep in zip(h_run.tolist(), err_q.tolist(), err_p.tolist())]
     return ReductionTable(rows=tuple(rows), failures=tuple(failures))
 
 
@@ -417,21 +462,18 @@ def convergence_errors(scheme, params: FputParams, h_list, T: float,
                        reference_tol: float = 1e-13) -> np.ndarray:
     """Max-norm global error at T for each h, against the reference solver.
 
-    As in the reduction study, each h is nudged so the run lands on T.
+    As in the reduction study, each h is nudged so the run lands on T, and
+    the runs are stepped as one batch.  A stage-solve failure of any run is
+    raised, that of the first failing h in ``h_list`` order.
     """
     h_list = _step_grid(h_list)
     system = fput_system(params)
     state0 = paper_initial_state(params)
     ref = reference_solve(system, state0, T, tol=reference_tol)
-    errs = []
-    for h in h_list:
-        n_steps = max(1, int(round(T / h)))
-        traj = integrate(scheme, system, state0, T / n_steps, n_steps,
-                         config=config, stride=n_steps)
-        final = traj.final_state()
-        errs.append(max(float(np.max(np.abs(final.q - ref.q))),
-                        float(np.max(np.abs(final.p - ref.p)))))
-    return np.array(errs)
+    _, q, p, failures = _grid_final_states(scheme, system, state0, T, h_list, config)
+    if failures:
+        raise failures[0][1]
+    return np.maximum(np.max(np.abs(q - ref.q), axis=1), np.max(np.abs(p - ref.p), axis=1))
 
 
 def fit_loglog_slope(hs, errors, floor: float = 0.0) -> float:

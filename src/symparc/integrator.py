@@ -27,11 +27,16 @@ and c0 = u q0 + v p0 formed once per step, and (q1, p1) is one more affine
 map of (q0, p0, F1), plus h b F1(Q) in p1.  A pass then costs one product
 with K and one slow-force call; the step never forms P and Qt.
 
-The linear path also steps a batch: q and p of shape (n, d) are n
-independent states, and omega_sq of shape (n, d) gives each its own
-diagonal.  The stage arrays then hold all n*d coordinates as columns, shape
-(s, n*d), and every member converges against its own scale and stops
-iterating once it has converged, so it runs as it would alone.
+Both solver modes also step a batch: q and p of shape (n, d) are n
+independent states.  omega_sq of shape (n, d) gives each its own diagonal;
+one of shape (d,) is shared by every member.  h is one step size, or one per
+member, shape (n,).  The stage arrays hold all n*d coordinates as columns,
+shape (s, n*d), each column with the folded maps of its own (h, Omega^2)
+pair.  Every member converges against its own scale and stops iterating
+once it has converged, so it runs as it would alone.  Its state is bitwise
+the one it reaches alone, except for one float h over an omega_sq of shape
+(n, d) on the linear path (the resonance sweep), where the sum h b F1(Q) of
+p1 is one product over all columns, which BLAS rounds by column position.
 
 Force callbacks must be vectorized over leading axes: they receive arrays of
 shape (..., d) -- (s, d) for one state, (s, n, d) for a batch -- and return
@@ -118,7 +123,8 @@ class PhaseState:
     """Positions and momenta at one time.
 
     ``q`` and ``p`` have shape (d,) for one state, or (n, d) for a batch of
-    n states that :class:`ArkStepper` steps together (linear path only).
+    n states that :class:`ArkStepper` steps together.  ``t`` is one time, or
+    for a batch stepped with one step size per member, one time per member.
     """
 
     q: np.ndarray
@@ -132,9 +138,17 @@ class PhaseState:
             raise ValueError("q and p must be arrays of equal shape (d,) or (n, d)")
         q.setflags(write=False)
         p.setflags(write=False)
+        t = self.t
+        if isinstance(t, np.ndarray) and t.ndim:
+            t = np.array(t, dtype=float)
+            if t.shape != q.shape[:-1]:
+                raise ValueError("t must be one time, or one per member of a batch")
+            t.setflags(write=False)
+        else:
+            t = float(t)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
     @property
     def dimension(self) -> int:
@@ -253,34 +267,69 @@ def _member_max(columns, n: int):
     return np.ascontiguousarray(columns.reshape(n, -1).T).max(axis=0)
 
 
+def _member_sums(weights, stages, n: int):
+    """weights @ stages member by member.  ``stages`` (s, N) holds n members
+    of N/n columns each; ``weights`` is (s,), or one row per member, (n, 1, s).
+    Each member's sums are rounded as they are for that member alone, which
+    one product over all N columns does not do: BLAS rounds a column
+    differently depending on its position."""
+    return np.matmul(weights, stages.reshape(len(stages), n, -1).transpose(1, 0, 2))
+
+
+def _step_size(h, state: PhaseState):
+    """``h`` as one float, or as an (n,) array with one step size per member
+    of the batched ``state``; ValueError unless every step size is finite.
+    Zero and negative step sizes are valid."""
+    if not isinstance(h, float):
+        sizes = np.asarray(h, dtype=float)
+        if sizes.ndim:
+            members = state.q.shape[:-1]
+            if sizes.shape != members:
+                raise ValueError(f"h must be one step size, or one per member of shape "
+                                 f"{members}, got shape {sizes.shape}")
+            if not np.isfinite(sizes).all():
+                raise ValueError(f"every step size must be finite, got {sizes.tolist()}")
+            return sizes
+        h = float(sizes)
+    if not math.isfinite(h):
+        raise ValueError(f"step size must be finite, got {h!r}")
+    return h
+
+
 class _StageMaps(NamedTuple):
-    """One linearly-implicit step at a fixed h as affine maps, per column c
-    of the flattened state.  With F1 the slow forces (rows j) that the
-    primary stages Q are computed from:
+    """One linearly-implicit step as affine maps, per column c of the
+    flattened state.  With F1 the slow forces (rows j) that the primary
+    stages Q are computed from, and h the column's step size:
 
         Q[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
                          + sum_j primary[i, j, c] F1[j, c]
         (q1, p1)[i, c] = sum_j update[i, j, c] (q0, p0, F1)[j, c]
                          + (0, h b . F1(Q)[:, c])[i]
 
-    ``solution`` is the (Qt, P) map over (q0, p0, F1) of each distinct
-    Omega^2 value, shape (V, s2 + s1, 2 + s1).
+    ``solution`` is the (Qt, P) map over (q0, p0, F1) of each (step size,
+    Omega^2 value) pair, shape (H*V, s2 + s1, 2 + s1), and ``index`` the pair
+    of each column.  ``step`` is h, one float or one per column, and
+    ``weights`` is h b: shape (s1,) for one float, (n, 1, s1) for one step
+    size per member.
     """
 
-    start: np.ndarray      # (s1, 2, N)
-    primary: np.ndarray    # (s1, s1, N)
-    update: np.ndarray     # (2, 2 + s1, N)
-    solution: np.ndarray   # (V, s2 + s1, 2 + s1)
+    start: np.ndarray          # (s1, 2, N)
+    primary: np.ndarray        # (s1, s1, N)
+    update: np.ndarray         # (2, 2 + s1, N)
+    solution: np.ndarray       # (H*V, s2 + s1, 2 + s1)
+    index: np.ndarray          # (N,)
+    step: float | np.ndarray   # float or (N,)
+    weights: np.ndarray        # (s1,) or (n, 1, s1)
 
 
 class ArkStepper:
     """One-step map of an additive scheme applied to a split system.
 
-    On the linearly-implicit path a state may be a batch of shape (n, d),
-    the shape of the system's omega_sq; see the module docstring.  Holds a
-    small cache of folded stage maps (keyed by the step size; the system's
-    Omega^2 is fixed).  Instances are cheap to build and must not be shared
-    across threads.
+    A state may be a batch of shape (n, d), stepped with one step size or
+    one per member; see the module docstring.  Holds a small cache of folded
+    stage maps (keyed by the step size, or by the tuple of per-member step
+    sizes; the system's Omega^2 is fixed).  Instances are cheap to build and
+    must not be shared across threads.
     """
 
     def __init__(self, scheme: ArkScheme, system: SplitForceSystem,
@@ -298,31 +347,72 @@ class ArkStepper:
         # step-size keyed cache of the folded stage maps; compositions
         # alternate between a handful of substep sizes
         self._block_cache = {}
+        # the factorized stage solve per scalar step size, which the maps are
+        # gathered from: a member that leaves a batch refactors no other
+        self._folds = {}
         if system.omega_sq is not None:
             # one block per distinct entry of Omega^2; _columns maps each
-            # coordinate of the flattened state to its block
+            # coordinate of the flattened omega_sq to its block
             self._values, self._columns = np.unique(system.omega_sq.ravel(),
                                                     return_inverse=True)
 
     # -- linear block ------------------------------------------------------
 
-    def _block_inverses(self, h: float) -> _StageMaps:
-        """The stage solve at step size h, folded into affine maps per column.
+    def _block_inverses(self, h) -> _StageMaps:
+        """The stage solve folded into affine maps per column, for one step
+        size h (a float) or one per member (a tuple).
 
-        Each distinct entry w of Omega^2 has its stage block factorized once;
-        solving it against the right-hand side [q0; p0 + h Ahat F1] column by
-        column gives (Qt, P) as affine functions of (q0, p0, F1), and with
-        them Q = q0 + h a P, q1 = q0 + h b P and p1 - h b F1(Q) = p0 - h w bt Qt.
-        The maps are built on the distinct values and gathered to the N
-        state columns; see :class:`_StageMaps`.  The cache keeps, per step
-        size, the gathered start, primary and update weights (together
-        s1^2 + 4 s1 + 4 numbers per column, no more than the (2 s1 - 1)^2 of
-        the block inverse for s1 >= 3) and the per-value (Qt, P) solution,
-        which only solve_stages gathers.
+        The maps of each (step size, Omega^2 value) pair come from
+        :meth:`_fold` and are gathered to the N state columns; see
+        :class:`_StageMaps`.  A float h maps the columns of omega_sq itself;
+        a tuple of n step sizes maps a batch of n members, each member's d
+        columns with its own step size, over an omega_sq of shape (n, d) or
+        (d,).  The cache keeps, per key, the gathered start, primary and
+        update weights (together s1^2 + 4 s1 + 4 numbers per column, no more
+        than the (2 s1 - 1)^2 of the block inverse for s1 >= 3) and the
+        per-pair (Qt, P) solution, which only solve_stages gathers.
         """
         cached = self._block_cache.get(h)
         if cached is not None:
             return cached
+        b, n_values, d = self.scheme.b, len(self._values), self.system.dimension
+        if isinstance(h, tuple):
+            sizes = np.array(h)
+            steps, which = np.unique(sizes, return_inverse=True)
+            values = self._columns
+            if values.size != sizes.size * d:   # omega_sq shared by the members
+                values = np.tile(values, len(sizes))
+            index = np.repeat(which, d) * n_values + values
+            step, weights = np.repeat(sizes, d), sizes[:, None, None] * b
+        else:
+            steps, index, step, weights = (h,), self._columns, h, h * b
+        folds = [self._fold(u, lambda k, j=j: self._rows_with(index == j * n_values + k))
+                 for j, u in enumerate(steps)]
+        start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
+        maps = _StageMaps(start=self._gather(start, index),
+                          primary=self._gather(primary, index),
+                          update=self._gather(update, index), solution=solution,
+                          index=index, step=step, weights=weights)
+        if len(self._block_cache) > 16:
+            self._block_cache.clear()
+        self._block_cache[h] = maps
+        return maps
+
+    def _fold(self, h: float, members):
+        """The stage solve at step size h for each distinct value w of
+        Omega^2: the maps start (V, s1, 2), primary (V, s1, s1) and update
+        (V, 2, 2 + s1) of :class:`_StageMaps` and the (Qt, P) solution
+        (V, s2 + s1, 2 + s1).  ``members(k)`` names the rows that a singular
+        block of the k-th value fails.
+
+        Each stage block is factorized once; solving it against the
+        right-hand side [q0; p0 + h Ahat F1] column by column gives (Qt, P) as
+        affine functions of (q0, p0, F1), and with them Q = q0 + h a P,
+        q1 = q0 + h b P and p1 - h b F1(Q) = p0 - h w bt Qt.
+        """
+        folded = self._folds.get(h)
+        if folded is not None:
+            return folded
         scheme = self.scheme
         s1, s2 = scheme.s1, scheme.s2
         blocks = stage_block(scheme, h, self._values)
@@ -342,11 +432,11 @@ class ArkStepper:
                 except (np.linalg.LinAlgError, ValueError) as exc:
                     raise SingularStageSystemError(
                         f"stage block factorization failed for h={h}, omega^2={w}",
-                        self._rows_with(k)) from exc
+                        members(k)) from exc
                 if np.min(np.abs(np.diag(lu))) < 1e-14 * max(1.0, float(np.max(np.abs(lu)))):
                     raise SingularStageSystemError(
                         f"stage block is numerically singular for h={h}, omega^2={w}",
-                        self._rows_with(k))
+                        members(k))
                 solution[k] = lu_solve((lu, piv), rhs)
         Qt, P = solution[:, :s2], solution[:, s2:]
         primary = h * (scheme.a @ P)
@@ -355,78 +445,108 @@ class ArkStepper:
                            (-h * self._values)[:, None] * (scheme.b_tilde @ Qt)), axis=1)
         update[:, 0, 0] += 1.0
         update[:, 1, 1] += 1.0
-        maps = _StageMaps(start=self._gather(primary[:, :, :2]),
-                          primary=self._gather(primary[:, :, 2:]),
-                          update=self._gather(update), solution=solution)
-        if len(self._block_cache) > 16:
-            self._block_cache.clear()
-        self._block_cache[h] = maps
-        return maps
+        folded = (primary[:, :, :2], primary[:, :, 2:], update, solution)
+        if len(self._folds) > 64:
+            self._folds.clear()
+        self._folds[h] = folded
+        return folded
 
-    def _gather(self, by_value):
-        """(V, ...) weights of the distinct values as (..., N) state columns."""
-        return np.take(np.moveaxis(by_value, 0, -1), self._columns, axis=-1)
+    @staticmethod
+    def _gather(by_pair, index):
+        """(P, ...) weights of the (step size, value) pairs as (..., N) state
+        columns, column c taking pair index[c]."""
+        return np.take(np.moveaxis(by_pair, 0, -1), index, axis=-1)
 
-    def _rows_with(self, k: int):
-        """Rows of omega_sq (0 for a single diagonal) holding its k-th value."""
-        hit = (self._columns == k).reshape(-1, self.system.dimension)
-        return np.flatnonzero(hit.any(axis=1))
+    def _rows_with(self, hit):
+        """The members (0 for a single state) holding a column where ``hit``."""
+        return np.flatnonzero(hit.reshape(-1, self.system.dimension).any(axis=1))
 
     # -- stage solvers -----------------------------------------------------
 
-    def solve_stages(self, state: PhaseState, h: float):
-        """Return (Q, P, Q_tilde, iterations) for one step of size h; the
-        stage arrays have shape (stages,) + state shape."""
+    def solve_stages(self, state: PhaseState, h):
+        """Return (Q, P, Q_tilde, iterations) for one step of size h (one
+        float, or one per member of a batch); the stage arrays have shape
+        (stages,) + state shape."""
+        h = _step_size(h, state)
+        shape = (-1,) + state.q.shape
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
             maps, x, Q, _, iteration = self._linearly_implicit_full(state, h)
             s2 = self.scheme.s2
-            sol = np.einsum("ijc,jc->ic", self._gather(maps.solution), x)
-            shape = (-1,) + state.q.shape
+            sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index), x)
             return (Q.reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
                     iteration)
-        Q, P, Qt, iteration, _, _ = self._fixed_point_full(state, h)
-        return Q, P, Qt, iteration
+        Q, P, Qt, _, _, iteration = self._fixed_point_full(state, h)
+        return Q.reshape(shape), P.reshape(shape), Qt.reshape(shape), iteration
 
     def _fixed_point_full(self, state, h):
+        """Plain fixed-point iteration on all stages, with the state
+        flattened to N = n*d columns as on the linear path.  Returns
+        (Q, P, Qt, F1(Q), F2(Qt), iterations), stage arrays of shape (s, N)."""
         scheme, system, cfg = self.scheme, self.system, self.config
-        q0, p0 = state.q, state.p
-        if q0.ndim != 1:
-            raise ValueError("fixed-point mode steps one state, not a batch")
-        scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
+        shape = state.q.shape
+        n = shape[0] if len(shape) == 2 else 1
+        q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
+        hc = h if isinstance(h, float) else np.repeat(h, len(q0) // n)
+        scale = _member_max(np.maximum(np.abs(q0), np.abs(p0)), n)
+        np.maximum(scale, 1.0, out=scale)
+        limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
+
+        def forces(Q, Qt):
+            return (system.slow_force(Q.reshape((len(Q),) + shape)).reshape(len(Q), -1),
+                    system.fast_force(Qt.reshape((len(Qt),) + shape)).reshape(len(Qt), -1))
+
         P = np.tile(p0, (scheme.s1, 1))
-        Q = q0 + h * np.outer(scheme.c, p0)
-        Qt = q0 + h * np.outer(scheme.c_tilde, p0)
-        F1 = system.slow_force(Q)
-        F2 = system.fast_force(Qt)
-        residual = math.inf
+        Q = q0 + hc * np.outer(scheme.c, p0)
+        Qt = q0 + hc * np.outer(scheme.c_tilde, p0)
+        F1, F2 = forces(Q, Qt)
+        done = None     # the members that have converged, once some but not all have
         for iteration in range(1, cfg.max_iterations + 1):
-            if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
+            if not (np.isfinite(F1).all() and np.isfinite(F2).all()):
+                bad = ~(np.all(np.isfinite(F1).reshape(len(F1), n, -1), axis=(0, 2))
+                        & np.all(np.isfinite(F2).reshape(len(F2), n, -1), axis=(0, 2)))
+                if done is not None:
+                    bad &= ~done
                 if iteration == 1:
-                    raise NumericalFailureError("force evaluation returned NaN/Inf", (0,))
+                    raise NumericalFailureError("force evaluation returned NaN/Inf",
+                                                np.flatnonzero(bad))
+                if bad.any():
+                    raise NonconvergenceError(
+                        f"fixed-point stage iteration diverged after {iteration} iterations",
+                        residual=math.inf, iterations=iteration,
+                        members=np.flatnonzero(bad))
+            P_new = p0 + hc * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
+            Q_new = q0 + hc * (scheme.a @ P_new)
+            Qt_new = q0 + hc * (scheme.a_tilde @ P_new)
+            residual = _member_max(np.maximum(
+                np.maximum(np.abs(P_new - P).max(axis=0), np.abs(Q_new - Q).max(axis=0)),
+                np.abs(Qt_new - Qt).max(axis=0)), n)
+            F1_new, F2_new = forces(Q_new, Qt_new)
+            if done is not None:
+                # converged members keep the stages they converged with
+                frozen = np.repeat(done, len(q0) // n)
+                for new, old in ((P_new, P), (Q_new, Q), (Qt_new, Qt),
+                                 (F1_new, F1), (F2_new, F2)):
+                    np.copyto(new, old, where=frozen)
+                residual[done] = 0.0
+            P, Q, Qt, F1, F2 = P_new, Q_new, Qt_new, F1_new, F2_new
+            converged = residual <= limit
+            n_converged = np.count_nonzero(converged)
+            if n_converged == n:
+                return Q, P, Qt, F1, F2, iteration
+            diverged = residual > blowup
+            if np.count_nonzero(diverged):
                 raise NonconvergenceError(
                     f"fixed-point stage iteration diverged after {iteration} iterations",
-                    residual=math.inf, iterations=iteration, members=(0,))
-            P_new = p0 + h * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
-            Q_new = q0 + h * (scheme.a @ P_new)
-            Qt_new = q0 + h * (scheme.a_tilde @ P_new)
-            residual = max(
-                float(np.max(np.abs(P_new - P))),
-                float(np.max(np.abs(Q_new - Q))),
-                float(np.max(np.abs(Qt_new - Qt))),
-            )
-            P, Q, Qt = P_new, Q_new, Qt_new
-            F1 = system.slow_force(Q)
-            F2 = system.fast_force(Qt)
-            if residual <= cfg.tolerance * scale:
-                return Q, P, Qt, iteration, F1, F2
-            if residual > _DIVERGENCE_FACTOR * scale:
-                raise NonconvergenceError(
-                    f"fixed-point stage iteration diverged after {iteration} iterations",
-                    residual=residual, iterations=iteration, members=(0,))
+                    residual=float(np.max(residual[diverged])), iterations=iteration,
+                    members=np.flatnonzero(diverged))
+            if n_converged:
+                done = converged
+        worst = float(np.max(residual))
         raise NonconvergenceError(
             f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-            f"within {cfg.max_iterations} iterations (residual {residual:.3e})",
-            residual=residual, iterations=cfg.max_iterations, members=(0,))
+            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
+            residual=worst, iterations=cfg.max_iterations,
+            members=np.flatnonzero(~converged))
 
     def _linearly_implicit_full(self, state, h):
         """Iterate the primary stages with the state flattened to N = n*d
@@ -435,18 +555,22 @@ class ArkStepper:
         (2 + s1, N), where F1 are the forces Q was computed from, and the
         converged Q and its forces, shape (s1, N)."""
         scheme, system, cfg = self.scheme, self.system, self.config
-        shape = state.q.shape
-        if shape != system.omega_sq.shape:
-            raise ValueError(f"state shape {shape} does not match omega_sq "
-                             f"{system.omega_sq.shape}")
+        shape, omega_shape = state.q.shape, system.omega_sq.shape
+        if shape != omega_shape and shape[1:] != omega_shape:
+            raise ValueError(f"state shape {shape} does not match omega_sq {omega_shape}")
         n = shape[0] if len(shape) == 2 else 1
         s1 = scheme.s1
+        # one float step over the columns of omega_sq itself, or else one
+        # step size per member
+        if isinstance(h, float):
+            maps = self._block_inverses(h if shape == omega_shape else (h,) * n)
+        else:
+            maps = self._block_inverses(tuple(h.tolist()))
         q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
         qp = np.stack((q0, p0))
         scale = _member_max(np.abs(qp).max(axis=0), n)
         np.maximum(scale, 1.0, out=scale)
         limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
-        maps = self._block_inverses(h)
         c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
         def slow_force(Q):
@@ -454,7 +578,8 @@ class ArkStepper:
 
         # second-order Taylor predictor for the primary stages
         acc = (system.slow_force(state.q) + system.fast_force(state.q)).reshape(-1)
-        Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
+        step = maps.step
+        Q = q0 + step * np.outer(scheme.c, p0) + (0.5 * step * step) * np.outer(scheme.c ** 2, acc)
         F1 = slow_force(Q)
         source = None   # the forces Q was computed from
         done = None     # the members that have converged, once some but not all have
@@ -506,34 +631,44 @@ class ArkStepper:
 
     # -- stepping ----------------------------------------------------------
 
-    def step(self, state: PhaseState, h: float) -> PhaseState:
+    def step(self, state: PhaseState, h) -> PhaseState:
         return self.step_with_iterations(state, h)[0]
 
-    def step_with_iterations(self, state: PhaseState, h: float):
+    def step_with_iterations(self, state: PhaseState, h):
         """The next state and the number of stage-loop passes (for a batch,
-        the largest over its members)."""
+        the largest over its members).  ``h`` is one step size, or for a
+        batch one per member, shape (n,); ValueError unless it is finite."""
+        h = _step_size(h, state)
         shape = state.q.shape
+        t = state.t + h
         if self.mode is SolverMode.LINEARLY_IMPLICIT:
             maps, x, _, F1, iterations = self._linearly_implicit_full(state, h)
             q1, p1 = np.einsum("ijc,jc->ic", maps.update, x)
-            p1 += (h * self.scheme.b) @ F1
-            return (PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=state.t + h),
-                    iterations)
+            weights = maps.weights
+            if weights.ndim == 1:
+                p1 += weights @ F1
+            else:
+                p1 += _member_sums(weights, F1, len(weights)).reshape(-1)
+            return PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=t), iterations
         scheme = self.scheme
-        _, P, _, iterations, F1, F2 = self._fixed_point_full(state, h)
-        q1 = state.q + h * (scheme.b @ P)
-        p1 = state.p + h * (scheme.b @ F1 + scheme.b_tilde @ F2)
-        return PhaseState(q=q1, p=p1, t=state.t + h), iterations
+        _, P, _, F1, F2, iterations = self._fixed_point_full(state, h)
+        n = shape[0] if len(shape) == 2 else 1
+        hm = h if isinstance(h, float) else h[:, None]
+        q1 = state.q + (hm * _member_sums(scheme.b, P, n)).reshape(shape)
+        p1 = state.p + (hm * (_member_sums(scheme.b, F1, n)
+                              + _member_sums(scheme.b_tilde, F2, n))).reshape(shape)
+        return PhaseState(q=q1, p=p1, t=t), iterations
 
 
 def ark_step(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
-             h: float, config: StageSolveConfig | None = None) -> PhaseState:
-    """Advance one step of size h.  See ArkStepper for the stage equations."""
+             h, config: StageSolveConfig | None = None) -> PhaseState:
+    """Advance one step of size h (for a batch, one float or one per member).
+    See ArkStepper for the stage equations."""
     return ArkStepper(scheme, system, config).step(state, h)
 
 
 def solve_stages(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
-                 h: float, config: StageSolveConfig | None = None):
+                 h, config: StageSolveConfig | None = None):
     """Solve the implicit stage system; returns (Q, P, Q_tilde, iterations)."""
     return ArkStepper(scheme, system, config).solve_stages(state, h)
 
@@ -584,6 +719,13 @@ def _write_table(path, header: str, template: str, rows):
         fh.writelines(line % row for row in rows)
 
 
+def _at_step(exc: NonconvergenceError, step: int, t: float) -> NonconvergenceError:
+    """``exc`` restated for a run that failed in the given step, at time t."""
+    return NonconvergenceError(f"step {step} (t={t:g}): {exc}", residual=exc.residual,
+                               iterations=exc.iterations, step_index=step,
+                               members=exc.members)
+
+
 def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
               n_steps: int, config: StageSolveConfig | None = None,
               observer: Optional[Callable] = None, stride: int = 1) -> Trajectory:
@@ -617,9 +759,7 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
                 state, it = stepper.step(state, h), 0
         except NonconvergenceError as exc:
             exc.step_index = i
-            raise NonconvergenceError(
-                f"step {i} (t={state.t:g}): {exc}", residual=exc.residual,
-                iterations=exc.iterations, step_index=i, members=exc.members) from exc
+            raise _at_step(exc, i, state.t) from exc
         state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
         iters[i] = it
         if observer is not None:
@@ -651,7 +791,10 @@ YOSHIDA6_SUBSTEPS = (_Y6_W3, _Y6_W2, _Y6_W1, _Y6_W0, _Y6_W1, _Y6_W2, _Y6_W3)
 
 
 class ComposedStepper:
-    """Symmetric composition of a base one-step map with fractional substeps."""
+    """Symmetric composition of a base one-step map with fractional substeps.
+
+    h is one step size or, for a batch, one per member; each substep scales
+    it by its fraction."""
 
     def __init__(self, base, substeps):
         counted = getattr(base, "step_with_iterations", None)
@@ -663,12 +806,14 @@ class ComposedStepper:
         self._step_fn = counted
         self.substeps = tuple(float(w) for w in substeps)
 
-    def step(self, state: PhaseState, h: float) -> PhaseState:
+    def step(self, state: PhaseState, h) -> PhaseState:
         return self.step_with_iterations(state, h)[0]
 
-    def step_with_iterations(self, state: PhaseState, h: float):
+    def step_with_iterations(self, state: PhaseState, h):
         """The composed step and the stage iterations of all its substeps
         (0 for a base without iteration counts)."""
+        if not isinstance(h, float):
+            h = np.asarray(h, dtype=float)
         t0 = state.t
         total = 0
         for w in self.substeps:

@@ -191,8 +191,10 @@ def _lu_hessenberg(H, mus):
 
 
 def _check_pivot(pivot, mus):
-    if not np.all(pivot):
-        mu = mus[np.flatnonzero(pivot == 0.0)[0]]
+    """SingularStageSystemError naming the first mu whose pivot is zero or NaN."""
+    failed = ~(np.abs(pivot) > 0.0)
+    if failed.any():
+        mu = mus[np.flatnonzero(failed)[0]]
         raise SingularStageSystemError(f"stage block singular at mu = {mu:.17g}")
 
 
@@ -270,12 +272,26 @@ def _weigh(scheme: ArkScheme, X):
                            -_apply(scheme.b_tilde[None, :], X[:s2])])
 
 
+def _check_squares(mus):
+    """ValueError naming the first mu that is not finite or whose square
+    overflows.  The extremes decide, so a long grid is not copied."""
+    with np.errstate(over="ignore"):
+        # a NaN anywhere is the min and the max
+        if np.isfinite(mus.min() ** 2) and np.isfinite(mus.max() ** 2):
+            return
+        unusable = ~np.isfinite(mus * mus)
+    raise ValueError(f"mu must be finite with a finite square, got "
+                     f"{float(mus[np.flatnonzero(unusable)[0]])!r}")
+
+
 def _solve_samples(scheme: ArkScheme, mus, extra=None):
     """M(mu), shape (N, 2, 2), and b^T P for each column (0; extra[:, i]),
     shape (N, k), from one refined solve of [E | (0; extra)] per chunk."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     if mus.ndim != 1:
         raise ValueError("mu must be a scalar or a 1-d array")
+    if len(mus):
+        _check_squares(mus)
     M = np.empty((len(mus), 2, 2))
     bP = np.empty((len(mus), 0 if extra is None else extra.shape[1]))
     for part, m, solve in _chunk_solvers(scheme, mus):

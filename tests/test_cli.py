@@ -6,7 +6,13 @@ import pytest
 
 from symparc import fput, stability
 from symparc.cli import main
-from symparc.integrator import scheme_from_name
+from symparc.integrator import (
+    SolverMode,
+    StageSolveConfig,
+    integrate,
+    reference_solve,
+    scheme_from_name,
+)
 
 from _helpers import cellwise_csv
 
@@ -296,3 +302,48 @@ def test_converge_csv_is_cellwise(tmp_path, capsys):
             for h, e in zip(h_list, fput.convergence_errors(
                 name, fput.FputParams(ell=3, omega=1.0), h_list, 0.5))]
     assert out.read_bytes() == cellwise_csv("scheme,h,err", rows)
+
+
+def test_converge_fixed_point_matches_single_state_runs(tmp_path, capsys):
+    # the h grid runs as one batch in fixed-point mode too, with no per-h loop
+    out = tmp_path / "conv.csv"
+    h_list = [0.05, 0.025, 0.0125]
+    assert run_cli(["converge", "--schemes", "lgl2", "--omega", "1", "--T", "0.5",
+                    "--h-list", "0.05,0.025,0.0125", "--solver", "fixed-point",
+                    "--out", str(out)]) == 0
+    params = fput.FputParams(ell=3, omega=1.0)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    ref = reference_solve(system, state0, 0.5, tol=1e-13)
+    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == len(h_list)
+    for row, h in zip(rows, h_list):
+        name, h_row, err = row.split(",")
+        n_steps = round(0.5 / h)
+        final = integrate("lgl2", system, state0, 0.5 / n_steps, n_steps,
+                          config=config).final_state()
+        want = max(np.max(np.abs(final.q - ref.q)), np.max(np.abs(final.p - ref.p)))
+        assert name == "lgl2" and float(h_row) == h
+        assert abs(float(err) - want) <= 1e-13 * want
+
+
+def test_fput_reduction_fixed_point_matches_single_state_runs(tmp_path, capsys):
+    out = tmp_path / "reduction.csv"
+    assert run_cli(["fput", "reduction", "--schemes", "lgl4,imex-yoshida4",
+                    "--h-list", "0.1,0.05,0.03", "--omega-list", "2", "--T", "1",
+                    "--ref-tol", "1e-10", "--solver", "fixed-point",
+                    "--out", str(out)]) == 0
+    params = fput.FputParams(ell=3, omega=2.0)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    ref = reference_solve(system, state0, 1.0, tol=1e-10)
+    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 6
+    for row in rows:
+        name, omega, h, err_q, err_p = row.split(",")
+        n_steps = round(1.0 / float(h))
+        final = integrate(name, system, state0, 1.0 / n_steps, n_steps,
+                          config=config).final_state()
+        for got, want in ((err_q, np.max(np.abs(final.q[:3] - ref.q[:3]))),
+                          (err_p, np.max(np.abs(final.p[:3] - ref.p[:3])))):
+            assert abs(float(got) - want) <= 1e-13 * want

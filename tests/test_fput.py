@@ -17,7 +17,13 @@ from symparc.fput import (
     fput_system,
     paper_initial_state,
 )
-from symparc.integrator import PhaseState, StageSolveConfig, reference_solve
+from symparc.integrator import (
+    NonconvergenceError,
+    PhaseState,
+    StageSolveConfig,
+    integrate,
+    reference_solve,
+)
 
 from _helpers import (
     SPECIAL_FLOATS as SPECIAL,
@@ -310,6 +316,63 @@ def test_reduction_records_stage_solve_failures():
     assert [i for i, _ in table.failures] == [0, 1]
     assert all(msg.startswith("NonconvergenceError: step 0") for _, msg in table.failures)
     assert all(math.isnan(r.err_slow_q) and math.isnan(r.err_slow_p) for r in table.rows)
+
+
+def _single_state_final(name, params, T, h, config=None):
+    """The final state of one single-state run of ``name`` landing on T."""
+    n_steps = max(1, int(round(T / h)))
+    return integrate(name, fput_system(params), paper_initial_state(params), T / n_steps,
+                     n_steps, config=config, stride=n_steps).final_state()
+
+
+def _assert_relative(got, want, bound=1e-13):
+    assert abs(got - want) <= bound * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("name", ["lgl4", "lgl6", "imex-yoshida4"])
+def test_grid_batch_matches_single_state_runs(name):
+    # every run of the h grid is one member of a batch that leaves it after
+    # its own step count; each row must be that of its single-state run
+    params = FputParams(ell=3, omega=300.0)
+    T, h_grid = 0.3, [0.05, 0.03, 0.02, 0.0125, 0.0071, 0.004]
+    steps = [max(1, round(T / h)) for h in h_grid]
+    assert len(set(steps)) == len(steps)
+    table = experiment_order_reduction([name], params, T, h_grid, [params.omega],
+                                       reference_tol=1e-10)
+    errs = convergence_errors(name, params, h_grid, T, reference_tol=1e-10)
+    ref = reference_solve(fput_system(params), paper_initial_state(params), T, tol=1e-10)
+    assert not table.failures
+    for row, err, h, n in zip(table.rows, errs, h_grid, steps):
+        final = _single_state_final(name, params, T, h)
+        assert row.h == T / n
+        _assert_relative(row.err_slow_q, np.max(np.abs(final.q[:3] - ref.q[:3])))
+        _assert_relative(row.err_slow_p, np.max(np.abs(final.p[:3] - ref.p[:3])))
+        _assert_relative(err, max(np.max(np.abs(final.q - ref.q)),
+                                  np.max(np.abs(final.p - ref.p))))
+
+
+def test_grid_batch_drops_only_failing_members():
+    # lglc4 is not P-stable: at h*omega far beyond its stability interval the
+    # slow-force iteration diverges, and only those runs may fail
+    params = FputParams(ell=3, omega=1e3)
+    T, h_grid = 0.5, [0.001, 0.1, 0.003, 0.25, 0.0123, 0.05]
+    table = experiment_order_reduction(["lglc4"], params, T, h_grid, [params.omega],
+                                       reference_tol=1e-9)
+    failed = dict(table.failures)
+    ref = reference_solve(fput_system(params), paper_initial_state(params), T, tol=1e-9)
+    for i, (row, h) in enumerate(zip(table.rows, h_grid)):
+        try:
+            final = _single_state_final("lglc4", params, T, h)
+        except NonconvergenceError as exc:
+            assert math.isnan(row.err_slow_q) and math.isnan(row.err_slow_p)
+            assert failed[i].startswith(f"NonconvergenceError: step {exc.step_index} ")
+            continue
+        assert i not in failed
+        _assert_relative(row.err_slow_q, np.max(np.abs(final.q[:3] - ref.q[:3])))
+        _assert_relative(row.err_slow_p, np.max(np.abs(final.p[:3] - ref.p[:3])))
+    assert 0 < len(failed) < len(h_grid)
+    with pytest.raises(NonconvergenceError, match="^step 1 "):
+        convergence_errors("lglc4", params, h_grid, T, reference_tol=1e-9)
 
 
 def test_reduction_propagates_other_errors():

@@ -244,6 +244,16 @@ def test_batch_failures_name_their_members():
     with pytest.raises(SingularStageSystemError) as info:
         ArkStepper(singular_at_one(), system).step(state, 0.02)
     assert info.value.members == (1,)
+    # with one step size per member, only the members of the singular
+    # (h, omega^2) pair fail
+    with pytest.raises(SingularStageSystemError) as info:
+        ArkStepper(singular_at_one(), system).step(state, [0.02, 0.02, 0.01])
+    assert info.value.members == (1,)
+    shared = SplitForceSystem(dimension=1, omega_sq=[2500.0])
+    with pytest.raises(SingularStageSystemError) as info:
+        ArkStepper(singular_at_one(), shared).step(
+            PhaseState(q=np.ones((4, 1)), p=np.zeros((4, 1))), [0.01, 0.02, 0.02, 0.03])
+    assert info.value.members == (1, 2)
 
     # the resting member converges at once, the displaced one needs more passes
     cubic = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[[1.0], [1.0]])
@@ -266,15 +276,128 @@ def test_batched_state_rejected_where_unsupported():
     system = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[[1.0], [4.0]])
     batch = PhaseState(q=[[0.1], [0.2]], p=[[0.0], [0.0]])
     with pytest.raises(ValueError):
-        ark_step(scheme_from_name("lgl4"), system, batch, 0.1,
-                 StageSolveConfig(mode=SolverMode.FIXED_POINT))
-    with pytest.raises(ValueError):
         integrate("lgl4", system, batch, 0.1, 2)
     with pytest.raises(ValueError):   # one member too many for omega_sq
         ark_step(scheme_from_name("lgl4"), system,
                  PhaseState(q=np.zeros((3, 1)), p=np.zeros((3, 1))), 0.1)
     with pytest.raises(ValueError):
         PhaseState(q=np.zeros((2, 2, 1)), p=np.zeros((2, 2, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_step_size_rejected(bad):
+    # before the check, stage_block warned and a misleading
+    # SingularStageSystemError followed
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    lgl4 = scheme_from_name("lgl4")
+    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    for call in (lambda: ark_step(lgl4, system, state, bad),
+                 lambda: ark_step(lgl4, system, state, np.float64(bad), fixed),
+                 lambda: solve_stages(lgl4, system, state, bad),
+                 lambda: solve_stages(lgl4, system, state, bad, fixed),
+                 lambda: integrate("lgl4", system, state, bad, 3),
+                 lambda: integrate("imex-yoshida4", system, state, bad, 3)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+    batch = PhaseState(q=np.tile(state.q, (3, 1)), p=np.tile(state.p, (3, 1)))
+    for config in (None, fixed):
+        stepper = make_stepper("imex-yoshida4", system, config)
+        with pytest.raises(ValueError, match="finite"):
+            stepper.step(batch, [0.01, bad, 0.02])
+        for wrong in ([0.01, 0.02], [[0.01, 0.02, 0.03]]):
+            with pytest.raises(ValueError, match="one per member"):
+                stepper.step(batch, wrong)
+        with pytest.raises(ValueError, match="one per member"):
+            stepper.step(state, [0.01])
+    # zero and negative step sizes stay valid: the trigonometric-form check
+    # steps backwards
+    for h in (0.0, -0.01, [0.0, -0.01, 0.01]):
+        stepped = make_stepper("lgl4", system).step(batch, h)
+        assert np.all(np.isfinite(stepped.q)) and np.all(np.isfinite(stepped.p))
+
+
+def _batched_run(name, system, state, hs, steps, config):
+    """``steps`` steps of per-member sizes ``hs`` from ``state`` repeated per member."""
+    stepper = make_stepper(name, system, config)
+    batch = PhaseState(q=np.tile(state.q, (len(hs), 1)), p=np.tile(state.p, (len(hs), 1)))
+    for _ in range(steps):
+        batch = stepper.step(batch, hs)
+    return batch
+
+
+def _single_runs(name, system, state, hs, steps, config):
+    """The final state of ``steps`` single-state steps for each h of ``hs``."""
+    singles = []
+    for h in hs:
+        single, stepper = state, make_stepper(name, system, config)
+        for _ in range(steps):
+            single = stepper.step(single, h)
+        singles.append(single)
+    return singles
+
+
+@pytest.mark.parametrize("mode", [None, SolverMode.FIXED_POINT],
+                         ids=["linearly-implicit", "fixed-point"])
+@pytest.mark.parametrize("name", ["lgl4", "lgl6", "imex-yoshida4"])
+def test_per_member_step_sizes_match_single_states(name, mode):
+    # each member, with its own step size, reaches bitwise the state it
+    # reaches alone, for a shared and for a per-member omega_sq; its time
+    # advances by its own step size
+    params = fput.FputParams(ell=3, omega=5.0 if mode else 200.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    hs = np.array([0.02, 0.013, 0.005, 0.02, 0.0071])
+    config = StageSolveConfig(mode=mode)
+    batch = _batched_run(name, system, state, hs, 40, config)
+    for k, single in enumerate(_single_runs(name, system, state, hs, 40, config)):
+        assert np.array_equal(batch.q[k], single.q) and np.array_equal(batch.p[k], single.p)
+    np.testing.assert_allclose(batch.t, 40 * hs, rtol=1e-13)
+    per_row = SplitForceSystem(dimension=6, f1=system.f1,
+                               omega_sq=np.tile(system.omega_sq, (len(hs), 1)))
+    rows = _batched_run(name, per_row, state, hs, 40, config)
+    assert np.array_equal(rows.q, batch.q) and np.array_equal(rows.p, batch.p)
+
+
+def test_fixed_point_batch_freezes_converged_members():
+    # the members converge after different numbers of passes; each keeps the
+    # stages it converged with, as it would alone
+    system = harmonic_system(1.0, dimension=2)
+    state = PhaseState(q=[[1e-3, 0.0], [0.5, -0.2], [2.0, 1.0]],
+                       p=[[0.0, 1e-3], [0.1, 0.3], [-1.0, 3.0]])
+    lgl4 = scheme_from_name("lgl4")
+    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    hs = np.array([0.01, 0.2, 0.45])
+    Q, P, Qt, iterations = solve_stages(lgl4, system, state, hs, config)
+    counts = []
+    for k, h in enumerate(hs):
+        one = PhaseState(q=state.q[k], p=state.p[k])
+        q_k, p_k, qt_k, count = solve_stages(lgl4, system, one, h, config)
+        counts.append(count)
+        assert np.array_equal(Q[:, k], q_k) and np.array_equal(P[:, k], p_k)
+        assert np.array_equal(Qt[:, k], qt_k)
+    assert len(set(counts)) > 1 and iterations == max(counts)
+    stepped, count = ArkStepper(lgl4, system, config).step_with_iterations(state, hs)
+    assert count == max(counts)
+    for k, h in enumerate(hs):
+        one = ark_step(lgl4, system, PhaseState(q=state.q[k], p=state.p[k]), h, config)
+        assert np.array_equal(stepped.q[k], one.q) and np.array_equal(stepped.p[k], one.p)
+
+
+def test_fixed_point_batch_names_failing_members():
+    def blows_up(q):
+        return np.where(np.abs(q) > 1.5, np.nan, -q)
+
+    system = SplitForceSystem(dimension=1, f1=blows_up)
+    state = PhaseState(q=[[0.5], [2.0], [0.2]], p=[[0.0], [0.0], [0.1]])
+    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    with pytest.raises(NumericalFailureError) as info:
+        ark_step(scheme_from_name("lgl4"), system, state, 0.1, config)
+    assert info.value.members == (1,)
+    with pytest.raises(NonconvergenceError) as info:
+        ark_step(scheme_from_name("lgl4"), harmonic_system(50.0),
+                 PhaseState(q=[[1.0], [1.0]], p=[[0.0], [0.0]]), [1e-3, 1.0], config)
+    assert info.value.members == (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,27 @@ def test_filter_arguments():
             fn(LGL4, np.ones((2, 2)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", [stability_matrix_samples, half_trace_samples,
+                                filter_functions, modified_frequency])
+def test_non_finite_mu_rejected(fn):
+    # NaN gave an all-NaN matrix; inf and 1e200 warned of overflow on the way
+    for mus, named in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                       ([1.0, 1e200], "1e\\+200"), ([2.0, -1e160, math.nan], "-1e\\+160")):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            fn(LGL4, mus)
+    # the largest mu whose square is finite still passes its own checks
+    fn(LGL4, [1.3e154])
+
+
+def test_nan_pivot_is_a_failure():
+    from symparc.stability import _check_pivot
+    _check_pivot(np.array([1.0, -2.0]), np.array([0.5, 1.5]))
+    for pivot in ([1.0, math.nan], [1.0, 0.0]):
+        with pytest.raises(SingularStageSystemError, match="mu = 1.5$"):
+            _check_pivot(np.array(pivot), np.array([0.5, 1.5]))
+
+
 def test_filter_singular_mu_raises():
     # det(I + mu^2 AtH At) = det(I + mu^2 At AtH) by Sylvester's identity, so
     # the kernel's pivot check sees the filters' singular points too
