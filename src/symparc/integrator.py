@@ -9,34 +9,43 @@ One step of the additive method advances (q0, p0) through the stage system
     q1 = q0 + h sum_i b_i P_i
     p1 = p0 + h sum_i b_i F1(Q_i) + h sum_k bt_k F2(Qt_k)
 
-The stage unknowns are solved either by plain fixed-point iteration or, when
-the fast force is linear (F2 = -Omega^2 q with diagonal Omega^2), by an outer
-fixed-point loop over F1 only with the linear block
+The stage unknowns are solved by one fixed-point loop over the forces.  A
+pass holds the forces of the previous pass fixed and solves the linear
+block
 
     [ I      -h At ] [Qt]   [ q0 ]
-    [ h W AtH   I  ] [P ] = [ p0 + h Ahat F1(Q) ]
+    [ h W AtH   I  ] [P ] = [ p0 + h Ahat F1(Q) + h AtH G ]
 
-solved exactly per distinct diagonal entry W of Omega^2.  Plain fixed-point
-contracts only for h*omega below ~2, so the linear path is the default
-whenever the diagonal structure is available.
+of each coordinate exactly.  When the fast force is linear (F2 = -Omega^2 q
+with diagonal Omega^2), the default linearly-implicit mode takes F2 into
+the block: W is the coordinate's entry of Omega^2 and G = 0, so there is one
+block per distinct entry and the loop iterates F1 only.  Fixed-point mode
+takes any fast force: W = 0 and G = F2(Qt), so one block serves every
+coordinate and the loop iterates F1 and F2 alike.  It contracts only for
+h*omega below ~2, so the linear mode is the default whenever the diagonal
+structure is available.
 
-A pass of that loop is affine in F1, so the block solve is folded into the
+A pass is affine in the forces, so the block solve is folded into the
 tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8): per
-coordinate, Q = c0 + K F1 with K = h^2 a [M^-1]_PP Ahat an s1 x s1 matrix
-and c0 = u q0 + v p0 formed once per step, and (q1, p1) is one more affine
-map of (q0, p0, F1), plus h b F1(Q) in p1.  A pass then costs one product
-with K and one slow-force call; the step never forms P and Qt.
+coordinate, the iterated rows are X = c0 + K F, where c0 = u q0 + v p0 is
+formed once per step and F are the forces that read X's first rows.  The
+two modes differ only in this fold:
 
-Both solver modes also step a batch: q and p of shape (n, d) are n
-independent states.  omega_sq of shape (n, d) gives each its own diagonal;
-one of shape (d,) is shared by every member.  h is one step size, or one per
-member, shape (n,).  The stage arrays hold all n*d coordinates as columns,
-shape (s, n*d), each column with the folded maps of its own (h, Omega^2)
-pair.  Every member converges against its own scale and stops iterating
-once it has converged, so it runs as it would alone.  Its state is bitwise
-the one it reaches alone, except for one float h over an omega_sq of shape
-(n, d) on the linear path (the resonance sweep), where the sum h b F1(Q) of
-p1 is one product over all columns, which BLAS rounds by column position.
+    linearly-implicit:  X = Q,          F = F1(Q)
+    fixed-point:        X = (Q, Qt, P), F = (F1(Q), F2(Qt))
+
+(in the first, K = h^2 a [M^-1]_PP Ahat is an s1 x s1 matrix).  A pass costs
+one product with K and one force evaluation, and the pass that converges
+ends the step in one more affine map, of (q0, p0, F, F(X)) to (q1, p1).
+
+The loop also steps a batch: q and p of shape (n, d) are n independent
+states.  omega_sq of shape (n, d) gives each its own diagonal; one of shape
+(d,) is shared by every member.  h is one step size, or one per member,
+shape (n,).  The stage arrays hold all n*d coordinates as columns, shape
+(s, n*d), each column with the folded maps of its own (h, Omega^2) pair.
+Every member converges against its own scale and stops iterating once it
+has converged, and every sum runs column by column, so a member's state is
+bitwise the one it reaches alone.
 
 Force callbacks must be vectorized over leading axes: they receive arrays of
 shape (..., d) -- (s, d) for one state, (s, n, d) for a batch -- and return
@@ -228,9 +237,12 @@ class SolverMode(str, Enum):
 class StageSolveConfig:
     """Stage-solver controls.
 
-    ``tolerance`` is relative to max(1, |q0|_inf, |p0|_inf).  ``mode=None``
-    picks linearly-implicit when the system has a diagonal fast part and
-    plain fixed-point otherwise.
+    ``tolerance`` is relative to each member's own scale max(1, |q0|_inf,
+    |p0|_inf): a member has converged once no iterated row moved by more
+    than tolerance times its scale in a pass.  Linearly-implicit mode tests
+    the stages Q; fixed-point mode tests P, Q and Qt.  ``mode=None`` picks
+    linearly-implicit when the system has a diagonal fast part and plain
+    fixed-point otherwise.
     """
 
     tolerance: float = 1e-12
@@ -267,15 +279,6 @@ def _member_max(columns, n: int):
     return np.ascontiguousarray(columns.reshape(n, -1).T).max(axis=0)
 
 
-def _member_sums(weights, stages, n: int):
-    """weights @ stages member by member.  ``stages`` (s, N) holds n members
-    of N/n columns each; ``weights`` is (s,), or one row per member, (n, 1, s).
-    Each member's sums are rounded as they are for that member alone, which
-    one product over all N columns does not do: BLAS rounds a column
-    differently depending on its position."""
-    return np.matmul(weights, stages.reshape(len(stages), n, -1).transpose(1, 0, 2))
-
-
 def _step_size(h, state: PhaseState):
     """``h`` as one float, or as an (n,) array with one step size per member
     of the batched ``state``; ValueError unless every step size is finite.
@@ -297,29 +300,31 @@ def _step_size(h, state: PhaseState):
 
 
 class _StageMaps(NamedTuple):
-    """One linearly-implicit step as affine maps, per column c of the
-    flattened state.  With F1 the slow forces (rows j) that the primary
-    stages Q are computed from, and h the column's step size:
+    """One step as affine maps, per column c of the flattened state.  The
+    loop iterates the rows X (Q in linearly-implicit mode, (Q, Qt, P) in
+    fixed-point mode) and evaluates the m forces F on X's first rows (F1(Q),
+    or F1(Q) and F2(Qt)).  With F the forces that X is computed from and h
+    the column's step size:
 
-        Q[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
-                         + sum_j primary[i, j, c] F1[j, c]
-        (q1, p1)[i, c] = sum_j update[i, j, c] (q0, p0, F1)[j, c]
-                         + (0, h b . F1(Q)[:, c])[i]
+        X[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
+                         + sum_j primary[i, j, c] F[j, c]
+        (q1, p1)[i, c] = sum_j update[i, j, c] (q0, p0, F, F(X))[j, c]
 
-    ``solution`` is the (Qt, P) map over (q0, p0, F1) of each (step size,
-    Omega^2 value) pair, shape (H*V, s2 + s1, 2 + s1), and ``index`` the pair
-    of each column.  ``step`` is h, one float or one per column, and
-    ``weights`` is h b: shape (s1,) for one float, (n, 1, s1) for one step
-    size per member.
+    ``solution`` is the (Qt, P) map over (q0, p0, F) of each (step size,
+    Omega^2 value) pair, shape (H*V, s2 + s1, 2 + m), and ``index`` the pair
+    of each column.  ``step`` is h, one float or one per column.  ``inputs``
+    is the buffer each step stacks (q0, p0, F, F(X)) into: at the sweep's N
+    a fresh array per step is larger than malloc's mmap threshold, and some
+    processes then fault its pages in anew on every step.
     """
 
-    start: np.ndarray          # (s1, 2, N)
-    primary: np.ndarray        # (s1, s1, N)
-    update: np.ndarray         # (2, 2 + s1, N)
-    solution: np.ndarray       # (H*V, s2 + s1, 2 + s1)
+    start: np.ndarray          # (rows, 2, N)
+    primary: np.ndarray        # (rows, m, N)
+    update: np.ndarray         # (2, 2 + 2 m, N)
+    solution: np.ndarray       # (H*V, s2 + s1, 2 + m)
     index: np.ndarray          # (N,)
     step: float | np.ndarray   # float or (N,)
-    weights: np.ndarray        # (s1,) or (n, 1, s1)
+    inputs: np.ndarray         # (2 + 2 m, N)
 
 
 class ArkStepper:
@@ -329,7 +334,8 @@ class ArkStepper:
     one per member; see the module docstring.  Holds a small cache of folded
     stage maps (keyed by the step size, or by the tuple of per-member step
     sizes; the system's Omega^2 is fixed).  Instances are cheap to build and
-    must not be shared across threads.
+    must not be shared across threads or stepped from their own force
+    callbacks.
     """
 
     def __init__(self, scheme: ArkScheme, system: SplitForceSystem,
@@ -350,11 +356,20 @@ class ArkStepper:
         # the factorized stage solve per scalar step size, which the maps are
         # gathered from: a member that leaves a batch refactors no other
         self._folds = {}
-        if system.omega_sq is not None:
+        if mode is SolverMode.LINEARLY_IMPLICIT:
             # one block per distinct entry of Omega^2; _columns maps each
             # coordinate of the flattened omega_sq to its block
             self._values, self._columns = np.unique(system.omega_sq.ravel(),
                                                     return_inverse=True)
+            self._shape = system.omega_sq.shape
+            # the nodes of the rows the forces read, for the predictor
+            self._nodes = scheme.c
+        else:
+            # the one block at w = 0 serves every coordinate
+            self._values = np.zeros(1)
+            self._columns = np.zeros(system.dimension, dtype=np.intp)
+            self._shape = (system.dimension,)
+            self._nodes = np.concatenate((scheme.c, scheme.c_tilde))
 
     # -- linear block ------------------------------------------------------
 
@@ -368,14 +383,14 @@ class ArkStepper:
         a tuple of n step sizes maps a batch of n members, each member's d
         columns with its own step size, over an omega_sq of shape (n, d) or
         (d,).  The cache keeps, per key, the gathered start, primary and
-        update weights (together s1^2 + 4 s1 + 4 numbers per column, no more
-        than the (2 s1 - 1)^2 of the block inverse for s1 >= 3) and the
-        per-pair (Qt, P) solution, which only solve_stages gathers.
+        update weights (together s1^2 + 6 s1 + 4 numbers per column in
+        linearly-implicit mode) and the per-pair (Qt, P) solution, which
+        only solve_stages gathers.
         """
         cached = self._block_cache.get(h)
         if cached is not None:
             return cached
-        b, n_values, d = self.scheme.b, len(self._values), self.system.dimension
+        n_values, d = len(self._values), self.system.dimension
         if isinstance(h, tuple):
             sizes = np.array(h)
             steps, which = np.unique(sizes, return_inverse=True)
@@ -383,44 +398,50 @@ class ArkStepper:
             if values.size != sizes.size * d:   # omega_sq shared by the members
                 values = np.tile(values, len(sizes))
             index = np.repeat(which, d) * n_values + values
-            step, weights = np.repeat(sizes, d), sizes[:, None, None] * b
+            step = np.repeat(sizes, d)
         else:
-            steps, index, step, weights = (h,), self._columns, h, h * b
+            steps, index, step = (h,), self._columns, h
         folds = [self._fold(u, lambda k, j=j: self._rows_with(index == j * n_values + k))
                  for j, u in enumerate(steps)]
         start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
         maps = _StageMaps(start=self._gather(start, index),
                           primary=self._gather(primary, index),
                           update=self._gather(update, index), solution=solution,
-                          index=index, step=step, weights=weights)
+                          index=index, step=step,
+                          inputs=np.empty((update.shape[-1], len(index))))
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = maps
         return maps
 
     def _fold(self, h: float, members):
-        """The stage solve at step size h for each distinct value w of
-        Omega^2: the maps start (V, s1, 2), primary (V, s1, s1) and update
-        (V, 2, 2 + s1) of :class:`_StageMaps` and the (Qt, P) solution
-        (V, s2 + s1, 2 + s1).  ``members(k)`` names the rows that a singular
+        """The stage solve at step size h for each value w of the block: the
+        maps start (V, rows, 2), primary (V, rows, m) and update
+        (V, 2, 2 + 2 m) of :class:`_StageMaps` and the (Qt, P) solution
+        (V, s2 + s1, 2 + m).  ``members(k)`` names the rows that a singular
         block of the k-th value fails.
 
         Each stage block is factorized once; solving it against the
-        right-hand side [q0; p0 + h Ahat F1] column by column gives (Qt, P) as
-        affine functions of (q0, p0, F1), and with them Q = q0 + h a P,
-        q1 = q0 + h b P and p1 - h b F1(Q) = p0 - h w bt Qt.
+        right-hand side [q0; p0 + h Ahat F1 (+ h AtH F2 in fixed-point mode)]
+        column by column gives (Qt, P) as affine functions of (q0, p0, F),
+        and with them Q = q0 + h a P, q1 = q0 + h b P and
+        p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).
         """
         folded = self._folds.get(h)
         if folded is not None:
             return folded
         scheme = self.scheme
         s1, s2 = scheme.s1, scheme.s2
+        fixed_point = self.mode is SolverMode.FIXED_POINT
+        m = s1 + s2 if fixed_point else s1
         blocks = stage_block(scheme, h, self._values)
-        # columns (q0, p0, F1_1, ..., F1_s1) of the right-hand side
-        rhs = np.zeros((s1 + s2, 2 + s1))
+        # columns (q0, p0, F_1, ..., F_m) of the right-hand side
+        rhs = np.zeros((s1 + s2, 2 + m))
         rhs[:s2, 0] = 1.0
         rhs[s2:, 1] = 1.0
-        rhs[s2:, 2:] = h * scheme.a_hat
+        rhs[s2:, 2:2 + s1] = h * scheme.a_hat
+        if fixed_point:
+            rhs[s2:, 2 + s1:] = h * scheme.a_tilde_hat
         solution = np.empty((len(self._values),) + rhs.shape)
         # an exactly singular block raises SingularStageSystemError below;
         # SciPy's warning about its zero pivot would only repeat that
@@ -441,10 +462,15 @@ class ArkStepper:
         Qt, P = solution[:, :s2], solution[:, s2:]
         primary = h * (scheme.a @ P)
         primary[:, :, 0] += 1.0
-        update = np.stack((h * (scheme.b @ P),
-                           (-h * self._values)[:, None] * (scheme.b_tilde @ Qt)), axis=1)
+        if fixed_point:
+            primary = np.concatenate((primary, Qt, P), axis=1)
+        update = np.zeros((len(self._values), 2, 2 + 2 * m))
+        update[:, 0, :2 + m] = h * (scheme.b @ P)
+        update[:, 1, :2 + m] = (-h * self._values)[:, None] * (scheme.b_tilde @ Qt)
         update[:, 0, 0] += 1.0
         update[:, 1, 1] += 1.0
+        update[:, 1, 2 + m:] = h * (np.concatenate((scheme.b, scheme.b_tilde))
+                                    if fixed_point else scheme.b)
         folded = (primary[:, :, :2], primary[:, :, 2:], update, solution)
         if len(self._folds) > 64:
             self._folds.clear()
@@ -461,131 +487,71 @@ class ArkStepper:
         """The members (0 for a single state) holding a column where ``hit``."""
         return np.flatnonzero(hit.reshape(-1, self.system.dimension).any(axis=1))
 
-    # -- stage solvers -----------------------------------------------------
+    # -- forces ------------------------------------------------------------
+
+    def _forces(self, X, shape):
+        """The forces of the iterated rows X, shape (rows, N), of states of
+        ``shape``: F1(Q), and in fixed-point mode also F2(Qt)."""
+        system, s1, s2 = self.system, self.scheme.s1, self.scheme.s2
+        F1 = system.slow_force(X[:s1].reshape((s1,) + shape)).reshape(s1, -1)
+        if self.mode is SolverMode.LINEARLY_IMPLICIT:
+            return F1
+        F2 = system.fast_force(X[s1:s1 + s2].reshape((s2,) + shape)).reshape(s2, -1)
+        return np.concatenate((F1, F2))
+
+    # -- stage solve -------------------------------------------------------
 
     def solve_stages(self, state: PhaseState, h):
         """Return (Q, P, Q_tilde, iterations) for one step of size h (one
         float, or one per member of a batch); the stage arrays have shape
         (stages,) + state shape."""
         h = _step_size(h, state)
-        shape = (-1,) + state.q.shape
-        if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            maps, x, Q, _, iteration = self._linearly_implicit_full(state, h)
-            s2 = self.scheme.s2
-            sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index), x)
-            return (Q.reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
-                    iteration)
-        Q, P, Qt, _, _, iteration = self._fixed_point_full(state, h)
-        return Q.reshape(shape), P.reshape(shape), Qt.reshape(shape), iteration
+        shape, s1, s2 = (-1,) + state.q.shape, self.scheme.s1, self.scheme.s2
+        maps, x, X, iterations = self._iterate(state, h)
+        sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index),
+                        x[:maps.solution.shape[-1]])
+        return (X[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
+                iterations)
 
-    def _fixed_point_full(self, state, h):
-        """Plain fixed-point iteration on all stages, with the state
-        flattened to N = n*d columns as on the linear path.  Returns
-        (Q, P, Qt, F1(Q), F2(Qt), iterations), stage arrays of shape (s, N)."""
-        scheme, system, cfg = self.scheme, self.system, self.config
+    def _iterate(self, state, h):
+        """Iterate the rows X of the fold with the state flattened to N = n*d
+        columns.  Returns (maps, x, X, iterations): the step's
+        :class:`_StageMaps`, their inputs x = (q0, p0, F, F(X)) stacked into
+        ``maps.inputs``, where F are the forces X was computed from, and the
+        converged X."""
+        system, cfg = self.system, self.config
         shape = state.q.shape
+        if shape != self._shape and shape[1:] != self._shape:
+            raise ValueError(f"state shape {shape} does not match the system's {self._shape}")
         n = shape[0] if len(shape) == 2 else 1
-        q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
-        hc = h if isinstance(h, float) else np.repeat(h, len(q0) // n)
-        scale = _member_max(np.maximum(np.abs(q0), np.abs(p0)), n)
-        np.maximum(scale, 1.0, out=scale)
-        limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
-
-        def forces(Q, Qt):
-            return (system.slow_force(Q.reshape((len(Q),) + shape)).reshape(len(Q), -1),
-                    system.fast_force(Qt.reshape((len(Qt),) + shape)).reshape(len(Qt), -1))
-
-        P = np.tile(p0, (scheme.s1, 1))
-        Q = q0 + hc * np.outer(scheme.c, p0)
-        Qt = q0 + hc * np.outer(scheme.c_tilde, p0)
-        F1, F2 = forces(Q, Qt)
-        done = None     # the members that have converged, once some but not all have
-        for iteration in range(1, cfg.max_iterations + 1):
-            if not (np.isfinite(F1).all() and np.isfinite(F2).all()):
-                bad = ~(np.all(np.isfinite(F1).reshape(len(F1), n, -1), axis=(0, 2))
-                        & np.all(np.isfinite(F2).reshape(len(F2), n, -1), axis=(0, 2)))
-                if done is not None:
-                    bad &= ~done
-                if iteration == 1:
-                    raise NumericalFailureError("force evaluation returned NaN/Inf",
-                                                np.flatnonzero(bad))
-                if bad.any():
-                    raise NonconvergenceError(
-                        f"fixed-point stage iteration diverged after {iteration} iterations",
-                        residual=math.inf, iterations=iteration,
-                        members=np.flatnonzero(bad))
-            P_new = p0 + hc * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
-            Q_new = q0 + hc * (scheme.a @ P_new)
-            Qt_new = q0 + hc * (scheme.a_tilde @ P_new)
-            residual = _member_max(np.maximum(
-                np.maximum(np.abs(P_new - P).max(axis=0), np.abs(Q_new - Q).max(axis=0)),
-                np.abs(Qt_new - Qt).max(axis=0)), n)
-            F1_new, F2_new = forces(Q_new, Qt_new)
-            if done is not None:
-                # converged members keep the stages they converged with
-                frozen = np.repeat(done, len(q0) // n)
-                for new, old in ((P_new, P), (Q_new, Q), (Qt_new, Qt),
-                                 (F1_new, F1), (F2_new, F2)):
-                    np.copyto(new, old, where=frozen)
-                residual[done] = 0.0
-            P, Q, Qt, F1, F2 = P_new, Q_new, Qt_new, F1_new, F2_new
-            converged = residual <= limit
-            n_converged = np.count_nonzero(converged)
-            if n_converged == n:
-                return Q, P, Qt, F1, F2, iteration
-            diverged = residual > blowup
-            if np.count_nonzero(diverged):
-                raise NonconvergenceError(
-                    f"fixed-point stage iteration diverged after {iteration} iterations",
-                    residual=float(np.max(residual[diverged])), iterations=iteration,
-                    members=np.flatnonzero(diverged))
-            if n_converged:
-                done = converged
-        worst = float(np.max(residual))
-        raise NonconvergenceError(
-            f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
-            residual=worst, iterations=cfg.max_iterations,
-            members=np.flatnonzero(~converged))
-
-    def _linearly_implicit_full(self, state, h):
-        """Iterate the primary stages with the state flattened to N = n*d
-        columns.  Returns (maps, x, Q, F1(Q), iterations): the step's
-        :class:`_StageMaps`, their inputs x = (q0, p0, F1) stacked to shape
-        (2 + s1, N), where F1 are the forces Q was computed from, and the
-        converged Q and its forces, shape (s1, N)."""
-        scheme, system, cfg = self.scheme, self.system, self.config
-        shape, omega_shape = state.q.shape, system.omega_sq.shape
-        if shape != omega_shape and shape[1:] != omega_shape:
-            raise ValueError(f"state shape {shape} does not match omega_sq {omega_shape}")
-        n = shape[0] if len(shape) == 2 else 1
-        s1 = scheme.s1
         # one float step over the columns of omega_sq itself, or else one
         # step size per member
         if isinstance(h, float):
-            maps = self._block_inverses(h if shape == omega_shape else (h,) * n)
+            maps = self._block_inverses(h if shape == self._shape else (h,) * n)
         else:
             maps = self._block_inverses(tuple(h.tolist()))
         q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
-        qp = np.stack((q0, p0))
+        x = maps.inputs
+        qp = x[:2]
+        qp[0], qp[1] = q0, p0
         scale = _member_max(np.abs(qp).max(axis=0), n)
         np.maximum(scale, 1.0, out=scale)
         limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
         c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
-        def slow_force(Q):
-            return system.slow_force(Q.reshape((len(Q),) + shape)).reshape(len(Q), -1)
-
-        # second-order Taylor predictor for the primary stages
+        # second-order Taylor predictor for the rows the forces read, on
+        # their nodes, and first-order for the momenta of fixed-point mode
         acc = (system.slow_force(state.q) + system.fast_force(state.q)).reshape(-1)
-        step = maps.step
-        Q = q0 + step * np.outer(scheme.c, p0) + (0.5 * step * step) * np.outer(scheme.c ** 2, acc)
-        F1 = slow_force(Q)
-        source = None   # the forces Q was computed from
+        step, nodes = maps.step, self._nodes
+        X = q0 + step * np.outer(nodes, p0) + (0.5 * step * step) * np.outer(nodes ** 2, acc)
+        if len(maps.primary) > len(nodes):
+            X = np.concatenate((X, p0 + step * np.outer(self.scheme.c, acc)))
+        F = self._forces(X, shape)
+        source = None   # the forces X was computed from
         done = None     # the members that have converged, once some but not all have
         for iteration in range(1, cfg.max_iterations + 1):
-            if not np.isfinite(F1).all():
-                bad = ~np.all(np.isfinite(F1).reshape(s1, n, -1), axis=(0, 2))
+            if not np.isfinite(F).all():
+                bad = ~np.all(np.isfinite(F).reshape(len(F), n, -1), axis=(0, 2))
                 if done is not None:
                     bad &= ~done
                 if iteration == 1:
@@ -596,28 +562,29 @@ class ArkStepper:
                         f"stage iteration diverged after {iteration} iterations",
                         residual=math.inf, iterations=iteration,
                         members=np.flatnonzero(bad))
-            Q_new = np.einsum("ijc,jc->ic", maps.primary, F1)
-            Q_new += c0
-            change = Q_new - Q
+            X_new = np.einsum("ijc,jc->ic", maps.primary, F)
+            X_new += c0
+            change = X_new - X
             residual = _member_max(np.abs(change, out=change).max(axis=0), n)
-            F1_new = slow_force(Q_new)
+            F_new = self._forces(X_new, shape)
             if done is not None:
                 # converged members keep the stages they converged with
                 frozen = np.repeat(done, len(q0) // n)
-                np.copyto(Q_new, Q, where=frozen)
-                np.copyto(F1_new, F1, where=frozen)
-                F1 = np.where(frozen, source, F1)
+                np.copyto(X_new, X, where=frozen)
+                np.copyto(F_new, F, where=frozen)
+                F = np.where(frozen, source, F)
                 residual[done] = 0.0
-            Q, source, F1 = Q_new, F1, F1_new
+            X, source, F = X_new, F, F_new
             # count_nonzero is much cheaper than all/any on a few members
             converged = residual <= limit
             n_converged = np.count_nonzero(converged)
             if n_converged == n:
-                return maps, np.concatenate((qp, source)), Q, F1, iteration
+                np.concatenate((source, F), out=x[2:])
+                return maps, x, X, iteration
             diverged = residual > blowup
             if np.count_nonzero(diverged):
                 raise NonconvergenceError(
-                    f"slow-force iteration diverged after {iteration} iterations",
+                    f"stage iteration diverged after {iteration} iterations",
                     residual=float(np.max(residual[diverged])), iterations=iteration,
                     members=np.flatnonzero(diverged))
             if n_converged:
@@ -639,25 +606,10 @@ class ArkStepper:
         the largest over its members).  ``h`` is one step size, or for a
         batch one per member, shape (n,); ValueError unless it is finite."""
         h = _step_size(h, state)
+        maps, x, _, iterations = self._iterate(state, h)
+        q1, p1 = np.einsum("ijc,jc->ic", maps.update, x)
         shape = state.q.shape
-        t = state.t + h
-        if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            maps, x, _, F1, iterations = self._linearly_implicit_full(state, h)
-            q1, p1 = np.einsum("ijc,jc->ic", maps.update, x)
-            weights = maps.weights
-            if weights.ndim == 1:
-                p1 += weights @ F1
-            else:
-                p1 += _member_sums(weights, F1, len(weights)).reshape(-1)
-            return PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=t), iterations
-        scheme = self.scheme
-        _, P, _, F1, F2, iterations = self._fixed_point_full(state, h)
-        n = shape[0] if len(shape) == 2 else 1
-        hm = h if isinstance(h, float) else h[:, None]
-        q1 = state.q + (hm * _member_sums(scheme.b, P, n)).reshape(shape)
-        p1 = state.p + (hm * (_member_sums(scheme.b, F1, n)
-                              + _member_sums(scheme.b_tilde, F2, n))).reshape(shape)
-        return PhaseState(q=q1, p=p1, t=t), iterations
+        return PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=state.t + h), iterations
 
 
 def ark_step(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,

@@ -134,20 +134,7 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
     """
     cfg = config if config is not None else StageSolveConfig()
     if state.q.ndim == 2:
-        out, failed = [], []
-        for k in range(len(state.q)):
-            member = SplitForceSystem(dimension=system.dimension, f1=system.f1,
-                                      omega_sq=system.omega_sq[k])
-            try:
-                out.append(textbook_linear_stage_step(
-                    scheme, member, PhaseState(q=state.q[k], p=state.p[k]), h, cfg))
-            except StageSolveError:
-                failed.append(k)
-        if failed:
-            raise NonconvergenceError("members failed", members=failed)
-        q1, p1, Q, P, Qt, iters = zip(*out)
-        return (np.stack(q1), np.stack(p1), np.stack(Q, axis=1), np.stack(P, axis=1),
-                np.stack(Qt, axis=1), max(iters))
+        return _member_by_member(textbook_linear_stage_step, scheme, system, state, h, cfg)
     s1, s2 = scheme.s1, scheme.s2
     q0, p0, w = state.q, state.p, system.omega_sq
     d = len(q0)
@@ -178,6 +165,72 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
     q1 = q0 + h * (scheme.b @ P)
     p1 = p0 + h * (scheme.b @ F1 + scheme.b_tilde @ (-w * Qt))
     return q1, p1, Q, P, Qt, iteration
+
+
+def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
+                              state: PhaseState, h: float,
+                              config: StageSolveConfig | None = None):
+    """One plain fixed-point step as written in the textbook.
+
+    Each pass sets P = p0 + h (Ahat F1 + AtH F2) from the forces of the
+    previous pass, then Q = q0 + h a P, Qt = q0 + h At P, F1 = F1(Q) and
+    F2 = F2(Qt), all with fresh arrays.  The predictor (Taylor on the nodes
+    c and c_tilde for Q and Qt, p0 + h c F(q0) for P), the convergence test
+    (max |P_new - P|, |Q_new - Q|, |Qt_new - Qt| against tolerance *
+    max(1, |q0|, |p0|)) and the divergence bound are the engine's.  A batch
+    (n, d) is stepped member by member.  Returns (q1, p1, Q, P, Qt,
+    iterations), iterations being the largest over the members; raises
+    NonconvergenceError naming every member that failed.
+    """
+    cfg = config if config is not None else StageSolveConfig()
+    if state.q.ndim == 2:
+        return _member_by_member(textbook_fixed_point_step, scheme, system, state, h, cfg)
+    q0, p0 = state.q, state.p
+    scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
+    acc = system.slow_force(q0) + system.fast_force(q0)
+    Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
+    Qt = (q0 + h * np.outer(scheme.c_tilde, p0)
+          + (0.5 * h * h) * np.outer(scheme.c_tilde ** 2, acc))
+    P = p0 + h * np.outer(scheme.c, acc)
+    F1, F2 = system.slow_force(Q), system.fast_force(Qt)
+    for iteration in range(1, cfg.max_iterations + 1):
+        if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
+            raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
+        P_new = p0 + h * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
+        Q_new = q0 + h * (scheme.a @ P_new)
+        Qt_new = q0 + h * (scheme.a_tilde @ P_new)
+        residual = max(float(np.max(np.abs(P_new - P))), float(np.max(np.abs(Q_new - Q))),
+                       float(np.max(np.abs(Qt_new - Qt))))
+        P, Q, Qt = P_new, Q_new, Qt_new
+        F1, F2 = system.slow_force(Q), system.fast_force(Qt)
+        if residual <= cfg.tolerance * scale:
+            break
+        if residual > 1e12 * scale:
+            raise NonconvergenceError("diverged", members=(0,))
+    else:
+        raise NonconvergenceError("no convergence", members=(0,))
+    q1 = q0 + h * (scheme.b @ P)
+    p1 = p0 + h * (scheme.b @ F1 + scheme.b_tilde @ F2)
+    return q1, p1, Q, P, Qt, iteration
+
+
+def _member_by_member(textbook_step, scheme, system, state, h, cfg):
+    """``textbook_step`` applied to each member of a batch (n, d), each with
+    its own row of omega_sq; the stage arrays stack along axis 1."""
+    out, failed = [], []
+    for k in range(len(state.q)):
+        member = SplitForceSystem(dimension=system.dimension, f1=system.f1,
+                                  omega_sq=system.omega_sq[k])
+        try:
+            out.append(textbook_step(scheme, member, PhaseState(q=state.q[k], p=state.p[k]),
+                                     h, cfg))
+        except StageSolveError:
+            failed.append(k)
+    if failed:
+        raise NonconvergenceError("members failed", members=failed)
+    q1, p1, Q, P, Qt, iters = zip(*out)
+    return (np.stack(q1), np.stack(p1), np.stack(Q, axis=1), np.stack(P, axis=1),
+            np.stack(Qt, axis=1), max(iters))
 
 
 # floats whose "%.17g" and format(x, ".17g") must print byte for byte alike

@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from _helpers import (
     scaled_stability_map,
     singular_at_one,
     symplectic_residual,
+    textbook_fixed_point_step,
     textbook_lawson_rk8,
     textbook_linear_stage_step,
     textbook_rk8,
@@ -154,7 +156,8 @@ def test_numerical_failure_on_bad_force():
 def test_batch_matches_single_state_runs(name, tolerance):
     # the two frequencies near 173.2 sit at h*omega/pi = 1.1027 and h*omega = 2 sqrt(3);
     # at the loose tolerance one stage pass more or less moves a state far
-    # beyond the bound, so every member must stop where it would alone
+    # off, so every member must stop where it would alone; every sum of a
+    # step runs column by column, so each member is bitwise its single run
     h = 0.02
     config = StageSolveConfig(tolerance=tolerance)
     omegas = [20.0, 50.0, 1.1027 * math.pi / h, 2.0 * math.sqrt(3.0) / h, 300.0, 1000.0]
@@ -173,9 +176,7 @@ def test_batch_matches_single_state_runs(name, tolerance):
             counts.append(count)
         assert type(iterations) is int and iterations == max(counts)
     for k, single in enumerate(states):
-        scale = max(np.max(np.abs(single.q)), np.max(np.abs(single.p)))
-        assert np.max(np.abs(state.q[k] - single.q)) <= 1e-13 * scale
-        assert np.max(np.abs(state.p[k] - single.p)) <= 1e-13 * scale
+        assert np.array_equal(state.q[k], single.q) and np.array_equal(state.p[k], single.p)
 
 
 def _chain_batch(omegas):
@@ -196,35 +197,35 @@ def _assert_members_close(got, want):
         assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, float(np.max(np.abs(w))))
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("omega, h", [(50.0, 0.04), (1e3, 0.1)], ids=["w50", "w1e3"])
-@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "lglc4"])
-def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
-    # one step at a time along a 200-step chain run, each from the engine's
-    # state: whole trajectories of the chaotic chain drift apart from roundoff
-    scheme = scheme_from_name(name)
+def _chain_system(omega, batch):
+    """The chain at omega, or a batch of it at (1, 0.3, 2) times omega."""
     if batch:
-        system, state = _chain_batch([omega, 0.3 * omega, 2.0 * omega])
-    else:
-        params = fput.FputParams(ell=3, omega=omega)
-        system, state = fput.fput_system(params), fput.paper_initial_state(params)
-    stepper = ArkStepper(scheme, system)
+        return _chain_batch([omega, 0.3 * omega, 2.0 * omega])
+    params = fput.FputParams(ell=3, omega=omega)
+    return fput.fput_system(params), fput.paper_initial_state(params)
+
+
+def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps=200):
+    """Step the engine ``steps`` times and check each step, from the engine's
+    state, against ``textbook_step``: q1 and p1 (and every 20th step the
+    stages) within 1e-13, and equal pass counts.  Returns the textbook's
+    StageSolveError once both fail, in members the textbook names too, or
+    None."""
+    stepper = ArkStepper(scheme, system, config)
+    batch = state.q.ndim == 2
 
     def members(x, axis=0):
         """Member-first view: one row for a single state."""
         return np.moveaxis(x, axis, 0) if batch else x[None]
 
-    for step in range(200):
+    for step in range(steps):
         try:
-            q1, p1, Q, P, Qt, iterations = textbook_linear_stage_step(scheme, system, state, h)
+            q1, p1, Q, P, Qt, iterations = textbook_step(scheme, system, state, h, config)
         except StageSolveError as exc:
-            # lglc4 at h*omega = 100 is outside its stability interval: the
-            # slow-force iteration diverges for both, in the same members
             with pytest.raises(StageSolveError) as info:
                 stepper.step_with_iterations(state, h)
             assert set(info.value.members) <= set(exc.members)
-            assert (name, omega) == ("lglc4", 1e3)
-            return
+            return exc
         got, count = stepper.step_with_iterations(state, h)
         assert count == iterations, f"step {step}"
         _assert_members_close(np.stack([members(got.q), members(got.p)], axis=1),
@@ -235,6 +236,38 @@ def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
             for got_stage, want_stage in zip(stages, (Q, P, Qt)):
                 _assert_members_close(members(got_stage, 1), members(want_stage, 1))
         state = got
+    return None
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("omega, h", [(50.0, 0.04), (1e3, 0.1)], ids=["w50", "w1e3"])
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "lglc4"])
+def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
+    # one step at a time along a 200-step chain run, each from the engine's
+    # state: whole trajectories of the chaotic chain drift apart from roundoff
+    system, state = _chain_system(omega, batch)
+    failure = _steps_match_textbook(textbook_linear_stage_step, scheme_from_name(name),
+                                    system, state, h, StageSolveConfig())
+    # lglc4 at h*omega = 100 is outside its stability interval: the
+    # slow-force iteration diverges for both, in the same members
+    assert failure is None or (name, omega) == ("lglc4", 1e3)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("omega", [1.0, 5.0, 50.0], ids=["w1", "w5", "w50"])
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "lglc4"])
+def test_fixed_point_step_matches_textbook_iteration(name, omega, batch):
+    # fixed-point mode is the same loop with the other fold: it iterates P,
+    # Q and Qt on F1 and F2 and tests all three, as the textbook loop does
+    system, state = _chain_system(omega, batch)
+    failure = _steps_match_textbook(textbook_fixed_point_step, scheme_from_name(name),
+                                    system, state, 0.02,
+                                    StageSolveConfig(mode=SolverMode.FIXED_POINT))
+    # the batch's member at 2 omega = 100 sits at h*omega = 2, where plain
+    # iteration of lgl2 no longer contracts: the engine and the textbook
+    # both fail that member, and only it
+    assert failure is None or ((name, omega, batch) == ("lgl2", 50.0, True)
+                               and failure.members == (2,))
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
@@ -398,6 +431,20 @@ def test_fixed_point_batch_names_failing_members():
         ark_step(scheme_from_name("lgl4"), harmonic_system(50.0),
                  PhaseState(q=[[1.0], [1.0]], p=[[0.0], [0.0]]), [1e-3, 1.0], config)
     assert info.value.members == (1,)
+
+
+@pytest.mark.parametrize("mode", [None, SolverMode.FIXED_POINT],
+                         ids=["linearly-implicit", "fixed-point"])
+def test_stepper_is_freed_by_reference_counting(mode):
+    # a stepper holds its folded maps; a reference cycle through it would
+    # keep them until the cycle collector runs, and memory grows meanwhile
+    params = fput.FputParams(ell=3, omega=5.0)
+    stepper = ArkStepper(scheme_from_name("lgl4"), fput.fput_system(params),
+                         StageSolveConfig(mode=mode))
+    stepper.step(fput.paper_initial_state(params), 0.01)
+    ref = weakref.ref(stepper)
+    del stepper
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
