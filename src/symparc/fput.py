@@ -133,6 +133,8 @@ def _chain_energies(q, p, omegas, ell: int):
     H has the leading shape and I the leading shape + (ell,).  Every term
     of H is a square of an entry of z = (p, omega q_f, e^2), so H is one
     product of z^2 with constant weights, however many chains there are.
+    The product is an einsum, which sums each row alike wherever it sits
+    in the stack; BLAS would round a row by its position.
     """
     q, p = np.asarray(q), np.asarray(p)
     lead = q.shape[:-1]
@@ -143,7 +145,8 @@ def _chain_energies(q, p, omegas, ell: int):
     z = np.concatenate((p, w * q[:, ell:], e), axis=1)
     z *= z
     osc = 0.5 * (z[:, ell:2 * ell] + z[:, 2 * ell:3 * ell])
-    return z.dot(_energy_weights(ell)).reshape(lead), osc.reshape(lead + (ell,))
+    return (np.einsum("ij,j->i", z, _energy_weights(ell)).reshape(lead),
+            osc.reshape(lead + (ell,)))
 
 
 def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
@@ -296,12 +299,11 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     q[:, ell] = 1.0 / omegas
     state = PhaseState(q=q, p=p)
     rows = np.arange(len(omegas))   # the rows still running
-    ones = np.ones(ell)
 
     def energies(state, omegas):
-        """H and omega * I_total of each row."""
+        """H and omega * I_total of each row, each as it is for the row alone."""
         hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
-        return hamiltonian, omegas * osc.dot(ones)
+        return hamiltonian, omegas * np.einsum("ij->i", osc)
 
     h0, i0 = energies(state, omegas)
     worst = np.zeros((2, len(omegas)))

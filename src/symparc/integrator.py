@@ -38,6 +38,19 @@ two modes differ only in this fold:
 one product with K and one force evaluation, and the pass that converges
 ends the step in one more affine map, of (q0, p0, F, F(X)) to (q1, p1).
 
+The Lobatto IIIA-B pair is explicit in its first and last stages for
+separable forces (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+II.2), and the fold shows it in exact zeros: a[0] = 0 makes the first row
+Q_1 = q0, and ahat[:, -1] = 0 leaves F1(Q_s) read by no row, only by the
+update.  So F1(q0) is evaluated once per step (the predictor uses it too),
+a pass evaluates the forces of the interior stages Q_2 ... Q_{s-1} alone,
+and F1(Q_s) is evaluated once, in the pass that converges; Q_s itself stays
+in the iteration and in its convergence test.  A scheme without interior
+stages (lgl2, the base of imex-yoshida4 and imex-yoshida6) is explicit in
+linearly-implicit mode, the classical IMEX step: Q_2 = c0 + K F1(q0), then
+F1(Q_2), and no pass.  The zeros are read off each fold, not off the
+scheme, and a scheme without them iterates every stage.
+
 The loop also steps a batch: q and p of shape (n, d) are n independent
 states.  omega_sq of shape (n, d) gives each its own diagonal; one of shape
 (d,) is shared by every member.  h is one step size, or one per member,
@@ -48,8 +61,8 @@ has converged, and every sum runs column by column, so a member's state is
 bitwise the one it reaches alone.
 
 Force callbacks must be vectorized over leading axes: they receive arrays of
-shape (..., d) -- (s, d) for one state, (s, n, d) for a batch -- and return
-the force row-wise.
+shape (..., d) -- (k, d) for k stages of one state, (k, n, d) for a batch,
+and the state itself -- and return the force row-wise.
 """
 
 from __future__ import annotations
@@ -240,9 +253,11 @@ class StageSolveConfig:
     ``tolerance`` is relative to each member's own scale max(1, |q0|_inf,
     |p0|_inf): a member has converged once no iterated row moved by more
     than tolerance times its scale in a pass.  Linearly-implicit mode tests
-    the stages Q; fixed-point mode tests P, Q and Qt.  ``mode=None`` picks
-    linearly-implicit when the system has a diagonal fast part and plain
-    fixed-point otherwise.
+    the stages Q; fixed-point mode tests P, Q and Qt.  ``max_iterations``
+    bounds the passes; a step without interior stages (lgl2 in
+    linearly-implicit mode) is explicit and takes none, so it does not
+    bound it.  ``mode=None`` picks linearly-implicit when the system has a
+    diagonal fast part and plain fixed-point otherwise.
     """
 
     tolerance: float = 1e-12
@@ -279,6 +294,12 @@ def _member_max(columns, n: int):
     return np.ascontiguousarray(columns.reshape(n, -1).T).max(axis=0)
 
 
+def _failing(F, n: int):
+    """Which of the n members hold a non-finite entry in the forces F,
+    shape (slots, n*d)."""
+    return ~np.all(np.isfinite(F).reshape(len(F), n, -1), axis=(0, 2))
+
+
 def _step_size(h, state: PhaseState):
     """``h`` as one float, or as an (n,) array with one step size per member
     of the batched ``state``; ValueError unless every step size is finite.
@@ -301,30 +322,56 @@ def _step_size(h, state: PhaseState):
 
 class _StageMaps(NamedTuple):
     """One step as affine maps, per column c of the flattened state.  The
-    loop iterates the rows X (Q in linearly-implicit mode, (Q, Qt, P) in
-    fixed-point mode) and evaluates the m forces F on X's first rows (F1(Q),
-    or F1(Q) and F2(Qt)).  With F the forces that X is computed from and h
-    the column's step size:
+    fold has rows (Q in linearly-implicit mode, (Q, Qt, P) in fixed-point
+    mode) and m force slots, slot j holding the force of row j (F1(Q), or
+    F1(Q) and F2(Qt)).  The slots are split by the exact zeros of the fold:
+
+    - explicit: a slow-force row whose map is exactly q0 (Q_1 in the
+      Lobatto schemes).  Its force is F1(q0), evaluated once per step.
+    - lagged: a slot that no row reads (F1(Q_s), since ahat[:, -1] = 0).
+      Only (q1, p1) read it, so its force is evaluated in the converging
+      pass alone.
+    - iterated: every other slot, evaluated in every pass.
+
+    The slots are ordered explicit, then per force iterated and lagged;
+    ``layout`` gives the fold's row of each slot's row and of every other
+    row, and X holds the rows after the explicit ones.  With F the forces
+    that X is computed from and h the column's step size:
 
         X[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
                          + sum_j primary[i, j, c] F[j, c]
         (q1, p1)[i, c] = sum_j update[i, j, c] (q0, p0, F, F(X))[j, c]
 
+    ``primary`` stops after the last slot that X reads; the lagged slots of
+    F and F(X) that the maps multiply by an exact zero hold a finite value.
+    ``passes`` and ``final`` are the (force, rows of X, slots) blocks
+    evaluated in every pass and in the converging one, the force F1 or F2;
+    with no iterated slot the step is explicit.  ``nodes`` and ``momenta`` are the
+    predictor's nodes of X's position and momentum rows.
+
     ``solution`` is the (Qt, P) map over (q0, p0, F) of each (step size,
     Omega^2 value) pair, shape (H*V, s2 + s1, 2 + m), and ``index`` the pair
     of each column.  ``step`` is h, one float or one per column.  ``inputs``
-    is the buffer each step stacks (q0, p0, F, F(X)) into: at the sweep's N
-    a fresh array per step is larger than malloc's mmap threshold, and some
-    processes then fault its pages in anew on every step.
+    is the buffer each step stacks (q0, p0, F, F(X)) into and ``forces`` the
+    two force buffers a step swaps: at the sweep's N a fresh array per
+    step is larger than malloc's mmap threshold, and some processes then
+    fault its pages in anew on every step.
     """
 
-    start: np.ndarray          # (rows, 2, N)
-    primary: np.ndarray        # (rows, m, N)
+    start: np.ndarray          # (rows of X, 2, N)
+    primary: np.ndarray        # (rows of X, slots read, N)
     update: np.ndarray         # (2, 2 + 2 m, N)
     solution: np.ndarray       # (H*V, s2 + s1, 2 + m)
     index: np.ndarray          # (N,)
     step: float | np.ndarray   # float or (N,)
     inputs: np.ndarray         # (2 + 2 m, N)
+    forces: np.ndarray         # (2, m, N)
+    layout: np.ndarray         # (rows,)
+    explicit: int
+    passes: tuple
+    final: tuple
+    nodes: np.ndarray
+    momenta: np.ndarray
 
 
 class ArkStepper:
@@ -356,6 +403,8 @@ class ArkStepper:
         # the factorized stage solve per scalar step size, which the maps are
         # gathered from: a member that leaves a batch refactors no other
         self._folds = {}
+        # the layout of the maps per pattern of the folds' zeros
+        self._layouts = {}
         if mode is SolverMode.LINEARLY_IMPLICIT:
             # one block per distinct entry of Omega^2; _columns maps each
             # coordinate of the flattened omega_sq to its block
@@ -383,9 +432,10 @@ class ArkStepper:
         a tuple of n step sizes maps a batch of n members, each member's d
         columns with its own step size, over an omega_sq of shape (n, d) or
         (d,).  The cache keeps, per key, the gathered start, primary and
-        update weights (together s1^2 + 6 s1 + 4 numbers per column in
-        linearly-implicit mode) and the per-pair (Qt, P) solution, which
-        only solve_stages gathers.
+        update weights of the rows and slots the loop reads (in
+        linearly-implicit Lobatto schemes (s1 - 1)(s1 + 1) + 6 s1 + 4
+        numbers per column) and the per-pair (Qt, P) solution, which only
+        solve_stages gathers.
         """
         cached = self._block_cache.get(h)
         if cached is not None:
@@ -403,29 +453,82 @@ class ArkStepper:
             steps, index, step = (h,), self._columns, h
         folds = [self._fold(u, lambda k, j=j: self._rows_with(index == j * n_values + k))
                  for j, u in enumerate(steps)]
-        start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
-        maps = _StageMaps(start=self._gather(start, index),
-                          primary=self._gather(primary, index),
-                          update=self._gather(update, index), solution=solution,
-                          index=index, step=step,
-                          inputs=np.empty((update.shape[-1], len(index))))
+        *maps, zeros = zip(*folds)
+        start, primary, update, solution = (np.concatenate(x) for x in maps)
+        # a zero step's fold is zero throughout and shows none of the
+        # tableau's zeros; the zeros every other fold has set the layout
+        zeros = [z for z in zeros if z is not None]
+        key = tuple(np.logical_and.reduce(z).tobytes() for z in zip(*zeros)) if zeros else ()
+        if key not in self._layouts:
+            self._layouts[key] = self._layout(*(np.frombuffer(z, dtype=bool) for z in key))
+        rows, read, columns, fields = self._layouts[key]
+        m = primary.shape[-1]
+        maps = _StageMaps(start=self._gather(start[:, rows], index),
+                          primary=self._gather(primary[:, rows][:, :, read], index),
+                          update=self._gather(update[:, :, columns], index),
+                          solution=solution[:, :, columns[:2 + m]], index=index, step=step,
+                          inputs=np.empty((len(columns), len(index))),
+                          forces=np.empty((2, m, len(index))), **fields)
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = maps
         return maps
 
+    def _layout(self, copies=None, unread=None):
+        """How :class:`_StageMaps` takes the rows and slots of the folds,
+        for their exact zeros (see :meth:`_fold`): ``copies`` marks the rows
+        that are q0, ``unread`` the slots no row reads.  Without them no
+        slot is explicit or lagged.
+
+        Returns (rows, read, columns, fields): the fold's rows that X holds,
+        the fold's slots that X reads, the fold's columns of the update map
+        in slot order, and the maps' fields that follow from these alone.
+        """
+        s1, m = self.scheme.s1, len(self._nodes)
+        n_rows = m if self.mode is SolverMode.LINEARLY_IMPLICIT else m + s1
+        slots = np.arange(m)
+        if copies is None:
+            copies, unread = np.zeros(n_rows, dtype=bool), np.zeros(m, dtype=bool)
+        explicit = copies[:s1]
+        order = [slots[:s1][explicit]]
+        passes, final = [], []
+        lo = e = len(order[0])
+        for force, kind in ((self.system.slow_force, slots[:s1][~explicit]),
+                            (self.system.fast_force, slots[s1:])):
+            iterated, lagged = kind[~unread[kind]], kind[unread[kind]]
+            order += [iterated, lagged]
+            for blocks, hi in ((passes, lo + len(iterated)), (final, lo + len(kind))):
+                if hi > lo:
+                    blocks.append((force, slice(lo - e, hi - e), slice(lo, hi)))
+            lo += len(kind)
+        order = np.concatenate(order)
+        layout = np.concatenate((order, np.arange(m, n_rows)))
+        rows = layout[e:]
+        read = np.flatnonzero(~unread[order])
+        fields = dict(layout=layout, explicit=e, passes=tuple(passes), final=tuple(final),
+                      nodes=self._nodes[rows[rows < m]],
+                      momenta=self.scheme.c[rows[rows >= m] - m])
+        return (rows, order[:read[-1] + 1 if len(read) else 0],
+                np.concatenate(((0, 1), 2 + order, 2 + m + order)), fields)
+
     def _fold(self, h: float, members):
         """The stage solve at step size h for each value w of the block: the
         maps start (V, rows, 2), primary (V, rows, m) and update
-        (V, 2, 2 + 2 m) of :class:`_StageMaps` and the (Qt, P) solution
-        (V, s2 + s1, 2 + m).  ``members(k)`` names the rows that a singular
-        block of the k-th value fails.
+        (V, 2, 2 + 2 m) of the fold's rows and slots, the (Qt, P) solution
+        (V, s2 + s1, 2 + m), and the zeros (the rows that are exactly q0,
+        the slots no row reads) that hold for every value, or None at h = 0.
+        ``members(k)`` names the rows that a singular block of the k-th
+        value fails.
 
         Each stage block is factorized once; solving it against the
         right-hand side [q0; p0 + h Ahat F1 (+ h AtH F2 in fixed-point mode)]
         column by column gives (Qt, P) as affine functions of (q0, p0, F),
         and with them Q = q0 + h a P, q1 = q0 + h b P and
-        p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).
+        p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).  The maps keep the
+        tableau's exact zeros: a zero row of a gives a row of X that is
+        exactly (1, 0) on (q0, p0) and 0 on F, and a zero column of Ahat a
+        right-hand side column, and so a column of every map but update's
+        F(X) part, that is exactly 0.
         """
         folded = self._folds.get(h)
         if folded is not None:
@@ -471,7 +574,12 @@ class ArkStepper:
         update[:, 1, 1] += 1.0
         update[:, 1, 2 + m:] = h * (np.concatenate((scheme.b, scheme.b_tilde))
                                     if fixed_point else scheme.b)
-        folded = (primary[:, :, :2], primary[:, :, 2:], update, solution)
+        # the rows that are exactly q0 and the slots no row reads
+        start, primary = primary[:, :, :2], primary[:, :, 2:]
+        zeros = None if h == 0.0 else ((~primary.any(axis=(0, 2))
+                                        & (start == (1.0, 0.0)).all(axis=(0, 2))),
+                                       ~primary.any(axis=(0, 1)))
+        folded = (start, primary, update, solution, zeros)
         if len(self._folds) > 64:
             self._folds.clear()
         self._folds[h] = folded
@@ -487,18 +595,6 @@ class ArkStepper:
         """The members (0 for a single state) holding a column where ``hit``."""
         return np.flatnonzero(hit.reshape(-1, self.system.dimension).any(axis=1))
 
-    # -- forces ------------------------------------------------------------
-
-    def _forces(self, X, shape):
-        """The forces of the iterated rows X, shape (rows, N), of states of
-        ``shape``: F1(Q), and in fixed-point mode also F2(Qt)."""
-        system, s1, s2 = self.system, self.scheme.s1, self.scheme.s2
-        F1 = system.slow_force(X[:s1].reshape((s1,) + shape)).reshape(s1, -1)
-        if self.mode is SolverMode.LINEARLY_IMPLICIT:
-            return F1
-        F2 = system.fast_force(X[s1:s1 + s2].reshape((s2,) + shape)).reshape(s2, -1)
-        return np.concatenate((F1, F2))
-
     # -- stage solve -------------------------------------------------------
 
     def solve_stages(self, state: PhaseState, h):
@@ -510,7 +606,11 @@ class ArkStepper:
         maps, x, X, iterations = self._iterate(state, h)
         sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index),
                         x[:maps.solution.shape[-1]])
-        return (X[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
+        # the explicit rows are q0 itself
+        stages = np.empty((len(maps.layout), X.shape[1]))
+        explicit = np.broadcast_to(x[0], (maps.explicit, len(x[0])))
+        stages[maps.layout] = np.concatenate((explicit, X))
+        return (stages[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
                 iterations)
 
     def _iterate(self, state, h):
@@ -518,7 +618,8 @@ class ArkStepper:
         columns.  Returns (maps, x, X, iterations): the step's
         :class:`_StageMaps`, their inputs x = (q0, p0, F, F(X)) stacked into
         ``maps.inputs``, where F are the forces X was computed from, and the
-        converged X."""
+        converged X.  A step without iterated slots is explicit: X is formed
+        once from F1(q0), in 0 passes."""
         system, cfg = self.system, self.config
         shape = state.q.shape
         if shape != self._shape and shape[1:] != self._shape:
@@ -539,62 +640,86 @@ class ArkStepper:
         limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
         c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
-        # second-order Taylor predictor for the rows the forces read, on
-        # their nodes, and first-order for the momenta of fixed-point mode
-        acc = (system.slow_force(state.q) + system.fast_force(state.q)).reshape(-1)
-        step, nodes = maps.step, self._nodes
-        X = q0 + step * np.outer(nodes, p0) + (0.5 * step * step) * np.outer(nodes ** 2, acc)
-        if len(maps.primary) > len(nodes):
-            X = np.concatenate((X, p0 + step * np.outer(self.scheme.c, acc)))
-        F = self._forces(X, shape)
-        source = None   # the forces X was computed from
+        # the forces X was computed from, which the next forces overwrite
+        # once a pass no longer needs them, and the forces of X; the
+        # explicit slots hold F1(q0) throughout, the lagged ones 0 until the
+        # converging pass evaluates them
+        slow = system.slow_force(state.q)
+        forces = maps.forces
+        forces[:, maps.explicit:] = 0.0
+        forces[:, :maps.explicit] = slow.reshape(-1)
+        source, F = forces
+        iterated, read, stages = bool(maps.passes), maps.primary.shape[1], (-1,) + shape
+        if iterated:
+            # second-order Taylor predictor for the rows the forces read, on
+            # their nodes, and first-order for the momenta of fixed-point mode
+            acc = (slow + system.fast_force(state.q)).reshape(-1)
+            step, nodes = maps.step, maps.nodes
+            X_new = (q0 + step * np.outer(nodes, p0)
+                     + (0.5 * step * step) * np.outer(nodes ** 2, acc))
+            if len(maps.momenta):
+                X_new = np.concatenate((X_new, p0 + step * np.outer(maps.momenta, acc)))
+        else:
+            X_new = c0   # read by no force
+        blocks = maps.passes
+        iteration = 0
+        final = False   # whether X_new has converged
         done = None     # the members that have converged, once some but not all have
-        for iteration in range(1, cfg.max_iterations + 1):
+        while True:
+            for force, rows, slots in blocks:
+                source[slots] = force(X_new[rows].reshape(stages)).reshape(-1, len(q0))
+            X, source, F = X_new, F, source
+            # every force that X or (q1, p1) reads is checked
             if not np.isfinite(F).all():
-                bad = ~np.all(np.isfinite(F).reshape(len(F), n, -1), axis=(0, 2))
-                if done is not None:
-                    bad &= ~done
-                if iteration == 1:
+                bad = _failing(F, n)
+                if iteration == 0 or final:
                     raise NumericalFailureError("force evaluation returned NaN/Inf",
                                                 np.flatnonzero(bad))
+                if done is not None:
+                    bad &= ~done
                 if bad.any():
                     raise NonconvergenceError(
-                        f"stage iteration diverged after {iteration} iterations",
-                        residual=math.inf, iterations=iteration,
+                        f"stage iteration diverged after {iteration + 1} iterations",
+                        residual=math.inf, iterations=iteration + 1,
                         members=np.flatnonzero(bad))
-            X_new = np.einsum("ijc,jc->ic", maps.primary, F)
-            X_new += c0
-            change = X_new - X
-            residual = _member_max(np.abs(change, out=change).max(axis=0), n)
-            F_new = self._forces(X_new, shape)
-            if done is not None:
-                # converged members keep the stages they converged with
-                frozen = np.repeat(done, len(q0) // n)
-                np.copyto(X_new, X, where=frozen)
-                np.copyto(F_new, F, where=frozen)
-                F = np.where(frozen, source, F)
-                residual[done] = 0.0
-            X, source, F = X_new, F, F_new
-            # count_nonzero is much cheaper than all/any on a few members
-            converged = residual <= limit
-            n_converged = np.count_nonzero(converged)
-            if n_converged == n:
+            if final:
                 np.concatenate((source, F), out=x[2:])
                 return maps, x, X, iteration
-            diverged = residual > blowup
-            if np.count_nonzero(diverged):
-                raise NonconvergenceError(
-                    f"stage iteration diverged after {iteration} iterations",
-                    residual=float(np.max(residual[diverged])), iterations=iteration,
-                    members=np.flatnonzero(diverged))
-            if n_converged:
-                done = converged
-        worst = float(np.max(residual))
-        raise NonconvergenceError(
-            f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
-            residual=worst, iterations=cfg.max_iterations,
-            members=np.flatnonzero(~converged))
+            X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
+            X_new += c0
+            final = not iterated
+            if iterated:
+                iteration += 1
+                change = X_new - X
+                residual = _member_max(np.abs(change, out=change).max(axis=0), n)
+                if done is not None:
+                    # converged members keep the stages they converged with
+                    # and the forces those came from
+                    frozen = np.repeat(done, len(q0) // n)
+                    np.copyto(X_new, X, where=frozen)
+                    np.copyto(F, source, where=frozen)
+                    residual[done] = 0.0
+                # count_nonzero is much cheaper than all/any on a few members
+                converged = residual <= limit
+                n_converged = np.count_nonzero(converged)
+                final = n_converged == n
+                if not final:
+                    diverged = residual > blowup
+                    if np.count_nonzero(diverged):
+                        raise NonconvergenceError(
+                            f"stage iteration diverged after {iteration} iterations",
+                            residual=float(np.max(residual[diverged])), iterations=iteration,
+                            members=np.flatnonzero(diverged))
+                    if iteration == cfg.max_iterations:
+                        worst = float(np.max(residual))
+                        raise NonconvergenceError(
+                            f"stage iteration did not reach tolerance {cfg.tolerance:g} "
+                            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
+                            residual=worst, iterations=cfg.max_iterations,
+                            members=np.flatnonzero(~converged))
+                    if n_converged:
+                        done = converged
+            blocks = maps.final if final else maps.passes
 
     # -- stepping ----------------------------------------------------------
 

@@ -131,17 +131,18 @@ def test_chain_energies_batch_rows_match_single_states(ell):
     p = rng.uniform(-2.0, 2.0, (450, 2 * ell))
     h, osc = fput._chain_energies(q, p, omegas, ell)
     assert h.shape == (450,) and osc.shape == (450, ell)
+    # every sum runs row by row: each row is bitwise that of its state alone
     for i, omega in enumerate(omegas):
         params = FputParams(ell=ell, omega=omega)
         single = energy_breakdown(params, PhaseState(q=q[i], p=p[i]))
-        assert abs(h[i] - single.hamiltonian) <= 1e-15 * abs(single.hamiltonian)
-        assert np.all(np.abs(osc[i] - single.oscillatory) <= 1e-15 * single.oscillatory)
+        assert h[i] == single.hamiltonian
+        assert np.array_equal(osc[i], single.oscillatory)
         assert fput_system(params).energy(PhaseState(q=q[i], p=p[i])) == single.hamiltonian
     # a stack of chains with one frequency broadcasts over every leading axis
     stacked = fput._chain_energies(q.reshape(3, 150, -1), p.reshape(3, 150, -1), 2.0, ell)
     flat = fput._chain_energies(q, p, 2.0, ell)
     assert stacked[0].shape == (3, 150) and stacked[1].shape == (3, 150, ell)
-    assert np.allclose(stacked[0].ravel(), flat[0], rtol=1e-15, atol=0.0)
+    assert np.array_equal(stacked[0].ravel(), flat[0])
 
 
 def test_energy_breakdown_dimension_mismatch():
@@ -222,6 +223,18 @@ def test_sweep_records_failures_and_continues():
             assert abs(got - ref) <= 1e-13 * ref
     with pytest.raises(ValueError, match="unknown scheme"):
         experiment_resonance_sweep("not-a-scheme", params, 0.02, 1.0, [10.0, 20.0])
+
+
+def test_sweep_rows_match_one_frequency_sweeps():
+    # the states are stepped and their energies summed row by row, so each
+    # row of a sweep is bitwise the sweep of its frequency alone
+    params, h, T = FputParams(ell=3), 0.02, 1.0
+    omegas = np.linspace(0.01, 4.5, 24) * math.pi / h
+    result = experiment_resonance_sweep("lgl6", params, h, T, omegas)
+    for i, omega in enumerate(omegas):
+        alone = experiment_resonance_sweep("lgl6", params, h, T, [omega])
+        assert result.max_energy_error[i] == alone.max_energy_error[0]
+        assert result.max_scaled_i_deviation[i] == alone.max_scaled_i_deviation[0]
 
 
 @pytest.mark.parametrize("h, T, omegas", [
@@ -309,7 +322,7 @@ def test_csv_writers_match_cellwise_formatting(tmp_path):
 
 def test_reduction_records_stage_solve_failures():
     params = FputParams(ell=3, omega=10.0)
-    table = experiment_order_reduction(["lgl4", "imex-yoshida4"], params, 10.0, [5.0],
+    table = experiment_order_reduction(["lgl4", "lgl6"], params, 10.0, [5.0],
                                        [10.0], config=StageSolveConfig(max_iterations=1),
                                        reference_tol=1e-10)
     assert len(table.rows) == 2
@@ -323,6 +336,16 @@ def _single_state_final(name, params, T, h, config=None):
     n_steps = max(1, int(round(T / h)))
     return integrate(name, fput_system(params), paper_initial_state(params), T / n_steps,
                      n_steps, config=config, stride=n_steps).final_state()
+
+
+def test_max_iterations_does_not_bound_an_explicit_scheme():
+    # lgl2, the base of imex-yoshida4, has no interior stage: its steps take
+    # no pass for max_iterations to cut short
+    params = FputParams(ell=3, omega=10.0)
+    one = _single_state_final("imex-yoshida4", params, 1.0, 0.05,
+                              StageSolveConfig(max_iterations=1))
+    default = _single_state_final("imex-yoshida4", params, 1.0, 0.05)
+    assert np.array_equal(one.q, default.q) and np.array_equal(one.p, default.p)
 
 
 def _assert_relative(got, want, bound=1e-13):

@@ -31,7 +31,7 @@ from symparc.integrator import (
     yoshida_compose,
 )
 from symparc.stability import stability_matrix
-from symparc.tableaux import Variant, build_scheme
+from symparc.tableaux import ArkScheme, Variant, build_scheme
 
 from _helpers import (
     SPECIAL_FLOATS,
@@ -205,12 +205,14 @@ def _chain_system(omega, batch):
     return fput.fput_system(params), fput.paper_initial_state(params)
 
 
-def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps=200):
+def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps=200,
+                          explicit=False):
     """Step the engine ``steps`` times and check each step, from the engine's
     state, against ``textbook_step``: q1 and p1 (and every 20th step the
-    stages) within 1e-13, and equal pass counts.  Returns the textbook's
-    StageSolveError once both fail, in members the textbook names too, or
-    None."""
+    stages) within 1e-13, and equal pass counts, or 0 engine passes where
+    the step is ``explicit`` (the textbook iterates it all the same).
+    Returns the textbook's StageSolveError once both fail, in members the
+    textbook names too, or None."""
     stepper = ArkStepper(scheme, system, config)
     batch = state.q.ndim == 2
 
@@ -226,6 +228,8 @@ def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps
                 stepper.step_with_iterations(state, h)
             assert set(info.value.members) <= set(exc.members)
             return exc
+        if explicit:
+            iterations = 0
         got, count = stepper.step_with_iterations(state, h)
         assert count == iterations, f"step {step}"
         _assert_members_close(np.stack([members(got.q), members(got.p)], axis=1),
@@ -245,9 +249,12 @@ def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps
 def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
     # one step at a time along a 200-step chain run, each from the engine's
     # state: whole trajectories of the chaotic chain drift apart from roundoff
+    # a scheme without interior stages (lgl2) is explicit: Q_1 = q0 and
+    # F1(Q_s) feeds only the update, so the engine takes 0 passes
     system, state = _chain_system(omega, batch)
-    failure = _steps_match_textbook(textbook_linear_stage_step, scheme_from_name(name),
-                                    system, state, h, StageSolveConfig())
+    scheme = scheme_from_name(name)
+    failure = _steps_match_textbook(textbook_linear_stage_step, scheme, system, state, h,
+                                    StageSolveConfig(), explicit=scheme.s1 == 2)
     # lglc4 at h*omega = 100 is outside its stability interval: the
     # slow-force iteration diverges for both, in the same members
     assert failure is None or (name, omega) == ("lglc4", 1e3)
@@ -268,6 +275,87 @@ def test_fixed_point_step_matches_textbook_iteration(name, omega, batch):
     # both fail that member, and only it
     assert failure is None or ((name, omega, batch) == ("lgl2", 50.0, True)
                                and failure.members == (2,))
+
+
+def _relabelled(scheme):
+    """``scheme`` with its primary stages in reverse order: the same method,
+    with the stage that is q0 last and the one whose force feeds only the
+    update first."""
+    r = slice(None, None, -1)
+    return ArkScheme(s1=scheme.s1, s2=scheme.s2, a=scheme.a[r, r], a_hat=scheme.a_hat[r, r],
+                     a_tilde=scheme.a_tilde[:, r], a_tilde_hat=scheme.a_tilde_hat[r],
+                     b=scheme.b[r], c=scheme.c[r], b_tilde=scheme.b_tilde,
+                     c_tilde=scheme.c_tilde, order=scheme.order, variant=scheme.variant)
+
+
+@pytest.mark.parametrize("mode", [SolverMode.LINEARLY_IMPLICIT, SolverMode.FIXED_POINT])
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
+def test_relabelled_stages_match_textbook_iteration(name, mode):
+    # the explicit stage and the lagged force are read off the fold's zeros
+    # wherever they sit, so the loop takes them in another order here
+    system, state = _chain_system(5.0, batch=True)
+    textbook = (textbook_linear_stage_step if mode is SolverMode.LINEARLY_IMPLICIT
+                else textbook_fixed_point_step)
+    failure = _steps_match_textbook(textbook, _relabelled(scheme_from_name(name)), system,
+                                    state, 0.02, StageSolveConfig(mode=mode), steps=40,
+                                    explicit=mode is SolverMode.LINEARLY_IMPLICIT
+                                    and name == "lgl2")
+    assert failure is None
+
+
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "singular_at_one"])
+def test_slow_force_rows_and_calls_per_step(name):
+    # Q_1 = q0, so F1(q0) is evaluated once per step, and F1(Q_s) feeds only
+    # the update, so only the converging pass evaluates it: a step of k
+    # passes costs s1 + k (s1 - 2) rows in k + 2 calls, and one without
+    # interior stages is explicit.  A scheme without these zeros evaluates
+    # F1 on q0, then on every stage for the predictor and each pass.
+    params = fput.FputParams(ell=3, omega=50.0)
+    rows = []
+
+    def counted(q):
+        rows.append(q.size // q.shape[-1])
+        return fput._slow_force(q, params.ell)
+
+    system = SplitForceSystem(dimension=6, f1=counted,
+                              omega_sq=fput.fput_system(params).omega_sq)
+    scheme = singular_at_one() if name == "singular_at_one" else scheme_from_name(name)
+    stepper, s1 = ArkStepper(scheme, system), scheme.s1
+    state = fput.paper_initial_state(params)
+    for _ in range(20):
+        rows.clear()
+        new, k = stepper.step_with_iterations(state, 0.01)
+        if s1 == 1:
+            assert (sum(rows), len(rows)) == (1 + s1 * (k + 1), k + 2)
+            q1, p1, *_, iterations = textbook_linear_stage_step(scheme, system, state, 0.01)
+            assert k == iterations
+            _assert_members_close(np.stack([new.q, new.p])[None], np.stack([q1, p1])[None])
+        elif s1 == 2:
+            assert (sum(rows), len(rows), k) == (2, 2, 0)
+        else:
+            assert k > 0 and (sum(rows), len(rows)) == (s1 + k * (s1 - 2), k + 2)
+        state = new
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
+def test_force_at_converged_stages_is_checked(name, batch):
+    # F1(Q_s) is evaluated only at the converged stages; a force that is NaN
+    # there must fail the step, not reach q1 and p1
+    scheme = scheme_from_name(name)
+    system = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[4.0])
+    state = PhaseState(q=[0.0], p=[1.0])
+    last = solve_stages(scheme, system, state, 0.1)[0][-1, 0]
+
+    def poisoned(q):
+        return np.where(np.abs(q - last) < 1e-9, np.nan, -q ** 3)
+
+    if batch:
+        state = PhaseState(q=[[0.5], [0.0]], p=[[0.0], [1.0]])
+    stepper = ArkStepper(scheme, SplitForceSystem(dimension=1, f1=poisoned, omega_sq=[4.0]))
+    with pytest.raises(NumericalFailureError) as info:
+        stepper.step(state, 0.1)
+    assert info.value.members == ((1,) if batch else (0,))
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
@@ -608,8 +696,20 @@ def test_yoshida_of_exact_flow_is_exact_flow():
 def test_composition_reports_substep_iterations(tmp_path):
     params = fput.FputParams(ell=3, omega=50.0)
     system = fput.fput_system(params)
-    traj = integrate("imex-yoshida4", system, fput.paper_initial_state(params), 0.04, 20)
-    assert np.all(traj.stage_iterations > 0)
+    state = fput.paper_initial_state(params)
+    base = ArkStepper(scheme_from_name("lgl4"), system)
+    traj = integrate(yoshida_compose(base, 4), system, state, 0.04, 20)
+    # each step reports the passes of its three substeps together
+    sums = []
+    for _ in range(20):
+        sums.append(0)
+        for w in YOSHIDA4_SUBSTEPS:
+            state, iterations = base.step_with_iterations(state, w * 0.04)
+            sums[-1] += iterations
+    assert traj.stage_iterations.tolist() == sums and min(sums) > 0
+    # lgl2, the base of imex-yoshida*, has no interior stage: no substep iterates
+    explicit = integrate("imex-yoshida4", system, fput.paper_initial_state(params), 0.04, 20)
+    assert not explicit.stage_iterations.any()
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     lines = path.read_text().strip().split("\n")
