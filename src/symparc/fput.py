@@ -310,22 +310,25 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     failures = []
     stepper = make_stepper(scheme, _chain_system(ell, omegas), config)
     n_steps, step = int(round(T / h)), 0
-    while step < n_steps and len(rows):
-        try:
-            state = stepper.step(state, h)
-        except StageSolveError as exc:
-            keep = np.zeros(len(rows), dtype=bool)
-            if exc.members:   # a failure not pinned to rows fails them all
-                keep[:] = True
-                keep[list(exc.members)] = False
-            failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
-            rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
-            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
-            stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
-            continue
-        step += 1
-        hamiltonian, scaled_i = energies(state, omegas[rows])
-        np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
+    # a diverging run overflows in the forces, and the finite checks then
+    # raise the typed error; NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps and len(rows):
+            try:
+                state = stepper.step(state, h)
+            except StageSolveError as exc:
+                keep = np.zeros(len(rows), dtype=bool)
+                if exc.members:   # a failure not pinned to rows fails them all
+                    keep[:] = True
+                    keep[list(exc.members)] = False
+                failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
+                rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
+                state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
+                stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
+                continue
+            step += 1
+            hamiltonian, scaled_i = energies(state, omegas[rows])
+            np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
     results = np.full((2, len(omegas)), math.nan)
     results[:, rows] = worst
     return SweepResult(
@@ -403,24 +406,27 @@ def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: 
     state = PhaseState(q=np.tile(state0.q, (runs, 1)), p=np.tile(state0.p, (runs, 1)),
                        t=np.full(runs, state0.t))
     step = 0
-    while len(rows):
-        try:
-            state = stepper.step(state, h_run[rows])
-        except StageSolveError as exc:
-            keep = np.zeros(len(rows), dtype=bool)
-            if exc.members:   # a failure not pinned to members fails them all
-                keep[:] = True
-                keep[list(exc.members)] = False
-            for i in rows[~keep]:
-                failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
-                                 if isinstance(exc, NonconvergenceError) else exc))
-        else:
-            step += 1
-            keep = n_steps[rows] != step
-            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
-        if not keep.all():
-            rows = rows[keep]
-            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
+    # a diverging run overflows in the forces, and the finite checks then
+    # raise the typed error; NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(rows):
+            try:
+                state = stepper.step(state, h_run[rows])
+            except StageSolveError as exc:
+                keep = np.zeros(len(rows), dtype=bool)
+                if exc.members:   # a failure not pinned to members fails them all
+                    keep[:] = True
+                    keep[list(exc.members)] = False
+                for i in rows[~keep]:
+                    failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
+                                     if isinstance(exc, NonconvergenceError) else exc))
+            else:
+                step += 1
+                keep = n_steps[rows] != step
+                finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
+            if not keep.all():
+                rows = rows[keep]
+                state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
     return h_run, finals[0], finals[1], sorted(failures, key=lambda failure: failure[0])
 
 

@@ -26,7 +26,11 @@ h*omega below ~2, so the linear mode is the default whenever the diagonal
 structure is available.
 
 A pass is affine in the forces, so the block solve is folded into the
-tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8): per
+tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8).  The
+blocks of all the step sizes a step needs and has not folded yet are
+factored together, in one row-pivoted NumPy LU over the stack of their
+(step size, Omega^2 value) pairs: the blocks have at most 23 rows, so the
+cost is the LU loop's overhead, which one call for all pairs pays once.  Per
 coordinate, the iterated rows are X = c0 + K F, where c0 = u q0 + v p0 is
 formed once per step and F are the forces that read X's first rows.  The
 two modes differ only in this fold:
@@ -69,13 +73,11 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from symparc import _rk8
 from symparc.tableaux import ArkScheme, Variant, build_scheme
@@ -276,15 +278,73 @@ class StageSolveConfig:
 _DIVERGENCE_FACTOR = 1e12
 
 
-def stage_block(scheme: ArkScheme, h: float, w):
+def stage_block(scheme: ArkScheme, h, w):
     """The linear stage block [[I, -h At], [h w AtH, I]] of the unknowns
-    (Qt, P); an array of w gives one block per entry, shape w.shape + (m, m)."""
+    (Qt, P); arrays of h and w broadcast together give one block per pair,
+    shape broadcast(h, w).shape + (m, m)."""
     s2, m = scheme.s2, scheme.s1 + scheme.s2
-    w = np.asarray(w, dtype=float)
+    h, w = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(w, dtype=float))
     block = np.broadcast_to(np.eye(m), w.shape + (m, m)).copy()
-    block[..., :s2, s2:] = -h * scheme.a_tilde
+    block[..., :s2, s2:] = -h[..., None, None] * scheme.a_tilde
     block[..., s2:, :s2] = (h * w)[..., None, None] * scheme.a_tilde_hat
     return block
+
+
+def lu_factor(a):
+    """Row-pivoted LU factors of every matrix in a stack of shape (P, n, n).
+
+    Returns (lu, piv) stored per matrix as LAPACK's getrf stores them: U on
+    and above the diagonal, the unit lower factor L below it, and piv[:, j]
+    the row that step j swapped with row j.  A swap exchanges whole rows, so
+    the stored L is permuted by every later pivot, and :func:`lu_solve`
+    applies all the swaps first.  Every operation runs elementwise over the
+    stack, with no BLAS product across matrices, so a matrix's factors are
+    bitwise the ones it gets alone.  A zero or NaN pivot leaves inf or NaN
+    in the factors without a warning; :func:`_singular` flags the matrix.
+    """
+    lu = np.array(a, dtype=float)
+    count, n = lu.shape[:2]
+    piv = np.tile(np.arange(n), (count, 1))
+    stack = np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
+            if np.count_nonzero(p != j):
+                piv[:, j] = p
+                rows = lu[stack, p]
+                lu[stack, p] = lu[:, j]
+                lu[:, j] = rows
+            lu[:, j + 1:, j] /= lu[:, j, j, None]
+            lu[:, j + 1:, j + 1:] -= lu[:, j + 1:, j, None] * lu[:, j, None, j + 1:]
+    return lu, piv
+
+
+def lu_solve(factors, b):
+    """Solve a x = b for every matrix of the stack that :func:`lu_factor`
+    factored into ``factors``; b has shape (P, n, k).  Elementwise over the
+    stack, as the factorization is."""
+    lu, piv = factors
+    x = np.array(b, dtype=float)
+    count, n = piv.shape
+    stack = np.arange(count)
+    for j in np.flatnonzero((piv != np.arange(n)).any(axis=0)).tolist():
+        p = piv[:, j]
+        rows = x[stack, p]
+        x[stack, p] = x[:, j]
+        x[:, j] = rows
+    for j in range(n - 1):
+        x[:, j + 1:] -= lu[:, j + 1:, j, None] * x[:, j, None]
+    for j in range(n - 1, -1, -1):
+        x[:, j] /= lu[:, j, j, None]
+        x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
+    return x
+
+
+def _singular(lu):
+    """Which matrices of a stack of LU factors are numerically singular: the
+    smallest |pivot| is below 1e-14 max(1, max |LU|), or a factor is NaN."""
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
+    return ~(pivots >= 1e-14 * np.maximum(1.0, np.abs(lu).max(axis=(1, 2))))
 
 
 def _member_max(columns, n: int):
@@ -427,15 +487,16 @@ class ArkStepper:
         size h (a float) or one per member (a tuple).
 
         The maps of each (step size, Omega^2 value) pair come from
-        :meth:`_fold` and are gathered to the N state columns; see
-        :class:`_StageMaps`.  A float h maps the columns of omega_sq itself;
-        a tuple of n step sizes maps a batch of n members, each member's d
-        columns with its own step size, over an omega_sq of shape (n, d) or
-        (d,).  The cache keeps, per key, the gathered start, primary and
-        update weights of the rows and slots the loop reads (in
-        linearly-implicit Lobatto schemes (s1 - 1)(s1 + 1) + 6 s1 + 4
-        numbers per column) and the per-pair (Qt, P) solution, which only
-        solve_stages gathers.
+        :meth:`_fold`, which factors the blocks of every step size of the key
+        that is not folded yet in one batched LU, and are gathered to the N
+        state columns; see :class:`_StageMaps`.  A float h maps the columns
+        of omega_sq itself; a tuple of n step sizes maps a batch of n
+        members, each member's d columns with its own step size, over an
+        omega_sq of shape (n, d) or (d,).  The cache keeps, per key, the
+        gathered start, primary and update weights of the rows and slots the
+        loop reads (in linearly-implicit Lobatto schemes
+        (s1 - 1)(s1 + 1) + 6 s1 + 4 numbers per column) and the per-pair
+        (Qt, P) solution, which only solve_stages gathers.
         """
         cached = self._block_cache.get(h)
         if cached is not None:
@@ -451,8 +512,7 @@ class ArkStepper:
             step = np.repeat(sizes, d)
         else:
             steps, index, step = (h,), self._columns, h
-        folds = [self._fold(u, lambda k, j=j: self._rows_with(index == j * n_values + k))
-                 for j, u in enumerate(steps)]
+        folds = self._fold(steps, lambda j, k: self._rows_with(index == j * n_values + k))
         *maps, zeros = zip(*folds)
         start, primary, update, solution = (np.concatenate(x) for x in maps)
         # a zero step's fold is zero throughout and shows none of the
@@ -511,79 +571,76 @@ class ArkStepper:
         return (rows, order[:read[-1] + 1 if len(read) else 0],
                 np.concatenate(((0, 1), 2 + order, 2 + m + order)), fields)
 
-    def _fold(self, h: float, members):
-        """The stage solve at step size h for each value w of the block: the
-        maps start (V, rows, 2), primary (V, rows, m) and update
-        (V, 2, 2 + 2 m) of the fold's rows and slots, the (Qt, P) solution
-        (V, s2 + s1, 2 + m), and the zeros (the rows that are exactly q0,
-        the slots no row reads) that hold for every value, or None at h = 0.
-        ``members(k)`` names the rows that a singular block of the k-th
-        value fails.
+    def _fold(self, steps, members):
+        """The stage solve at each step size h of ``steps``, for each value w
+        of the block: per h, the maps start (V, rows, 2), primary (V, rows, m)
+        and update (V, 2, 2 + 2 m) of the fold's rows and slots, the (Qt, P)
+        solution (V, s2 + s1, 2 + m), and the zeros (the rows that are
+        exactly q0, the slots no row reads) that hold for every value, or
+        None at h = 0.  ``members(j, k)`` names the rows that a singular
+        block of the j-th step size and k-th value fails.
 
-        Each stage block is factorized once; solving it against the
-        right-hand side [q0; p0 + h Ahat F1 (+ h AtH F2 in fixed-point mode)]
-        column by column gives (Qt, P) as affine functions of (q0, p0, F),
-        and with them Q = q0 + h a P, q1 = q0 + h b P and
-        p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).  The maps keep the
-        tableau's exact zeros: a zero row of a gives a row of X that is
-        exactly (1, 0) on (q0, p0) and 0 on F, and a zero column of Ahat a
-        right-hand side column, and so a column of every map but update's
-        F(X) part, that is exactly 0.
+        The blocks of every step size not folded yet are factored in one
+        batched :func:`lu_factor` call over all their (h, w) pairs, and each
+        fold is cached per h; a fold is bitwise the same in any batch.
+        Solving a block against the right-hand side [q0; p0 + h Ahat F1
+        (+ h AtH F2 in fixed-point mode)] column by column gives (Qt, P) as
+        affine functions of (q0, p0, F), and with them Q = q0 + h a P,
+        q1 = q0 + h b P and p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).
+        The maps keep the tableau's exact zeros: a zero row of a gives a row
+        of X that is exactly (1, 0) on (q0, p0) and 0 on F, and a zero column
+        of Ahat a right-hand side column, and so a column of every map but
+        update's F(X) part, that is exactly 0.
         """
-        folded = self._folds.get(h)
-        if folded is not None:
-            return folded
-        scheme = self.scheme
+        folds = [self._folds.get(h) for h in steps]
+        new = [j for j, folded in enumerate(folds) if folded is None]
+        if not new:
+            return folds
+        scheme, values = self.scheme, self._values
         s1, s2 = scheme.s1, scheme.s2
         fixed_point = self.mode is SolverMode.FIXED_POINT
         m = s1 + s2 if fixed_point else s1
-        blocks = stage_block(scheme, h, self._values)
-        # columns (q0, p0, F_1, ..., F_m) of the right-hand side
-        rhs = np.zeros((s1 + s2, 2 + m))
-        rhs[:s2, 0] = 1.0
-        rhs[s2:, 1] = 1.0
-        rhs[s2:, 2:2 + s1] = h * scheme.a_hat
+        h = np.array([steps[j] for j in new], dtype=float)
+        # columns (q0, p0, F_1, ..., F_m) of the right-hand side, per h
+        rhs = np.zeros((len(h), s1 + s2, 2 + m))
+        rhs[:, :s2, 0] = 1.0
+        rhs[:, s2:, 1] = 1.0
+        rhs[:, s2:, 2:2 + s1] = h[:, None, None] * scheme.a_hat
         if fixed_point:
-            rhs[s2:, 2 + s1:] = h * scheme.a_tilde_hat
-        solution = np.empty((len(self._values),) + rhs.shape)
-        # an exactly singular block raises SingularStageSystemError below;
-        # SciPy's warning about its zero pivot would only repeat that
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            for k, w in enumerate(self._values):
-                try:
-                    lu, piv = lu_factor(blocks[k])
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    raise SingularStageSystemError(
-                        f"stage block factorization failed for h={h}, omega^2={w}",
-                        members(k)) from exc
-                if np.min(np.abs(np.diag(lu))) < 1e-14 * max(1.0, float(np.max(np.abs(lu)))):
-                    raise SingularStageSystemError(
-                        f"stage block is numerically singular for h={h}, omega^2={w}",
-                        members(k))
-                solution[k] = lu_solve((lu, piv), rhs)
-        Qt, P = solution[:, :s2], solution[:, s2:]
-        primary = h * (scheme.a @ P)
-        primary[:, :, 0] += 1.0
+            rhs[:, s2:, 2 + s1:] = h[:, None, None] * scheme.a_tilde_hat
+        blocks = stage_block(scheme, h[:, None], values)
+        factors = lu_factor(blocks.reshape((-1,) + blocks.shape[2:]))
+        singular = _singular(factors[0])
+        if singular.any():
+            i, k = divmod(int(np.flatnonzero(singular)[0]), len(values))
+            raise SingularStageSystemError(
+                f"stage block is numerically singular for h={h[i]}, omega^2={values[k]}",
+                members(new[i], k))
+        solution = lu_solve(factors, np.repeat(rhs, len(values), axis=0))
+        solution = solution.reshape((len(h), len(values)) + rhs.shape[1:])
+        Qt, P = solution[:, :, :s2], solution[:, :, s2:]
+        primary = h[:, None, None, None] * (scheme.a @ P)
+        primary[..., 0] += 1.0
         if fixed_point:
-            primary = np.concatenate((primary, Qt, P), axis=1)
-        update = np.zeros((len(self._values), 2, 2 + 2 * m))
-        update[:, 0, :2 + m] = h * (scheme.b @ P)
-        update[:, 1, :2 + m] = (-h * self._values)[:, None] * (scheme.b_tilde @ Qt)
-        update[:, 0, 0] += 1.0
-        update[:, 1, 1] += 1.0
-        update[:, 1, 2 + m:] = h * (np.concatenate((scheme.b, scheme.b_tilde))
-                                    if fixed_point else scheme.b)
+            primary = np.concatenate((primary, Qt, P), axis=2)
+        update = np.zeros((len(h), len(values), 2, 2 + 2 * m))
+        update[:, :, 0, :2 + m] = h[:, None, None] * (scheme.b @ P)
+        update[:, :, 1, :2 + m] = (-h[:, None] * values)[:, :, None] * (scheme.b_tilde @ Qt)
+        update[..., 0, 0] += 1.0
+        update[..., 1, 1] += 1.0
+        update[..., 1, 2 + m:] = h[:, None, None] * (np.concatenate((scheme.b, scheme.b_tilde))
+                                                     if fixed_point else scheme.b)
         # the rows that are exactly q0 and the slots no row reads
-        start, primary = primary[:, :, :2], primary[:, :, 2:]
-        zeros = None if h == 0.0 else ((~primary.any(axis=(0, 2))
-                                        & (start == (1.0, 0.0)).all(axis=(0, 2))),
-                                       ~primary.any(axis=(0, 1)))
-        folded = (start, primary, update, solution, zeros)
-        if len(self._folds) > 64:
+        start, primary = primary[..., :2], primary[..., 2:]
+        copies = ~primary.any(axis=(1, 3)) & (start == (1.0, 0.0)).all(axis=(1, 3))
+        unread = ~primary.any(axis=(1, 2))
+        if len(self._folds) + len(new) > 64:
             self._folds.clear()
-        self._folds[h] = folded
-        return folded
+        for i, j in enumerate(new):
+            zeros = None if h[i] == 0.0 else (copies[i], unread[i])
+            folds[j] = self._folds[steps[j]] = (start[i], primary[i], update[i], solution[i],
+                                                 zeros)
+        return folds
 
     @staticmethod
     def _gather(by_pair, index):
@@ -828,23 +885,26 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
     times[0], qs[0], ps[0] = state0.t, state0.q, state0.p
     state = state0
     record = 1
-    for i in range(n_steps):
-        try:
-            if hasattr(stepper, "step_with_iterations"):
-                state, it = stepper.step_with_iterations(state, h)
-            else:
-                state, it = stepper.step(state, h), 0
-        except NonconvergenceError as exc:
-            exc.step_index = i
-            raise _at_step(exc, i, state.t) from exc
-        state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
-        iters[i] = it
-        if observer is not None:
-            observer(state)
-        if (i + 1) % stride == 0:
-            times[record] = state.t
-            qs[record], ps[record] = state.q, state.p
-            record += 1
+    # a diverging run overflows in the forces, and the finite checks then
+    # raise the typed error; NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            try:
+                if hasattr(stepper, "step_with_iterations"):
+                    state, it = stepper.step_with_iterations(state, h)
+                else:
+                    state, it = stepper.step(state, h), 0
+            except NonconvergenceError as exc:
+                exc.step_index = i
+                raise _at_step(exc, i, state.t) from exc
+            state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
+            iters[i] = it
+            if observer is not None:
+                observer(state)
+            if (i + 1) % stride == 0:
+                times[record] = state.t
+                qs[record], ps[record] = state.q, state.p
+                record += 1
     return Trajectory(times=times[:record], qs=qs[:record], ps=ps[:record],
                       stage_iterations=iters, stride=stride)
 
@@ -1122,19 +1182,22 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
         raise ValueError("T must be finite")
     if duration == 0.0:
         return state0
-    n = _initial_step_count(system, duration)
-    y_prev = _rk8_final_state(system, state0, duration, n)
-    _log.debug("reference level: %d steps", n)
-    for _ in range(max_refinements):
-        n *= 2
-        y = _rk8_final_state(system, state0, duration, n)
-        bound = tol * max(1.0, float(np.max(np.abs(y))))
-        diff = float(np.max(np.abs(y - y_prev)))
-        _log.debug("reference level: %d steps, agreement %.3g tol", n, diff / bound)
-        if diff <= bound:
-            d = state0.dimension
-            return PhaseState(q=y[:d], p=y[d:], t=T)
-        y_prev = y
+    # an overflowing level fails its finite check with OracleFailureError;
+    # NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = _initial_step_count(system, duration)
+        y_prev = _rk8_final_state(system, state0, duration, n)
+        _log.debug("reference level: %d steps", n)
+        for _ in range(max_refinements):
+            n *= 2
+            y = _rk8_final_state(system, state0, duration, n)
+            bound = tol * max(1.0, float(np.max(np.abs(y))))
+            diff = float(np.max(np.abs(y - y_prev)))
+            _log.debug("reference level: %d steps, agreement %.3g tol", n, diff / bound)
+            if diff <= bound:
+                d = state0.dimension
+                return PhaseState(q=y[:d], p=y[d:], t=T)
+            y_prev = y
     raise OracleFailureError(
         f"step halving did not certify tolerance {tol:g} within "
         f"{max_refinements} refinements ({n} steps)")

@@ -23,10 +23,11 @@ nu = mu^2: the same (I + mu^2 ...)^{-1} structure as the filter functions,
 on the smaller of the two blocks (s2 = s1 - 1 for the paper's methods), so
 the factors hold about a quarter of the whole block's entries.  By Sylvester's determinant identity
 det S(mu) = det(I + nu G), so the kernel fails exactly where the stage block
-is singular.  G is reduced to upper Hessenberg form once per call,
-G = Q H Q^T, so that I + nu H is upper Hessenberg for every mu (Laub, IEEE
-TAC 26, 1981), and a chunk of mu values is factored at once, pivoting only
-between adjacent rows.  G is a rounded product and Q is not exact, so one
+is singular.  G is reduced to upper Hessenberg form once per scheme, by
+Householder reflections, G = Q H Q^T, so that I + nu H is upper Hessenberg
+for every mu (Laub, IEEE TAC 26, 1981), and a chunk of mu values is
+factored at once, pivoting only between adjacent rows.  G is a rounded
+product and Q is not exact, so one
 step of iterative refinement follows, with the residual R - S X formed
 against the original coupling blocks At and AtH; this restores the accuracy
 of Gaussian elimination on the stage block itself (Skeel, Math. Comp. 35,
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from symparc.integrator import (
     ArkStepper,
@@ -245,9 +245,44 @@ def _refined_solve(scheme: ArkScheme, Q, lu, m, R):
     return X + schur_pass(residual)
 
 
+def _householder_hessenberg(A):
+    """(H, Q) with A = Q H Q^T, H upper Hessenberg and Q orthogonal, by
+    Householder reflections (Golub & Van Loan, Matrix Computations, 7.4).
+    The entries below the subdiagonal are exactly zero."""
+    H = np.array(A, dtype=float)
+    n = len(H)
+    Q = np.eye(n)
+    for k in range(n - 2):
+        x = H[k + 1:, k]
+        if not np.any(x[1:]):
+            continue
+        alpha = -math.copysign(float(np.linalg.norm(x)), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        # H <- P H P and Q <- Q P with the reflection P = I - 2 v v^T
+        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
+        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
+        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
+        H[k + 1, k], H[k + 2:, k] = alpha, 0.0
+    return H, Q
+
+
+@functools.lru_cache(maxsize=64)
+def _hessenberg(g: bytes, n: int):
+    """The read-only :func:`_householder_hessenberg` of the n x n matrix
+    G = At AtH given by its bytes ``g``: one reduction per scheme, however
+    many calls sample it."""
+    reduced = _householder_hessenberg(np.frombuffer(g).reshape(n, n))
+    for a in reduced:
+        a.setflags(write=False)
+    return reduced
+
+
 def _chunk_solvers(scheme: ArkScheme, mus):
     """Yield (slice, mu chunk, solve) with solve(R) = S(mu)^{-1} R per chunk."""
-    H, Q = scipy.linalg.hessenberg(scheme.a_tilde @ scheme.a_tilde_hat, calc_q=True)
+    G = scheme.a_tilde @ scheme.a_tilde_hat
+    H, Q = _hessenberg(G.tobytes(), len(G))
     for start in range(0, len(mus), _CHUNK):
         m = mus[start:start + _CHUNK]
         yield (slice(start, start + len(m)), m,

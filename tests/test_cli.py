@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symparc
 from symparc import fput, stability
 from symparc.cli import main
 from symparc.integrator import (
@@ -347,3 +352,15 @@ def test_fput_reduction_fixed_point_matches_single_state_runs(tmp_path, capsys):
         for got, want in ((err_q, np.max(np.abs(final.q[:3] - ref.q[:3]))),
                           (err_p, np.max(np.abs(final.p[:3] - ref.p[:3])))):
             assert abs(float(got) - want) <= 1e-13 * want
+
+
+def test_cli_imports_no_scipy():
+    # the library needs NumPy only; SciPy's import would dominate every call
+    src = str(Path(symparc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys, symparc.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

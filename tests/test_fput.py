@@ -203,7 +203,7 @@ def test_energy_history_run_and_csv(tmp_path):
     assert len(lines) == 202
 
 
-@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("error")
 def test_sweep_records_failures_and_continues():
     # h * omega = 1 at omega = 50 makes the stage block singular; the scheme is
     # far from stable at omega = 80, so the horizon is five steps
@@ -329,6 +329,17 @@ def test_reduction_records_stage_solve_failures():
     assert [i for i, _ in table.failures] == [0, 1]
     assert all(msg.startswith("NonconvergenceError: step 0") for _, msg in table.failures)
     assert all(math.isnan(r.err_slow_q) and math.isnan(r.err_slow_p) for r in table.rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_run_records_numerical_failure():
+    # two steps of 5 diverge: the chain force overflows, and the run records
+    # the engine's typed error instead of raising NumPy's overflow warning
+    table = experiment_order_reduction(["imex-yoshida4"], FputParams(ell=3, omega=10.0), 10.0,
+                                       [5.0], [10.0], config=StageSolveConfig(max_iterations=1),
+                                       reference_tol=1e-10)
+    assert table.failures == ((0, "NumericalFailureError: force evaluation returned NaN/Inf"),)
+    assert math.isnan(table.rows[0].err_slow_q) and math.isnan(table.rows[0].err_slow_p)
 
 
 def _single_state_final(name, params, T, h, config=None):

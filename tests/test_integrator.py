@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symparc.fput as fput
+import symparc.integrator as integrator
 from symparc.integrator import (
     ArkStepper,
     ComposedStepper,
@@ -358,7 +359,7 @@ def test_force_at_converged_stages_is_checked(name, batch):
     assert info.value.members == ((1,) if batch else (0,))
 
 
-@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("error")
 def test_batch_failures_name_their_members():
     system = SplitForceSystem(dimension=1, omega_sq=[[400.0], [2500.0], [6400.0]])
     state = PhaseState(q=[[1.0], [1.0], [1.0]], p=[[0.0], [0.0], [0.0]])
@@ -391,6 +392,92 @@ def test_batch_failures_name_their_members():
         ark_step(scheme_from_name("lgl4"), bad, PhaseState(q=[[0.5], [2.0], [3.0]],
                                                            p=[[0.0], [0.0], [0.0]]), 0.1)
     assert info.value.members == (1, 2)
+
+
+@pytest.mark.parametrize("n", [5, 7, 23])
+def test_lu_kernels_match_numpy_solve(n):
+    # diagonally dominant matrices with their rows reversed: every matrix
+    # needs row swaps, and none is ill-conditioned
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((6, n, n)) + 2.0 * n * np.eye(n)
+    a = a[:, ::-1]
+    b = rng.standard_normal((6, n, 4))
+    lu, piv = integrator.lu_factor(a)
+    assert all((row != np.arange(n)).any() for row in piv)
+    assert not integrator._singular(lu).any()
+    x = integrator.lu_solve((lu, piv), b)
+    expected = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # each matrix's factors and solution are bitwise the ones it gets alone
+    for k in (0, 3):
+        alone = integrator.lu_factor(a[k:k + 1])
+        assert np.array_equal(alone[0][0], lu[k]) and np.array_equal(alone[1][0], piv[k])
+        assert np.array_equal(integrator.lu_solve(alone, b[k:k + 1])[0], x[k])
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_and_nan_blocks_are_flagged():
+    a = np.stack([np.eye(4), np.eye(4), np.eye(4)])
+    a[1, 2, 2] = 0.0
+    a[2, 1, 3] = math.nan
+    assert integrator._singular(integrator.lu_factor(a)[0]).tolist() == [False, True, True]
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_pair_names_only_its_members():
+    # the block of singular_at_one is singular where h^2 w = 1; of the
+    # (h, w) pairs below only (0.05, 400) is, and only member 2 steps with it
+    system = SplitForceSystem(dimension=1, omega_sq=[[2500.0], [400.0], [400.0], [6400.0]])
+    state = PhaseState(q=np.ones((4, 1)), p=np.zeros((4, 1)))
+    stepper = ArkStepper(singular_at_one(), system)
+    with pytest.raises(SingularStageSystemError, match="h=0.05, omega\\^2=400.0") as info:
+        stepper.step(state, [0.05, 0.01, 0.05, 0.01])
+    assert info.value.members == (2,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_stage_block_names_its_members(monkeypatch):
+    # a NaN in one (h, w) block fails that pair as a singular block does
+    plain = integrator.stage_block
+
+    def poisoned(scheme, h, w):
+        block = plain(scheme, h, w)
+        h, w = np.broadcast_arrays(h, w)
+        block[(h == 0.02) & (w == 4.0), 0, 0] = math.nan
+        return block
+
+    monkeypatch.setattr(integrator, "stage_block", poisoned)
+    system = SplitForceSystem(dimension=2, f1=lambda q: -q ** 3,
+                              omega_sq=[[1.0, 4.0], [1.0, 9.0], [4.0, 9.0]])
+    state = PhaseState(q=np.full((3, 2), 0.1), p=np.zeros((3, 2)))
+    with pytest.raises(SingularStageSystemError, match="h=0.02, omega\\^2=4.0") as info:
+        ArkStepper(scheme_from_name("lgl4"), system).step(state, [0.01, 0.02, 0.02])
+    assert info.value.members == (2,)
+
+
+def test_new_step_sizes_are_factored_in_one_call(monkeypatch):
+    calls = []
+    plain = integrator.lu_factor
+
+    def counted(a):
+        calls.append(len(a))
+        return plain(a)
+
+    monkeypatch.setattr(integrator, "lu_factor", counted)
+    params = fput.FputParams(ell=3, omega=50.0)
+    system = fput.fput_system(params)
+    state0 = fput.paper_initial_state(params)
+    state = PhaseState(q=np.tile(state0.q, (5, 1)), p=np.tile(state0.p, (5, 1)))
+    stepper = ArkStepper(scheme_from_name("lgl4"), system)
+    # five step sizes, one repeated, over the two values of Omega^2 (0 and
+    # omega^2): one call for the 4 x 2 new blocks
+    stepper.step(state, [0.01, 0.02, 0.03, 0.04, 0.01])
+    assert calls == [8]
+    stepper.step(state, [0.01, 0.02, 0.03, 0.04, 0.01])
+    assert calls == [8]
+    # a new key factors only the step sizes no earlier key folded
+    stepper.step(state, [0.04, 0.05, 0.01, 0.06, 0.05])
+    assert calls == [8, 4]
 
 
 def test_batched_state_rejected_where_unsupported():

@@ -390,6 +390,22 @@ def test_non_finite_mu_rejected(fn):
     fn(LGL4, [1.3e154])
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_householder_hessenberg_of_every_scheme(variant):
+    from symparc.stability import _hessenberg
+    for s1 in range(2, MAX_STAGES + 1):
+        scheme = build_scheme(s1, variant)
+        G = scheme.a_tilde @ scheme.a_tilde_hat
+        H, Q = _hessenberg(G.tobytes(), len(G))
+        assert not np.tril(H, -2).any()
+        assert np.max(np.abs(Q @ Q.T - np.eye(len(G)))) <= 1e-14
+        assert np.max(np.abs(Q @ H @ Q.T - G)) <= 1e-14
+        # reduced once per scheme
+        G = build_scheme(s1, variant).a_tilde @ scheme.a_tilde_hat
+        again = _hessenberg(G.tobytes(), len(G))
+        assert again[0] is H and again[1] is Q
+
+
 def test_nan_pivot_is_a_failure():
     from symparc.stability import _check_pivot
     _check_pivot(np.array([1.0, -2.0]), np.array([0.5, 1.5]))
