@@ -41,12 +41,17 @@ two modes differ only in this fold:
 (in the first, K = h^2 a [M^-1]_PP Ahat is an s1 x s1 matrix).  A pass costs
 one product with K and one force evaluation, and the pass that converges
 ends the step in one more affine map, of (q0, p0, F, F(X)) to (q1, p1).
+The loop starts from X = c0 + K F(q0), every force at q0: in
+linearly-implicit mode the block carries the fast force exactly and only
+the slow force is held constant, so the start is off by O(h^3 dF1/dt) with
+no (h omega)^3 term, and exact when F1 is constant.  The start costs no
+pass.
 
 The Lobatto IIIA-B pair is explicit in its first and last stages for
 separable forces (Hairer, Lubich & Wanner, Geometric Numerical Integration,
 II.2), and the fold shows it in exact zeros: a[0] = 0 makes the first row
 Q_1 = q0, and ahat[:, -1] = 0 leaves F1(Q_s) read by no row, only by the
-update.  So F1(q0) is evaluated once per step (the predictor uses it too),
+update.  So F1(q0) is evaluated once per step (the start uses it too),
 a pass evaluates the forces of the interior stages Q_2 ... Q_{s-1} alone,
 and F1(Q_s) is evaluated once, in the pass that converges; Q_s itself stays
 in the iteration and in its convergence test.  A scheme without interior
@@ -281,12 +286,14 @@ _DIVERGENCE_FACTOR = 1e12
 def stage_block(scheme: ArkScheme, h, w):
     """The linear stage block [[I, -h At], [h w AtH, I]] of the unknowns
     (Qt, P); arrays of h and w broadcast together give one block per pair,
-    shape broadcast(h, w).shape + (m, m)."""
+    shape broadcast(h, w).shape + (m, m).  An entry that overflows is inf
+    without a warning, and the factorization's pivot check rejects it."""
     s2, m = scheme.s2, scheme.s1 + scheme.s2
     h, w = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(w, dtype=float))
     block = np.broadcast_to(np.eye(m), w.shape + (m, m)).copy()
-    block[..., :s2, s2:] = -h[..., None, None] * scheme.a_tilde
-    block[..., s2:, :s2] = (h * w)[..., None, None] * scheme.a_tilde_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        block[..., :s2, s2:] = -h[..., None, None] * scheme.a_tilde
+        block[..., s2:, :s2] = (h * w)[..., None, None] * scheme.a_tilde_hat
     return block
 
 
@@ -406,16 +413,15 @@ class _StageMaps(NamedTuple):
     F and F(X) that the maps multiply by an exact zero hold a finite value.
     ``passes`` and ``final`` are the (force, rows of X, slots) blocks
     evaluated in every pass and in the converging one, the force F1 or F2;
-    with no iterated slot the step is explicit.  ``nodes`` and ``momenta`` are the
-    predictor's nodes of X's position and momentum rows.
+    with no iterated slot the step is explicit.
 
     ``solution`` is the (Qt, P) map over (q0, p0, F) of each (step size,
     Omega^2 value) pair, shape (H*V, s2 + s1, 2 + m), and ``index`` the pair
-    of each column.  ``step`` is h, one float or one per column.  ``inputs``
-    is the buffer each step stacks (q0, p0, F, F(X)) into and ``forces`` the
-    two force buffers a step swaps: at the sweep's N a fresh array per
-    step is larger than malloc's mmap threshold, and some processes then
-    fault its pages in anew on every step.
+    of each column.  ``inputs`` is the buffer each step stacks (q0, p0, F,
+    F(X)) into and ``forces`` the two force buffers a step swaps: at the
+    sweep's N a fresh array per step is larger than malloc's mmap
+    threshold, and some processes then fault its pages in anew on every
+    step.
     """
 
     start: np.ndarray          # (rows of X, 2, N)
@@ -423,15 +429,12 @@ class _StageMaps(NamedTuple):
     update: np.ndarray         # (2, 2 + 2 m, N)
     solution: np.ndarray       # (H*V, s2 + s1, 2 + m)
     index: np.ndarray          # (N,)
-    step: float | np.ndarray   # float or (N,)
     inputs: np.ndarray         # (2 + 2 m, N)
     forces: np.ndarray         # (2, m, N)
     layout: np.ndarray         # (rows,)
     explicit: int
     passes: tuple
     final: tuple
-    nodes: np.ndarray
-    momenta: np.ndarray
 
 
 class ArkStepper:
@@ -471,14 +474,11 @@ class ArkStepper:
             self._values, self._columns = np.unique(system.omega_sq.ravel(),
                                                     return_inverse=True)
             self._shape = system.omega_sq.shape
-            # the nodes of the rows the forces read, for the predictor
-            self._nodes = scheme.c
         else:
             # the one block at w = 0 serves every coordinate
             self._values = np.zeros(1)
             self._columns = np.zeros(system.dimension, dtype=np.intp)
             self._shape = (system.dimension,)
-            self._nodes = np.concatenate((scheme.c, scheme.c_tilde))
 
     # -- linear block ------------------------------------------------------
 
@@ -509,9 +509,8 @@ class ArkStepper:
             if values.size != sizes.size * d:   # omega_sq shared by the members
                 values = np.tile(values, len(sizes))
             index = np.repeat(which, d) * n_values + values
-            step = np.repeat(sizes, d)
         else:
-            steps, index, step = (h,), self._columns, h
+            steps, index = (h,), self._columns
         folds = self._fold(steps, lambda j, k: self._rows_with(index == j * n_values + k))
         *maps, zeros = zip(*folds)
         start, primary, update, solution = (np.concatenate(x) for x in maps)
@@ -526,7 +525,7 @@ class ArkStepper:
         maps = _StageMaps(start=self._gather(start[:, rows], index),
                           primary=self._gather(primary[:, rows][:, :, read], index),
                           update=self._gather(update[:, :, columns], index),
-                          solution=solution[:, :, columns[:2 + m]], index=index, step=step,
+                          solution=solution[:, :, columns[:2 + m]], index=index,
                           inputs=np.empty((len(columns), len(index))),
                           forces=np.empty((2, m, len(index))), **fields)
         if len(self._block_cache) > 16:
@@ -544,8 +543,9 @@ class ArkStepper:
         the fold's slots that X reads, the fold's columns of the update map
         in slot order, and the maps' fields that follow from these alone.
         """
-        s1, m = self.scheme.s1, len(self._nodes)
-        n_rows = m if self.mode is SolverMode.LINEARLY_IMPLICIT else m + s1
+        s1, fixed_point = self.scheme.s1, self.mode is SolverMode.FIXED_POINT
+        m = s1 + self.scheme.s2 if fixed_point else s1
+        n_rows = m + s1 if fixed_point else m
         slots = np.arange(m)
         if copies is None:
             copies, unread = np.zeros(n_rows, dtype=bool), np.zeros(m, dtype=bool)
@@ -565,9 +565,7 @@ class ArkStepper:
         layout = np.concatenate((order, np.arange(m, n_rows)))
         rows = layout[e:]
         read = np.flatnonzero(~unread[order])
-        fields = dict(layout=layout, explicit=e, passes=tuple(passes), final=tuple(final),
-                      nodes=self._nodes[rows[rows < m]],
-                      momenta=self.scheme.c[rows[rows >= m] - m])
+        fields = dict(layout=layout, explicit=e, passes=tuple(passes), final=tuple(final))
         return (rows, order[:read[-1] + 1 if len(read) else 0],
                 np.concatenate(((0, 1), 2 + order, 2 + m + order)), fields)
 
@@ -675,8 +673,8 @@ class ArkStepper:
         columns.  Returns (maps, x, X, iterations): the step's
         :class:`_StageMaps`, their inputs x = (q0, p0, F, F(X)) stacked into
         ``maps.inputs``, where F are the forces X was computed from, and the
-        converged X.  A step without iterated slots is explicit: X is formed
-        once from F1(q0), in 0 passes."""
+        converged X.  X starts from every force at q0, in no pass; a step
+        without iterated slots is explicit, and that start is its X."""
         system, cfg = self.system, self.config
         shape = state.q.shape
         if shape != self._shape and shape[1:] != self._shape:
@@ -698,29 +696,21 @@ class ArkStepper:
         c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
         # the forces X was computed from, which the next forces overwrite
-        # once a pass no longer needs them, and the forces of X; the
-        # explicit slots hold F1(q0) throughout, the lagged ones 0 until the
-        # converging pass evaluates them
-        slow = system.slow_force(state.q)
+        # once a pass no longer needs them, and the forces of X.  Every slot
+        # starts at the force on q0, the start X = c0 + K F(q0); the
+        # explicit slots keep F1(q0) throughout
         forces = maps.forces
-        forces[:, maps.explicit:] = 0.0
-        forces[:, :maps.explicit] = slow.reshape(-1)
+        forces[:, :self.scheme.s1] = system.slow_force(state.q).reshape(-1)
+        if self.mode is SolverMode.FIXED_POINT:
+            forces[:, self.scheme.s1:] = system.fast_force(state.q).reshape(-1)
         source, F = forces
-        iterated, read, stages = bool(maps.passes), maps.primary.shape[1], (-1,) + shape
-        if iterated:
-            # second-order Taylor predictor for the rows the forces read, on
-            # their nodes, and first-order for the momenta of fixed-point mode
-            acc = (slow + system.fast_force(state.q)).reshape(-1)
-            step, nodes = maps.step, maps.nodes
-            X_new = (q0 + step * np.outer(nodes, p0)
-                     + (0.5 * step * step) * np.outer(nodes ** 2, acc))
-            if len(maps.momenta):
-                X_new = np.concatenate((X_new, p0 + step * np.outer(maps.momenta, acc)))
-        else:
-            X_new = c0   # read by no force
-        blocks = maps.passes
+        read, stages = maps.primary.shape[1], (-1,) + shape
+        X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
+        X_new += c0
+        # a step without iterated slots is explicit: X_new is its stages
+        final = not maps.passes
+        blocks = maps.final if final else maps.passes
         iteration = 0
-        final = False   # whether X_new has converged
         done = None     # the members that have converged, once some but not all have
         while True:
             for force, rows, slots in blocks:
@@ -744,38 +734,36 @@ class ArkStepper:
                 return maps, x, X, iteration
             X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
             X_new += c0
-            final = not iterated
-            if iterated:
-                iteration += 1
-                change = X_new - X
-                residual = _member_max(np.abs(change, out=change).max(axis=0), n)
-                if done is not None:
-                    # converged members keep the stages they converged with
-                    # and the forces those came from
-                    frozen = np.repeat(done, len(q0) // n)
-                    np.copyto(X_new, X, where=frozen)
-                    np.copyto(F, source, where=frozen)
-                    residual[done] = 0.0
-                # count_nonzero is much cheaper than all/any on a few members
-                converged = residual <= limit
-                n_converged = np.count_nonzero(converged)
-                final = n_converged == n
-                if not final:
-                    diverged = residual > blowup
-                    if np.count_nonzero(diverged):
-                        raise NonconvergenceError(
-                            f"stage iteration diverged after {iteration} iterations",
-                            residual=float(np.max(residual[diverged])), iterations=iteration,
-                            members=np.flatnonzero(diverged))
-                    if iteration == cfg.max_iterations:
-                        worst = float(np.max(residual))
-                        raise NonconvergenceError(
-                            f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-                            f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
-                            residual=worst, iterations=cfg.max_iterations,
-                            members=np.flatnonzero(~converged))
-                    if n_converged:
-                        done = converged
+            iteration += 1
+            change = X_new - X
+            residual = _member_max(np.abs(change, out=change).max(axis=0), n)
+            if done is not None:
+                # converged members keep the stages they converged with
+                # and the forces those came from
+                frozen = np.repeat(done, len(q0) // n)
+                np.copyto(X_new, X, where=frozen)
+                np.copyto(F, source, where=frozen)
+                residual[done] = 0.0
+            # count_nonzero is much cheaper than all/any on a few members
+            converged = residual <= limit
+            n_converged = np.count_nonzero(converged)
+            final = n_converged == n
+            if not final:
+                diverged = residual > blowup
+                if np.count_nonzero(diverged):
+                    raise NonconvergenceError(
+                        f"stage iteration diverged after {iteration} iterations",
+                        residual=float(np.max(residual[diverged])), iterations=iteration,
+                        members=np.flatnonzero(diverged))
+                if iteration == cfg.max_iterations:
+                    worst = float(np.max(residual))
+                    raise NonconvergenceError(
+                        f"stage iteration did not reach tolerance {cfg.tolerance:g} "
+                        f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
+                        residual=worst, iterations=cfg.max_iterations,
+                        members=np.flatnonzero(~converged))
+                if n_converged:
+                    done = converged
             blocks = maps.final if final else maps.passes
 
     # -- stepping ----------------------------------------------------------

@@ -125,12 +125,13 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
     Each pass solves the full stage block [[I, -h At], [h w AtH, I]] of
     every coordinate with np.linalg.solve for (Qt, P), with the right-hand
     side (q0, p0 + h Ahat F1) built afresh, then sets Q = q0 + h a P and
-    F1 = F1(Q); F2 is -Omega^2 Qt.  The predictor, the convergence test
-    (max |Q_new - Q| against tolerance * max(1, |q0|, |p0|)) and the
-    divergence bound are the engine's.  A batch (n, d) is stepped member by
-    member.  Returns (q1, p1, Q, P, Qt, iterations), iterations being the
-    largest over the members; raises NonconvergenceError naming every
-    member that failed.
+    F1 = F1(Q); F2 is -Omega^2 Qt.  The start is the engine's: one such
+    solve with F1(q0) at every stage, not counted as a pass.  The
+    convergence test (max |Q_new - Q| against tolerance * max(1, |q0|,
+    |p0|)) and the divergence bound are the engine's too.  A batch (n, d)
+    is stepped member by member.  Returns (q1, p1, Q, P, Qt, iterations),
+    iterations being the largest over the members; raises
+    NonconvergenceError naming every member that failed.
     """
     cfg = config if config is not None else StageSolveConfig()
     if state.q.ndim == 2:
@@ -139,12 +140,9 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
     q0, p0, w = state.q, state.p, system.omega_sq
     d = len(q0)
     scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
-    acc = system.slow_force(q0) - w * q0
-    Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
-    F1 = system.slow_force(Q)
-    for iteration in range(1, cfg.max_iterations + 1):
-        if not np.all(np.isfinite(F1)):
-            raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
+
+    def solve(F1):
+        """(Q, P, Qt) from the block solve with the slow forces F1 held fixed."""
         Qt, P = np.empty((s2, d)), np.empty((s1, d))
         for k in range(d):
             block = np.block([[np.eye(s2), -h * scheme.a_tilde],
@@ -152,7 +150,14 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
             rhs = np.concatenate([np.full(s2, q0[k]), p0[k] + h * (scheme.a_hat @ F1[:, k])])
             sol = np.linalg.solve(block, rhs)
             Qt[:, k], P[:, k] = sol[:s2], sol[s2:]
-        Q_new = q0 + h * (scheme.a @ P)
+        return q0 + h * (scheme.a @ P), P, Qt
+
+    Q = solve(np.tile(system.slow_force(q0), (s1, 1)))[0]
+    F1 = system.slow_force(Q)
+    for iteration in range(1, cfg.max_iterations + 1):
+        if not np.all(np.isfinite(F1)):
+            raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
+        Q_new, P, Qt = solve(F1)
         residual = float(np.max(np.abs(Q_new - Q)))
         Q = Q_new
         F1 = system.slow_force(Q)
@@ -174,31 +179,32 @@ def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
 
     Each pass sets P = p0 + h (Ahat F1 + AtH F2) from the forces of the
     previous pass, then Q = q0 + h a P, Qt = q0 + h At P, F1 = F1(Q) and
-    F2 = F2(Qt), all with fresh arrays.  The predictor (Taylor on the nodes
-    c and c_tilde for Q and Qt, p0 + h c F(q0) for P), the convergence test
-    (max |P_new - P|, |Q_new - Q|, |Qt_new - Qt| against tolerance *
-    max(1, |q0|, |p0|)) and the divergence bound are the engine's.  A batch
-    (n, d) is stepped member by member.  Returns (q1, p1, Q, P, Qt,
-    iterations), iterations being the largest over the members; raises
-    NonconvergenceError naming every member that failed.
+    F2 = F2(Qt), all with fresh arrays.  The start is the engine's: these
+    stages from F1(q0) and F2(q0) at every stage, not counted as a pass.
+    The convergence test (max |P_new - P|, |Q_new - Q|, |Qt_new - Qt|
+    against tolerance * max(1, |q0|, |p0|)) and the divergence bound are
+    the engine's too.  A batch (n, d) is stepped member by member.  Returns
+    (q1, p1, Q, P, Qt, iterations), iterations being the largest over the
+    members; raises NonconvergenceError naming every member that failed.
     """
     cfg = config if config is not None else StageSolveConfig()
     if state.q.ndim == 2:
         return _member_by_member(textbook_fixed_point_step, scheme, system, state, h, cfg)
     q0, p0 = state.q, state.p
     scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
-    acc = system.slow_force(q0) + system.fast_force(q0)
-    Q = q0 + h * np.outer(scheme.c, p0) + (0.5 * h * h) * np.outer(scheme.c ** 2, acc)
-    Qt = (q0 + h * np.outer(scheme.c_tilde, p0)
-          + (0.5 * h * h) * np.outer(scheme.c_tilde ** 2, acc))
-    P = p0 + h * np.outer(scheme.c, acc)
+
+    def stages(F1, F2):
+        """(P, Q, Qt) from the forces F1 and F2 of the previous pass."""
+        P = p0 + h * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
+        return P, q0 + h * (scheme.a @ P), q0 + h * (scheme.a_tilde @ P)
+
+    P, Q, Qt = stages(np.tile(system.slow_force(q0), (scheme.s1, 1)),
+                      np.tile(system.fast_force(q0), (scheme.s2, 1)))
     F1, F2 = system.slow_force(Q), system.fast_force(Qt)
     for iteration in range(1, cfg.max_iterations + 1):
         if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
             raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
-        P_new = p0 + h * (scheme.a_hat @ F1 + scheme.a_tilde_hat @ F2)
-        Q_new = q0 + h * (scheme.a @ P_new)
-        Qt_new = q0 + h * (scheme.a_tilde @ P_new)
+        P_new, Q_new, Qt_new = stages(F1, F2)
         residual = max(float(np.max(np.abs(P_new - P))), float(np.max(np.abs(Q_new - Q))),
                        float(np.max(np.abs(Qt_new - Qt))))
         P, Q, Qt = P_new, Q_new, Qt_new

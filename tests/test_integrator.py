@@ -310,7 +310,7 @@ def test_slow_force_rows_and_calls_per_step(name):
     # the update, so only the converging pass evaluates it: a step of k
     # passes costs s1 + k (s1 - 2) rows in k + 2 calls, and one without
     # interior stages is explicit.  A scheme without these zeros evaluates
-    # F1 on q0, then on every stage for the predictor and each pass.
+    # F1 on q0 for the start, then on every stage in each pass.
     params = fput.FputParams(ell=3, omega=50.0)
     rows = []
 
@@ -336,6 +336,47 @@ def test_slow_force_rows_and_calls_per_step(name):
         else:
             assert k > 0 and (sum(rows), len(rows)) == (s1 + k * (s1 - 2), k + 2)
         state = new
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("h_omega", [2.0, 100.0, 5000.0])
+@pytest.mark.parametrize("name", ["lgl4", "lgl6", "lglc4"])
+def test_constant_slow_force_converges_in_one_pass(name, h_omega, batch):
+    # the start holds F1(q0) at every stage and the block takes the fast
+    # force exactly, so with F1 constant the start is the solution: the
+    # first pass reproduces it bitwise and ends the step
+    h = 0.1
+    system = SplitForceSystem(dimension=2, f1=lambda q: np.full_like(q, 0.3),
+                              omega_sq=np.full(2, (h_omega / h) ** 2))
+    state = PhaseState(q=[1.0, -0.5], p=[0.2, 0.7])
+    if batch:
+        state = PhaseState(q=np.outer([1.0, -2.0, 0.5], state.q),
+                           p=np.outer([1.0, 0.5, -3.0], state.p))
+    stepper = ArkStepper(scheme_from_name(name), system)
+    for step in range(20):
+        state, passes = stepper.step_with_iterations(state, h)
+        assert passes == 1, f"step {step}"
+
+
+@pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
+def test_linearly_implicit_steps_never_call_the_fast_force(name):
+    # the block carries -Omega^2 q exactly, so linearly-implicit mode never
+    # evaluates the fast force; fixed-point mode iterates it
+    calls = []
+    omega_sq = np.array([1.0, 4.0])
+
+    def fast(q):
+        calls.append(q.shape)
+        return -omega_sq * q
+
+    system = SplitForceSystem(dimension=2, f1=lambda q: -q ** 3, f2=fast, omega_sq=omega_sq)
+    for mode in SolverMode:
+        stepper = ArkStepper(scheme_from_name(name), system, StageSolveConfig(mode=mode))
+        state = PhaseState(q=[0.3, -0.2], p=[0.1, 0.4])
+        calls.clear()
+        for _ in range(20):
+            state = stepper.step(state, 0.1)
+        assert bool(calls) == (mode is SolverMode.FIXED_POINT), mode
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
@@ -453,6 +494,15 @@ def test_nan_stage_block_names_its_members(monkeypatch):
     with pytest.raises(SingularStageSystemError, match="h=0.02, omega\\^2=4.0") as info:
         ArkStepper(scheme_from_name("lgl4"), system).step(state, [0.01, 0.02, 0.02])
     assert info.value.members == (2,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_stage_block_is_singular():
+    # h w = 1e310 overflows the block's entries to inf: the pivot check
+    # rejects it as singular, with no overflow warning on the way
+    system = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[1e300])
+    with pytest.raises(SingularStageSystemError, match="omega\\^2=1e\\+300"):
+        ArkStepper(scheme_from_name("lgl4"), system).step(PhaseState(q=[1.0], p=[0.0]), 1e10)
 
 
 def test_new_step_sizes_are_factored_in_one_call(monkeypatch):
@@ -631,7 +681,7 @@ def test_stepper_is_freed_by_reference_counting(mode):
                                     {"max_iterations": 0}],
                          ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "iters-zero"])
 def test_stage_config_validation(kwargs):
-    # an infinite tolerance would accept the predictor as the converged stages
+    # an infinite tolerance would accept the start as the converged stages
     with pytest.raises(ValueError):
         StageSolveConfig(**kwargs)
 
