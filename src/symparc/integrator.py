@@ -28,9 +28,12 @@ structure is available.
 A pass is affine in the forces, so the block solve is folded into the
 tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8).  The
 blocks of all the step sizes a step needs and has not folded yet are
-factored together, in one row-pivoted NumPy LU over the stack of their
-(step size, Omega^2 value) pairs: the blocks have at most 23 rows, so the
-cost is the LU loop's overhead, which one call for all pairs pays once.  Per
+solved together, by one call of the stage block kernel below over all
+their (step size, Omega^2 value) pairs: it factors the s2 x s2 Schur
+complement I + h^2 w At AtH, the matrix the stability analysis factors at
+h^2 w = mu^2, so the cost is the kernel's loop overhead, paid once for all
+pairs.  In fixed-point mode w = 0 and the block is unit upper triangular,
+so the fold solves it in closed form, with no factorization.  Per
 coordinate, the iterated rows are X = c0 + K F, where c0 = u q0 + v p0 is
 formed once per step and F are the forces that read X's first rows.  The
 two modes differ only in this fold:
@@ -57,8 +60,8 @@ and F1(Q_s) is evaluated once, in the pass that converges; Q_s itself stays
 in the iteration and in its convergence test.  A scheme without interior
 stages (lgl2, the base of imex-yoshida4 and imex-yoshida6) is explicit in
 linearly-implicit mode, the classical IMEX step: Q_2 = c0 + K F1(q0), then
-F1(Q_2), and no pass.  The zeros are read off each fold, not off the
-scheme, and a scheme without them iterates every stage.
+F1(Q_2), and no pass.  The stepper reads the zeros off the tableau once
+and the fold keeps them exact; a scheme without them iterates every stage.
 
 The loop also steps a batch: q and p of shape (n, d) are n independent
 states.  omega_sq of shape (n, d) gives each its own diagonal; one of shape
@@ -76,6 +79,7 @@ and the state itself -- and return the force row-wise.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -102,7 +106,6 @@ __all__ = [
     "OracleFailureError",
     "ark_step",
     "solve_stages",
-    "stage_block",
     "integrate",
     "yoshida_compose",
     "reference_solve",
@@ -283,75 +286,144 @@ class StageSolveConfig:
 _DIVERGENCE_FACTOR = 1e12
 
 
-def stage_block(scheme: ArkScheme, h, w):
-    """The linear stage block [[I, -h At], [h w AtH, I]] of the unknowns
-    (Qt, P); arrays of h and w broadcast together give one block per pair,
-    shape broadcast(h, w).shape + (m, m).  An entry that overflows is inf
-    without a warning, and the factorization's pivot check rejects it."""
-    s2, m = scheme.s2, scheme.s1 + scheme.s2
-    h, w = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(w, dtype=float))
-    block = np.broadcast_to(np.eye(m), w.shape + (m, m)).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        block[..., :s2, s2:] = -h[..., None, None] * scheme.a_tilde
-        block[..., s2:, :s2] = (h * w)[..., None, None] * scheme.a_tilde_hat
-    return block
+# ---------------------------------------------------------------------------
+# The stage block kernel
+#
+# The stepper and the stability analysis solve the same stage block
+# S = [[I, -alpha At], [beta AtH, I]] for many values at once: the stepper
+# with alpha = h and beta = h omega^2, the stability matrix with
+# alpha = beta = mu.  The kernel factors only the s2 x s2 Schur complement
+# I + nu G, G = At AtH and nu = alpha beta, whose determinant is det S
+# (Sylvester).  G is reduced once per scheme to upper Hessenberg form,
+# G = Q H Q^T, so that the elimination of I + nu H pivots only between
+# adjacent rows (Laub, IEEE TAC 26, 1981); one step of iterative refinement
+# against At and AtH themselves restores the accuracy of Gaussian
+# elimination on S (Skeel, Math. Comp. 35, 1980).  Every operation runs
+# elementwise over the values, in an (n, k, N) layout with the values last,
+# and every sum term by term, never through BLAS, so a value's solution is
+# bitwise the one it gets alone.
+# ---------------------------------------------------------------------------
+
+def _householder_hessenberg(A):
+    """(H, Q) with A = Q H Q^T, H upper Hessenberg and Q orthogonal, by
+    Householder reflections (Golub & Van Loan, Matrix Computations, 7.4).
+    The entries below the subdiagonal are exactly zero."""
+    H = np.array(A, dtype=float)
+    n = len(H)
+    Q = np.eye(n)
+    for k in range(n - 2):
+        x = H[k + 1:, k]
+        if not np.any(x[1:]):
+            continue
+        alpha = -math.copysign(float(np.linalg.norm(x)), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        # H <- P H P and Q <- Q P with the reflection P = I - 2 v v^T
+        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
+        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
+        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
+        H[k + 1, k], H[k + 2:, k] = alpha, 0.0
+    return H, Q
 
 
-def lu_factor(a):
-    """Row-pivoted LU factors of every matrix in a stack of shape (P, n, n).
+@functools.lru_cache(maxsize=64)
+def _hessenberg(g: bytes, n: int):
+    """The read-only :func:`_householder_hessenberg` of the n x n matrix
+    G = At AtH given by its bytes ``g``: one reduction per scheme, however
+    many calls sample it."""
+    reduced = _householder_hessenberg(np.frombuffer(g).reshape(n, n))
+    for a in reduced:
+        a.setflags(write=False)
+    return reduced
 
-    Returns (lu, piv) stored per matrix as LAPACK's getrf stores them: U on
-    and above the diagonal, the unit lower factor L below it, and piv[:, j]
-    the row that step j swapped with row j.  A swap exchanges whole rows, so
-    the stored L is permuted by every later pivot, and :func:`lu_solve`
-    applies all the swaps first.  Every operation runs elementwise over the
-    stack, with no BLAS product across matrices, so a matrix's factors are
-    bitwise the ones it gets alone.  A zero or NaN pivot leaves inf or NaN
-    in the factors without a warning; :func:`_singular` flags the matrix.
+
+def _schur_basis(scheme: ArkScheme):
+    """(H, Q) with At AtH = Q H Q^T, H upper Hessenberg; see :func:`_hessenberg`."""
+    G = scheme.a_tilde @ scheme.a_tilde_hat
+    return _hessenberg(G.tobytes(), len(G))
+
+
+def lu_factor(H, nu):
+    """Row-pivoted LU of I + nu H for every value of the (N,) array nu, with
+    H upper Hessenberg.  Returns (factors, singular).
+
+    The factors are the upper triangle U, shape (n, n, N), the swap masks
+    and the multipliers: elimination only ever pivots between adjacent rows.
+    ``singular`` marks the values with a pivot that is NaN or below
+    1e-14 max(1, |nu| max|H|), checked as each column is eliminated; their
+    factors hold inf or NaN, without a warning.
     """
-    lu = np.array(a, dtype=float)
-    count, n = lu.shape[:2]
-    piv = np.tile(np.arange(n), (count, 1))
-    stack = np.arange(count)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n = H.shape[0]
+    swaps = np.empty((n - 1, len(nu)), dtype=bool)
+    mults = np.empty((n - 1, len(nu)))
+    singular = np.zeros(len(nu), dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        U = H[:, :, None] * nu
+        U[np.arange(n), np.arange(n)] += 1.0
+        tol = np.maximum(1e-14, 1e-14 * np.abs(H).max() * np.abs(nu))
         for j in range(n - 1):
-            p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
-            if np.count_nonzero(p != j):
-                piv[:, j] = p
-                rows = lu[stack, p]
-                lu[stack, p] = lu[:, j]
-                lu[:, j] = rows
-            lu[:, j + 1:, j] /= lu[:, j, j, None]
-            lu[:, j + 1:, j + 1:] -= lu[:, j + 1:, j, None] * lu[:, j, None, j + 1:]
-    return lu, piv
+            top, low = U[j, j:], U[j + 1, j:]
+            swap = np.abs(low[0]) > np.abs(top[0])
+            top, low = np.where(swap, low, top), np.where(swap, top, low)
+            singular |= ~(np.abs(top[0]) >= tol)
+            mults[j] = low[0] / top[0]
+            swaps[j] = swap
+            U[j, j:] = top
+            U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
+        singular |= ~(np.abs(U[n - 1, n - 1]) >= tol)
+    return (U, swaps, mults), singular
 
 
-def lu_solve(factors, b):
-    """Solve a x = b for every matrix of the stack that :func:`lu_factor`
-    factored into ``factors``; b has shape (P, n, k).  Elementwise over the
-    stack, as the factorization is."""
-    lu, piv = factors
-    x = np.array(b, dtype=float)
-    count, n = piv.shape
-    stack = np.arange(count)
-    for j in np.flatnonzero((piv != np.arange(n)).any(axis=0)).tolist():
-        p = piv[:, j]
-        rows = x[stack, p]
-        x[stack, p] = x[:, j]
-        x[:, j] = rows
+def lu_solve(factors, B):
+    """Solve (I + nu H) Y = B in place for B of shape (n, k, N), through the
+    factors of :func:`lu_factor`."""
+    U, swaps, mults = factors
+    n = U.shape[0]
     for j in range(n - 1):
-        x[:, j + 1:] -= lu[:, j + 1:, j, None] * x[:, j, None]
+        top = np.where(swaps[j], B[j + 1], B[j])
+        B[j + 1] = np.where(swaps[j], B[j], B[j + 1]) - mults[j] * top
+        B[j] = top
     for j in range(n - 1, -1, -1):
-        x[:, j] /= lu[:, j, j, None]
-        x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
-    return x
+        B[j] /= U[j, j]
+        B[:j] -= U[:j, j, None] * B[j]
+    return B
 
 
-def _singular(lu):
-    """Which matrices of a stack of LU factors are numerically singular: the
-    smallest |pivot| is below 1e-14 max(1, max |LU|), or a factor is NaN."""
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
-    return ~(pivots >= 1e-14 * np.maximum(1.0, np.abs(lu).max(axis=(1, 2))))
+def _apply(A, X):
+    """A @ X for each value, X of shape (n, k, N), summed term by term over n.
+
+    Plain elementwise accumulation adds in the same order for every batch
+    size, where a BLAS product may not.
+    """
+    out = A[:, 0, None, None] * X[0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None, None] * X[j]
+    return out
+
+
+def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
+    """S^{-1} R for the stage blocks S = [[I, -alpha At], [beta AtH, I]] of
+    the (N,) values alpha and beta, R of shape (s2 + s1, k, N) with rows
+    (Qt, P), and ``factors`` those of I + alpha beta H from
+    :func:`lu_factor`, in the basis Q of :func:`_schur_basis`.
+
+    Each pass solves the Schur complement (I + nu G) Qt = R_q + alpha At R_p
+    in the Hessenberg basis of G, then sets P = R_p - beta AtH Qt.  The
+    second pass solves for the residual R - S X, formed against At and AtH
+    themselves rather than the rounded G.
+    """
+    At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
+
+    def schur_pass(R):
+        Qt = _apply(Q, lu_solve(factors, _apply(Q.T, R[:s2] + alpha * _apply(At, R[s2:]))))
+        return np.concatenate([Qt, R[s2:] - beta * _apply(AtH, Qt)])
+
+    X = schur_pass(R)
+    Qt, P = X[:s2], X[s2:]
+    residual = np.concatenate([R[:s2] - Qt + alpha * _apply(At, P),
+                               R[s2:] - P - beta * _apply(AtH, Qt)])
+    return X + schur_pass(residual)
 
 
 def _member_max(columns, n: int):
@@ -391,19 +463,20 @@ class _StageMaps(NamedTuple):
     """One step as affine maps, per column c of the flattened state.  The
     fold has rows (Q in linearly-implicit mode, (Q, Qt, P) in fixed-point
     mode) and m force slots, slot j holding the force of row j (F1(Q), or
-    F1(Q) and F2(Qt)).  The slots are split by the exact zeros of the fold:
+    F1(Q) and F2(Qt)).  :class:`ArkStepper` splits the slots by the
+    tableau's exact zeros, which the fold keeps:
 
     - explicit: a slow-force row whose map is exactly q0 (Q_1 in the
-      Lobatto schemes).  Its force is F1(q0), evaluated once per step.
+      Lobatto schemes, since a[0] = 0).  Its force is F1(q0), evaluated
+      once per step.
     - lagged: a slot that no row reads (F1(Q_s), since ahat[:, -1] = 0).
       Only (q1, p1) read it, so its force is evaluated in the converging
       pass alone.
     - iterated: every other slot, evaluated in every pass.
 
-    The slots are ordered explicit, then per force iterated and lagged;
-    ``layout`` gives the fold's row of each slot's row and of every other
-    row, and X holds the rows after the explicit ones.  With F the forces
-    that X is computed from and h the column's step size:
+    The slots are ordered explicit, then per force iterated and lagged, and
+    X holds the rows after the explicit ones.  With F the forces that X is
+    computed from and h the column's step size:
 
         X[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
                          + sum_j primary[i, j, c] F[j, c]
@@ -411,9 +484,6 @@ class _StageMaps(NamedTuple):
 
     ``primary`` stops after the last slot that X reads; the lagged slots of
     F and F(X) that the maps multiply by an exact zero hold a finite value.
-    ``passes`` and ``final`` are the (force, rows of X, slots) blocks
-    evaluated in every pass and in the converging one, the force F1 or F2;
-    with no iterated slot the step is explicit.
 
     ``solution`` is the (Qt, P) map over (q0, p0, F) of each (step size,
     Omega^2 value) pair, shape (H*V, s2 + s1, 2 + m), and ``index`` the pair
@@ -431,10 +501,6 @@ class _StageMaps(NamedTuple):
     index: np.ndarray          # (N,)
     inputs: np.ndarray         # (2 + 2 m, N)
     forces: np.ndarray         # (2, m, N)
-    layout: np.ndarray         # (rows,)
-    explicit: int
-    passes: tuple
-    final: tuple
 
 
 class ArkStepper:
@@ -466,8 +532,6 @@ class ArkStepper:
         # the factorized stage solve per scalar step size, which the maps are
         # gathered from: a member that leaves a batch refactors no other
         self._folds = {}
-        # the layout of the maps per pattern of the folds' zeros
-        self._layouts = {}
         if mode is SolverMode.LINEARLY_IMPLICIT:
             # one block per distinct entry of Omega^2; _columns maps each
             # coordinate of the flattened omega_sq to its block
@@ -480,6 +544,41 @@ class ArkStepper:
             self._columns = np.zeros(system.dimension, dtype=np.intp)
             self._shape = (system.dimension,)
 
+        # the Lobatto layout of the maps (see _StageMaps), off the tableau:
+        # the explicit rows are the zero rows of a, the lagged slots the zero
+        # columns of ahat and, for the F2 slots of fixed-point mode, of AtH
+        s1 = scheme.s1
+        explicit = ~scheme.a.any(axis=1)
+        unread = ~scheme.a_hat.any(axis=0)
+        if mode is SolverMode.FIXED_POINT:
+            unread = np.concatenate((unread, ~scheme.a_tilde_hat.any(axis=0)))
+        m = len(unread)
+        slots = np.arange(m)
+        order = [slots[:s1][explicit]]
+        # the (force, rows of X, slots) blocks evaluated in every pass and in
+        # the converging one; with no iterated slot the step is explicit
+        passes, final = [], []
+        lo = e = len(order[0])
+        for force, kind in ((system.slow_force, slots[:s1][~explicit]),
+                            (system.fast_force, slots[s1:])):
+            iterated, lagged = kind[~unread[kind]], kind[unread[kind]]
+            order += [iterated, lagged]
+            for blocks, hi in ((passes, lo + len(iterated)), (final, lo + len(kind))):
+                if hi > lo:
+                    blocks.append((force, slice(lo - e, hi - e), slice(lo, hi)))
+            lo += len(kind)
+        order = np.concatenate(order)
+        self._passes, self._final, self._explicit = tuple(passes), tuple(final), e
+        # the fold's row of each slot's row and of every other row; X holds
+        # those after the explicit ones and reads the slots up to the last
+        # one that is not lagged
+        rows = m + s1 if mode is SolverMode.FIXED_POINT else m
+        self._layout = np.concatenate((order, np.arange(m, rows)))
+        read = np.flatnonzero(~unread[order])
+        self._read = order[:read[-1] + 1 if len(read) else 0]
+        # the fold's columns of the update map in slot order
+        self._update_columns = np.concatenate(((0, 1), 2 + order, 2 + m + order))
+
     # -- linear block ------------------------------------------------------
 
     def _block_inverses(self, h) -> _StageMaps:
@@ -487,9 +586,9 @@ class ArkStepper:
         size h (a float) or one per member (a tuple).
 
         The maps of each (step size, Omega^2 value) pair come from
-        :meth:`_fold`, which factors the blocks of every step size of the key
-        that is not folded yet in one batched LU, and are gathered to the N
-        state columns; see :class:`_StageMaps`.  A float h maps the columns
+        :meth:`_fold`, which solves the blocks of every step size of the key
+        that is not folded yet in one call, and are gathered to the N state
+        columns; see :class:`_StageMaps`.  A float h maps the columns
         of omega_sq itself; a tuple of n step sizes maps a batch of n
         members, each member's d columns with its own step size, over an
         omega_sq of shape (n, d) or (d,).  The cache keeps, per key, the
@@ -511,84 +610,45 @@ class ArkStepper:
             index = np.repeat(which, d) * n_values + values
         else:
             steps, index = (h,), self._columns
-        folds = self._fold(steps, lambda j, k: self._rows_with(index == j * n_values + k))
-        *maps, zeros = zip(*folds)
-        start, primary, update, solution = (np.concatenate(x) for x in maps)
-        # a zero step's fold is zero throughout and shows none of the
-        # tableau's zeros; the zeros every other fold has set the layout
-        zeros = [z for z in zeros if z is not None]
-        key = tuple(np.logical_and.reduce(z).tobytes() for z in zip(*zeros)) if zeros else ()
-        if key not in self._layouts:
-            self._layouts[key] = self._layout(*(np.frombuffer(z, dtype=bool) for z in key))
-        rows, read, columns, fields = self._layouts[key]
-        m = primary.shape[-1]
+        # maps that overflow make non-finite stages, which the force checks
+        # turn into the typed error; NumPy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            folds = self._fold(steps, lambda j, k: self._rows_with(index == j * n_values + k))
+        start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
+        rows, columns, m = self._layout[self._explicit:], self._update_columns, primary.shape[-1]
         maps = _StageMaps(start=self._gather(start[:, rows], index),
-                          primary=self._gather(primary[:, rows][:, :, read], index),
+                          primary=self._gather(primary[:, rows][:, :, self._read], index),
                           update=self._gather(update[:, :, columns], index),
                           solution=solution[:, :, columns[:2 + m]], index=index,
                           inputs=np.empty((len(columns), len(index))),
-                          forces=np.empty((2, m, len(index))), **fields)
+                          forces=np.empty((2, m, len(index))))
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = maps
         return maps
 
-    def _layout(self, copies=None, unread=None):
-        """How :class:`_StageMaps` takes the rows and slots of the folds,
-        for their exact zeros (see :meth:`_fold`): ``copies`` marks the rows
-        that are q0, ``unread`` the slots no row reads.  Without them no
-        slot is explicit or lagged.
-
-        Returns (rows, read, columns, fields): the fold's rows that X holds,
-        the fold's slots that X reads, the fold's columns of the update map
-        in slot order, and the maps' fields that follow from these alone.
-        """
-        s1, fixed_point = self.scheme.s1, self.mode is SolverMode.FIXED_POINT
-        m = s1 + self.scheme.s2 if fixed_point else s1
-        n_rows = m + s1 if fixed_point else m
-        slots = np.arange(m)
-        if copies is None:
-            copies, unread = np.zeros(n_rows, dtype=bool), np.zeros(m, dtype=bool)
-        explicit = copies[:s1]
-        order = [slots[:s1][explicit]]
-        passes, final = [], []
-        lo = e = len(order[0])
-        for force, kind in ((self.system.slow_force, slots[:s1][~explicit]),
-                            (self.system.fast_force, slots[s1:])):
-            iterated, lagged = kind[~unread[kind]], kind[unread[kind]]
-            order += [iterated, lagged]
-            for blocks, hi in ((passes, lo + len(iterated)), (final, lo + len(kind))):
-                if hi > lo:
-                    blocks.append((force, slice(lo - e, hi - e), slice(lo, hi)))
-            lo += len(kind)
-        order = np.concatenate(order)
-        layout = np.concatenate((order, np.arange(m, n_rows)))
-        rows = layout[e:]
-        read = np.flatnonzero(~unread[order])
-        fields = dict(layout=layout, explicit=e, passes=tuple(passes), final=tuple(final))
-        return (rows, order[:read[-1] + 1 if len(read) else 0],
-                np.concatenate(((0, 1), 2 + order, 2 + m + order)), fields)
-
     def _fold(self, steps, members):
         """The stage solve at each step size h of ``steps``, for each value w
         of the block: per h, the maps start (V, rows, 2), primary (V, rows, m)
-        and update (V, 2, 2 + 2 m) of the fold's rows and slots, the (Qt, P)
-        solution (V, s2 + s1, 2 + m), and the zeros (the rows that are
-        exactly q0, the slots no row reads) that hold for every value, or
-        None at h = 0.  ``members(j, k)`` names the rows that a singular
-        block of the j-th step size and k-th value fails.
+        and update (V, 2, 2 + 2 m) of the fold's rows and slots, and the
+        (Qt, P) solution (V, s2 + s1, 2 + m).  ``members(j, k)`` names the
+        rows that a singular block of the j-th step size and k-th value fails.
 
-        The blocks of every step size not folded yet are factored in one
-        batched :func:`lu_factor` call over all their (h, w) pairs, and each
-        fold is cached per h; a fold is bitwise the same in any batch.
-        Solving a block against the right-hand side [q0; p0 + h Ahat F1
-        (+ h AtH F2 in fixed-point mode)] column by column gives (Qt, P) as
-        affine functions of (q0, p0, F), and with them Q = q0 + h a P,
-        q1 = q0 + h b P and p1 = p0 - h w bt Qt + h b F1(Q) (+ h bt F2(Qt)).
-        The maps keep the tableau's exact zeros: a zero row of a gives a row
-        of X that is exactly (1, 0) on (q0, p0) and 0 on F, and a zero column
-        of Ahat a right-hand side column, and so a column of every map but
-        update's F(X) part, that is exactly 0.
+        Solving the block [[I, -h At], [h w AtH, I]] against the right-hand
+        side [q0; p0 + h Ahat F1 (+ h AtH F2 in fixed-point mode)] column by
+        column gives (Qt, P) as affine functions of (q0, p0, F), and with them
+        Q = q0 + h a P, q1 = q0 + h b P and p1 = p0 - h w bt Qt + h b F1(Q)
+        (+ h bt F2(Qt)).  In linearly-implicit mode the blocks of every step
+        size not folded yet go through the stage block kernel in one
+        :func:`lu_factor` call over all their (h, w) pairs, with alpha = h and
+        beta = h w, so nu = h^2 w.  In fixed-point mode w = 0, so the block is
+        unit upper triangular: P is the right-hand side's momentum rows and
+        Qt = q0 + h At P, with no factorization.  Each fold is cached per h,
+        and is bitwise the same in any batch.  The maps keep the tableau's
+        exact zeros: a zero row of a gives a row of X that is exactly (1, 0)
+        on (q0, p0) and 0 on F, and a zero column of Ahat a right-hand side
+        column, and so a column of every map but update's F(X) part, that is
+        exactly 0.
         """
         folds = [self._folds.get(h) for h in steps]
         new = [j for j, folded in enumerate(folds) if folded is None]
@@ -599,23 +659,36 @@ class ArkStepper:
         fixed_point = self.mode is SolverMode.FIXED_POINT
         m = s1 + s2 if fixed_point else s1
         h = np.array([steps[j] for j in new], dtype=float)
-        # columns (q0, p0, F_1, ..., F_m) of the right-hand side, per h
-        rhs = np.zeros((len(h), s1 + s2, 2 + m))
-        rhs[:, :s2, 0] = 1.0
-        rhs[:, s2:, 1] = 1.0
-        rhs[:, s2:, 2:2 + s1] = h[:, None, None] * scheme.a_hat
+        # the step size of each (h, w) pair, and per pair the right-hand
+        # side's rows (Qt, P) and columns (q0, p0, F_1, ..., F_m)
+        alpha = np.repeat(h, len(values))
+        rhs = np.zeros((s2 + s1, 2 + m, len(alpha)))
+        rhs[:s2, 0] = 1.0
+        rhs[s2:, 1] = 1.0
+        rhs[s2:, 2:2 + s1] = scheme.a_hat[:, :, None] * alpha
         if fixed_point:
-            rhs[:, s2:, 2 + s1:] = h[:, None, None] * scheme.a_tilde_hat
-        blocks = stage_block(scheme, h[:, None], values)
-        factors = lu_factor(blocks.reshape((-1,) + blocks.shape[2:]))
-        singular = _singular(factors[0])
-        if singular.any():
-            i, k = divmod(int(np.flatnonzero(singular)[0]), len(values))
-            raise SingularStageSystemError(
-                f"stage block is numerically singular for h={h[i]}, omega^2={values[k]}",
-                members(new[i], k))
-        solution = lu_solve(factors, np.repeat(rhs, len(values), axis=0))
-        solution = solution.reshape((len(h), len(values)) + rhs.shape[1:])
+            rhs[s2:, 2 + s1:] = scheme.a_tilde_hat[:, :, None] * alpha
+            # P is the right-hand side's momentum rows and Qt = q0 + h At P,
+            # summed from the last stage down as back substitution sums it;
+            # adding 0.0 makes the zeros of P positive, which keeps the maps
+            # bitwise those of Gaussian elimination on the block
+            h_at = scheme.a_tilde[:, :, None] * alpha
+            for k in range(s1 - 1, -1, -1):
+                rhs[:s2] += h_at[:, k, None] * rhs[s2 + k]
+            rhs[s2:] += 0.0
+            solution = rhs
+        else:
+            H, Q = _schur_basis(scheme)
+            beta = alpha * np.tile(values, len(h))
+            factors, singular = lu_factor(H, alpha * beta)
+            if singular.any():
+                i, k = divmod(int(np.flatnonzero(singular)[0]), len(values))
+                raise SingularStageSystemError(
+                    f"stage block is numerically singular for h={h[i]}, omega^2={values[k]}",
+                    members(new[i], k))
+            solution = stage_solve(scheme, Q, factors, alpha, beta, rhs)
+        solution = np.ascontiguousarray(np.moveaxis(solution, -1, 0)).reshape(
+            (len(h), len(values)) + rhs.shape[:2])
         Qt, P = solution[:, :, :s2], solution[:, :, s2:]
         primary = h[:, None, None, None] * (scheme.a @ P)
         primary[..., 0] += 1.0
@@ -628,16 +701,11 @@ class ArkStepper:
         update[..., 1, 1] += 1.0
         update[..., 1, 2 + m:] = h[:, None, None] * (np.concatenate((scheme.b, scheme.b_tilde))
                                                      if fixed_point else scheme.b)
-        # the rows that are exactly q0 and the slots no row reads
         start, primary = primary[..., :2], primary[..., 2:]
-        copies = ~primary.any(axis=(1, 3)) & (start == (1.0, 0.0)).all(axis=(1, 3))
-        unread = ~primary.any(axis=(1, 2))
         if len(self._folds) + len(new) > 64:
             self._folds.clear()
         for i, j in enumerate(new):
-            zeros = None if h[i] == 0.0 else (copies[i], unread[i])
-            folds[j] = self._folds[steps[j]] = (start[i], primary[i], update[i], solution[i],
-                                                 zeros)
+            folds[j] = self._folds[steps[j]] = (start[i], primary[i], update[i], solution[i])
         return folds
 
     @staticmethod
@@ -662,9 +730,9 @@ class ArkStepper:
         sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index),
                         x[:maps.solution.shape[-1]])
         # the explicit rows are q0 itself
-        stages = np.empty((len(maps.layout), X.shape[1]))
-        explicit = np.broadcast_to(x[0], (maps.explicit, len(x[0])))
-        stages[maps.layout] = np.concatenate((explicit, X))
+        stages = np.empty((len(self._layout), X.shape[1]))
+        explicit = np.broadcast_to(x[0], (self._explicit, len(x[0])))
+        stages[self._layout] = np.concatenate((explicit, X))
         return (stages[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
                 iterations)
 
@@ -708,8 +776,8 @@ class ArkStepper:
         X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
         X_new += c0
         # a step without iterated slots is explicit: X_new is its stages
-        final = not maps.passes
-        blocks = maps.final if final else maps.passes
+        final = not self._passes
+        blocks = self._final if final else self._passes
         iteration = 0
         done = None     # the members that have converged, once some but not all have
         while True:
@@ -764,7 +832,7 @@ class ArkStepper:
                         members=np.flatnonzero(~converged))
                 if n_converged:
                     done = converged
-            blocks = maps.final if final else maps.passes
+            blocks = self._final if final else self._passes
 
     # -- stepping ----------------------------------------------------------
 

@@ -14,28 +14,22 @@ q'' = -omega^2 q + f(q) it admits a two-step trigonometric form with filter
 weights  psi_i = b^T (I + mu^2 AtH At)^{-1} ahat_i.
 
 Every mu-dependent quantity goes through one kernel, for an array of mu at
-once.  It solves S(mu) X = [E | (0; ahat_i)]; the column (0; ahat_i) gives
-Qt = mu At P and P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  It
-never factors the (s2+s1) stage block itself.  Writing the stage vector as
-(Qt, P), the momenta satisfy P = R_p - mu AtH Qt, which leaves the s2 x s2
-Schur complement  (I + nu G) Qt = R_q + mu At R_p  with G = At AtH and
-nu = mu^2: the same (I + mu^2 ...)^{-1} structure as the filter functions,
-on the smaller of the two blocks (s2 = s1 - 1 for the paper's methods), so
-the factors hold about a quarter of the whole block's entries.  By Sylvester's determinant identity
-det S(mu) = det(I + nu G), so the kernel fails exactly where the stage block
-is singular.  G is reduced to upper Hessenberg form once per scheme, by
-Householder reflections, G = Q H Q^T, so that I + nu H is upper Hessenberg
-for every mu (Laub, IEEE TAC 26, 1981), and a chunk of mu values is
-factored at once, pivoting only between adjacent rows.  G is a rounded
-product and Q is not exact, so one
-step of iterative refinement follows, with the residual R - S X formed
-against the original coupling blocks At and AtH; this restores the accuracy
-of Gaussian elimination on the stage block itself (Skeel, Math. Comp. 35,
-1980), also for the odd entries of M at negative mu and for nu up to 1e10.
+once: the stage block kernel of :mod:`symparc.integrator`, which the
+stepper's fold also solves its blocks with, at alpha = h, beta = h omega^2
+and nu = h^2 omega^2.  Here alpha = beta = mu.  It solves
+S(mu) X = [E | (0; ahat_i)]; the column (0; ahat_i) gives Qt = mu At P and
+P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  It never factors the
+(s2+s1) stage block itself: it eliminates the momenta and factors the
+s2 x s2 Schur complement I + nu G with G = At AtH and nu = mu^2, reduced
+once per scheme to Hessenberg form, and refines the solution once against
+At and AtH.  By Sylvester's determinant identity det S(mu) = det(I + nu G),
+so the kernel fails exactly where the stage block is singular, by the rule
+the stepper applies to its blocks.
+
 Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
 X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
-the same factors gives M'(mu) = W S(mu)^{-1} X; the interval
-search bisects it to locate tangencies.  All per-mu sums are accumulated
+the same factors gives M'(mu) = W S(mu)^{-1} X; the interval search bisects
+it to locate tangencies.  All per-mu sums are accumulated
 elementwise, term by term, never through BLAS, so a mu gives bitwise the
 same M and psi in any batch: a scalar call agrees with any sweep holding it.
 """
@@ -54,6 +48,10 @@ from symparc.integrator import (
     SingularStageSystemError,
     SplitForceSystem,
     StageSolveConfig,
+    _apply,
+    _schur_basis,
+    lu_factor,
+    stage_solve,
 )
 from symparc.tableaux import ArkScheme
 
@@ -165,128 +163,17 @@ class M11M22Check:
 _CHUNK = 8192
 
 
-def _lu_hessenberg(H, mus):
-    """Row-pivoted LU of I + mu^2 H for every mu at once, H upper Hessenberg.
-
-    Works in an (n, n, N) layout with mu last.  Elimination only ever pivots
-    between adjacent rows, so the factors are the swap masks, the multipliers
-    and the upper triangle U.  A zero pivot raises SingularStageSystemError.
-    """
-    n = H.shape[0]
-    U = H[:, :, None] * (mus * mus)
-    U[np.arange(n), np.arange(n)] += 1.0
-    swaps = np.empty((n - 1, len(mus)), dtype=bool)
-    mults = np.empty((n - 1, len(mus)))
-    for j in range(n - 1):
-        top, low = U[j, j:], U[j + 1, j:]
-        swap = np.abs(low[0]) > np.abs(top[0])
-        top, low = np.where(swap, low, top), np.where(swap, top, low)
-        _check_pivot(top[0], mus)
-        mults[j] = low[0] / top[0]
-        swaps[j] = swap
-        U[j, j:] = top
-        U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
-    _check_pivot(U[n - 1, n - 1], mus)
-    return U, swaps, mults
-
-
-def _check_pivot(pivot, mus):
-    """SingularStageSystemError naming the first mu whose pivot is zero or NaN."""
-    failed = ~(np.abs(pivot) > 0.0)
-    if failed.any():
-        mu = mus[np.flatnonzero(failed)[0]]
-        raise SingularStageSystemError(f"stage block singular at mu = {mu:.17g}")
-
-
-def _lu_solve(lu, B):
-    """Solve (I + mu^2 H) Y = B in place for B of shape (n, k, N)."""
-    U, swaps, mults = lu
-    n = U.shape[0]
-    for j in range(n - 1):
-        top = np.where(swaps[j], B[j + 1], B[j])
-        B[j + 1] = np.where(swaps[j], B[j], B[j + 1]) - mults[j] * top
-        B[j] = top
-    for j in range(n - 1, -1, -1):
-        B[j] /= U[j, j]
-        B[:j] -= U[:j, j, None] * B[j]
-    return B
-
-
-def _apply(A, X):
-    """A @ X for each mu, X of shape (n, k, N), summed term by term over n.
-
-    Plain elementwise accumulation adds in the same order for every batch
-    size, where a BLAS product may not.
-    """
-    out = A[:, 0, None, None] * X[0]
-    for j in range(1, A.shape[1]):
-        out += A[:, j, None, None] * X[j]
-    return out
-
-
-def _refined_solve(scheme: ArkScheme, Q, lu, m, R):
-    """S(mu)^{-1} R for R of shape (s2 + s1, k, N), rows (Qt, P).
-
-    Each pass solves the Schur complement (I + mu^2 G) Qt = R_q + mu At R_p
-    in the Hessenberg basis of G = Q H Q^T, then sets P = R_p - mu AtH Qt.
-    The second pass solves for the residual R - S X, formed against At and
-    AtH themselves rather than the rounded G.
-    """
-    At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
-
-    def schur_pass(R):
-        Qt = _apply(Q, _lu_solve(lu, _apply(Q.T, R[:s2] + m * _apply(At, R[s2:]))))
-        return np.concatenate([Qt, R[s2:] - m * _apply(AtH, Qt)])
-
-    X = schur_pass(R)
-    Qt, P = X[:s2], X[s2:]
-    residual = np.concatenate([R[:s2] - Qt + m * _apply(At, P),
-                               R[s2:] - P - m * _apply(AtH, Qt)])
-    return X + schur_pass(residual)
-
-
-def _householder_hessenberg(A):
-    """(H, Q) with A = Q H Q^T, H upper Hessenberg and Q orthogonal, by
-    Householder reflections (Golub & Van Loan, Matrix Computations, 7.4).
-    The entries below the subdiagonal are exactly zero."""
-    H = np.array(A, dtype=float)
-    n = len(H)
-    Q = np.eye(n)
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        if not np.any(x[1:]):
-            continue
-        alpha = -math.copysign(float(np.linalg.norm(x)), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        # H <- P H P and Q <- Q P with the reflection P = I - 2 v v^T
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
-        H[k + 1, k], H[k + 2:, k] = alpha, 0.0
-    return H, Q
-
-
-@functools.lru_cache(maxsize=64)
-def _hessenberg(g: bytes, n: int):
-    """The read-only :func:`_householder_hessenberg` of the n x n matrix
-    G = At AtH given by its bytes ``g``: one reduction per scheme, however
-    many calls sample it."""
-    reduced = _householder_hessenberg(np.frombuffer(g).reshape(n, n))
-    for a in reduced:
-        a.setflags(write=False)
-    return reduced
-
-
 def _chunk_solvers(scheme: ArkScheme, mus):
     """Yield (slice, mu chunk, solve) with solve(R) = S(mu)^{-1} R per chunk."""
-    G = scheme.a_tilde @ scheme.a_tilde_hat
-    H, Q = _hessenberg(G.tobytes(), len(G))
+    H, Q = _schur_basis(scheme)
     for start in range(0, len(mus), _CHUNK):
         m = mus[start:start + _CHUNK]
+        factors, singular = lu_factor(H, m * m)
+        if singular.any():
+            mu = m[np.flatnonzero(singular)[0]]
+            raise SingularStageSystemError(f"stage block singular at mu = {mu:.17g}")
         yield (slice(start, start + len(m)), m,
-               functools.partial(_refined_solve, scheme, Q, _lu_hessenberg(H, m), m))
+               functools.partial(stage_solve, scheme, Q, factors, m, m))
 
 
 def _unit_rhs(scheme: ArkScheme, n: int, extra=None):

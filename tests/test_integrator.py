@@ -32,7 +32,7 @@ from symparc.integrator import (
     yoshida_compose,
 )
 from symparc.stability import stability_matrix
-from symparc.tableaux import ArkScheme, Variant, build_scheme
+from symparc.tableaux import MAX_STAGES, ArkScheme, Variant, build_scheme
 
 from _helpers import (
     SPECIAL_FLOATS,
@@ -435,33 +435,93 @@ def test_batch_failures_name_their_members():
     assert info.value.members == (1, 2)
 
 
-@pytest.mark.parametrize("n", [5, 7, 23])
-def test_lu_kernels_match_numpy_solve(n):
-    # diagonally dominant matrices with their rows reversed: every matrix
-    # needs row swaps, and none is ill-conditioned
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((6, n, n)) + 2.0 * n * np.eye(n)
-    a = a[:, ::-1]
-    b = rng.standard_normal((6, n, 4))
-    lu, piv = integrator.lu_factor(a)
-    assert all((row != np.arange(n)).any() for row in piv)
-    assert not integrator._singular(lu).any()
-    x = integrator.lu_solve((lu, piv), b)
-    expected = np.linalg.solve(a, b)
-    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
-    # each matrix's factors and solution are bitwise the ones it gets alone
-    for k in (0, 3):
-        alone = integrator.lu_factor(a[k:k + 1])
-        assert np.array_equal(alone[0][0], lu[k]) and np.array_equal(alone[1][0], piv[k])
-        assert np.array_equal(integrator.lu_solve(alone, b[k:k + 1])[0], x[k])
+def _block_solution(scheme, h, w, fixed_point):
+    """(Qt, P) of the stage block [[I, -h At], [h w AtH, I]] against the
+    fold's right-hand side columns (q0, p0, F), by a dense solve."""
+    s1, s2 = scheme.s1, scheme.s2
+    block = np.eye(s2 + s1)
+    block[:s2, s2:] = -h * scheme.a_tilde
+    block[s2:, :s2] = h * w * scheme.a_tilde_hat
+    m = s1 + s2 if fixed_point else s1
+    rhs = np.zeros((s2 + s1, 2 + m))
+    rhs[:s2, 0] = 1.0
+    rhs[s2:, 1] = 1.0
+    rhs[s2:, 2:2 + s1] = h * scheme.a_hat
+    if fixed_point:
+        rhs[s2:, 2 + s1:] = h * scheme.a_tilde_hat
+    return np.linalg.solve(block, rhs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", list(Variant))
+def test_fold_solves_the_stage_block(variant):
+    # the fold's (Qt, P) map of every (h, w) pair against a dense solve of
+    # the block itself: at h omega from 0 to far beyond the sweeps' range in
+    # linearly-implicit mode, and at w = 0 in fixed-point mode
+    h = 0.1
+    h_omegas = np.array([0.0, 0.5, 2.0 * math.sqrt(3.0), 150.0, 1e3])
+    linear = SplitForceSystem(dimension=5, omega_sq=(h_omegas / h) ** 2)
+    general = SplitForceSystem(dimension=5, f1=lambda q: -q ** 3, f2=lambda q: -q)
+    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    for s1 in range(2, MAX_STAGES + 1):
+        scheme = build_scheme(s1, variant)
+        for system, config in ((linear, None), (general, fixed)):
+            stepper = ArkStepper(scheme, system, config)
+            for step in (h, -h):
+                solution = stepper._fold((step,), lambda j, k: ())[0][3]
+                for w, X in zip(stepper._values, solution):
+                    expected = _block_solution(scheme, step, w, config is fixed)
+                    bound = 1e-14 * max(1.0, float(np.max(np.abs(expected))))
+                    assert np.max(np.abs(X - expected)) <= bound, (s1, w, step)
+
+
+def test_fixed_point_fold_factors_nothing(monkeypatch):
+    # at w = 0 the block is unit upper triangular and the fold solves it in
+    # closed form; the linearly-implicit fold does call the factorization
+    def refused(H, nu):
+        raise AssertionError("lu_factor called")
+
+    monkeypatch.setattr(integrator, "lu_factor", refused)
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    for name in ("lgl2", "lgl4", "lglc6"):
+        scheme = scheme_from_name(name)
+        ark_step(scheme, system, state, 0.02, fixed)
+        solve_stages(scheme, system, state, -0.03, fixed)
+        with pytest.raises(AssertionError, match="lu_factor called"):
+            ark_step(scheme, system, state, 0.02)
+
+
+def test_zero_step_keeps_the_tableau_layout():
+    # the layout comes from the tableau, so a zero step size, whose fold is
+    # zero throughout, is explicit for lgl2 as every other step size is
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    for name, passes in (("lgl2", 0), ("lgl4", 1), ("lglc6", 1)):
+        new, k = ArkStepper(scheme_from_name(name), system).step_with_iterations(state, 0.0)
+        assert k == passes
+        assert np.array_equal(new.q, state.q) and np.array_equal(new.p, state.p)
 
 
 @pytest.mark.filterwarnings("error")
 def test_singular_and_nan_blocks_are_flagged():
-    a = np.stack([np.eye(4), np.eye(4), np.eye(4)])
-    a[1, 2, 2] = 0.0
-    a[2, 1, 3] = math.nan
-    assert integrator._singular(integrator.lu_factor(a)[0]).tolist() == [False, True, True]
+    # I + nu H with eigenvalues 1 - nu, 1 + 2 nu, ...: singular at nu = 1, a
+    # hair off it below the pivot bound, and NaN; the subdiagonal makes the
+    # elimination swap rows at large nu
+    H = np.array([[-1.0, 0.5, 0.2, 0.1],
+                  [0.0, 2.0, 0.3, -0.4],
+                  [0.0, 0.7, 0.5, 0.6],
+                  [0.0, 0.0, -0.8, 3.0]])
+    nu = np.array([0.3, 1.0, np.nextafter(1.0, 2.0), math.nan, 1e12, -0.25])
+    (U, swaps, mults), singular = integrator.lu_factor(H, nu)
+    assert singular.tolist() == [False, True, True, True, False, False]
+    assert swaps[:, 4].any()
+    B = np.random.default_rng(3).standard_normal((4, 2, len(nu)))
+    for k in (0, 4, 5):
+        expected = np.linalg.solve(np.eye(4) + nu[k] * H, B[..., k])
+        Y = integrator.lu_solve((U, swaps, mults), B.copy())[..., k]
+        assert np.max(np.abs(Y - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -478,16 +538,14 @@ def test_singular_pair_names_only_its_members():
 
 @pytest.mark.filterwarnings("error")
 def test_nan_stage_block_names_its_members(monkeypatch):
-    # a NaN in one (h, w) block fails that pair as a singular block does
-    plain = integrator.stage_block
+    # a NaN in one (h, w) block fails that pair as a singular block does: the
+    # pair's nu = h (h w) reaches the factorization's pivot check as NaN
+    plain = integrator.lu_factor
 
-    def poisoned(scheme, h, w):
-        block = plain(scheme, h, w)
-        h, w = np.broadcast_arrays(h, w)
-        block[(h == 0.02) & (w == 4.0), 0, 0] = math.nan
-        return block
+    def poisoned(H, nu):
+        return plain(H, np.where(nu == 0.02 * (0.02 * 4.0), math.nan, nu))
 
-    monkeypatch.setattr(integrator, "stage_block", poisoned)
+    monkeypatch.setattr(integrator, "lu_factor", poisoned)
     system = SplitForceSystem(dimension=2, f1=lambda q: -q ** 3,
                               omega_sq=[[1.0, 4.0], [1.0, 9.0], [4.0, 9.0]])
     state = PhaseState(q=np.full((3, 2), 0.1), p=np.zeros((3, 2)))
@@ -501,17 +559,24 @@ def test_overflowing_stage_block_is_singular():
     # h w = 1e310 overflows the block's entries to inf: the pivot check
     # rejects it as singular, with no overflow warning on the way
     system = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[1e300])
+    state = PhaseState(q=[1.0], p=[0.0])
     with pytest.raises(SingularStageSystemError, match="omega\\^2=1e\\+300"):
-        ArkStepper(scheme_from_name("lgl4"), system).step(PhaseState(q=[1.0], p=[0.0]), 1e10)
+        ArkStepper(scheme_from_name("lgl4"), system).step(state, 1e10)
+    # the fixed-point block is unit upper triangular and never singular; at
+    # h = 1e200 its maps overflow, and the force check fails the stages
+    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+    general = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, f2=lambda q: -q)
+    with pytest.raises(NumericalFailureError):
+        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(state, 1e200)
 
 
 def test_new_step_sizes_are_factored_in_one_call(monkeypatch):
     calls = []
     plain = integrator.lu_factor
 
-    def counted(a):
-        calls.append(len(a))
-        return plain(a)
+    def counted(H, nu):
+        calls.append(len(nu))
+        return plain(H, nu)
 
     monkeypatch.setattr(integrator, "lu_factor", counted)
     params = fput.FputParams(ell=3, omega=50.0)
@@ -520,7 +585,7 @@ def test_new_step_sizes_are_factored_in_one_call(monkeypatch):
     state = PhaseState(q=np.tile(state0.q, (5, 1)), p=np.tile(state0.p, (5, 1)))
     stepper = ArkStepper(scheme_from_name("lgl4"), system)
     # five step sizes, one repeated, over the two values of Omega^2 (0 and
-    # omega^2): one call for the 4 x 2 new blocks
+    # omega^2): one call for the 4 x 2 new (h, w) values
     stepper.step(state, [0.01, 0.02, 0.03, 0.04, 0.01])
     assert calls == [8]
     stepper.step(state, [0.01, 0.02, 0.03, 0.04, 0.01])
@@ -545,8 +610,8 @@ def test_batched_state_rejected_where_unsupported():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_step_size_rejected(bad):
-    # before the check, stage_block warned and a misleading
-    # SingularStageSystemError followed
+    # without the check, a non-finite h would reach the stage block and
+    # fail there as a misleading SingularStageSystemError
     params = fput.FputParams(ell=3, omega=50.0)
     system, state = fput.fput_system(params), fput.paper_initial_state(params)
     lgl4 = scheme_from_name("lgl4")

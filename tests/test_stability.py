@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symparc.integrator import PhaseState, SingularStageSystemError, SplitForceSystem
+from symparc.integrator import (
+    ArkStepper,
+    PhaseState,
+    SingularStageSystemError,
+    SplitForceSystem,
+)
 from symparc.stability import (
     NotStableError,
     check_m11_equals_m22,
@@ -392,7 +397,7 @@ def test_non_finite_mu_rejected(fn):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_householder_hessenberg_of_every_scheme(variant):
-    from symparc.stability import _hessenberg
+    from symparc.integrator import _hessenberg
     for s1 in range(2, MAX_STAGES + 1):
         scheme = build_scheme(s1, variant)
         G = scheme.a_tilde @ scheme.a_tilde_hat
@@ -407,11 +412,25 @@ def test_householder_hessenberg_of_every_scheme(variant):
 
 
 def test_nan_pivot_is_a_failure():
-    from symparc.stability import _check_pivot
-    _check_pivot(np.array([1.0, -2.0]), np.array([0.5, 1.5]))
-    for pivot in ([1.0, math.nan], [1.0, 0.0]):
-        with pytest.raises(SingularStageSystemError, match="mu = 1.5$"):
-            _check_pivot(np.array(pivot), np.array([0.5, 1.5]))
+    from symparc.integrator import lu_factor
+    _, singular = lu_factor(np.array([[2.0]]), np.array([0.25, math.nan, 1.0]))
+    assert singular.tolist() == [False, True, False]
+    # the first singular mu of a sample names the failure
+    with pytest.raises(SingularStageSystemError, match="mu = -1$"):
+        stability_matrix_samples(singular_at_one(), [0.5, -1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_stepper_and_stability_share_the_singularity_rule():
+    # one ulp above mu = 1 the pivot of I + mu^2 G is -4.4e-16: singular for
+    # the stability matrix as for the stepper's block at h = mu, omega^2 = 1
+    mu = float(np.nextafter(1.0, 2.0))
+    with pytest.raises(SingularStageSystemError, match=f"mu = {mu:.17g}$"):
+        stability_matrix(singular_at_one(), mu)
+    stepper = ArkStepper(singular_at_one(), SplitForceSystem(dimension=1, omega_sq=[1.0]))
+    with pytest.raises(SingularStageSystemError, match=f"h={mu}, omega\\^2=1.0") as info:
+        stepper.step(PhaseState(q=[1.0], p=[0.0]), mu)
+    assert info.value.members == (0,)
 
 
 def test_filter_singular_mu_raises():
