@@ -226,11 +226,12 @@ def _cmd_fput(args) -> int:
         ratios = np.linspace(4.5 / args.points, 4.5, args.points)
         omegas = ratios * math.pi / h
         result = fputmod.experiment_resonance_sweep(
-            _known_scheme(args.scheme), params, h, T, omegas,
-            tolerance=_given(args.tol, 1e-12))
+            _known_scheme(args.scheme), params, h, T, omegas, config=_stage_config(args))
         result.write_csv(args.out or "sweep.csv")
-        peak = result.h_omega_over_pi[int(np.nanargmax(result.max_energy_error))]
-        print(f"sweep: {args.points} points, largest peak at h*omega/pi = {_fmt(peak)}",
+        errors = result.max_energy_error
+        peak = ("none, every point failed" if np.isnan(errors).all()
+                else _fmt(result.h_omega_over_pi[int(np.nanargmax(errors))]))
+        print(f"sweep: {args.points} points, largest peak at h*omega/pi = {peak}",
               file=sys.stderr)
         if result.failures:
             for idx, msg in result.failures:

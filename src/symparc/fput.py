@@ -43,6 +43,7 @@ from symparc.integrator import (
     StageSolveConfig,
     StageSolveError,
     _at_step,
+    _quiet,
     _write_table,
     integrate,
     make_stepper,
@@ -235,25 +236,11 @@ def experiment_energy(scheme, params: FputParams, h: float, T: float,
         raise ValueError(f"h must be positive and finite, got {h!r}")
     if not (T >= 0.0 and math.isfinite(T)):
         raise ValueError(f"T must be nonnegative and finite, got {T!r}")
-    system = fput_system(params)
-    state0 = paper_initial_state(params)
     n_steps = int(round(T / h)) if T > 0 else 0
-    times = np.empty(n_steps + 1)
-    hams = np.empty(n_steps + 1)
-    oscs = np.empty((n_steps + 1, params.ell))
-    b0 = energy_breakdown(params, state0)
-    times[0], hams[0], oscs[0] = 0.0, b0.hamiltonian, b0.oscillatory
-    cursor = 1
-
-    def observer(state):
-        nonlocal cursor
-        b = energy_breakdown(params, state)
-        times[cursor], hams[cursor], oscs[cursor] = state.t, b.hamiltonian, b.oscillatory
-        cursor += 1
-
-    integrate(scheme, system, state0, h, n_steps, config=config,
-              observer=observer, stride=max(1, n_steps))
-    return EnergyHistory(times=times, hamiltonian=hams, oscillatory=oscs)
+    traj = integrate(scheme, fput_system(params), paper_initial_state(params), h, n_steps,
+                     config=config)
+    hamiltonian, oscillatory = _chain_energies(traj.qs, traj.ps, params.omega, params.ell)
+    return EnergyHistory(times=traj.times, hamiltonian=hamiltonian, oscillatory=oscillatory)
 
 
 @dataclass(frozen=True)
@@ -272,13 +259,14 @@ class SweepResult:
                      "%.17g,%.17g,%.17g", (tuple(row.tolist()) for row in cells))
 
 
-def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
-                               omega_grid, tolerance: float = 1e-12) -> SweepResult:
+@_quiet
+def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, omega_grid,
+                               config: StageSolveConfig | None = None) -> SweepResult:
     """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
 
     All chains start from the standard initial state of their frequency and
     are stepped together as one batched state, one row per omega, by
-    ``make_stepper(scheme, ...)``; compositions batch the same way.  A row
+    ``make_stepper(scheme, ..., config)``; compositions batch the same way.  A row
     whose stage solve fails is recorded in ``failures`` as (index,
     "Type: message") with NaN results, and the step is redone without it;
     any other error propagates.
@@ -293,7 +281,6 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
         raise ValueError("every omega must be positive and finite")
     ell = params.ell
-    config = StageSolveConfig(tolerance=tolerance)
     base = paper_initial_state(FputParams(ell=ell, omega=1.0))
     q, p = np.tile(base.q, (len(omegas), 1)), np.tile(base.p, (len(omegas), 1))
     q[:, ell] = 1.0 / omegas
@@ -310,25 +297,22 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float,
     failures = []
     stepper = make_stepper(scheme, _chain_system(ell, omegas), config)
     n_steps, step = int(round(T / h)), 0
-    # a diverging run overflows in the forces, and the finite checks then
-    # raise the typed error; NumPy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps and len(rows):
-            try:
-                state = stepper.step(state, h)
-            except StageSolveError as exc:
-                keep = np.zeros(len(rows), dtype=bool)
-                if exc.members:   # a failure not pinned to rows fails them all
-                    keep[:] = True
-                    keep[list(exc.members)] = False
-                failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
-                rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
-                state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
-                stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
-                continue
-            step += 1
-            hamiltonian, scaled_i = energies(state, omegas[rows])
-            np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
+    while step < n_steps and len(rows):
+        try:
+            state = stepper.step(state, h)
+        except StageSolveError as exc:
+            keep = np.zeros(len(rows), dtype=bool)
+            if exc.members:   # a failure not pinned to rows fails them all
+                keep[:] = True
+                keep[list(exc.members)] = False
+            failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
+            rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
+            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
+            stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
+            continue
+        step += 1
+        hamiltonian, scaled_i = energies(state, omegas[rows])
+        np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
     results = np.full((2, len(omegas)), math.nan)
     results[:, rows] = worst
     return SweepResult(
@@ -378,6 +362,7 @@ class ReductionTable:
                      ((r.scheme, r.omega, r.h, r.err_slow_q, r.err_slow_p) for r in self.rows))
 
 
+@_quiet
 def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: float,
                        h_grid: np.ndarray, config: StageSolveConfig | None):
     """States at T of one run of ``scheme`` per step size, stepped as one batch.
@@ -406,27 +391,24 @@ def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: 
     state = PhaseState(q=np.tile(state0.q, (runs, 1)), p=np.tile(state0.p, (runs, 1)),
                        t=np.full(runs, state0.t))
     step = 0
-    # a diverging run overflows in the forces, and the finite checks then
-    # raise the typed error; NumPy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(rows):
-            try:
-                state = stepper.step(state, h_run[rows])
-            except StageSolveError as exc:
-                keep = np.zeros(len(rows), dtype=bool)
-                if exc.members:   # a failure not pinned to members fails them all
-                    keep[:] = True
-                    keep[list(exc.members)] = False
-                for i in rows[~keep]:
-                    failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
-                                     if isinstance(exc, NonconvergenceError) else exc))
-            else:
-                step += 1
-                keep = n_steps[rows] != step
-                finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
-            if not keep.all():
-                rows = rows[keep]
-                state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
+    while len(rows):
+        try:
+            state = stepper.step(state, h_run[rows])
+        except StageSolveError as exc:
+            keep = np.zeros(len(rows), dtype=bool)
+            if exc.members:   # a failure not pinned to members fails them all
+                keep[:] = True
+                keep[list(exc.members)] = False
+            for i in rows[~keep]:
+                failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
+                                 if isinstance(exc, NonconvergenceError) else exc))
+        else:
+            step += 1
+            keep = n_steps[rows] != step
+            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
+        if not keep.all():
+            rows = rows[keep]
+            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
     return h_run, finals[0], finals[1], sorted(failures, key=lambda failure: failure[0])
 
 

@@ -79,6 +79,7 @@ and the state itself -- and return the force row-wise.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
 import math
@@ -139,7 +140,7 @@ class NonconvergenceError(StageSolveError):
 
 
 class NumericalFailureError(StageSolveError):
-    """A force evaluation returned NaN or Inf for finite input."""
+    """A force at finite input, or the stage maps of a step size, came out NaN or Inf."""
 
 
 class SingularStageSystemError(StageSolveError):
@@ -284,6 +285,30 @@ class StageSolveConfig:
 # Divergence guard for the fixed-point loop: once updates exceed this factor
 # times the state scale, further iterations cannot recover.
 _DIVERGENCE_FACTOR = 1e12
+
+
+# true while a _quiet function runs
+_QUIET = contextvars.ContextVar("quiet", default=False)
+
+
+def _quiet(fn):
+    """``fn`` under np.errstate(over="ignore", invalid="ignore"): a run that
+    overflows fails the finite checks with the typed error, and NumPy's
+    warnings would only repeat it.  Only the outermost call enters it; a
+    driver's steps and a composed step's substeps do not, as entering costs
+    a few microseconds, a few percent of a single-state step."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        if _QUIET.get():
+            return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +635,7 @@ class ArkStepper:
             index = np.repeat(which, d) * n_values + values
         else:
             steps, index = (h,), self._columns
-        # maps that overflow make non-finite stages, which the force checks
-        # turn into the typed error; NumPy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            folds = self._fold(steps, lambda j, k: self._rows_with(index == j * n_values + k))
+        folds = self._fold(steps, lambda j, k: self._rows_with(np.isin(index, j * n_values + k)))
         start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
         rows, columns, m = self._layout[self._explicit:], self._update_columns, primary.shape[-1]
         maps = _StageMaps(start=self._gather(start[:, rows], index),
@@ -632,7 +654,8 @@ class ArkStepper:
         of the block: per h, the maps start (V, rows, 2), primary (V, rows, m)
         and update (V, 2, 2 + 2 m) of the fold's rows and slots, and the
         (Qt, P) solution (V, s2 + s1, 2 + m).  ``members(j, k)`` names the
-        rows that a singular block of the j-th step size and k-th value fails.
+        rows that use the j-th step size with the value, or any of the
+        values, k: those a singular block or maps that are not finite fail.
 
         Solving the block [[I, -h At], [h w AtH, I]] against the right-hand
         side [q0; p0 + h Ahat F1 (+ h AtH F2 in fixed-point mode)] column by
@@ -701,6 +724,13 @@ class ArkStepper:
         update[..., 1, 1] += 1.0
         update[..., 1, 2 + m:] = h[:, None, None] * (np.concatenate((scheme.b, scheme.b_tilde))
                                                      if fixed_point else scheme.b)
+        # maps that overflow would make every stage non-finite, and the force
+        # checks would then blame the force
+        finite = np.all([np.isfinite(x).all(axis=(2, 3)) for x in (solution, primary, update)], 0)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NumericalFailureError(f"stage maps are not finite for h={h[i]}",
+                                        members(new[i], np.flatnonzero(~finite[i])))
         start, primary = primary[..., :2], primary[..., 2:]
         if len(self._folds) + len(new) > 64:
             self._folds.clear()
@@ -720,6 +750,7 @@ class ArkStepper:
 
     # -- stage solve -------------------------------------------------------
 
+    @_quiet
     def solve_stages(self, state: PhaseState, h):
         """Return (Q, P, Q_tilde, iterations) for one step of size h (one
         float, or one per member of a batch); the stage arrays have shape
@@ -839,6 +870,7 @@ class ArkStepper:
     def step(self, state: PhaseState, h) -> PhaseState:
         return self.step_with_iterations(state, h)[0]
 
+    @_quiet
     def step_with_iterations(self, state: PhaseState, h):
         """The next state and the number of stage-loop passes (for a batch,
         the largest over its members).  ``h`` is one step size, or for a
@@ -916,6 +948,7 @@ def _at_step(exc: NonconvergenceError, step: int, t: float) -> NonconvergenceErr
                                members=exc.members)
 
 
+@_quiet
 def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
               n_steps: int, config: StageSolveConfig | None = None,
               observer: Optional[Callable] = None, stride: int = 1) -> Trajectory:
@@ -941,26 +974,23 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
     times[0], qs[0], ps[0] = state0.t, state0.q, state0.p
     state = state0
     record = 1
-    # a diverging run overflows in the forces, and the finite checks then
-    # raise the typed error; NumPy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            try:
-                if hasattr(stepper, "step_with_iterations"):
-                    state, it = stepper.step_with_iterations(state, h)
-                else:
-                    state, it = stepper.step(state, h), 0
-            except NonconvergenceError as exc:
-                exc.step_index = i
-                raise _at_step(exc, i, state.t) from exc
-            state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
-            iters[i] = it
-            if observer is not None:
-                observer(state)
-            if (i + 1) % stride == 0:
-                times[record] = state.t
-                qs[record], ps[record] = state.q, state.p
-                record += 1
+    for i in range(n_steps):
+        try:
+            if hasattr(stepper, "step_with_iterations"):
+                state, it = stepper.step_with_iterations(state, h)
+            else:
+                state, it = stepper.step(state, h), 0
+        except NonconvergenceError as exc:
+            exc.step_index = i
+            raise _at_step(exc, i, state.t) from exc
+        state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
+        iters[i] = it
+        if observer is not None:
+            observer(state)
+        if (i + 1) % stride == 0:
+            times[record] = state.t
+            qs[record], ps[record] = state.q, state.p
+            record += 1
     return Trajectory(times=times[:record], qs=qs[:record], ps=ps[:record],
                       stage_iterations=iters, stride=stride)
 
@@ -1002,6 +1032,7 @@ class ComposedStepper:
     def step(self, state: PhaseState, h) -> PhaseState:
         return self.step_with_iterations(state, h)[0]
 
+    @_quiet
     def step_with_iterations(self, state: PhaseState, h):
         """The composed step and the stage iterations of all its substeps
         (0 for a base without iteration counts)."""
@@ -1067,13 +1098,16 @@ def make_stepper(spec, system: SplitForceSystem,
 # ---------------------------------------------------------------------------
 # Reference solution by step-halved order-8 Runge-Kutta
 #
-# The 12-stage tableau of _rk8 integrates the full right-hand side when the
-# system has no diagonal fast part.  When it has one (omega_sq), the flow of
-# q' = p, p' = -Omega^2 q is an exact rotation per coordinate (free flight
-# where omega = 0), and the tableau integrates only the slow force in the
-# frame that rotates with it: Lawson's integrating-factor Runge-Kutta method
+# A step of the 12-stage tableau of _rk8 is a linear map of the rows
+# (q_n, p_n, F(Q_0), ..., F(Q_11)), each stage reading the rows before its
+# force; only the weights depend on the system.  Without a diagonal fast
+# part they are the tableau's Nystrom form for q'' = F1 + F2 (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.14).  With one (omega_sq), the flow
+# of q' = p, p' = -Omega^2 q is an exact rotation per coordinate (free
+# flight where omega = 0), and the tableau integrates only the slow force
+# in the frame that rotates with it: Lawson's integrating-factor method
 # (Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck & Ostermann, Acta
-# Numerica 19 (2010)).  Its step is then limited by how fast F1 varies along
+# Numerica 19 (2010)), whose step is limited by how fast F1 varies along
 # the rotating trajectory, not by h*omega.  The rotation is not what the
 # additive methods do (they apply Gauss quadrature to the fast force), so
 # the oracle does not share their error; it imports none of their code.
@@ -1090,8 +1124,8 @@ def _flow_factors(omega, t):
     return np.cos(theta), sinc, omega * sin
 
 
-def _lawson_maps(omega, h: float):
-    """Matrices of one integrating-factor step of size h.
+def _lawson_weights(omega, h: float):
+    """Weights of one integrating-factor step of size h.
 
     With c(t) = cos(omega t) and s(t) = sin(omega t)/omega per coordinate, the
     step of Lawson's method on the tableau (A, b, c) reads the rows
@@ -1102,86 +1136,38 @@ def _lawson_maps(omega, h: float):
         p_{n+1} = -omega sin(omega h) q_n + c(h) p_n + h sum_j b_j c((1 - c_j) h) F1(Q_j)
 
     since the rotations compose: exp(c_i h L) exp(-c_j h L) = exp((c_i - c_j) h L).
-    Returns ``stages``, where stages[i - 1] is the (d, (i + 2) d) matrix taking
-    the first i + 2 rows to Q_i (Q_0 = q_n), and the (2d, 14 d) matrix of
-    (q_{n+1}, p_{n+1}).
+    Returns weights[o, j], the (d,) factor of row j in output o (Q_0, ...,
+    Q_11, q_{n+1}, p_{n+1}).
     """
     n, c = _rk8.N_STAGES, _rk8.C
-    d = omega.shape[-1]
     cos_c, sin_c, _ = _flow_factors(omega, c * h)
     _, sin_cc, _ = _flow_factors(omega, np.subtract.outer(c, c) * h)
     cos_h, sin_h, wsin_h = _flow_factors(omega, h)
     cos_b, sin_b, _ = _flow_factors(omega, (1.0 - c) * h)
     hb = (h * _rk8.B)[:, None]
-    # weights[o, j]: the (d,) factor of row j in output o (Q_0..Q_11, q, p)
-    weights = np.zeros((n + 2, n + 2, d))
+    weights = np.zeros((n + 2, n + 2, omega.shape[-1]))
     weights[:n, 0], weights[:n, 1] = cos_c, sin_c
     weights[:n, 2:] = (h * _rk8.A)[..., None] * sin_cc
     weights[n, 0], weights[n, 1], weights[n, 2:] = cos_h, sin_h, hb * sin_b
     weights[n + 1, 0], weights[n + 1, 1], weights[n + 1, 2:] = -wsin_h, cos_h, hb * cos_b
-    maps = np.einsum("ojk,kl->okjl", weights, np.eye(d)).reshape(n + 2, d, (n + 2) * d)
-    stages = [np.ascontiguousarray(maps[i, :, :(i + 2) * d]) for i in range(1, n)]
-    return stages, maps[n:].reshape(2 * d, (n + 2) * d)
+    return weights
 
 
-def _lawson_steps(system: SplitForceSystem, y: np.ndarray, h: float,
-                  n_steps: int) -> np.ndarray:
-    d = y.size // 2
-    stage_maps, final = _lawson_maps(np.sqrt(system.omega_sq), h)
-    f1 = system.f1
-    rows = np.empty((_rk8.N_STAGES + 2, d))
-    flat = rows.reshape(-1)
-    state = flat[:2 * d]  # (q_n, p_n): the first two rows
-    state[...] = y
-    # Q_i reads the first i + 2 rows; the views stay bound to the buffers
-    stages = [(m, flat[:m.shape[1]], rows[i + 2]) for i, m in enumerate(stage_maps, 1)]
-    if f1 is None:  # a step is the exact rotation
-        final, flat, stages = np.ascontiguousarray(final[:, :2 * d]), state, ()
-    q, new = np.empty(d), np.empty(2 * d)
-    for step in range(n_steps):
-        if f1 is not None:
-            rows[2] = f1(rows[0])  # Q_0 = q_n
-        for m, r, f_i in stages:
-            np.matmul(m, r, out=q)
-            f_i[...] = f1(q)
-        np.matmul(final, flat, out=new)
-        state[...] = new
-        if step % 64 == 0:
-            _check_finite(state)
-    return state.copy()
+def _nystrom_weights(h: float, d: int):
+    """Weights of one step of size h of the tableau on q'' = F(q), in the
+    layout of :func:`_lawson_weights`; with the stage momenta eliminated,
 
-
-def _plain_steps(system: SplitForceSystem, y: np.ndarray, h: float,
-                 n_steps: int) -> np.ndarray:
-    d = y.size // 2
-    ha, hb = h * _rk8.A, h * _rk8.B
-    k = np.empty((_rk8.N_STAGES, 2 * d))
-    stage = np.empty(2 * d)
-    incr = np.empty(2 * d)
-    f1, f2 = system.f1, system.f2
-    kq, kp = list(k[:, :d]), list(k[:, d:])
-    # stage i is y + (h A[i, :i]) @ k[:i]; the views stay bound to the buffers
-    stages = [(ha[i, :i], k[:i]) for i in range(1, _rk8.N_STAGES)]
-
-    def derivative(q, p, i):
-        """k[i] = (p, F1(q) + F2(q)), written into the rows of k."""
-        kq[i][...] = p
-        kp[i][...] = 0.0 if f1 is None else f1(q)
-        if f2 is not None:
-            kp[i] += f2(q)
-
-    y_q, y_p, stage_q, stage_p = y[:d], y[d:], stage[:d], stage[d:]
-    for step in range(n_steps):
-        derivative(y_q, y_p, 0)
-        for i, (ha_i, k_i) in enumerate(stages, start=1):
-            np.matmul(ha_i, k_i, out=stage)
-            stage += y
-            derivative(stage_q, stage_p, i)
-        np.matmul(hb, k, out=incr)
-        y += incr
-        if step % 64 == 0:
-            _check_finite(y)
-    return y
+        Q_i     = q_n + c_i h p_n + h^2 sum_j (A^2)_ij F(Q_j)
+        q_{n+1} = q_n + h p_n + h^2 sum_j (b A)_j F(Q_j)
+        p_{n+1} = p_n + h sum_j b_j F(Q_j).
+    """
+    n, a, b = _rk8.N_STAGES, _rk8.A, _rk8.B
+    weights = np.zeros((n + 2, n + 2, d))
+    weights[:n, 0], weights[:n, 1] = 1.0, (h * _rk8.C)[:, None]
+    weights[:n, 2:] = (h * h * (a @ a))[..., None]
+    weights[n, 0], weights[n, 1], weights[n, 2:] = 1.0, h, (h * h * (b @ a))[:, None]
+    weights[n + 1, 1], weights[n + 1, 2:] = 1.0, (h * b)[:, None]
+    return weights
 
 
 def _check_finite(y):
@@ -1192,13 +1178,40 @@ def _check_finite(y):
 def _rk8_final_state(system: SplitForceSystem, state0: PhaseState, duration: float,
                      n_steps: int) -> np.ndarray:
     """(q, p) after ``n_steps`` equal order-8 steps over ``duration``, as one
-    (2d,) array: integrating-factor steps when the system has ``omega_sq``,
-    plain Runge-Kutta steps otherwise."""
-    y = np.concatenate([state0.q, state0.p])
-    steps = _plain_steps if system.omega_sq is None else _lawson_steps
-    y = steps(system, y, duration / n_steps, n_steps)
-    _check_finite(y)
-    return y
+    (2d,) array: integrating-factor steps over F1 when the system has
+    ``omega_sq``, Nystrom steps over F1 + F2 otherwise.  A system with no
+    force left steps the exact rotation or free flight."""
+    d, n, h = state0.dimension, _rk8.N_STAGES, duration / n_steps
+    if system.omega_sq is None:
+        f1, f2 = system.f1, system.f2
+        force = f2 if f1 is None else f1 if f2 is None else lambda q: f1(q) + f2(q)
+        weights = _nystrom_weights(h, d)
+    else:
+        force, weights = system.f1, _lawson_weights(np.sqrt(system.omega_sq), h)
+    maps = np.einsum("ojk,kl->okjl", weights, np.eye(d)).reshape(n + 2, d, (n + 2) * d)
+    final = maps[n:].reshape(2 * d, (n + 2) * d)
+    rows = np.empty((n + 2, d))
+    flat = rows.reshape(-1)
+    state = flat[:2 * d]  # (q_n, p_n): the first two rows
+    state[:d], state[d:] = state0.q, state0.p
+    # Q_i reads the first i + 2 rows; the views stay bound to the buffers
+    stages = [(np.ascontiguousarray(maps[i, :, :(i + 2) * d]), flat[:(i + 2) * d], rows[i + 2])
+              for i in range(1, n)]
+    if force is None:  # a step is the exact rotation or free flight
+        final, flat, stages = np.ascontiguousarray(final[:, :2 * d]), state, ()
+    q, new = np.empty(d), np.empty(2 * d)
+    for step in range(n_steps):
+        if force is not None:
+            rows[2] = force(rows[0])  # Q_0 = q_n
+        for m, r, f_i in stages:
+            np.matmul(m, r, out=q)
+            f_i[...] = force(q)
+        np.matmul(final, flat, out=new)
+        state[...] = new
+        if step % 64 == 0:
+            _check_finite(state)
+    _check_finite(state)
+    return state.copy()
 
 
 def _initial_step_count(system: SplitForceSystem, duration: float) -> int:
@@ -1214,8 +1227,13 @@ def _initial_step_count(system: SplitForceSystem, duration: float) -> int:
     return n
 
 
+# step halvings after the first level before the oracle gives up
+_MAX_REFINEMENTS = 24
+
+
+@_quiet
 def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
-                    tol: float = 1e-12, max_refinements: int = 24) -> PhaseState:
+                    tol: float = 1e-12) -> PhaseState:
     """State at time T by fixed-step order-8 integration with step halving.
 
     With ``omega_sq`` set, the fast linear force is taken exactly by one
@@ -1229,8 +1247,6 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
-    if max_refinements < 1:
-        raise ValueError("max_refinements must be at least 1")
     if state0.q.ndim != 1 or (system.omega_sq is not None and system.omega_sq.ndim != 1):
         raise ValueError("the reference solver steps one state with one omega_sq diagonal")
     duration = T - state0.t
@@ -1238,22 +1254,19 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
         raise ValueError("T must be finite")
     if duration == 0.0:
         return state0
-    # an overflowing level fails its finite check with OracleFailureError;
-    # NumPy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = _initial_step_count(system, duration)
-        y_prev = _rk8_final_state(system, state0, duration, n)
-        _log.debug("reference level: %d steps", n)
-        for _ in range(max_refinements):
-            n *= 2
-            y = _rk8_final_state(system, state0, duration, n)
-            bound = tol * max(1.0, float(np.max(np.abs(y))))
-            diff = float(np.max(np.abs(y - y_prev)))
-            _log.debug("reference level: %d steps, agreement %.3g tol", n, diff / bound)
-            if diff <= bound:
-                d = state0.dimension
-                return PhaseState(q=y[:d], p=y[d:], t=T)
-            y_prev = y
+    n = _initial_step_count(system, duration)
+    y_prev = _rk8_final_state(system, state0, duration, n)
+    _log.debug("reference level: %d steps", n)
+    for _ in range(_MAX_REFINEMENTS):
+        n *= 2
+        y = _rk8_final_state(system, state0, duration, n)
+        bound = tol * max(1.0, float(np.max(np.abs(y))))
+        diff = float(np.max(np.abs(y - y_prev)))
+        _log.debug("reference level: %d steps, agreement %.3g tol", n, diff / bound)
+        if diff <= bound:
+            d = state0.dimension
+            return PhaseState(q=y[:d], p=y[d:], t=T)
+        y_prev = y
     raise OracleFailureError(
         f"step halving did not certify tolerance {tol:g} within "
-        f"{max_refinements} refinements ({n} steps)")
+        f"{_MAX_REFINEMENTS} refinements ({n} steps)")

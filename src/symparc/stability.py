@@ -361,10 +361,11 @@ def _refine_extrema(scheme: ArkScheme, lo, hi):
 # sampled |half trace| within this slack of 1 still counts as stable, so a
 # tangency evaluated a hair beyond 1 does not split the interval
 _TANGENCY_SLACK = 1e-9
+# spacing of the mu samples in which the interval search brackets its roots
+_GRID_STEP = 1e-3
 
 
-def stability_intervals(scheme: ArkScheme, mu_max: float,
-                        grid_step: float = 1e-3) -> StabilityReport:
+def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
     """Sample the stability function on [0, mu_max] and locate its structure.
 
     Sign changes of half-trace -+ 1 are refined by bisection to 1e-10 and
@@ -375,10 +376,9 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     independent eigenvectors (M = +-I there).  All brackets are refined
     together, one batched call per bisection step.
     """
-    for name, value in (("mu_max", mu_max), ("grid_step", grid_step)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    n = int(math.ceil(mu_max / grid_step)) + 1
+    if not (math.isfinite(mu_max) and mu_max > 0.0):
+        raise ValueError(f"mu_max must be positive and finite, got {mu_max!r}")
+    n = int(math.ceil(mu_max / _GRID_STEP)) + 1
     mus = np.linspace(0.0, mu_max, n)
     f = half_trace_samples(scheme, mus)
     f_at = functools.partial(half_trace_samples, scheme)
@@ -414,13 +414,13 @@ def stability_intervals(scheme: ArkScheme, mu_max: float,
     for mu_star, val in zip(mu_stars.tolist(), f_at(mu_stars).tolist()):
         for sign in (1, -1):
             if abs(val - sign) < 1e-7 and not any(
-                    abs(mu_star - r.mu) < 10.0 * grid_step for r in resonances):
+                    abs(mu_star - r.mu) < 10.0 * _GRID_STEP for r in resonances):
                 resonances.append(Resonance(mu=mu_star, sign=sign, tangent=True))
 
     resonances.sort(key=lambda r: r.mu)
 
     covered = (len(intervals) == 1
-               and intervals[0][0] <= grid_step and intervals[0][1] >= mu_max - grid_step)
+               and intervals[0][0] <= _GRID_STEP and intervals[0][1] >= mu_max - _GRID_STEP)
     M = stability_matrix_samples(scheme, [r.mu for r in resonances])
     signs = np.array([r.sign for r in resonances], dtype=float)
     non_defective = not np.any(np.abs(M - signs[:, None, None] * np.eye(2)) > 1e-6)

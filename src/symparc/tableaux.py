@@ -549,9 +549,8 @@ def _fmt_matrix(m) -> str:
     return "[" + ", ".join(_fmt_vector(row) for row in m) + "]"
 
 
-def scheme_to_json(scheme: ArkScheme, indent: bool = True) -> str:
-    """Serialize a scheme with 17-significant-digit floats."""
-    sep = "\n  " if indent else " "
+def scheme_to_json(scheme: ArkScheme) -> str:
+    """Serialize a scheme with 17-significant-digit floats, one field a line."""
     fields = [
         f'"s1": {scheme.s1}',
         f'"s2": {scheme.s2}',
@@ -566,8 +565,7 @@ def scheme_to_json(scheme: ArkScheme, indent: bool = True) -> str:
         f'"btilde": {_fmt_vector(scheme.b_tilde)}',
         f'"ctilde": {_fmt_vector(scheme.c_tilde)}',
     ]
-    body = ("," + sep).join(fields)
-    return "{" + (sep if indent else "") + body + ("\n}" if indent else "}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def scheme_from_json(text: str) -> ArkScheme:

@@ -196,6 +196,27 @@ def test_fput_sweep_small(tmp_path, capsys):
     assert len(lines) == 7
 
 
+def test_fput_sweep_takes_the_solver_flags(tmp_path, capsys, monkeypatch):
+    # --solver and --tol reach the sweep's stepper as they reach every other
+    # experiment's; fixed-point iteration diverges at these h*omega, so every
+    # point fails, and the sweep says so
+    configs = []
+    plain = fput.make_stepper
+
+    def recorded(scheme, system, config=None):
+        configs.append(config)
+        return plain(scheme, system, config)
+
+    monkeypatch.setattr(fput, "make_stepper", recorded)
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["fput", "sweep", "--points", "4", "--T", "0.2", "--solver", "fixed-point",
+                    "--tol", "1e-11", "--out", str(out)]) == 1
+    assert configs and all(c == StageSolveConfig(tolerance=1e-11, mode=SolverMode.FIXED_POINT)
+                           for c in configs)
+    err = capsys.readouterr().err
+    assert "every point failed" in err and err.count("NonconvergenceError") == 4
+
+
 @pytest.mark.parametrize("flags", [["--points", "0"], ["--h", "-0.02"], ["--T", "-1"],
                                    ["--h", "0"]],
                          ids=["points-zero", "h-negative", "T-negative", "h-zero"])

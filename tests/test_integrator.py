@@ -563,11 +563,39 @@ def test_overflowing_stage_block_is_singular():
     with pytest.raises(SingularStageSystemError, match="omega\\^2=1e\\+300"):
         ArkStepper(scheme_from_name("lgl4"), system).step(state, 1e10)
     # the fixed-point block is unit upper triangular and never singular; at
-    # h = 1e200 its maps overflow, and the force check fails the stages
+    # h = 1e200 its maps overflow, and the fold fails the step size before
+    # any force is evaluated
+    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
+
+    def never(q):
+        raise AssertionError("the force was evaluated")
+
+    general = SplitForceSystem(dimension=1, f1=never, f2=never)
+    with pytest.raises(NumericalFailureError, match="stage maps are not finite for h=1e\\+200"):
+        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(state, 1e200)
+    # in a batch, the error names the members that take that step size
+    batch = PhaseState(q=np.ones((3, 1)), p=np.zeros((3, 1)))
+    with pytest.raises(NumericalFailureError, match="h=1e\\+200") as info:
+        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(batch, [0.01, 1e200, 0.02])
+    assert info.value.members == (1,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [1e100, 1e150])
+def test_direct_overflowing_step_raises_typed_error(h):
+    # the maps are finite, but the start stage overflows the force; a direct
+    # call runs under the errstate the drivers enter, so the finite checks
+    # raise the typed error and the force's warning does not escape
     fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     general = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, f2=lambda q: -q)
-    with pytest.raises(NumericalFailureError):
-        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(state, 1e200)
+    stepper = ArkStepper(scheme_from_name("lgl4"), general, fixed)
+    state = PhaseState(q=[1.0], p=[0.0])
+    before = np.geterr()
+    for call in (stepper.step, stepper.step_with_iterations, stepper.solve_stages,
+                 yoshida_compose(stepper, 4).step):
+        with pytest.raises(StageSolveError):
+            call(state, h)
+        assert np.geterr() == before
 
 
 def test_new_step_sizes_are_factored_in_one_call(monkeypatch):
@@ -1008,8 +1036,9 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("case", ["chain", "no-f1", "explicit-f2"])
 def test_rk8_matches_textbook_loop(case):
-    # systems with omega_sq take the integrating-factor path, the others the
-    # plain loop; each is checked against its textbook form
+    # systems with omega_sq take the integrating-factor weights, the others
+    # the same tableau in Nystrom form over the same rows; each is checked
+    # against its textbook first-order loop
     from symparc.integrator import _rk8_final_state
     system, state0, duration, n_steps, textbook = _oracle_cases()[case]
     got = _rk8_final_state(system, state0, duration, n_steps)
@@ -1051,9 +1080,8 @@ def test_reference_rotation_and_free_flight_exact():
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan},
-                                    {"tol": math.inf}, {"max_refinements": 0}],
-                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf",
-                              "no-refinements"])
+                                    {"tol": math.inf}],
+                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf"])
 def test_reference_rejects_uncertifiable_tolerance(monkeypatch, kwargs):
     import symparc.integrator as integrator
 

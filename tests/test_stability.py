@@ -336,9 +336,6 @@ def test_intervals_argument_validation():
     for mu_max in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="mu_max"):
             stability_intervals(LGL4, mu_max)
-    for grid_step in (0.0, -1e-3, math.inf, math.nan):
-        with pytest.raises(ValueError, match="grid_step"):
-            stability_intervals(LGL4, 1.0, grid_step=grid_step)
 
 
 # ---------------------------------------------------------------------------
