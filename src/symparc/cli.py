@@ -16,11 +16,12 @@ import numpy as np
 from symparc import fput as fputmod
 from symparc import stability as stab
 from symparc.integrator import (
-    NonconvergenceError,
+    OracleFailureError,
     PhaseState,
     SolverMode,
     SplitForceSystem,
     StageSolveConfig,
+    StageSolveError,
     _write_table,
     integrate,
     scheme_from_name,
@@ -161,13 +162,8 @@ def _cmd_integrate(args) -> int:
         state0 = PhaseState(q=_parse_vector(args.q0, d, "--q0"),
                             p=_parse_vector(args.p0, d, "--p0"))
     n_steps = int(round(args.T / args.h))
-    config = _stage_config(args)
-    try:
-        traj = integrate(name, system, state0, args.h, n_steps,
-                         config=config, stride=args.stride)
-    except NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = integrate(name, system, state0, args.h, n_steps,
+                     config=_stage_config(args), stride=args.stride)
     if args.format == "json":
         _write_trajectory_json(traj, args.out)
     else:
@@ -363,9 +359,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (StageSolveError, OracleFailureError) as exc:  # a run that failed: exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

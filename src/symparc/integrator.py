@@ -1111,6 +1111,13 @@ def make_stepper(spec, system: SplitForceSystem,
 # the rotating trajectory, not by h*omega.  The rotation is not what the
 # additive methods do (they apply Gauss quadrature to the fast force), so
 # the oracle does not share their error; it imports none of their code.
+#
+# Certification compares a run of n steps with one of 2n.  The two step as
+# one pair: each coarse step of 2h is one batched step over both runs' rows
+# (the coarse step and the first fine substep, one force call per stage for
+# both), then the second fine substep runs alone, 24 force calls where two
+# separate runs make 36.  Each run's products go through its own maps, so
+# each is bitwise the run it makes alone.
 # ---------------------------------------------------------------------------
 
 def _flow_factors(omega, t):
@@ -1177,41 +1184,62 @@ def _check_finite(y):
 
 def _rk8_final_state(system: SplitForceSystem, state0: PhaseState, duration: float,
                      n_steps: int) -> np.ndarray:
-    """(q, p) after ``n_steps`` equal order-8 steps over ``duration``, as one
-    (2d,) array: integrating-factor steps over F1 when the system has
-    ``omega_sq``, Nystrom steps over F1 + F2 otherwise.  A system with no
-    force left steps the exact rotation or free flight."""
-    d, n, h = state0.dimension, _rk8.N_STAGES, duration / n_steps
+    """(q, p) after ``n_steps`` equal order-8 steps over ``duration`` (row
+    0) and after ``n_steps / 2`` steps of twice the size (row 1), as one
+    (2, 2d) array; ``n_steps`` must be even.  Integrating-factor steps over
+    F1 when the system has ``omega_sq``, Nystrom steps over F1 + F2
+    otherwise; a system with no force left steps the exact rotation or free
+    flight.  The coarse run is a second member that rides along the fine
+    one, as the comment above describes; each row is bitwise the run that
+    member makes alone."""
+    if n_steps < 2 or n_steps % 2:
+        raise ValueError("n_steps must be even and positive")
+    d, n = state0.dimension, _rk8.N_STAGES
+    hs = (duration / n_steps, duration / (n_steps // 2))
     if system.omega_sq is None:
         f1, f2 = system.f1, system.f2
         force = f2 if f1 is None else f1 if f2 is None else lambda q: f1(q) + f2(q)
-        weights = _nystrom_weights(h, d)
+        weights = np.stack([_nystrom_weights(h, d) for h in hs])
     else:
-        force, weights = system.f1, _lawson_weights(np.sqrt(system.omega_sq), h)
-    maps = np.einsum("ojk,kl->okjl", weights, np.eye(d)).reshape(n + 2, d, (n + 2) * d)
-    final = maps[n:].reshape(2 * d, (n + 2) * d)
-    rows = np.empty((n + 2, d))
-    flat = rows.reshape(-1)
-    state = flat[:2 * d]  # (q_n, p_n): the first two rows
-    state[:d], state[d:] = state0.q, state0.p
-    # Q_i reads the first i + 2 rows; the views stay bound to the buffers
-    stages = [(np.ascontiguousarray(maps[i, :, :(i + 2) * d]), flat[:(i + 2) * d], rows[i + 2])
-              for i in range(1, n)]
+        omega = np.sqrt(system.omega_sq)
+        force, weights = system.f1, np.stack([_lawson_weights(omega, h) for h in hs])
+    # maps[member, o] is output o's (d, (n + 2) d) map of that member's rows
+    maps = np.einsum("mojk,kl->mokjl", weights, np.eye(d)).reshape(2, n + 2, d, (n + 2) * d)
+    final = maps[:, n:].reshape(2, 2 * d, (n + 2) * d)
+    rows = np.empty((2, n + 2, d))
+    flat = rows.reshape(2, (n + 2) * d, 1)
+    state = flat[:, :2 * d]  # (q_n, p_n) of each member: its first two rows
+    state[:, :d, 0], state[:, d:, 0] = state0.q, state0.p
+    # Q_i reads the first i + 2 rows
+    stage_maps = [np.ascontiguousarray(maps[:, i, :, :(i + 2) * d]) for i in range(1, n)]
     if force is None:  # a step is the exact rotation or free flight
-        final, flat, stages = np.ascontiguousarray(final[:, :2 * d]), state, ()
-    q, new = np.empty(d), np.empty(2 * d)
-    for step in range(n_steps):
+        final, flat, stage_maps = np.ascontiguousarray(final[..., :2 * d]), state, []
+    q, new = np.empty((2, d, 1)), np.empty((2, 2 * d, 1))
+
+    def views(k):
+        """The views a step of members ``k`` reads and writes, bound to the
+        buffers once."""
+        stages = [(m[k], flat[k, :(i + 2) * d], q[k], q[k, ..., 0], rows[k, i + 2])
+                  for i, m in enumerate(stage_maps, 1)]
+        return rows[k, 0], rows[k, 2], stages, final[k], flat[k], new[k], state[k]
+
+    def advance(q_n, f_0, stages, update, r, out, y):
         if force is not None:
-            rows[2] = force(rows[0])  # Q_0 = q_n
-        for m, r, f_i in stages:
-            np.matmul(m, r, out=q)
-            f_i[...] = force(q)
-        np.matmul(final, flat, out=new)
-        state[...] = new
-        if step % 64 == 0:
+            f_0[...] = force(q_n)  # Q_0 = q_n
+        for m, r_i, out_i, q_i, f_i in stages:
+            np.matmul(m, r_i, out=out_i)
+            f_i[...] = force(q_i)
+        np.matmul(update, r, out=out)
+        y[...] = out
+
+    pair, fine = views(slice(None)), views(0)
+    for step in range(n_steps // 2):
+        advance(*pair)
+        advance(*fine)
+        if step % 32 == 0:
             _check_finite(state)
     _check_finite(state)
-    return state.copy()
+    return state[..., 0].copy()
 
 
 def _initial_step_count(system: SplitForceSystem, duration: float) -> int:
@@ -1239,11 +1267,16 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
     With ``omega_sq`` set, the fast linear force is taken exactly by one
     rotation per coordinate and the order-8 tableau integrates only the slow
     force (the integrating-factor method above); otherwise the tableau
-    integrates both forces.  The step count doubles until two successive
-    runs agree to ``tol`` (max-norm, relative to max(1, final state)); the
-    finer run is returned.  Each level is logged at DEBUG with its step
-    count and its agreement divided by ``tol``.  Independent of the
-    additive-method stepping code.
+    integrates both forces.  Each pass steps a pair of runs, n steps and 2n
+    steps, as the two members of one batch (so a (2n, 4n) pair costs the
+    force calls of the 4n run alone); until the two agree to ``tol``
+    (max-norm, relative to max(1, finer state)), n doubles and the next
+    pair runs.  The finer run is returned.  Each level is logged at DEBUG
+    with its step count and its agreement with the level before divided by
+    ``tol``.  Raises :class:`OracleFailureError` once two successive pairs
+    fail to shrink the agreement (roundoff then outgrows the step error),
+    naming the best agreement reached, or after ``_MAX_REFINEMENTS`` pairs.
+    Independent of the additive-method stepping code.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
@@ -1255,18 +1288,26 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
     if duration == 0.0:
         return state0
     n = _initial_step_count(system, duration)
-    y_prev = _rk8_final_state(system, state0, duration, n)
     _log.debug("reference level: %d steps", n)
+    best = previous = math.inf
+    stalls = 0
     for _ in range(_MAX_REFINEMENTS):
         n *= 2
-        y = _rk8_final_state(system, state0, duration, n)
+        y, y_coarse = _rk8_final_state(system, state0, duration, n)
         bound = tol * max(1.0, float(np.max(np.abs(y))))
-        diff = float(np.max(np.abs(y - y_prev)))
-        _log.debug("reference level: %d steps, agreement %.3g tol", n, diff / bound)
+        diff = float(np.max(np.abs(y - y_coarse)))
+        agreement = diff / bound
+        _log.debug("reference level: %d steps, agreement %.3g tol", n, agreement)
         if diff <= bound:
             d = state0.dimension
             return PhaseState(q=y[:d], p=y[d:], t=T)
-        y_prev = y
+        stalls = stalls + 1 if agreement >= previous else 0
+        best, previous = min(best, agreement), agreement
+        if stalls == 2:
+            raise OracleFailureError(
+                f"step halving stopped converging at {n} steps: two successive "
+                f"halvings did not shrink the agreement; the best reached was "
+                f"{best:.3g} times tolerance {tol:g}")
     raise OracleFailureError(
         f"step halving did not certify tolerance {tol:g} within "
         f"{_MAX_REFINEMENTS} refinements ({n} steps)")

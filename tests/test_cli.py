@@ -160,6 +160,22 @@ def test_integrate_fixed_point_nonconvergence(tmp_path, capsys):
     assert "step 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["fput", "energy", "--solver", "fixed-point", "--omega", "1000", "--h", "0.1", "--T", "1"],
+    ["converge", "--schemes", "lgl4", "--solver", "fixed-point", "--omega", "100",
+     "--h-list", "0.1,0.05", "--T", "0.5"],
+    ["converge", "--schemes", "lgl2", "--T", "0.5", "--h-list", "0.1,0.05",
+     "--ref-tol", "1e-15"],
+], ids=["energy-stage-failure", "converge-stage-failure", "converge-oracle-failure"])
+def test_run_time_failures_print_error(tmp_path, capsys, args):
+    # a stage solve or oracle that fails is one message and exit 1 in every
+    # command, as in integrate, not a traceback
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_integrate_rejects_unknown_scheme(tmp_path, capsys):
     assert run_cli(["integrate", "--scheme", "rk4", "--T", "1",
                     "--out", str(tmp_path / "t.csv")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import weakref
@@ -14,6 +15,7 @@ from symparc.integrator import (
     ComposedStepper,
     NonconvergenceError,
     NumericalFailureError,
+    OracleFailureError,
     PhaseState,
     SingularStageSystemError,
     SolverMode,
@@ -1038,12 +1040,33 @@ def _oracle_cases():
 def test_rk8_matches_textbook_loop(case):
     # systems with omega_sq take the integrating-factor weights, the others
     # the same tableau in Nystrom form over the same rows; each is checked
-    # against its textbook first-order loop
+    # against its textbook first-order loop, the fine run (row 0) at n steps
+    # and the coarse run (row 1) at n / 2
     from symparc.integrator import _rk8_final_state
     system, state0, duration, n_steps, textbook = _oracle_cases()[case]
-    got = _rk8_final_state(system, state0, duration, n_steps)
-    ref = textbook(system, state0, duration, n_steps)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    fine, coarse = _rk8_final_state(system, state0, duration, n_steps)
+    for got, steps in ((fine, n_steps), (coarse, n_steps // 2)):
+        ref = textbook(system, state0, duration, steps)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["chain", "no-f1", "explicit-f2"])
+def test_rk8_coarse_member_is_its_run_alone(case):
+    # the coarse member shares its force calls with the fine one, but goes
+    # through its own maps: row 1 of a 2n-step call is bitwise row 0 of an
+    # n-step call
+    from symparc.integrator import _rk8_final_state
+    system, state0, duration, n_steps, _ = _oracle_cases()[case]
+    paired = _rk8_final_state(system, state0, duration, 2 * n_steps)
+    alone = _rk8_final_state(system, state0, duration, n_steps)
+    assert np.array_equal(paired[1], alone[0])
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7, -2])
+def test_rk8_rejects_odd_step_counts(n_steps):
+    from symparc.integrator import _rk8_final_state
+    with pytest.raises(ValueError):
+        _rk8_final_state(harmonic_system(1.0), PhaseState(q=[1.0], p=[0.0]), 1.0, n_steps)
 
 
 @pytest.mark.parametrize("omega, T, n_steps", [(1.0, 1.0, 100), (50.0, 0.5, 500),
@@ -1073,8 +1096,8 @@ def test_reference_rotation_and_free_flight_exact():
     exact = np.concatenate([q, p])
     # one step is one rotation by T; the composed rotations drift by roundoff
     # in the phase (omega T = 500), measured 3.6e-14
-    assert np.max(np.abs(_rk8_final_state(system, state0, T, 1) - exact)) <= 1e-15
-    assert np.max(np.abs(_rk8_final_state(system, state0, T, 1000) - exact)) <= 1e-13
+    assert np.max(np.abs(_rk8_final_state(system, state0, T, 2)[1] - exact)) <= 1e-15
+    assert np.max(np.abs(_rk8_final_state(system, state0, T, 1000)[0] - exact)) <= 1e-13
     out = reference_solve(system, state0, T, tol=1e-13)
     assert np.max(np.abs(np.concatenate([out.q, out.p]) - exact)) <= 1e-13
 
@@ -1103,3 +1126,38 @@ def test_reference_logs_each_level(caplog):
     head, agreement = levels[1].split(", agreement ")
     assert head == "reference level: 200 steps"
     assert agreement.endswith(" tol") and float(agreement[:-4]) <= 1.0
+
+
+def test_reference_pairs_levels_in_one_pass():
+    # each coarse step of 2h makes 12 force calls on both members' rows and
+    # 12 on the fine member's alone: 24 where the two levels run one after
+    # the other make 36
+    params = fput.FputParams(ell=3, omega=1e4)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    seen = []
+
+    def f1(q):
+        seen.append(q.size // q.shape[-1])
+        return system.f1(q)
+
+    reference_solve(dataclasses.replace(system, f1=f1), state0, 0.02, tol=1e-9)
+    assert len(seen) == 2400 and sum(seen) == 3600
+
+
+def test_reference_stops_when_agreement_stalls(monkeypatch):
+    # at tol = 1e-15 roundoff outgrows the step error: the agreement climbs
+    # with every halving, so the oracle gives up after two pairs that fail
+    # to shrink it instead of running all its refinements
+    params = fput.FputParams(ell=3, omega=1.0)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    calls = []
+    levels = integrator._rk8_final_state
+
+    def counted(*args):
+        calls.append(args[-1])
+        return levels(*args)
+
+    monkeypatch.setattr(integrator, "_rk8_final_state", counted)
+    with pytest.raises(OracleFailureError, match="best reached was"):
+        reference_solve(system, state0, 0.5, tol=1e-15)
+    assert len(calls) <= 3
