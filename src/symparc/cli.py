@@ -264,11 +264,10 @@ def _cmd_converge(args) -> int:
     params = fputmod.FputParams(ell=args.ell, omega=args.omega)
     h_list = ([float(x) for x in args.h_list.split(",")] if args.h_list
               else [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160])
+    errors = fputmod.convergence_errors(names, params, h_list, args.T,
+                                        config=_stage_config(args), reference_tol=args.ref_tol)
     rows = []
-    for name in names:
-        errs = fputmod.convergence_errors(name, params, h_list, args.T,
-                                          config=_stage_config(args),
-                                          reference_tol=args.ref_tol)
+    for name, errs in zip(names, errors):
         slope = fputmod.fit_loglog_slope(h_list, errs, floor=1e-12)
         print(f"{name}: slope {slope:.3f}", file=sys.stderr)
         rows += [(name, h, e) for h, e in zip(h_list, errs)]

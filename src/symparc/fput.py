@@ -260,6 +260,53 @@ class SweepResult:
 
 
 @_quiet
+def _run_batch(batch, state: PhaseState, h, n_steps):
+    """Step member i of ``state`` n_steps[i] times by h (one float, or one
+    per member) as one batch.  ``batch(rows)`` gives the stepper of the
+    members ``rows`` and a function of their state giving two energies per
+    member, or None; it is called again when members leave, as a stepper may
+    hold their data.  A member leaves after its last step, or when its stage
+    solve fails; the step is then redone without it.  Returns each member's
+    final q and p (2, n, d) and largest drift |E - E0| of each energy (2, n),
+    NaN if it failed, and (index, error) per failed member in index order.
+    """
+    n, t0 = len(n_steps), state.t
+    sizes = np.broadcast_to(h, n)   # read on a failure alone
+    finals, peaks = np.full((2,) + state.q.shape, math.nan), np.full((2, n), math.nan)
+    failures = []
+    rows, ends = np.arange(n), n_steps   # the members still running, and their step counts
+    stepper, energies = batch(rows)
+    origin = energies(state) if energies else np.zeros((2, n))
+    worst = np.zeros((2, n))
+    step, stop = 0, ends.min()
+    while len(rows):
+        if step == stop:   # checked before stepping: a zero-step member never steps
+            keep = ends != step
+            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
+            peaks[:, rows[~keep]] = worst[:, ~keep]
+        else:
+            try:
+                new = stepper.step(state, h)
+            except StageSolveError as exc:
+                keep = np.full(len(rows), bool(exc.members))   # naming none fails all
+                keep[list(exc.members)] = False
+                failures += [(int(i), _at_step(exc, step, t0 + step * sizes[i])
+                              if isinstance(exc, NonconvergenceError) else exc)
+                             for i in rows[~keep]]
+            else:
+                state, step = new, step + 1
+                if energies:
+                    np.maximum(worst, np.abs(energies(state) - origin), out=worst)
+                continue
+        rows, ends, origin, worst = rows[keep], ends[keep], origin[:, keep], worst[:, keep]
+        h = h[keep] if np.ndim(h) else h
+        state = PhaseState(q=state.q[keep], p=state.p[keep], t=t0 + step * h)
+        if len(rows):
+            stepper, energies = batch(rows)
+            stop = ends.min()
+    return finals, peaks, sorted(failures, key=lambda failure: failure[0])
+
+
 def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, omega_grid,
                                config: StageSolveConfig | None = None) -> SweepResult:
     """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
@@ -284,42 +331,23 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     base = paper_initial_state(FputParams(ell=ell, omega=1.0))
     q, p = np.tile(base.q, (len(omegas), 1)), np.tile(base.p, (len(omegas), 1))
     q[:, ell] = 1.0 / omegas
-    state = PhaseState(q=q, p=p)
-    rows = np.arange(len(omegas))   # the rows still running
 
     def energies(state, omegas):
         """H and omega * I_total of each row, each as it is for the row alone."""
         hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
-        return hamiltonian, omegas * np.einsum("ij->i", osc)
+        return np.array((hamiltonian, omegas * np.einsum("ij->i", osc)))
 
-    h0, i0 = energies(state, omegas)
-    worst = np.zeros((2, len(omegas)))
-    failures = []
-    stepper = make_stepper(scheme, _chain_system(ell, omegas), config)
-    n_steps, step = int(round(T / h)), 0
-    while step < n_steps and len(rows):
-        try:
-            state = stepper.step(state, h)
-        except StageSolveError as exc:
-            keep = np.zeros(len(rows), dtype=bool)
-            if exc.members:   # a failure not pinned to rows fails them all
-                keep[:] = True
-                keep[list(exc.members)] = False
-            failures += [(int(i), f"{type(exc).__name__}: {exc}") for i in rows[~keep]]
-            rows, h0, i0, worst = rows[keep], h0[keep], i0[keep], worst[:, keep]
-            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t)
-            stepper = make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
-            continue
-        step += 1
-        hamiltonian, scaled_i = energies(state, omegas[rows])
-        np.maximum(worst, np.abs([hamiltonian - h0, scaled_i - i0]), out=worst)
-    results = np.full((2, len(omegas)), math.nan)
-    results[:, rows] = worst
+    def batch(rows):   # a chain's stepper holds its Omega^2
+        w = omegas[rows]
+        return make_stepper(scheme, _chain_system(ell, w), config), lambda x: energies(x, w)
+
+    _, peaks, failures = _run_batch(batch, PhaseState(q=q, p=p), h,
+                                    np.full(len(omegas), int(round(T / h))))
     return SweepResult(
         h_omega_over_pi=h * omegas / math.pi,
-        max_energy_error=results[0],
-        max_scaled_i_deviation=results[1],
-        failures=tuple(sorted(failures)),
+        max_energy_error=peaks[0],
+        max_scaled_i_deviation=peaks[1],
+        failures=tuple((i, f"{type(exc).__name__}: {exc}") for i, exc in failures),
     )
 
 
@@ -362,54 +390,22 @@ class ReductionTable:
                      ((r.scheme, r.omega, r.h, r.err_slow_q, r.err_slow_p) for r in self.rows))
 
 
-@_quiet
 def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: float,
                        h_grid: np.ndarray, config: StageSolveConfig | None):
-    """States at T of one run of ``scheme`` per step size, stepped as one batch.
-
-    Each h is nudged to T / n with n = max(1, round(T / h)) steps, so every
-    run lands exactly on T.  The runs start from ``state0`` as the members of
-    one batched state, which one stepper advances by one step of each
-    member's own size at a time; a member leaves the batch after its n-th
-    step.  Each member's state is bitwise the one a single-state
-    :func:`integrate` run reaches.  A member whose stage solve fails leaves
-    the batch, and the step is redone without it.
-
-    Returns (h_run, q, p, failures): the nudged step sizes, the final q and
-    p of each run (NaN rows for a failed run), shape (len(h_grid), d), and
-    (index, error) for each failed run in h-grid order; a
-    NonconvergenceError is restated with its step as :func:`integrate`
-    states it.
+    """States at T of one run of ``scheme`` per step size, stepped as one
+    batch, each bitwise its single-state :func:`integrate` run.  Each h is
+    nudged to T / n with n = max(1, round(T / h)) steps, so every run lands
+    exactly on T.  Returns (h_run, q, p, failures): the nudged step sizes,
+    the final q and p of each run (NaN if it failed), and (index, error) per
+    failed run.
     """
     n_steps = np.maximum(1, np.rint(T / h_grid)).astype(int)
     h_run = T / n_steps
     stepper = make_stepper(scheme, system, config)
-    runs = len(h_grid)
-    finals = np.full((2, runs, state0.dimension), math.nan)
-    failures = []
-    rows = np.arange(runs)   # the runs still in the batch
-    state = PhaseState(q=np.tile(state0.q, (runs, 1)), p=np.tile(state0.p, (runs, 1)),
-                       t=np.full(runs, state0.t))
-    step = 0
-    while len(rows):
-        try:
-            state = stepper.step(state, h_run[rows])
-        except StageSolveError as exc:
-            keep = np.zeros(len(rows), dtype=bool)
-            if exc.members:   # a failure not pinned to members fails them all
-                keep[:] = True
-                keep[list(exc.members)] = False
-            for i in rows[~keep]:
-                failures.append((int(i), _at_step(exc, step, state0.t + step * h_run[i])
-                                 if isinstance(exc, NonconvergenceError) else exc))
-        else:
-            step += 1
-            keep = n_steps[rows] != step
-            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
-        if not keep.all():
-            rows = rows[keep]
-            state = PhaseState(q=state.q[keep], p=state.p[keep], t=state.t[keep])
-    return h_run, finals[0], finals[1], sorted(failures, key=lambda failure: failure[0])
+    state = PhaseState(q=np.tile(state0.q, (len(h_grid), 1)),
+                       p=np.tile(state0.p, (len(h_grid), 1)), t=state0.t)
+    finals, _, failures = _run_batch(lambda rows: (stepper, None), state, h_run, n_steps)
+    return h_run, finals[0], finals[1], failures
 
 
 def experiment_order_reduction(scheme_names, params: FputParams, T: float,
@@ -447,23 +443,28 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     return ReductionTable(rows=tuple(rows), failures=tuple(failures))
 
 
-def convergence_errors(scheme, params: FputParams, h_list, T: float,
+def convergence_errors(scheme_names, params: FputParams, h_list, T: float,
                        config: StageSolveConfig | None = None,
                        reference_tol: float = 1e-13) -> np.ndarray:
-    """Max-norm global error at T for each h, against the reference solver.
+    """Max-norm global error at T for each scheme and h, one row per scheme,
+    against one reference solve.
 
     As in the reduction study, each h is nudged so the run lands on T, and
-    the runs are stepped as one batch.  A stage-solve failure of any run is
-    raised, that of the first failing h in ``h_list`` order.
+    a scheme's runs are stepped as one batch.  A stage-solve failure of any
+    run is raised: that of the first failing h in ``h_list`` order, in the
+    first scheme that fails.
     """
     h_list = _step_grid(h_list)
     system = fput_system(params)
     state0 = paper_initial_state(params)
     ref = reference_solve(system, state0, T, tol=reference_tol)
-    _, q, p, failures = _grid_final_states(scheme, system, state0, T, h_list, config)
-    if failures:
-        raise failures[0][1]
-    return np.maximum(np.max(np.abs(q - ref.q), axis=1), np.max(np.abs(p - ref.p), axis=1))
+    errors = []
+    for name in scheme_names:
+        _, q, p, failures = _grid_final_states(name, system, state0, T, h_list, config)
+        if failures:
+            raise failures[0][1]
+        errors.append(np.maximum(np.abs(q - ref.q).max(axis=1), np.abs(p - ref.p).max(axis=1)))
+    return np.array(errors)
 
 
 def fit_loglog_slope(hs, errors, floor: float = 0.0) -> float:

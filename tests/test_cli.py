@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,8 @@ def test_fput_sweep_takes_the_solver_flags(tmp_path, capsys, monkeypatch):
                            for c in configs)
     err = capsys.readouterr().err
     assert "every point failed" in err and err.count("NonconvergenceError") == 4
+    # each names the step it failed in, as the reduction study's failures do
+    assert len(re.findall(r"NonconvergenceError: step \d+ \(t=[^)]+\): ", err)) == 4
 
 
 @pytest.mark.parametrize("flags", [["--points", "0"], ["--h", "-0.02"], ["--T", "-1"],
@@ -335,14 +338,30 @@ def test_converge_runs(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_converge_certifies_one_reference(tmp_path, capsys, monkeypatch):
+    # every scheme is measured against the same reference, solved once
+    calls = []
+    plain = fput.reference_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(fput, "reference_solve", counted)
+    assert run_cli(["converge", "--schemes", "lgl2,lgl4,lgl6", "--T", "0.5",
+                    "--h-list", "0.05,0.025", "--out", str(tmp_path / "conv.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_converge_csv_is_cellwise(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     h_list = [0.05, 0.025]
     assert run_cli(["converge", "--schemes", "lgl2,lgl4", "--omega", "1", "--T", "0.5",
                     "--h-list", "0.05,0.025", "--out", str(out)]) == 0
-    rows = [(name, h, e) for name in ("lgl2", "lgl4")
-            for h, e in zip(h_list, fput.convergence_errors(
-                name, fput.FputParams(ell=3, omega=1.0), h_list, 0.5))]
+    errors = fput.convergence_errors(["lgl2", "lgl4"], fput.FputParams(ell=3, omega=1.0),
+                                     h_list, 0.5)
+    rows = [(name, h, e) for name, errs in zip(("lgl2", "lgl4"), errors)
+            for h, e in zip(h_list, errs)]
     assert out.read_bytes() == cellwise_csv("scheme,h,err", rows)
 
 

@@ -21,6 +21,7 @@ from symparc.integrator import (
     NonconvergenceError,
     PhaseState,
     StageSolveConfig,
+    StageSolveError,
     integrate,
     reference_solve,
 )
@@ -225,6 +226,38 @@ def test_sweep_records_failures_and_continues():
         experiment_resonance_sweep("not-a-scheme", params, 0.02, 1.0, [10.0, 20.0])
 
 
+def test_sweep_failure_naming_no_member_fails_every_member():
+    class FailsAtItsThirdStep:
+        # a stepper that names no member when it fails; make_stepper passes
+        # it through, so the rebuilt batch steps the same object
+        calls = 0
+
+        def step(self, state, h):
+            self.calls += 1
+            if self.calls == 3:
+                raise StageSolveError("no member named")
+            return state
+
+    result = experiment_resonance_sweep(FailsAtItsThirdStep(), FputParams(ell=3), 0.02, 0.1,
+                                        [10.0, 20.0])
+    assert result.failures == tuple((i, "StageSolveError: no member named") for i in (0, 1))
+    assert np.isnan(result.max_energy_error).all()
+    assert np.isnan(result.max_scaled_i_deviation).all()
+
+
+@pytest.mark.parametrize("T", [0.0, 0.009])
+def test_sweep_shorter_than_half_a_step_takes_no_step(monkeypatch, T):
+    # round(T / h) = 0: every chain leaves the batch before its first step
+    def never(q, ell):
+        raise AssertionError("a zero-step sweep evaluated the slow force")
+
+    monkeypatch.setattr(fput, "_slow_force", never)
+    result = experiment_resonance_sweep("lgl4", FputParams(ell=3), 0.02, T, [10.0, 50.0])
+    assert result.failures == ()
+    assert np.array_equal(result.max_energy_error, [0.0, 0.0])
+    assert np.array_equal(result.max_scaled_i_deviation, [0.0, 0.0])
+
+
 def test_sweep_rows_match_one_frequency_sweeps():
     # the states are stepped and their energies summed row by row, so each
     # row of a sweep is bitwise the sweep of its frequency alone
@@ -294,7 +327,7 @@ def test_h_grids_rejected_before_the_oracle(monkeypatch, h_grid):
     with pytest.raises(ValueError, match="every h"):
         experiment_order_reduction(["lgl4"], params, 1.0, h_grid, [10.0])
     with pytest.raises(ValueError, match="every h"):
-        convergence_errors("lgl4", params, h_grid, 1.0)
+        convergence_errors(["lgl4"], params, h_grid, 1.0)
 
 
 def test_csv_writers_match_cellwise_formatting(tmp_path):
@@ -373,7 +406,7 @@ def test_grid_batch_matches_single_state_runs(name):
     assert len(set(steps)) == len(steps)
     table = experiment_order_reduction([name], params, T, h_grid, [params.omega],
                                        reference_tol=1e-10)
-    errs = convergence_errors(name, params, h_grid, T, reference_tol=1e-10)
+    [errs] = convergence_errors([name], params, h_grid, T, reference_tol=1e-10)
     ref = reference_solve(fput_system(params), paper_initial_state(params), T, tol=1e-10)
     assert not table.failures
     for row, err, h, n in zip(table.rows, errs, h_grid, steps):
@@ -408,8 +441,9 @@ def test_grid_batch_drops_only_failing_members():
         _assert_relative(row.err_slow_q, np.max(np.abs(final.q[:3] - ref.q[:3])))
         _assert_relative(row.err_slow_p, np.max(np.abs(final.p[:3] - ref.p[:3])))
     assert 0 < len(failed) < len(h_grid)
+    # a scheme whose runs all pass does not hide a later scheme's failure
     with pytest.raises(NonconvergenceError, match=f"^step {first_failure} "):
-        convergence_errors("lglc4", params, h_grid, T, reference_tol=1e-9)
+        convergence_errors(["lgl4", "lglc4"], params, h_grid, T, reference_tol=1e-9)
 
 
 def test_reduction_propagates_other_errors():
@@ -421,7 +455,7 @@ def test_reduction_propagates_other_errors():
 def test_convergence_errors_and_slope():
     params = FputParams(ell=3, omega=1.0)
     hs = [1 / 10, 1 / 20, 1 / 40]
-    errs = convergence_errors("lgl2", params, hs, 1.0, reference_tol=1e-12)
+    [errs] = convergence_errors(["lgl2"], params, hs, 1.0, reference_tol=1e-12)
     slope = fit_loglog_slope(hs, errs)
     assert abs(slope - 2.0) < 0.2
 
