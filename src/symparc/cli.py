@@ -22,6 +22,7 @@ from symparc.integrator import (
     SplitForceSystem,
     StageSolveConfig,
     StageSolveError,
+    _composition_order,
     _write_table,
     integrate,
     scheme_from_name,
@@ -48,10 +49,9 @@ def _given(value, default):
 
 def _known_scheme(name: str) -> str:
     if name.startswith("imex-yoshida"):
-        if name not in ("imex-yoshida4", "imex-yoshida6"):
-            raise ValueError(f"unknown composition {name!r}")
-        return name
-    scheme_from_name(name)  # raises on bad names
+        _composition_order(name)  # raises on bad names
+    else:
+        scheme_from_name(name)  # raises on bad names
     return name
 
 

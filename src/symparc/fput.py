@@ -37,13 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from symparc.integrator import (
-    NonconvergenceError,
     PhaseState,
     SplitForceSystem,
     StageSolveConfig,
-    StageSolveError,
-    _at_step,
-    _quiet,
+    _run,
     _write_table,
     integrate,
     make_stepper,
@@ -259,54 +256,6 @@ class SweepResult:
                      "%.17g,%.17g,%.17g", (tuple(row.tolist()) for row in cells))
 
 
-@_quiet
-def _run_batch(batch, state: PhaseState, h, n_steps):
-    """Step member i of ``state`` n_steps[i] times by h (one float, or one
-    per member) as one batch.  ``batch(rows)`` gives the stepper of the
-    members ``rows`` and a function of their state giving two energies per
-    member, or None; it is called again when members leave, as a stepper may
-    hold their data.  A member leaves after its last step, or when its stage
-    solve fails; the step is then redone without it.  Returns each member's
-    final q and p (2, n, d) and largest drift |E - E0| of each energy (2, n),
-    NaN if it failed, and (index, error) per failed member in index order.
-    """
-    n, t0 = len(n_steps), state.t
-    sizes = np.broadcast_to(h, n)   # read on a failure alone
-    finals, peaks = np.full((2,) + state.q.shape, math.nan), np.full((2, n), math.nan)
-    failures = []
-    rows, ends = np.arange(n), n_steps   # the members still running, and their step counts
-    stepper, energies = batch(rows)
-    origin = energies(state) if energies else np.zeros((2, n))
-    worst = np.zeros((2, n))
-    step, stop = 0, ends.min()
-    while len(rows):
-        if step == stop:   # checked before stepping: a zero-step member never steps
-            keep = ends != step
-            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
-            peaks[:, rows[~keep]] = worst[:, ~keep]
-        else:
-            try:
-                new = stepper.step(state, h)
-            except StageSolveError as exc:
-                keep = np.full(len(rows), bool(exc.members))   # naming none fails all
-                keep[list(exc.members)] = False
-                failures += [(int(i), _at_step(exc, step, t0 + step * sizes[i])
-                              if isinstance(exc, NonconvergenceError) else exc)
-                             for i in rows[~keep]]
-            else:
-                state, step = new, step + 1
-                if energies:
-                    np.maximum(worst, np.abs(energies(state) - origin), out=worst)
-                continue
-        rows, ends, origin, worst = rows[keep], ends[keep], origin[:, keep], worst[:, keep]
-        h = h[keep] if np.ndim(h) else h
-        state = PhaseState(q=state.q[keep], p=state.p[keep], t=t0 + step * h)
-        if len(rows):
-            stepper, energies = batch(rows)
-            stop = ends.min()
-    return finals, peaks, sorted(failures, key=lambda failure: failure[0])
-
-
 def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, omega_grid,
                                config: StageSolveConfig | None = None) -> SweepResult:
     """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
@@ -337,22 +286,33 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
         hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
         return np.array((hamiltonian, omegas * np.einsum("ij->i", osc)))
 
-    def batch(rows):   # a chain's stepper holds its Omega^2
-        w = omegas[rows]
-        return make_stepper(scheme, _chain_system(ell, w), config), lambda x: energies(x, w)
+    state = PhaseState(q=q, p=p)
+    origin = energies(state, omegas)
+    worst = np.zeros_like(origin)   # the largest drifts |E - E0|
 
-    _, peaks, failures = _run_batch(batch, PhaseState(q=q, p=p), h,
-                                    np.full(len(omegas), int(round(T / h))))
+    def batch(rows):   # a chain's stepper holds its Omega^2
+        return make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
+
+    def observe(rows, state, iterations):
+        # a slice while every member runs: a view, where indexing by rows copies
+        running = rows if len(rows) < len(omegas) else slice(None)
+        drift = np.abs(energies(state, omegas[running]) - origin[:, running])
+        worst[:, running] = np.maximum(worst[:, running], drift)
+
+    _, failures = _run(batch, state, h, np.full(len(omegas), int(round(T / h))), observe)
+    worst[:, [i for i, _ in failures]] = math.nan
     return SweepResult(
         h_omega_over_pi=h * omegas / math.pi,
-        max_energy_error=peaks[0],
-        max_scaled_i_deviation=peaks[1],
+        max_energy_error=worst[0],
+        max_scaled_i_deviation=worst[1],
         failures=tuple((i, f"{type(exc).__name__}: {exc}") for i, exc in failures),
     )
 
 
-def _step_grid(h_grid) -> np.ndarray:
-    """The step sizes as an array, each checked to be positive and finite."""
+def _step_grid(h_grid, T: float) -> np.ndarray:
+    """The step sizes as an array; ValueError unless T and every h are positive and finite."""
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T!r}")
     hs = np.asarray(h_grid, dtype=float)
     if not np.all(np.isfinite(hs) & (hs > 0.0)):
         raise ValueError(f"every h must be positive and finite, got {hs.tolist()}")
@@ -404,7 +364,7 @@ def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: 
     stepper = make_stepper(scheme, system, config)
     state = PhaseState(q=np.tile(state0.q, (len(h_grid), 1)),
                        p=np.tile(state0.p, (len(h_grid), 1)), t=state0.t)
-    finals, _, failures = _run_batch(lambda rows: (stepper, None), state, h_run, n_steps)
+    finals, failures = _run(lambda rows: stepper, state, h_run, n_steps)
     return h_run, finals[0], finals[1], failures
 
 
@@ -422,7 +382,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     in the stage solve is recorded with NaN errors and its cause in
     ``failures``; any other exception propagates.
     """
-    h_grid = _step_grid(h_grid)
+    h_grid = _step_grid(h_grid, T)
     ell = params.ell
     rows = []
     failures = []
@@ -454,7 +414,7 @@ def convergence_errors(scheme_names, params: FputParams, h_list, T: float,
     run is raised: that of the first failing h in ``h_list`` order, in the
     first scheme that fails.
     """
-    h_list = _step_grid(h_list)
+    h_list = _step_grid(h_list, T)
     system = fput_system(params)
     state0 = paper_initial_state(params)
     ref = reference_solve(system, state0, T, tol=reference_tol)

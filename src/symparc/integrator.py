@@ -948,15 +948,66 @@ def _at_step(exc: NonconvergenceError, step: int, t: float) -> NonconvergenceErr
                                members=exc.members)
 
 
+def _stepper(obj):
+    """``obj`` if it is a stepper, with ``step_with_iterations(state, h)``."""
+    if not callable(getattr(obj, "step_with_iterations", None)):
+        raise TypeError(f"{obj!r} is not a stepper: it has no step_with_iterations(state, h)")
+    return obj
+
+
 @_quiet
+def _run(batch, state: PhaseState, h, n_steps, observe=None):
+    """Step member i of the batched ``state`` n_steps[i] times by h (one
+    float, or one per member) as one batch.  ``batch(rows)`` gives the
+    stepper of the members ``rows``; it is called again when members leave,
+    as a stepper may hold their data.  After every step, ``observe(rows,
+    state, iterations)`` sees the members still running.  A member leaves
+    after its last step, or when its stage solve fails; the step is then
+    redone without it.  Returns each member's final q and p (2, n, d), NaN
+    if it failed, and (index, error) per failed member in index order.
+    """
+    n, t0 = len(n_steps), state.t
+    sizes = np.broadcast_to(h, n)   # read on a failure alone
+    finals = np.full((2,) + state.q.shape, math.nan)
+    failures = []
+    rows, ends = np.arange(n), n_steps   # the members still running, and their step counts
+    stepper = batch(rows)
+    step, stop = 0, ends.min()
+    while len(rows):
+        if step == stop:   # checked before stepping: a zero-step member never steps
+            keep = ends != step
+            finals[:, rows[~keep]] = state.q[~keep], state.p[~keep]
+        else:
+            try:
+                state, iterations = stepper.step_with_iterations(state, h)
+            except StageSolveError as exc:
+                keep = np.full(len(rows), bool(exc.members))   # naming none fails all
+                keep[list(exc.members)] = False
+                failures += [(int(i), _at_step(exc, step, t0 + step * sizes[i])
+                              if isinstance(exc, NonconvergenceError) else exc)
+                             for i in rows[~keep]]
+            else:
+                step += 1
+                if observe is not None:
+                    observe(rows, state, iterations)
+                continue
+        rows, ends = rows[keep], ends[keep]
+        h = h[keep] if np.ndim(h) else h
+        state = PhaseState(q=state.q[keep], p=state.p[keep], t=t0 + step * h)
+        if len(rows):
+            stepper = batch(rows)
+            stop = ends.min()
+    return finals, sorted(failures, key=lambda failure: failure[0])
+
+
 def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
               n_steps: int, config: StageSolveConfig | None = None,
               observer: Optional[Callable] = None, stride: int = 1) -> Trajectory:
     """Repeated stepping from ``state0``; ``observer`` sees every new state.
 
-    ``scheme`` may be an ArkScheme, a scheme/composition name (see
-    :func:`make_stepper`) or any object with a ``step(state, h)`` method.
-    Recorded times are t0 + n*h evaluated directly, not accumulated.
+    ``scheme`` is anything :func:`make_stepper` takes.  The run is a
+    one-member batch of :func:`_run`, so a failed step raises the error it
+    records there.  Times are t0 + n*h evaluated directly, not accumulated.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -965,34 +1016,23 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
     if state0.q.ndim != 1:
         raise ValueError("integrate steps one state, not a batch")
     stepper = make_stepper(scheme, system, config)
-    d = state0.dimension
-    n_records = n_steps // stride + 1
-    times = np.empty(n_records)
-    qs = np.empty((n_records, d))
-    ps = np.empty((n_records, d))
-    iters = np.zeros(n_steps, dtype=int)
-    times[0], qs[0], ps[0] = state0.t, state0.q, state0.p
-    state = state0
-    record = 1
-    for i in range(n_steps):
-        try:
-            if hasattr(stepper, "step_with_iterations"):
-                state, it = stepper.step_with_iterations(state, h)
-            else:
-                state, it = stepper.step(state, h), 0
-        except NonconvergenceError as exc:
-            exc.step_index = i
-            raise _at_step(exc, i, state.t) from exc
-        state = PhaseState(q=state.q, p=state.p, t=state0.t + (i + 1) * h)
-        iters[i] = it
+    t0, qs, ps, iters = state0.t, [state0.q], [state0.p], []
+
+    def observe(rows, state, iterations):
+        iters.append(iterations)
         if observer is not None:
-            observer(state)
-        if (i + 1) % stride == 0:
-            times[record] = state.t
-            qs[record], ps[record] = state.q, state.p
-            record += 1
-    return Trajectory(times=times[:record], qs=qs[:record], ps=ps[:record],
-                      stage_iterations=iters, stride=stride)
+            observer(PhaseState(q=state.q[0], p=state.p[0], t=t0 + len(iters) * h))
+        if len(iters) % stride == 0:
+            qs.append(state.q[0])
+            ps.append(state.p[0])
+
+    batch = PhaseState(q=state0.q[None], p=state0.p[None], t=t0)
+    _, failures = _run(lambda rows: stepper, batch, h, np.array([n_steps]), observe)
+    if failures:
+        raise failures[0][1]
+    times = np.append(t0, t0 + np.arange(1, len(qs)) * stride * h)
+    return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps),
+                      stage_iterations=np.array(iters, dtype=int), stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,19 +1054,13 @@ YOSHIDA6_SUBSTEPS = (_Y6_W3, _Y6_W2, _Y6_W1, _Y6_W0, _Y6_W1, _Y6_W2, _Y6_W3)
 
 
 class ComposedStepper:
-    """Symmetric composition of a base one-step map with fractional substeps.
+    """Symmetric composition of a base stepper with fractional substeps.
 
     h is one step size or, for a batch, one per member; each substep scales
     it by its fraction."""
 
     def __init__(self, base, substeps):
-        counted = getattr(base, "step_with_iterations", None)
-        if counted is None:
-            plain = base.step if hasattr(base, "step") else base
-
-            def counted(state, h):
-                return plain(state, h), 0
-        self._step_fn = counted
+        self._step_fn = _stepper(base).step_with_iterations
         self.substeps = tuple(float(w) for w in substeps)
 
     def step(self, state: PhaseState, h) -> PhaseState:
@@ -1034,8 +1068,7 @@ class ComposedStepper:
 
     @_quiet
     def step_with_iterations(self, state: PhaseState, h):
-        """The composed step and the stage iterations of all its substeps
-        (0 for a base without iteration counts)."""
+        """The composed step and the stage iterations of all its substeps."""
         if not isinstance(h, float):
             h = np.asarray(h, dtype=float)
         t0 = state.t
@@ -1050,7 +1083,7 @@ class ComposedStepper:
 def yoshida_compose(base, target_order: int) -> ComposedStepper:
     """Raise a time-symmetric order-2 stepper to order 4 or 6.
 
-    ``base`` is either a stepper object or a callable ``(state, h) -> state``.
+    ``base`` is a stepper, with ``step_with_iterations(state, h)``; TypeError otherwise.
     """
     if target_order == 4:
         return ComposedStepper(base, YOSHIDA4_SUBSTEPS)
@@ -1074,25 +1107,31 @@ def scheme_from_name(name: str) -> ArkScheme:
     raise ValueError(f"unknown scheme name {name!r}")
 
 
+def _composition_order(name: str) -> int:
+    """4 or 6 for imex-yoshida4 or imex-yoshida6; ValueError for any other name."""
+    if name not in ("imex-yoshida4", "imex-yoshida6"):
+        raise ValueError(f"unknown composition {name!r}")
+    return int(name[-1])
+
+
 def make_stepper(spec, system: SplitForceSystem,
                  config: StageSolveConfig | None = None):
-    """Build a stepper from a scheme, a name, or pass through a stepper.
+    """Build a stepper from a scheme or a name, or pass a stepper through.
 
     Names: ``lgl2``/``lgl4``/``lgl6`` (interpolation family), ``lglc*``
     (collocation family), ``imex-yoshida4``/``imex-yoshida6`` (compositions
-    of the two-stage interpolation method).
+    of the two-stage interpolation method).  A stepper is any object with
+    ``step_with_iterations(state, h)``; anything else is a TypeError.
     """
-    if hasattr(spec, "step"):
-        return spec
     if isinstance(spec, ArkScheme):
         return ArkStepper(spec, system, config)
     if isinstance(spec, str):
         if spec.startswith("imex-yoshida"):
-            order = int(spec.removeprefix("imex-yoshida"))
+            order = _composition_order(spec)   # before building the base
             base = ArkStepper(build_scheme(2, Variant.INTERPOLATION), system, config)
             return yoshida_compose(base, order)
         return ArkStepper(scheme_from_name(spec), system, config)
-    raise TypeError(f"cannot build a stepper from {spec!r}")
+    return _stepper(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,26 @@ def test_zero_step_in_h_list_rejected(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T", ["-1", "0"])
+@pytest.mark.parametrize("command", [["fput", "reduction", "--schemes", "lgl4",
+                                      "--h-list", "0.05", "--omega-list", "10"],
+                                     ["converge", "--schemes", "lgl2",
+                                      "--h-list", "0.05,0.025"]],
+                         ids=["fput-reduction", "converge"])
+def test_nonpositive_horizon_rejected(tmp_path, capsys, monkeypatch, command, T):
+    # the runs step by T / n, so T = 0 would step by h = 0 and T = -1 backwards
+    import symparc.fput as fput
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran before T was checked")
+
+    monkeypatch.setattr(fput, "reference_solve", never)
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--T", T, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: T must be positive and finite")
+    assert not out.exists()
+
+
 def test_fput_unknown_experiment():
     with pytest.raises(SystemExit) as info:
         run_cli(["fput", "spectrum"])

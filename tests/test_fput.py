@@ -232,11 +232,11 @@ def test_sweep_failure_naming_no_member_fails_every_member():
         # it through, so the rebuilt batch steps the same object
         calls = 0
 
-        def step(self, state, h):
+        def step_with_iterations(self, state, h):
             self.calls += 1
             if self.calls == 3:
                 raise StageSolveError("no member named")
-            return state
+            return state, 0
 
     result = experiment_resonance_sweep(FailsAtItsThirdStep(), FputParams(ell=3), 0.02, 0.1,
                                         [10.0, 20.0])

@@ -914,9 +914,11 @@ def test_yoshida_rejects_other_orders():
 def test_yoshida_of_exact_flow_is_exact_flow():
     system = SplitForceSystem(dimension=1)
 
-    def drift(state, h):
-        return PhaseState(q=state.q + h * state.p, p=state.p, t=state.t + h)
+    class Drift:
+        def step_with_iterations(self, state, h):
+            return PhaseState(q=state.q + h * state.p, p=state.p, t=state.t + h), 0
 
+    drift = Drift()
     for order in (4, 6):
         composed = yoshida_compose(drift, order)
         out = composed.step(PhaseState(q=[1.0], p=[2.0]), 0.5)
@@ -949,16 +951,6 @@ def test_composition_reports_substep_iterations(tmp_path):
     assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[2:])
 
 
-def test_composition_of_plain_callable_reports_zero_iterations():
-    def drift(state, h):
-        return PhaseState(q=state.q + h * state.p, p=state.p, t=state.t + h)
-
-    composed = ComposedStepper(drift, YOSHIDA4_SUBSTEPS)
-    state, iterations = composed.step_with_iterations(PhaseState(q=[0.0], p=[1.0]), 0.5)
-    assert iterations == 0
-    assert state.t == 0.5
-
-
 @pytest.mark.parametrize("name", ["imex-yoshida4", "imex-yoshida6"])
 def test_composition_time_symmetry(name):
     params = fput.FputParams(ell=2, omega=3.0)
@@ -979,6 +971,55 @@ def test_make_stepper_name_errors():
         make_stepper("radau5", system)
     with pytest.raises(TypeError):
         make_stepper(42, system)
+    # one rule for composition names: 4 and 6 alone
+    for name in ("imex-yoshidaX", "imex-yoshida", "imex-yoshida8", "imex-yoshida04"):
+        with pytest.raises(ValueError, match=f"^unknown composition '{name}'$"):
+            make_stepper(name, system)
+
+
+def test_stepper_protocol_is_step_with_iterations():
+    class StepOnly:
+        def step(self, state, h):
+            return state
+
+    system, state = harmonic_system(1.0), PhaseState(q=[1.0], p=[0.0])
+    for refuse in (lambda: make_stepper(StepOnly(), system),
+                   lambda: integrate(StepOnly(), system, state, 0.1, 3),
+                   lambda: yoshida_compose(StepOnly(), 4),
+                   lambda: ComposedStepper(StepOnly(), YOSHIDA4_SUBSTEPS),
+                   lambda: yoshida_compose(lambda s, h: s, 6)):
+        with pytest.raises(TypeError, match="step_with_iterations"):
+            refuse()
+    stepper = ArkStepper(scheme_from_name("lgl4"), system)
+    assert make_stepper(stepper, system) is stepper
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_integrate_observer_sees_every_step(stride):
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
+    state0 = PhaseState(q=state0.q, p=state0.p, t=0.3)
+    h, n_steps = 0.04, 10
+    seen = []
+    traj = integrate("lgl4", system, state0, h, n_steps, observer=seen.append, stride=stride)
+    assert len(seen) == n_steps
+    for i, state in enumerate(seen):
+        assert state.q.shape == state.p.shape == (6,)
+        assert state.t == state0.t + (i + 1) * h
+    assert traj.times.tolist() == [state0.t + i * stride * h for i in range(len(traj))]
+    # the recorded rows are the observed states, every stride-th one
+    recorded = seen[stride - 1::stride]
+    assert np.array_equal(traj.qs[1:], [s.q for s in recorded])
+    assert np.array_equal(traj.ps[1:], [s.p for s in recorded])
+
+
+def test_integrate_observer_not_called_without_steps():
+    def never(state):
+        raise AssertionError("a zero-step run observed a state")
+
+    traj = integrate("lgl4", harmonic_system(1.0), PhaseState(q=[1.0], p=[0.0]), 0.1, 0,
+                     observer=never)
+    assert len(traj) == 1
 
 
 # ---------------------------------------------------------------------------
