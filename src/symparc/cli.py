@@ -39,6 +39,8 @@ def _fmt(x) -> str:
 def _stage_config(args) -> StageSolveConfig:
     mode = SolverMode(args.solver) if getattr(args, "solver", None) else None
     tol = getattr(args, "tol", None)
+    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("--tol must be positive and finite")
     return StageSolveConfig(tolerance=_given(tol, 1e-12), mode=mode)
 
 
@@ -150,8 +152,10 @@ def _cmd_integrate(args) -> int:
     name = _known_scheme(args.scheme)
     if not (args.h > 0.0 and math.isfinite(args.h)):
         raise ValueError("--h must be positive and finite")  # the step count divides by h
-    if not math.isfinite(args.T):
-        raise ValueError("--T must be finite")
+    if not (args.T >= 0.0 and math.isfinite(args.T)):
+        raise ValueError("--T must be nonnegative and finite")
+    if args.stride < 1:
+        raise ValueError("--stride must be at least 1")
     if args.problem == "fput":
         params = fputmod.FputParams(ell=args.ell, omega=args.omega)
         system = fputmod.fput_system(params)

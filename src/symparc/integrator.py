@@ -436,19 +436,19 @@ def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
     Each pass solves the Schur complement (I + nu G) Qt = R_q + alpha At R_p
     in the Hessenberg basis of G, then sets P = R_p - beta AtH Qt.  The
     second pass solves for the residual R - S X, formed against At and AtH
-    themselves rather than the rounded G.
+    themselves rather than the rounded G; its momentum rows reuse the
+    first pass's coupling beta AtH Qt.
     """
     At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
 
-    def schur_pass(R):
-        Qt = _apply(Q, lu_solve(factors, _apply(Q.T, R[:s2] + alpha * _apply(At, R[s2:]))))
-        return np.concatenate([Qt, R[s2:] - beta * _apply(AtH, Qt)])
+    def schur_pass(Rq, Rp):
+        Qt = _apply(Q, lu_solve(factors, _apply(Q.T, Rq + alpha * _apply(At, Rp))))
+        coupling = beta * _apply(AtH, Qt)
+        return Qt, Rp - coupling, coupling
 
-    X = schur_pass(R)
-    Qt, P = X[:s2], X[s2:]
-    residual = np.concatenate([R[:s2] - Qt + alpha * _apply(At, P),
-                               R[s2:] - P - beta * _apply(AtH, Qt)])
-    return X + schur_pass(residual)
+    Qt, P, coupling = schur_pass(R[:s2], R[s2:])
+    dQt, dP, _ = schur_pass(R[:s2] - Qt + alpha * _apply(At, P), R[s2:] - P - coupling)
+    return np.concatenate([Qt + dQt, P + dP])
 
 
 def _member_max(columns, n: int):

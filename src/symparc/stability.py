@@ -26,6 +26,12 @@ At and AtH.  By Sylvester's determinant identity det S(mu) = det(I + nu G),
 so the kernel fails exactly where the stage block is singular, by the rule
 the stepper applies to its blocks.
 
+The kernel solves the mu in chunks of 8,192, and every sampled quantity is
+reduced from a chunk as soon as the chunk is solved: the half trace reads
+the diagonal of M alone, the filters their own columns, the M11 = M22 check
+keeps a running max.  Only :func:`stability_matrix_samples`, whose caller
+asks for M, returns an (N, 2, 2) array.
+
 Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
 X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
 the same factors gives M'(mu) = W S(mu)^{-1} X; the interval search bisects
@@ -206,26 +212,38 @@ def _check_squares(mus):
                      f"{float(mus[np.flatnonzero(unusable)[0]])!r}")
 
 
-def _solve_samples(scheme: ArkScheme, mus, extra=None):
-    """M(mu), shape (N, 2, 2), and b^T P for each column (0; extra[:, i]),
-    shape (N, k), from one refined solve of [E | (0; extra)] per chunk."""
+def _mu_grid(mus) -> np.ndarray:
+    """mus as a 1-d float array, each finite with a finite square."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     if mus.ndim != 1:
         raise ValueError("mu must be a scalar or a 1-d array")
     if len(mus):
         _check_squares(mus)
-    M = np.empty((len(mus), 2, 2))
-    bP = np.empty((len(mus), 0 if extra is None else extra.shape[1]))
+    return mus
+
+
+def _samples(scheme: ArkScheme, mus, extra=None):
+    """Yield (slice, mu chunk, W X) for the grid ``mus`` of :func:`_mu_grid`,
+    from one refined solve of [E | (0; extra)] per chunk: M = I + mu W X[:, :2]
+    and b^T P = W X[0, 2:] for each column (0; extra[:, i]).  Callers reduce
+    each chunk as it comes, so no (N, 2, 2) array is formed on their behalf."""
     for part, m, solve in _chunk_solvers(scheme, mus):
-        WX = _weigh(scheme, solve(_unit_rhs(scheme, len(m), extra)))
-        M[part] = np.eye(2) + m[:, None, None] * WX[:, :2].transpose(2, 0, 1)
-        bP[part] = WX[0, 2:].T
-    return M, bP
+        yield part, m, _weigh(scheme, solve(_unit_rhs(scheme, len(m), extra)))
+
+
+def _diagonal(m, WX):
+    """M11 and M22 of M = I + mu W X per mu, entry for entry as the full M
+    of :func:`stability_matrix_samples` holds them."""
+    return 1.0 + m * WX[0, 0], 1.0 + m * WX[1, 1]
 
 
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
-    return _solve_samples(scheme, mus)[0]
+    mus = _mu_grid(mus)
+    M = np.empty((len(mus), 2, 2))
+    for part, m, WX in _samples(scheme, mus):
+        M[part] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
+    return M
 
 
 def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
@@ -246,8 +264,12 @@ def stability_matrix(scheme: ArkScheme, mu: float) -> StabilityMatrix:
 
 def half_trace_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """tr M(mu) / 2 on an array of mu values (the stability function up to sign)."""
-    M = stability_matrix_samples(scheme, mus)
-    return 0.5 * (M[:, 0, 0] + M[:, 1, 1])
+    mus = _mu_grid(mus)
+    out = np.empty(len(mus))
+    for part, m, WX in _samples(scheme, mus):
+        m11, m22 = _diagonal(m, WX)
+        out[part] = 0.5 * (m11 + m22)
+    return out
 
 
 def half_trace(scheme: ArkScheme, mu: float) -> float:
@@ -257,8 +279,11 @@ def half_trace(scheme: ArkScheme, mu: float) -> float:
 
 def check_m11_equals_m22(scheme: ArkScheme, mu_samples) -> M11M22Check:
     """Max |M11 - M22| over the samples plus the moment identities behind it."""
-    M = stability_matrix_samples(scheme, mu_samples)
-    deviation = float(np.max(np.abs(M[:, 0, 0] - M[:, 1, 1]))) if len(M) else 0.0
+    deviation = 0.0
+    for _, m, WX in _samples(scheme, _mu_grid(mu_samples)):
+        m11, m22 = _diagonal(m, WX)
+        # np.maximum, unlike max(), carries a NaN through
+        deviation = float(np.maximum(deviation, np.max(np.abs(m11 - m22))))
     k_max = min(scheme.s1, scheme.s2)
     lhs = np.empty(k_max)
     rhs = np.empty(k_max)
@@ -300,8 +325,14 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
     refined solve: eliminating Qt = mu At P leaves (I + mu^2 AtH At) P = ahat_i.
     """
     mus = np.array(mu, dtype=float)
-    M, psi = _solve_samples(scheme, mus, scheme.a_hat)
-    mu_t = _modified_mu(0.5 * (M[:, 0, 0] + M[:, 1, 1]))
+    grid = _mu_grid(mus)
+    psi = np.empty((len(grid), scheme.s1))
+    ht = np.empty(len(grid))
+    for part, m, WX in _samples(scheme, grid, scheme.a_hat):
+        m11, m22 = _diagonal(m, WX)
+        ht[part] = 0.5 * (m11 + m22)
+        psi[part] = WX[0, 2:].T
+    mu_t = _modified_mu(ht)
     if mus.ndim == 0:
         return FilterEvaluation(mu=float(mus), psi=psi[0], modified_mu=float(mu_t[0]))
     return FilterEvaluation(mu=mus, psi=psi, modified_mu=mu_t)

@@ -183,13 +183,16 @@ def test_integrate_rejects_unknown_scheme(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "inf"], ["--T", "inf"],
-                                   ["--tol", "inf"]],
-                         ids=["h-zero", "h-inf", "T-inf", "tol-inf"])
+                                   ["--tol", "inf"], ["--T", "-1"], ["--stride", "0"]],
+                         ids=["h-zero", "h-inf", "T-inf", "tol-inf", "T-negative",
+                              "stride-zero"])
 def test_integrate_rejects_invalid_step(tmp_path, capsys, flags):
     out = tmp_path / "traj.csv"
     assert run_cli(["integrate", "--scheme", "lgl4", "--h", "0.1", "--T", "1",
                     "--out", str(out)] + flags) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flags[0] in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from symparc.stability import (
     stability_matrix,
     stability_matrix_samples,
     trig_form_step_check,
+    _CHUNK,
     _bisect,
     _modified_mu,
 )
@@ -222,6 +224,36 @@ def test_samples_are_batch_independent(s1, variant):
         assert np.array_equal(filters.modified_mu[i], one.modified_mu, equal_nan=True)
     assert [modified_frequency(scheme, mu) for mu in stable] == mu_t.tolist()
     assert stability_matrix_samples(scheme, []).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("scheme", [LGL4, LGLC6], ids=lambda s: s.name)
+def test_streamed_reductions_cross_chunks(scheme):
+    # three kernel chunks, the last of 3 mu: every reduction made chunk by
+    # chunk equals the one read off the full matrix
+    mus = np.random.default_rng(5).uniform(0.0, 1000.0, 2 * _CHUNK + 3)
+    M = stability_matrix_samples(scheme, mus)
+    m11, m22 = M[:, 0, 0], M[:, 1, 1]
+    ht = half_trace_samples(scheme, mus)
+    assert np.array_equal(ht, 0.5 * (m11 + m22))
+    filters = filter_functions(scheme, mus)
+    assert np.array_equal(filters.modified_mu, _modified_mu(ht), equal_nan=True)
+    for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 2):
+        assert np.array_equal(filters.psi[i], filter_functions(scheme, mus[i]).psi)
+    assert check_m11_equals_m22(scheme, mus).max_deviation == np.max(np.abs(m11 - m22))
+
+
+def test_half_trace_samples_hold_no_matrix():
+    # a 1e6-mu half trace keeps its (N,) result and one chunk's working set,
+    # below twice the result's 8N bytes; the (N, 2, 2) matrix alone is 32N
+    mus = np.linspace(0.0, 1000.0, 10**6)
+    half_trace_samples(LGL4, mus[:10])
+    tracemalloc.start()
+    try:
+        half_trace_samples(LGL4, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * len(mus), peak
 
 
 # ---------------------------------------------------------------------------
