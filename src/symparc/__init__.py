@@ -21,7 +21,6 @@ from symparc.integrator import (
     OracleFailureError,
     PhaseState,
     SingularStageSystemError,
-    SolverMode,
     SplitForceSystem,
     StageSolveConfig,
     Trajectory,

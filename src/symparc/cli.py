@@ -18,7 +18,6 @@ from symparc import stability as stab
 from symparc.integrator import (
     OracleFailureError,
     PhaseState,
-    SolverMode,
     SplitForceSystem,
     StageSolveConfig,
     StageSolveError,
@@ -37,11 +36,10 @@ def _fmt(x) -> str:
 
 
 def _stage_config(args) -> StageSolveConfig:
-    mode = SolverMode(args.solver) if getattr(args, "solver", None) else None
     tol = getattr(args, "tol", None)
     if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("--tol must be positive and finite")
-    return StageSolveConfig(tolerance=_given(tol, 1e-12), mode=mode)
+    return StageSolveConfig(tolerance=_given(tol, 1e-12))
 
 
 def _given(value, default):
@@ -114,8 +112,8 @@ def _report_json(report: stab.StabilityReport) -> str:
 
 
 def _cmd_stability(args) -> int:
-    if not (args.mu_max > 0.0 and math.isfinite(args.mu_max)):
-        raise ValueError("--mu-max must be positive and finite")
+    if not 0.0 < args.mu_max <= stab.MAX_INTERVAL_MU:
+        raise ValueError(f"--mu-max must be positive and at most {stab.MAX_INTERVAL_MU:g}")
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
     scheme = scheme_from_name(args.scheme)
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--tol", type=float, default=None, help="stage tolerance")
-    p.add_argument("--solver", choices=[m.value for m in SolverMode], default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="traj.csv")
     p.set_defaults(fn=_cmd_integrate)
@@ -337,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-list", default=None, dest="h_list")
     p.add_argument("--omega-list", default=None, dest="omega_list")
     p.add_argument("--tol", type=float, default=None, help="stage tolerance")
-    p.add_argument("--solver", choices=[m.value for m in SolverMode], default=None)
     p.add_argument("--ref-tol", type=float, default=1e-9, dest="ref_tol")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_fput)
@@ -349,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--h-list", default=None, dest="h_list")
     p.add_argument("--tol", type=float, default=None, help="stage tolerance")
-    p.add_argument("--solver", choices=[m.value for m in SolverMode], default=None)
     p.add_argument("--ref-tol", type=float, default=1e-13, dest="ref_tol")
     p.add_argument("--out", default="converge.csv")
     p.set_defaults(fn=_cmd_converge)

@@ -16,14 +16,15 @@ block
     [ I      -h At ] [Qt]   [ q0 ]
     [ h W AtH   I  ] [P ] = [ p0 + h Ahat F1(Q) + h AtH G ]
 
-of each coordinate exactly.  When the fast force is linear (F2 = -Omega^2 q
-with diagonal Omega^2), the default linearly-implicit mode takes F2 into
-the block: W is the coordinate's entry of Omega^2 and G = 0, so there is one
-block per distinct entry and the loop iterates F1 only.  Fixed-point mode
-takes any fast force: W = 0 and G = F2(Qt), so one block serves every
-coordinate and the loop iterates F1 and F2 alike.  It contracts only for
-h*omega below ~2, so the linear mode is the default whenever the diagonal
-structure is available.
+of each coordinate exactly.  The system decides how.  When it gives the
+fast force as linear, F2 = -Omega^2 q with the diagonal Omega^2 as
+``omega_sq``, the solve is linearly-implicit: it takes F2 into the block,
+W is the coordinate's entry of Omega^2 and G = 0, so there is one block per
+distinct entry and the loop iterates F1 only.  This is what keeps h*omega
+in the hundreds usable.  A system without ``omega_sq`` may have any fast
+force, and the solve is fixed-point: W = 0 and G = F2(Qt), so one block
+serves every coordinate and the loop iterates F1 and F2 alike.  That
+contracts only for h*omega below ~2.
 
 A pass is affine in the forces, so the block solve is folded into the
 tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8).  The
@@ -84,7 +85,6 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -95,7 +95,6 @@ from symparc.tableaux import ArkScheme, Variant, build_scheme
 __all__ = [
     "PhaseState",
     "SplitForceSystem",
-    "SolverMode",
     "StageSolveConfig",
     "Trajectory",
     "ArkStepper",
@@ -201,9 +200,12 @@ class SplitForceSystem:
     When the fast force is linear, pass the diagonal of Omega^2 as
     ``omega_sq``; ``f2`` is then derived automatically (or cross-checked on
     probe points if given explicitly); shape (n, d) gives each member of a
-    batched state its own diagonal.  Both callbacks must broadcast over
-    leading axes.  ``hamiltonian(q, p)`` is optional and used only for
-    diagnostics.
+    batched state its own diagonal.  ``omega_sq`` also chooses the stage
+    solve: with it, :class:`ArkStepper` takes the fast force into the stage
+    block (linearly-implicit); without it, the stepper iterates ``f2`` by
+    fixed point, which contracts only for h*omega below ~2.  Both callbacks
+    must broadcast over leading axes.  ``hamiltonian(q, p)`` is optional and
+    used only for diagnostics.
     """
 
     dimension: int
@@ -252,28 +254,22 @@ class SplitForceSystem:
         return float(self.hamiltonian(state.q, state.p))
 
 
-class SolverMode(str, Enum):
-    FIXED_POINT = "fixed-point"
-    LINEARLY_IMPLICIT = "linearly-implicit"
-
-
 @dataclass(frozen=True)
 class StageSolveConfig:
     """Stage-solver controls.
 
     ``tolerance`` is relative to each member's own scale max(1, |q0|_inf,
     |p0|_inf): a member has converged once no iterated row moved by more
-    than tolerance times its scale in a pass.  Linearly-implicit mode tests
-    the stages Q; fixed-point mode tests P, Q and Qt.  ``max_iterations``
-    bounds the passes; a step without interior stages (lgl2 in
-    linearly-implicit mode) is explicit and takes none, so it does not
-    bound it.  ``mode=None`` picks linearly-implicit when the system has a
-    diagonal fast part and plain fixed-point otherwise.
+    than tolerance times its scale in a pass.  A system with ``omega_sq``
+    is solved linearly-implicitly, testing the stages Q; one without is
+    iterated by fixed point, testing P, Q and Qt (see the module
+    docstring).  ``max_iterations`` bounds the passes; a linearly-implicit
+    step without interior stages (lgl2) is explicit and takes none, so it
+    does not bound it.
     """
 
     tolerance: float = 1e-12
     max_iterations: int = 50
-    mode: Optional[SolverMode] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -544,20 +540,16 @@ class ArkStepper:
         self.scheme = scheme
         self.system = system
         self.config = config if config is not None else StageSolveConfig()
-        mode = self.config.mode
-        if mode is None:
-            mode = (SolverMode.LINEARLY_IMPLICIT if system.omega_sq is not None
-                    else SolverMode.FIXED_POINT)
-        if mode is SolverMode.LINEARLY_IMPLICIT and system.omega_sq is None:
-            raise ValueError("linearly-implicit mode needs the diagonal omega_sq")
-        self.mode = mode
+        # a system without the diagonal Omega^2 has F2 iterated by fixed
+        # point; one with it has F2 solved in the block
+        self._fixed_point = fixed_point = system.omega_sq is None
         # step-size keyed cache of the folded stage maps; compositions
         # alternate between a handful of substep sizes
         self._block_cache = {}
         # the factorized stage solve per scalar step size, which the maps are
         # gathered from: a member that leaves a batch refactors no other
         self._folds = {}
-        if mode is SolverMode.LINEARLY_IMPLICIT:
+        if not fixed_point:
             # one block per distinct entry of Omega^2; _columns maps each
             # coordinate of the flattened omega_sq to its block
             self._values, self._columns = np.unique(system.omega_sq.ravel(),
@@ -575,7 +567,7 @@ class ArkStepper:
         s1 = scheme.s1
         explicit = ~scheme.a.any(axis=1)
         unread = ~scheme.a_hat.any(axis=0)
-        if mode is SolverMode.FIXED_POINT:
+        if fixed_point:
             unread = np.concatenate((unread, ~scheme.a_tilde_hat.any(axis=0)))
         m = len(unread)
         slots = np.arange(m)
@@ -597,7 +589,7 @@ class ArkStepper:
         # the fold's row of each slot's row and of every other row; X holds
         # those after the explicit ones and reads the slots up to the last
         # one that is not lagged
-        rows = m + s1 if mode is SolverMode.FIXED_POINT else m
+        rows = m + s1 if fixed_point else m
         self._layout = np.concatenate((order, np.arange(m, rows)))
         read = np.flatnonzero(~unread[order])
         self._read = order[:read[-1] + 1 if len(read) else 0]
@@ -679,7 +671,7 @@ class ArkStepper:
             return folds
         scheme, values = self.scheme, self._values
         s1, s2 = scheme.s1, scheme.s2
-        fixed_point = self.mode is SolverMode.FIXED_POINT
+        fixed_point = self._fixed_point
         m = s1 + s2 if fixed_point else s1
         h = np.array([steps[j] for j in new], dtype=float)
         # the step size of each (h, w) pair, and per pair the right-hand
@@ -800,7 +792,7 @@ class ArkStepper:
         # explicit slots keep F1(q0) throughout
         forces = maps.forces
         forces[:, :self.scheme.s1] = system.slow_force(state.q).reshape(-1)
-        if self.mode is SolverMode.FIXED_POINT:
+        if self._fixed_point:
             forces[:, self.scheme.s1:] = system.fast_force(state.q).reshape(-1)
         source, F = forces
         read, stages = maps.primary.shape[1], (-1,) + shape
@@ -901,7 +893,8 @@ def solve_stages(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded every ``stride`` steps, plus per-step iteration counts."""
+    """States recorded every ``stride`` steps and after the last step, plus
+    per-step iteration counts."""
 
     times: np.ndarray
     qs: np.ndarray
@@ -924,10 +917,17 @@ class Trajectory:
                   + ",".join(f"p_{k + 1}" for k in range(d)) + ",stage_iters")
         # the first record has no step behind it
         iters = np.zeros(len(self), dtype=int)
-        iters[1:] = self.stage_iterations[np.arange(1, len(self)) * self.stride - 1]
+        steps = _record_steps(len(self), self.stride, len(self.stage_iterations))
+        iters[1:] = self.stage_iterations[steps - 1]
         cells = np.column_stack((self.times, self.qs, self.ps))
         _write_table(path, header, ",".join(["%.17g"] * (1 + 2 * d) + ["%d"]),
                      ((*row.tolist(), k) for row, k in zip(cells, iters.tolist())))
+
+
+def _record_steps(records: int, stride: int, n_steps: int):
+    """The step after which each of ``records`` records but the first is
+    taken: every ``stride``-th step of ``n_steps``, and the last."""
+    return np.minimum(np.arange(1, records) * stride, n_steps)
 
 
 def _write_table(path, header: str, template: str, rows):
@@ -1005,9 +1005,11 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
               observer: Optional[Callable] = None, stride: int = 1) -> Trajectory:
     """Repeated stepping from ``state0``; ``observer`` sees every new state.
 
-    ``scheme`` is anything :func:`make_stepper` takes.  The run is a
-    one-member batch of :func:`_run`, so a failed step raises the error it
-    records there.  Times are t0 + n*h evaluated directly, not accumulated.
+    The trajectory records every ``stride``-th state and the state after the
+    last step.  ``scheme`` is anything :func:`make_stepper` takes.  The run
+    is a one-member batch of :func:`_run`, so a failed step raises the error
+    it records there.  Times are t0 + n*h evaluated directly, not
+    accumulated.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -1022,7 +1024,7 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
         iters.append(iterations)
         if observer is not None:
             observer(PhaseState(q=state.q[0], p=state.p[0], t=t0 + len(iters) * h))
-        if len(iters) % stride == 0:
+        if len(iters) % stride == 0 or len(iters) == n_steps:
             qs.append(state.q[0])
             ps.append(state.p[0])
 
@@ -1030,7 +1032,7 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
     _, failures = _run(lambda rows: stepper, batch, h, np.array([n_steps]), observe)
     if failures:
         raise failures[0][1]
-    times = np.append(t0, t0 + np.arange(1, len(qs)) * stride * h)
+    times = np.append(t0, t0 + _record_steps(len(qs), stride, n_steps) * h)
     return Trajectory(times=times, qs=np.array(qs), ps=np.array(ps),
                       stage_iterations=np.array(iters, dtype=int), stride=stride)
 

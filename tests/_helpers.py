@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import dataclasses
+
 import numpy as np
 
 from symparc import _rk8
@@ -58,8 +60,14 @@ def singular_at_one() -> ArkScheme:
         order=1, variant=Variant.INTERPOLATION)
 
 
-def tight_config(mode=None) -> StageSolveConfig:
-    return StageSolveConfig(tolerance=1e-14, max_iterations=200, mode=mode)
+def tight_config() -> StageSolveConfig:
+    return StageSolveConfig(tolerance=1e-14, max_iterations=200)
+
+
+def iterated(system: SplitForceSystem) -> SplitForceSystem:
+    """``system`` without its omega_sq: the same forces, whose fast part the
+    stepper then iterates by fixed point instead of solving it in the block."""
+    return dataclasses.replace(system, omega_sq=None)
 
 
 def textbook_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,

@@ -12,13 +12,7 @@ import pytest
 import symparc
 from symparc import fput, stability
 from symparc.cli import main
-from symparc.integrator import (
-    SolverMode,
-    StageSolveConfig,
-    integrate,
-    reference_solve,
-    scheme_from_name,
-)
+from symparc.integrator import StageSolveConfig, scheme_from_name
 
 from _helpers import cellwise_csv
 
@@ -101,6 +95,12 @@ def test_stability_usage_error(tmp_path, capsys):
                     "--out", "/tmp/x"]) == 2
     assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "inf",
                     "--out", str(tmp_path / "x")]) == 2
+    # a scan too long to hold is refused by name, with no traceback
+    capsys.readouterr()
+    assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "1e7",
+                    "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: --mu-max must be positive and at most")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -152,19 +152,48 @@ def test_integrate_fput_row_count(tmp_path, capsys):
     assert "|H-H0|" in err
 
 
+def _integrate_rows(tmp_path, fmt, stride):
+    """The CSV rows, or the JSON object, of a 50-step lgl4 chain run."""
+    out = tmp_path / f"traj-{stride}.{fmt}"
+    assert run_cli(["integrate", "--scheme", "lgl4", "--h", "0.04", "--T", "2",
+                    "--stride", str(stride), "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    return json.loads(text) if fmt == "json" else text.strip().split("\n")
+
+
+def test_integrate_csv_records_the_state_at_T(tmp_path, capsys):
+    # 50 steps with stride 3 record t0, steps 3, 6, ..., 48 and then step
+    # 50, each row as the stride-1 run has it, its stage_iters included
+    every, strided = (_integrate_rows(tmp_path, "csv", stride) for stride in (1, 3))
+    steps = list(range(0, 50, 3)) + [50]
+    assert strided == [every[0]] + [every[1 + k] for k in steps]
+    assert float(strided[-1].split(",")[0]) == 2.0
+    assert "final t=2," in capsys.readouterr().err
+
+
+def test_integrate_json_records_the_state_at_T(tmp_path, capsys):
+    every, strided = (_integrate_rows(tmp_path, "json", stride) for stride in (1, 3))
+    assert strided["t"][-1] == every["t"][-1] == 2.0
+    assert strided["q"][-1] == every["q"][-1] and strided["p"][-1] == every["p"][-1]
+    assert strided["stage_iters"] == every["stage_iters"]
+    assert len(strided["t"]) == len(strided["q"]) == 1 + 16 + 1
+
+
 def test_integrate_fixed_point_nonconvergence(tmp_path, capsys):
+    # at h = 2 the fixed-point iteration of the chain's slow force diverges
+    # in the first step
     out = tmp_path / "traj.csv"
-    code = run_cli(["integrate", "--scheme", "lgl4", "--omega", "100",
-                    "--h", "1.0", "--T", "3", "--solver", "fixed-point",
-                    "--out", str(out)])
+    code = run_cli(["integrate", "--scheme", "lgl4", "--omega", "1",
+                    "--h", "2", "--T", "4", "--out", str(out)])
     assert code == 1
-    assert "step 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step 0" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
-    ["fput", "energy", "--solver", "fixed-point", "--omega", "1000", "--h", "0.1", "--T", "1"],
-    ["converge", "--schemes", "lgl4", "--solver", "fixed-point", "--omega", "100",
-     "--h-list", "0.1,0.05", "--T", "0.5"],
+    ["fput", "energy", "--h", "1.5", "--T", "3"],
+    ["converge", "--schemes", "lgl4", "--omega", "1", "--h-list", "2,1", "--T", "4"],
     ["converge", "--schemes", "lgl2", "--T", "0.5", "--h-list", "0.1,0.05",
      "--ref-tol", "1e-15"],
 ], ids=["energy-stage-failure", "converge-stage-failure", "converge-oracle-failure"])
@@ -217,8 +246,8 @@ def test_fput_sweep_small(tmp_path, capsys):
 
 
 def test_fput_sweep_takes_the_solver_flags(tmp_path, capsys, monkeypatch):
-    # --solver and --tol reach the sweep's stepper as they reach every other
-    # experiment's; fixed-point iteration diverges at these h*omega, so every
+    # --tol reaches the sweep's stepper as it reaches every other
+    # experiment's; the slow force's iteration diverges at h = 1.5, so every
     # point fails, and the sweep says so
     configs = []
     plain = fput.make_stepper
@@ -229,10 +258,9 @@ def test_fput_sweep_takes_the_solver_flags(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(fput, "make_stepper", recorded)
     out = tmp_path / "sweep.csv"
-    assert run_cli(["fput", "sweep", "--points", "4", "--T", "0.2", "--solver", "fixed-point",
+    assert run_cli(["fput", "sweep", "--points", "4", "--T", "3", "--h", "1.5",
                     "--tol", "1e-11", "--out", str(out)]) == 1
-    assert configs and all(c == StageSolveConfig(tolerance=1e-11, mode=SolverMode.FIXED_POINT)
-                           for c in configs)
+    assert configs and all(c == StageSolveConfig(tolerance=1e-11) for c in configs)
     err = capsys.readouterr().err
     assert "every point failed" in err and err.count("NonconvergenceError") == 4
     # each names the step it failed in, as the reduction study's failures do
@@ -386,51 +414,6 @@ def test_converge_csv_is_cellwise(tmp_path, capsys):
     rows = [(name, h, e) for name, errs in zip(("lgl2", "lgl4"), errors)
             for h, e in zip(h_list, errs)]
     assert out.read_bytes() == cellwise_csv("scheme,h,err", rows)
-
-
-def test_converge_fixed_point_matches_single_state_runs(tmp_path, capsys):
-    # the h grid runs as one batch in fixed-point mode too, with no per-h loop
-    out = tmp_path / "conv.csv"
-    h_list = [0.05, 0.025, 0.0125]
-    assert run_cli(["converge", "--schemes", "lgl2", "--omega", "1", "--T", "0.5",
-                    "--h-list", "0.05,0.025,0.0125", "--solver", "fixed-point",
-                    "--out", str(out)]) == 0
-    params = fput.FputParams(ell=3, omega=1.0)
-    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
-    ref = reference_solve(system, state0, 0.5, tol=1e-13)
-    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
-    rows = out.read_text().strip().split("\n")[1:]
-    assert len(rows) == len(h_list)
-    for row, h in zip(rows, h_list):
-        name, h_row, err = row.split(",")
-        n_steps = round(0.5 / h)
-        final = integrate("lgl2", system, state0, 0.5 / n_steps, n_steps,
-                          config=config).final_state()
-        want = max(np.max(np.abs(final.q - ref.q)), np.max(np.abs(final.p - ref.p)))
-        assert name == "lgl2" and float(h_row) == h
-        assert abs(float(err) - want) <= 1e-13 * want
-
-
-def test_fput_reduction_fixed_point_matches_single_state_runs(tmp_path, capsys):
-    out = tmp_path / "reduction.csv"
-    assert run_cli(["fput", "reduction", "--schemes", "lgl4,imex-yoshida4",
-                    "--h-list", "0.1,0.05,0.03", "--omega-list", "2", "--T", "1",
-                    "--ref-tol", "1e-10", "--solver", "fixed-point",
-                    "--out", str(out)]) == 0
-    params = fput.FputParams(ell=3, omega=2.0)
-    system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
-    ref = reference_solve(system, state0, 1.0, tol=1e-10)
-    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
-    rows = out.read_text().strip().split("\n")[1:]
-    assert len(rows) == 6
-    for row in rows:
-        name, omega, h, err_q, err_p = row.split(",")
-        n_steps = round(1.0 / float(h))
-        final = integrate(name, system, state0, 1.0 / n_steps, n_steps,
-                          config=config).final_state()
-        for got, want in ((err_q, np.max(np.abs(final.q[:3] - ref.q[:3]))),
-                          (err_p, np.max(np.abs(final.p[:3] - ref.p[:3])))):
-            assert abs(float(got) - want) <= 1e-13 * want
 
 
 def test_cli_imports_no_scipy():

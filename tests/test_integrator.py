@@ -18,7 +18,6 @@ from symparc.integrator import (
     OracleFailureError,
     PhaseState,
     SingularStageSystemError,
-    SolverMode,
     SplitForceSystem,
     StageSolveConfig,
     StageSolveError,
@@ -41,6 +40,7 @@ from _helpers import (
     cellwise_csv,
     flow_jacobian_fd,
     harmonic_system,
+    iterated,
     scaled_stability_map,
     singular_at_one,
     symplectic_residual,
@@ -71,10 +71,9 @@ def test_zero_force_step_is_free_flight(name):
 def test_solve_stages_at_zero_step():
     system = harmonic_system(3.0)
     state = PhaseState(q=[0.7], p=[-0.2])
-    for mode in (SolverMode.FIXED_POINT, SolverMode.LINEARLY_IMPLICIT):
+    for solved in (iterated(system), system):
         Q, P, Qt, iters = solve_stages(build_scheme(3, Variant.INTERPOLATION),
-                                       system, state, 0.0,
-                                       StageSolveConfig(mode=mode))
+                                       solved, state, 0.0)
         assert np.all(Q == state.q[0])
         assert np.all(Qt == state.q[0])
         assert np.all(P == state.p[0])
@@ -97,8 +96,7 @@ def test_harmonic_step_matches_stability_map(name, mu):
     assert abs(out.p[0] - expected[1]) < 1e-12
 
     try:
-        out_fp = ark_step(scheme, system, state, h,
-                          StageSolveConfig(mode=SolverMode.FIXED_POINT))
+        out_fp = ark_step(scheme, iterated(system), state, h)
     except NonconvergenceError:
         assert mu >= 2.0  # plain iteration only contracts for small h*omega
     else:
@@ -120,19 +118,10 @@ def test_linearly_implicit_succeeds_where_fixed_point_diverges():
     state = PhaseState(q=[1.0], p=[0.0])
     scheme = build_scheme(3, Variant.INTERPOLATION)
     with pytest.raises(NonconvergenceError) as info:
-        solve_stages(scheme, system, state, 1.0,
-                     StageSolveConfig(mode=SolverMode.FIXED_POINT))
+        solve_stages(scheme, iterated(system), state, 1.0)
     assert info.value.residual > 0.0
-    Q, P, Qt, iters = solve_stages(scheme, system, state, 1.0,
-                                   StageSolveConfig(mode=SolverMode.LINEARLY_IMPLICIT))
+    Q, P, Qt, iters = solve_stages(scheme, system, state, 1.0)
     assert np.all(np.isfinite(Q)) and np.all(np.isfinite(P)) and np.all(np.isfinite(Qt))
-
-
-def test_linearly_implicit_requires_linear_fast_part():
-    system = SplitForceSystem(dimension=1, f1=lambda q: -q)
-    with pytest.raises(ValueError):
-        ArkStepper(build_scheme(2, Variant.INTERPOLATION), system,
-                   StageSolveConfig(mode=SolverMode.LINEARLY_IMPLICIT))
 
 
 def test_fput_iteration_counts_stay_small():
@@ -215,8 +204,10 @@ def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps
     stages) within 1e-13, and equal pass counts, or 0 engine passes where
     the step is ``explicit`` (the textbook iterates it all the same).
     Returns the textbook's StageSolveError once both fail, in members the
-    textbook names too, or None."""
-    stepper = ArkStepper(scheme, system, config)
+    textbook names too, or None.  The engine steps the system without its
+    omega_sq where the textbook iterates by fixed point."""
+    fixed_point = textbook_step is textbook_fixed_point_step
+    stepper = ArkStepper(scheme, iterated(system) if fixed_point else system, config)
     batch = state.q.ndim == 2
 
     def members(x, axis=0):
@@ -267,12 +258,12 @@ def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
 @pytest.mark.parametrize("omega", [1.0, 5.0, 50.0], ids=["w1", "w5", "w50"])
 @pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6", "lglc4"])
 def test_fixed_point_step_matches_textbook_iteration(name, omega, batch):
-    # fixed-point mode is the same loop with the other fold: it iterates P,
-    # Q and Qt on F1 and F2 and tests all three, as the textbook loop does
+    # without omega_sq the system takes the same loop with the other fold:
+    # it iterates P, Q and Qt on F1 and F2 and tests all three, as the
+    # textbook loop does
     system, state = _chain_system(omega, batch)
     failure = _steps_match_textbook(textbook_fixed_point_step, scheme_from_name(name),
-                                    system, state, 0.02,
-                                    StageSolveConfig(mode=SolverMode.FIXED_POINT))
+                                    system, state, 0.02, StageSolveConfig())
     # the batch's member at 2 omega = 100 sits at h*omega = 2, where plain
     # iteration of lgl2 no longer contracts: the engine and the textbook
     # both fail that member, and only it
@@ -291,17 +282,16 @@ def _relabelled(scheme):
                      c_tilde=scheme.c_tilde, order=scheme.order, variant=scheme.variant)
 
 
-@pytest.mark.parametrize("mode", [SolverMode.LINEARLY_IMPLICIT, SolverMode.FIXED_POINT])
+@pytest.mark.parametrize("textbook", [textbook_linear_stage_step, textbook_fixed_point_step],
+                         ids=["linearly-implicit", "fixed-point"])
 @pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
-def test_relabelled_stages_match_textbook_iteration(name, mode):
+def test_relabelled_stages_match_textbook_iteration(name, textbook):
     # the explicit stage and the lagged force are read off the fold's zeros
     # wherever they sit, so the loop takes them in another order here
     system, state = _chain_system(5.0, batch=True)
-    textbook = (textbook_linear_stage_step if mode is SolverMode.LINEARLY_IMPLICIT
-                else textbook_fixed_point_step)
     failure = _steps_match_textbook(textbook, _relabelled(scheme_from_name(name)), system,
-                                    state, 0.02, StageSolveConfig(mode=mode), steps=40,
-                                    explicit=mode is SolverMode.LINEARLY_IMPLICIT
+                                    state, 0.02, StageSolveConfig(), steps=40,
+                                    explicit=textbook is textbook_linear_stage_step
                                     and name == "lgl2")
     assert failure is None
 
@@ -362,8 +352,8 @@ def test_constant_slow_force_converges_in_one_pass(name, h_omega, batch):
 
 @pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
 def test_linearly_implicit_steps_never_call_the_fast_force(name):
-    # the block carries -Omega^2 q exactly, so linearly-implicit mode never
-    # evaluates the fast force; fixed-point mode iterates it
+    # the block carries -Omega^2 q exactly, so a system with omega_sq never
+    # has its fast force evaluated; the same system without it iterates it
     calls = []
     omega_sq = np.array([1.0, 4.0])
 
@@ -372,13 +362,13 @@ def test_linearly_implicit_steps_never_call_the_fast_force(name):
         return -omega_sq * q
 
     system = SplitForceSystem(dimension=2, f1=lambda q: -q ** 3, f2=fast, omega_sq=omega_sq)
-    for mode in SolverMode:
-        stepper = ArkStepper(scheme_from_name(name), system, StageSolveConfig(mode=mode))
+    for stepped in (system, iterated(system)):
+        stepper = ArkStepper(scheme_from_name(name), stepped)
         state = PhaseState(q=[0.3, -0.2], p=[0.1, 0.4])
         calls.clear()
         for _ in range(20):
             state = stepper.step(state, 0.1)
-        assert bool(calls) == (mode is SolverMode.FIXED_POINT), mode
+        assert bool(calls) == (stepped.omega_sq is None)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
@@ -458,21 +448,20 @@ def _block_solution(scheme, h, w, fixed_point):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_fold_solves_the_stage_block(variant):
     # the fold's (Qt, P) map of every (h, w) pair against a dense solve of
-    # the block itself: at h omega from 0 to far beyond the sweeps' range in
-    # linearly-implicit mode, and at w = 0 in fixed-point mode
+    # the block itself: at h omega from 0 to far beyond the sweeps' range
+    # for a system with omega_sq, and at w = 0 for one without
     h = 0.1
     h_omegas = np.array([0.0, 0.5, 2.0 * math.sqrt(3.0), 150.0, 1e3])
     linear = SplitForceSystem(dimension=5, omega_sq=(h_omegas / h) ** 2)
     general = SplitForceSystem(dimension=5, f1=lambda q: -q ** 3, f2=lambda q: -q)
-    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     for s1 in range(2, MAX_STAGES + 1):
         scheme = build_scheme(s1, variant)
-        for system, config in ((linear, None), (general, fixed)):
-            stepper = ArkStepper(scheme, system, config)
+        for system in (linear, general):
+            stepper = ArkStepper(scheme, system)
             for step in (h, -h):
                 solution = stepper._fold((step,), lambda j, k: ())[0][3]
                 for w, X in zip(stepper._values, solution):
-                    expected = _block_solution(scheme, step, w, config is fixed)
+                    expected = _block_solution(scheme, step, w, system is general)
                     bound = 1e-14 * max(1.0, float(np.max(np.abs(expected))))
                     assert np.max(np.abs(X - expected)) <= bound, (s1, w, step)
 
@@ -486,11 +475,10 @@ def test_fixed_point_fold_factors_nothing(monkeypatch):
     monkeypatch.setattr(integrator, "lu_factor", refused)
     params = fput.FputParams(ell=3, omega=50.0)
     system, state = fput.fput_system(params), fput.paper_initial_state(params)
-    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     for name in ("lgl2", "lgl4", "lglc6"):
         scheme = scheme_from_name(name)
-        ark_step(scheme, system, state, 0.02, fixed)
-        solve_stages(scheme, system, state, -0.03, fixed)
+        ark_step(scheme, iterated(system), state, 0.02)
+        solve_stages(scheme, iterated(system), state, -0.03)
         with pytest.raises(AssertionError, match="lu_factor called"):
             ark_step(scheme, system, state, 0.02)
 
@@ -567,18 +555,16 @@ def test_overflowing_stage_block_is_singular():
     # the fixed-point block is unit upper triangular and never singular; at
     # h = 1e200 its maps overflow, and the fold fails the step size before
     # any force is evaluated
-    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
-
     def never(q):
         raise AssertionError("the force was evaluated")
 
     general = SplitForceSystem(dimension=1, f1=never, f2=never)
     with pytest.raises(NumericalFailureError, match="stage maps are not finite for h=1e\\+200"):
-        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(state, 1e200)
+        ArkStepper(scheme_from_name("lgl4"), general).step(state, 1e200)
     # in a batch, the error names the members that take that step size
     batch = PhaseState(q=np.ones((3, 1)), p=np.zeros((3, 1)))
     with pytest.raises(NumericalFailureError, match="h=1e\\+200") as info:
-        ArkStepper(scheme_from_name("lgl4"), general, fixed).step(batch, [0.01, 1e200, 0.02])
+        ArkStepper(scheme_from_name("lgl4"), general).step(batch, [0.01, 1e200, 0.02])
     assert info.value.members == (1,)
 
 
@@ -588,9 +574,8 @@ def test_direct_overflowing_step_raises_typed_error(h):
     # the maps are finite, but the start stage overflows the force; a direct
     # call runs under the errstate the drivers enter, so the finite checks
     # raise the typed error and the force's warning does not escape
-    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     general = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, f2=lambda q: -q)
-    stepper = ArkStepper(scheme_from_name("lgl4"), general, fixed)
+    stepper = ArkStepper(scheme_from_name("lgl4"), general)
     state = PhaseState(q=[1.0], p=[0.0])
     before = np.geterr()
     for call in (stepper.step, stepper.step_with_iterations, stepper.solve_stages,
@@ -645,18 +630,17 @@ def test_non_finite_step_size_rejected(bad):
     params = fput.FputParams(ell=3, omega=50.0)
     system, state = fput.fput_system(params), fput.paper_initial_state(params)
     lgl4 = scheme_from_name("lgl4")
-    fixed = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     for call in (lambda: ark_step(lgl4, system, state, bad),
-                 lambda: ark_step(lgl4, system, state, np.float64(bad), fixed),
+                 lambda: ark_step(lgl4, iterated(system), state, np.float64(bad)),
                  lambda: solve_stages(lgl4, system, state, bad),
-                 lambda: solve_stages(lgl4, system, state, bad, fixed),
+                 lambda: solve_stages(lgl4, iterated(system), state, bad),
                  lambda: integrate("lgl4", system, state, bad, 3),
                  lambda: integrate("imex-yoshida4", system, state, bad, 3)):
         with pytest.raises(ValueError, match="finite"):
             call()
     batch = PhaseState(q=np.tile(state.q, (3, 1)), p=np.tile(state.p, (3, 1)))
-    for config in (None, fixed):
-        stepper = make_stepper("imex-yoshida4", system, config)
+    for stepped in (system, iterated(system)):
+        stepper = make_stepper("imex-yoshida4", stepped)
         with pytest.raises(ValueError, match="finite"):
             stepper.step(batch, [0.01, bad, 0.02])
         for wrong in ([0.01, 0.02], [[0.01, 0.02, 0.03]]):
@@ -691,49 +675,49 @@ def _single_runs(name, system, state, hs, steps, config):
     return singles
 
 
-@pytest.mark.parametrize("mode", [None, SolverMode.FIXED_POINT],
+@pytest.mark.parametrize("fixed_point", [False, True],
                          ids=["linearly-implicit", "fixed-point"])
 @pytest.mark.parametrize("name", ["lgl4", "lgl6", "imex-yoshida4"])
-def test_per_member_step_sizes_match_single_states(name, mode):
+def test_per_member_step_sizes_match_single_states(name, fixed_point):
     # each member, with its own step size, reaches bitwise the state it
-    # reaches alone, for a shared and for a per-member omega_sq; its time
-    # advances by its own step size
-    params = fput.FputParams(ell=3, omega=5.0 if mode else 200.0)
-    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    # reaches alone, for a shared and for a per-member omega_sq, or for
+    # their forces iterated without it; its time advances by its own step size
+    params = fput.FputParams(ell=3, omega=5.0 if fixed_point else 200.0)
+    chain, state = fput.fput_system(params), fput.paper_initial_state(params)
+    solved = iterated if fixed_point else (lambda system: system)
+    system = solved(chain)
     hs = np.array([0.02, 0.013, 0.005, 0.02, 0.0071])
-    config = StageSolveConfig(mode=mode)
-    batch = _batched_run(name, system, state, hs, 40, config)
-    for k, single in enumerate(_single_runs(name, system, state, hs, 40, config)):
+    batch = _batched_run(name, system, state, hs, 40, None)
+    for k, single in enumerate(_single_runs(name, system, state, hs, 40, None)):
         assert np.array_equal(batch.q[k], single.q) and np.array_equal(batch.p[k], single.p)
     np.testing.assert_allclose(batch.t, 40 * hs, rtol=1e-13)
-    per_row = SplitForceSystem(dimension=6, f1=system.f1,
-                               omega_sq=np.tile(system.omega_sq, (len(hs), 1)))
-    rows = _batched_run(name, per_row, state, hs, 40, config)
+    per_row = SplitForceSystem(dimension=6, f1=chain.f1,
+                               omega_sq=np.tile(chain.omega_sq, (len(hs), 1)))
+    rows = _batched_run(name, solved(per_row), state, hs, 40, None)
     assert np.array_equal(rows.q, batch.q) and np.array_equal(rows.p, batch.p)
 
 
 def test_fixed_point_batch_freezes_converged_members():
     # the members converge after different numbers of passes; each keeps the
     # stages it converged with, as it would alone
-    system = harmonic_system(1.0, dimension=2)
+    system = iterated(harmonic_system(1.0, dimension=2))
     state = PhaseState(q=[[1e-3, 0.0], [0.5, -0.2], [2.0, 1.0]],
                        p=[[0.0, 1e-3], [0.1, 0.3], [-1.0, 3.0]])
     lgl4 = scheme_from_name("lgl4")
-    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     hs = np.array([0.01, 0.2, 0.45])
-    Q, P, Qt, iterations = solve_stages(lgl4, system, state, hs, config)
+    Q, P, Qt, iterations = solve_stages(lgl4, system, state, hs)
     counts = []
     for k, h in enumerate(hs):
         one = PhaseState(q=state.q[k], p=state.p[k])
-        q_k, p_k, qt_k, count = solve_stages(lgl4, system, one, h, config)
+        q_k, p_k, qt_k, count = solve_stages(lgl4, system, one, h)
         counts.append(count)
         assert np.array_equal(Q[:, k], q_k) and np.array_equal(P[:, k], p_k)
         assert np.array_equal(Qt[:, k], qt_k)
     assert len(set(counts)) > 1 and iterations == max(counts)
-    stepped, count = ArkStepper(lgl4, system, config).step_with_iterations(state, hs)
+    stepped, count = ArkStepper(lgl4, system).step_with_iterations(state, hs)
     assert count == max(counts)
     for k, h in enumerate(hs):
-        one = ark_step(lgl4, system, PhaseState(q=state.q[k], p=state.p[k]), h, config)
+        one = ark_step(lgl4, system, PhaseState(q=state.q[k], p=state.p[k]), h)
         assert np.array_equal(stepped.q[k], one.q) and np.array_equal(stepped.p[k], one.p)
 
 
@@ -743,24 +727,22 @@ def test_fixed_point_batch_names_failing_members():
 
     system = SplitForceSystem(dimension=1, f1=blows_up)
     state = PhaseState(q=[[0.5], [2.0], [0.2]], p=[[0.0], [0.0], [0.1]])
-    config = StageSolveConfig(mode=SolverMode.FIXED_POINT)
     with pytest.raises(NumericalFailureError) as info:
-        ark_step(scheme_from_name("lgl4"), system, state, 0.1, config)
+        ark_step(scheme_from_name("lgl4"), system, state, 0.1)
     assert info.value.members == (1,)
     with pytest.raises(NonconvergenceError) as info:
-        ark_step(scheme_from_name("lgl4"), harmonic_system(50.0),
-                 PhaseState(q=[[1.0], [1.0]], p=[[0.0], [0.0]]), [1e-3, 1.0], config)
+        ark_step(scheme_from_name("lgl4"), iterated(harmonic_system(50.0)),
+                 PhaseState(q=[[1.0], [1.0]], p=[[0.0], [0.0]]), [1e-3, 1.0])
     assert info.value.members == (1,)
 
 
-@pytest.mark.parametrize("mode", [None, SolverMode.FIXED_POINT],
+@pytest.mark.parametrize("solved", [lambda system: system, iterated],
                          ids=["linearly-implicit", "fixed-point"])
-def test_stepper_is_freed_by_reference_counting(mode):
+def test_stepper_is_freed_by_reference_counting(solved):
     # a stepper holds its folded maps; a reference cycle through it would
     # keep them until the cycle collector runs, and memory grows meanwhile
     params = fput.FputParams(ell=3, omega=5.0)
-    stepper = ArkStepper(scheme_from_name("lgl4"), fput.fput_system(params),
-                         StageSolveConfig(mode=mode))
+    stepper = ArkStepper(scheme_from_name("lgl4"), solved(fput.fput_system(params)))
     stepper.step(fput.paper_initial_state(params), 0.01)
     ref = weakref.ref(stepper)
     del stepper
@@ -830,11 +812,10 @@ def test_integrate_bounded_on_stable_oscillator():
 
 
 def test_integrate_attaches_step_index_on_failure():
-    system = harmonic_system(50.0)
+    system = iterated(harmonic_system(50.0))
     state = PhaseState(q=[1.0], p=[0.0])
     with pytest.raises(NonconvergenceError) as info:
-        integrate("lgl4", system, state, 1.0, 5,
-                  config=StageSolveConfig(mode=SolverMode.FIXED_POINT))
+        integrate("lgl4", system, state, 1.0, 5)
     assert info.value.step_index == 0
     assert "step 0" in str(info.value)
 
@@ -1006,9 +987,11 @@ def test_integrate_observer_sees_every_step(stride):
     for i, state in enumerate(seen):
         assert state.q.shape == state.p.shape == (6,)
         assert state.t == state0.t + (i + 1) * h
-    assert traj.times.tolist() == [state0.t + i * stride * h for i in range(len(traj))]
-    # the recorded rows are the observed states, every stride-th one
-    recorded = seen[stride - 1::stride]
+    # the recorded rows are the observed states, every stride-th one and the
+    # last, which a stride that does not divide the step count adds
+    steps = sorted(set(range(stride, n_steps, stride)) | {n_steps})
+    assert traj.times.tolist() == [state0.t] + [state0.t + k * h for k in steps]
+    recorded = [seen[k - 1] for k in steps]
     assert np.array_equal(traj.qs[1:], [s.q for s in recorded])
     assert np.array_equal(traj.ps[1:], [s.p for s in recorded])
 

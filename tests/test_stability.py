@@ -365,7 +365,8 @@ def test_tangency_matrix_is_minus_identity():
 def test_intervals_argument_validation():
     with pytest.raises(ValueError):
         stability_intervals(LGL4, 0.0)
-    for mu_max in (-1.0, math.inf, math.nan):
+    # a scan past 1e4 would hold over 10^7 samples: refused before any is taken
+    for mu_max in (-1.0, math.inf, math.nan, 1e5, 1e200):
         with pytest.raises(ValueError, match="mu_max"):
             stability_intervals(LGL4, mu_max)
 
