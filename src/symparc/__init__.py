@@ -22,7 +22,6 @@ from symparc.integrator import (
     PhaseState,
     SingularStageSystemError,
     SplitForceSystem,
-    StageSolveConfig,
     Trajectory,
     ark_step,
     integrate,

@@ -19,9 +19,9 @@ from symparc.integrator import (
     OracleFailureError,
     PhaseState,
     SplitForceSystem,
-    StageSolveConfig,
     StageSolveError,
     _composition_order,
+    _step_count,
     _write_table,
     integrate,
     scheme_from_name,
@@ -35,11 +35,11 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _stage_config(args) -> StageSolveConfig:
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
+def _stage_tol(args) -> float:
+    """The stage tolerance: --tol, checked, or 1e-12 when it was not given."""
+    if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise ValueError("--tol must be positive and finite")
-    return StageSolveConfig(tolerance=_given(tol, 1e-12))
+    return _given(args.tol, 1e-12)
 
 
 def _given(value, default):
@@ -114,8 +114,8 @@ def _report_json(report: stab.StabilityReport) -> str:
 def _cmd_stability(args) -> int:
     if not 0.0 < args.mu_max <= stab.MAX_INTERVAL_MU:
         raise ValueError(f"--mu-max must be positive and at most {stab.MAX_INTERVAL_MU:g}")
-    if args.grid < 1:
-        raise ValueError("--grid must be at least 1")
+    if not 1 <= args.grid <= stab.MAX_GRID_SAMPLES:
+        raise ValueError(f"--grid must be at least 1 and at most {stab.MAX_GRID_SAMPLES:,}")
     scheme = scheme_from_name(args.scheme)
     report = stab.stability_intervals(scheme, args.mu_max)
 
@@ -148,10 +148,7 @@ def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
 
 def _cmd_integrate(args) -> int:
     name = _known_scheme(args.scheme)
-    if not (args.h > 0.0 and math.isfinite(args.h)):
-        raise ValueError("--h must be positive and finite")  # the step count divides by h
-    if not (args.T >= 0.0 and math.isfinite(args.T)):
-        raise ValueError("--T must be nonnegative and finite")
+    n_steps = _step_count(args.T, args.h, ("--T", "--h"))
     if args.stride < 1:
         raise ValueError("--stride must be at least 1")
     if args.problem == "fput":
@@ -163,9 +160,8 @@ def _cmd_integrate(args) -> int:
         system = SplitForceSystem(dimension=d)
         state0 = PhaseState(q=_parse_vector(args.q0, d, "--q0"),
                             p=_parse_vector(args.p0, d, "--p0"))
-    n_steps = int(round(args.T / args.h))
-    traj = integrate(name, system, state0, args.h, n_steps,
-                     config=_stage_config(args), stride=args.stride)
+    traj = integrate(name, system, state0, args.h, n_steps, tol=_stage_tol(args),
+                     stride=args.stride)
     if args.format == "json":
         _write_trajectory_json(traj, args.out)
     else:
@@ -204,8 +200,9 @@ def _cmd_fput(args) -> int:
                                     omega=_given(args.omega, 50.0 if energy else 1000.0))
         h = _given(args.h, 2.0 / params.omega if energy else 0.1)
         T = _given(args.T, 200.0 if energy else 4000.0)
+        _step_count(T, h, ("--T", "--h"))
         history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
-                                            config=_stage_config(args))
+                                            tol=_stage_tol(args))
         history.write_csv(args.out or args.experiment + ".csv")
         detail = (f"{len(history.times) - 1} steps" if energy
                   else f"h*omega/pi = {_fmt(h * params.omega / math.pi)}")
@@ -219,12 +216,11 @@ def _cmd_fput(args) -> int:
         params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
         h = _given(args.h, 0.02)
         T = _given(args.T, 100.0)
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError("--h must be positive and finite")  # the grid divides by h
+        _step_count(T, h, ("--T", "--h"))  # the grid divides by h
         ratios = np.linspace(4.5 / args.points, 4.5, args.points)
         omegas = ratios * math.pi / h
         result = fputmod.experiment_resonance_sweep(
-            _known_scheme(args.scheme), params, h, T, omegas, config=_stage_config(args))
+            _known_scheme(args.scheme), params, h, T, omegas, tol=_stage_tol(args))
         result.write_csv(args.out or "sweep.csv")
         errors = result.max_energy_error
         peak = ("none, every point failed" if np.isnan(errors).all()
@@ -244,9 +240,11 @@ def _cmd_fput(args) -> int:
                   else [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
         omega_grid = ([float(x) for x in args.omega_list.split(",")] if args.omega_list
                       else [10.0, 100.0, 1000.0, 10000.0])
+        T = _given(args.T, 3.0)
+        fputmod._step_grid(h_grid, T, ("--T", "--h-list value"))
         table = fputmod.experiment_order_reduction(
-            names, params, _given(args.T, 3.0), h_grid, omega_grid,
-            config=_stage_config(args), reference_tol=args.ref_tol)
+            names, params, T, h_grid, omega_grid,
+            tol=_stage_tol(args), reference_tol=args.ref_tol)
         table.write_csv(args.out or "reduction.csv")
         print(f"reduction: {len(table.rows)} rows, {len(table.failures)} failed points",
               file=sys.stderr)
@@ -266,8 +264,9 @@ def _cmd_converge(args) -> int:
     params = fputmod.FputParams(ell=args.ell, omega=args.omega)
     h_list = ([float(x) for x in args.h_list.split(",")] if args.h_list
               else [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160])
+    fputmod._step_grid(h_list, args.T, ("--T", "--h-list value"))
     errors = fputmod.convergence_errors(names, params, h_list, args.T,
-                                        config=_stage_config(args), reference_tol=args.ref_tol)
+                                        tol=_stage_tol(args), reference_tol=args.ref_tol)
     rows = []
     for name, errs in zip(names, errors):
         slope = fputmod.fit_loglog_slope(h_list, errs, floor=1e-12)

@@ -39,8 +39,8 @@ import numpy as np
 from symparc.integrator import (
     PhaseState,
     SplitForceSystem,
-    StageSolveConfig,
     _run,
+    _step_count,
     _write_table,
     integrate,
     make_stepper,
@@ -227,15 +227,11 @@ class EnergyHistory:
 
 
 def experiment_energy(scheme, params: FputParams, h: float, T: float,
-                      config: StageSolveConfig | None = None) -> EnergyHistory:
+                      tol: float = 1e-12) -> EnergyHistory:
     """Integrate from the standard initial state, recording H and I_i per step."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    if not (T >= 0.0 and math.isfinite(T)):
-        raise ValueError(f"T must be nonnegative and finite, got {T!r}")
-    n_steps = int(round(T / h)) if T > 0 else 0
+    n_steps = _step_count(T, h)
     traj = integrate(scheme, fput_system(params), paper_initial_state(params), h, n_steps,
-                     config=config)
+                     tol=tol)
     hamiltonian, oscillatory = _chain_energies(traj.qs, traj.ps, params.omega, params.ell)
     return EnergyHistory(times=traj.times, hamiltonian=hamiltonian, oscillatory=oscillatory)
 
@@ -257,12 +253,12 @@ class SweepResult:
 
 
 def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, omega_grid,
-                               config: StageSolveConfig | None = None) -> SweepResult:
+                               tol: float = 1e-12) -> SweepResult:
     """Worst |H - H0| and |omega I - omega I0| over [0, T], one chain per omega.
 
     All chains start from the standard initial state of their frequency and
     are stepped together as one batched state, one row per omega, by
-    ``make_stepper(scheme, ..., config)``; compositions batch the same way.  A row
+    ``make_stepper(scheme, ..., tol)``; compositions batch the same way.  A row
     whose stage solve fails is recorded in ``failures`` as (index,
     "Type: message") with NaN results, and the step is redone without it;
     any other error propagates.
@@ -270,10 +266,7 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size == 0:
         raise ValueError("omega grid must be nonempty")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    if not 0.0 <= T < math.inf:
-        raise ValueError(f"T must be nonnegative and finite, got {T!r}")
+    n_steps = _step_count(T, h)
     if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
         raise ValueError("every omega must be positive and finite")
     ell = params.ell
@@ -291,7 +284,7 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     worst = np.zeros_like(origin)   # the largest drifts |E - E0|
 
     def batch(rows):   # a chain's stepper holds its Omega^2
-        return make_stepper(scheme, _chain_system(ell, omegas[rows]), config)
+        return make_stepper(scheme, _chain_system(ell, omegas[rows]), tol)
 
     def observe(rows, state, iterations):
         # a slice while every member runs: a view, where indexing by rows copies
@@ -299,7 +292,7 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
         drift = np.abs(energies(state, omegas[running]) - origin[:, running])
         worst[:, running] = np.maximum(worst[:, running], drift)
 
-    _, failures = _run(batch, state, h, np.full(len(omegas), int(round(T / h))), observe)
+    _, failures = _run(batch, state, h, np.full(len(omegas), n_steps), observe)
     worst[:, [i for i, _ in failures]] = math.nan
     return SweepResult(
         h_omega_over_pi=h * omegas / math.pi,
@@ -309,14 +302,18 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     )
 
 
-def _step_grid(h_grid, T: float) -> np.ndarray:
-    """The step sizes as an array; ValueError unless T and every h are positive and finite."""
+def _step_grid(h_grid, T: float, names=("T", "h")) -> np.ndarray:
+    """The step count max(1, round(T / h)) of each h, so that each run
+    lands on T; ValueError, naming T and h as ``names`` calls them, unless T
+    and every h are positive and finite and :func:`_step_count` takes every
+    h."""
+    t_name, h_name = names
     if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T!r}")
+        raise ValueError(f"{t_name} must be positive and finite, got {T!r}")
     hs = np.asarray(h_grid, dtype=float)
     if not np.all(np.isfinite(hs) & (hs > 0.0)):
-        raise ValueError(f"every h must be positive and finite, got {hs.tolist()}")
-    return hs
+        raise ValueError(f"every {h_name} must be positive and finite, got {hs.tolist()}")
+    return np.maximum(1, [_step_count(T, h, names) for h in hs.tolist()])
 
 
 @dataclass(frozen=True)
@@ -351,26 +348,25 @@ class ReductionTable:
 
 
 def _grid_final_states(scheme, system: SplitForceSystem, state0: PhaseState, T: float,
-                       h_grid: np.ndarray, config: StageSolveConfig | None):
-    """States at T of one run of ``scheme`` per step size, stepped as one
-    batch, each bitwise its single-state :func:`integrate` run.  Each h is
-    nudged to T / n with n = max(1, round(T / h)) steps, so every run lands
-    exactly on T.  Returns (h_run, q, p, failures): the nudged step sizes,
+                       n_steps: np.ndarray, tol: float):
+    """States at T of one run of ``scheme`` per step count of ``n_steps``
+    (see :func:`_step_grid`), stepped as one batch, each bitwise its
+    single-state :func:`integrate` run.  Each run steps by T / n, so it
+    lands exactly on T.  Returns (h_run, q, p, failures): those step sizes,
     the final q and p of each run (NaN if it failed), and (index, error) per
     failed run.
     """
-    n_steps = np.maximum(1, np.rint(T / h_grid)).astype(int)
     h_run = T / n_steps
-    stepper = make_stepper(scheme, system, config)
-    state = PhaseState(q=np.tile(state0.q, (len(h_grid), 1)),
-                       p=np.tile(state0.p, (len(h_grid), 1)), t=state0.t)
+    stepper = make_stepper(scheme, system, tol)
+    state = PhaseState(q=np.tile(state0.q, (len(n_steps), 1)),
+                       p=np.tile(state0.p, (len(n_steps), 1)), t=state0.t)
     finals, failures = _run(lambda rows: stepper, state, h_run, n_steps)
     return h_run, finals[0], finals[1], failures
 
 
 def experiment_order_reduction(scheme_names, params: FputParams, T: float,
                                h_grid, omega_grid,
-                               config: StageSolveConfig | None = None,
+                               tol: float = 1e-12,
                                reference_tol: float = 1e-9) -> ReductionTable:
     """Slow-variable errors at time T against the step-halved reference.
 
@@ -382,7 +378,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
     in the stage solve is recorded with NaN errors and its cause in
     ``failures``; any other exception propagates.
     """
-    h_grid = _step_grid(h_grid, T)
+    n_steps = _step_grid(h_grid, T)
     ell = params.ell
     rows = []
     failures = []
@@ -393,7 +389,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
         ref = reference_solve(system, state0, T, tol=reference_tol)
         for name in scheme_names:
             h_run, q, p_final, failed = _grid_final_states(name, system, state0, T,
-                                                           h_grid, config)
+                                                           n_steps, tol)
             err_q = np.max(np.abs(q[:, :ell] - ref.q[:ell]), axis=1)
             err_p = np.max(np.abs(p_final[:, :ell] - ref.p[:ell]), axis=1)
             failures += [(len(rows) + i, f"{type(exc).__name__}: {exc}") for i, exc in failed]
@@ -404,7 +400,7 @@ def experiment_order_reduction(scheme_names, params: FputParams, T: float,
 
 
 def convergence_errors(scheme_names, params: FputParams, h_list, T: float,
-                       config: StageSolveConfig | None = None,
+                       tol: float = 1e-12,
                        reference_tol: float = 1e-13) -> np.ndarray:
     """Max-norm global error at T for each scheme and h, one row per scheme,
     against one reference solve.
@@ -414,13 +410,13 @@ def convergence_errors(scheme_names, params: FputParams, h_list, T: float,
     run is raised: that of the first failing h in ``h_list`` order, in the
     first scheme that fails.
     """
-    h_list = _step_grid(h_list, T)
+    n_steps = _step_grid(h_list, T)
     system = fput_system(params)
     state0 = paper_initial_state(params)
     ref = reference_solve(system, state0, T, tol=reference_tol)
     errors = []
     for name in scheme_names:
-        _, q, p, failures = _grid_final_states(name, system, state0, T, h_list, config)
+        _, q, p, failures = _grid_final_states(name, system, state0, T, n_steps, tol)
         if failures:
             raise failures[0][1]
         errors.append(np.maximum(np.abs(q - ref.q).max(axis=1), np.abs(p - ref.p).max(axis=1)))

@@ -61,8 +61,9 @@ and F1(Q_s) is evaluated once, in the pass that converges; Q_s itself stays
 in the iteration and in its convergence test.  A scheme without interior
 stages (lgl2, the base of imex-yoshida4 and imex-yoshida6) is explicit in
 linearly-implicit mode, the classical IMEX step: Q_2 = c0 + K F1(q0), then
-F1(Q_2), and no pass.  The stepper reads the zeros off the tableau once
-and the fold keeps them exact; a scheme without them iterates every stage.
+F1(Q_2), and no pass.  The stepper looks for the zeros in these two places
+only, the first row of a and the last column of ahat, and the fold keeps
+them exact; a scheme without them there iterates every stage.
 
 The loop also steps a batch: q and p of shape (n, d) are n independent
 states.  omega_sq of shape (n, d) gives each its own diagonal; one of shape
@@ -95,7 +96,6 @@ from symparc.tableaux import ArkScheme, Variant, build_scheme
 __all__ = [
     "PhaseState",
     "SplitForceSystem",
-    "StageSolveConfig",
     "Trajectory",
     "ArkStepper",
     "ComposedStepper",
@@ -254,29 +254,8 @@ class SplitForceSystem:
         return float(self.hamiltonian(state.q, state.p))
 
 
-@dataclass(frozen=True)
-class StageSolveConfig:
-    """Stage-solver controls.
-
-    ``tolerance`` is relative to each member's own scale max(1, |q0|_inf,
-    |p0|_inf): a member has converged once no iterated row moved by more
-    than tolerance times its scale in a pass.  A system with ``omega_sq``
-    is solved linearly-implicitly, testing the stages Q; one without is
-    iterated by fixed point, testing P, Q and Qt (see the module
-    docstring).  ``max_iterations`` bounds the passes; a linearly-implicit
-    step without interior stages (lgl2) is explicit and takes none, so it
-    does not bound it.
-    """
-
-    tolerance: float = 1e-12
-    max_iterations: int = 50
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
+# Passes of the stage loop after which a member that has not converged fails.
+_MAX_PASSES = 50
 
 # Divergence guard for the fixed-point loop: once updates exceed this factor
 # times the state scale, further iterations cannot recover.
@@ -480,23 +459,38 @@ def _step_size(h, state: PhaseState):
     return h
 
 
+def _step_count(T: float, h: float, names=("T", "h")) -> int:
+    """round(T / h), the steps of a run over the time T by the step size h.
+    ValueError, naming T and h as ``names`` calls them, unless h is positive,
+    T nonnegative, both finite and the count below 2^63: no int64 holds
+    more, T / h may even overflow to inf, and such a run would never end."""
+    t_name, h_name = names
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"{h_name} must be positive and finite, got {h!r}")
+    if not (T >= 0.0 and math.isfinite(T)):
+        raise ValueError(f"{t_name} must be nonnegative and finite, got {T!r}")
+    if not T / h < 2.0 ** 63:
+        raise ValueError(f"{h_name} {h!r} is too small for {t_name} {T!r}: "
+                         f"the run would take 2^63 steps or more")
+    return round(T / h)
+
+
 class _StageMaps(NamedTuple):
     """One step as affine maps, per column c of the flattened state.  The
     fold has rows (Q in linearly-implicit mode, (Q, Qt, P) in fixed-point
     mode) and m force slots, slot j holding the force of row j (F1(Q), or
     F1(Q) and F2(Qt)).  :class:`ArkStepper` splits the slots by the
-    tableau's exact zeros, which the fold keeps:
+    Lobatto pair's exact zeros, which the fold keeps:
 
-    - explicit: a slow-force row whose map is exactly q0 (Q_1 in the
-      Lobatto schemes, since a[0] = 0).  Its force is F1(q0), evaluated
-      once per step.
-    - lagged: a slot that no row reads (F1(Q_s), since ahat[:, -1] = 0).
-      Only (q1, p1) read it, so its force is evaluated in the converging
-      pass alone.
-    - iterated: every other slot, evaluated in every pass.
+    - explicit: the first slot, when the first row of a is zero (a[0] = 0
+      makes Q_1 = q0).  Its force is F1(q0), evaluated once per step.
+    - lagged: the last F1 slot, when the last column of ahat is zero
+      (ahat[:, -1] = 0 leaves F1(Q_s) read by no row).  Only (q1, p1) read
+      it, so its force is evaluated in the converging pass alone.
+    - iterated: every other slot, evaluated in every pass.  The F2 slots
+      of fixed-point mode are always iterated.
 
-    The slots are ordered explicit, then per force iterated and lagged, and
-    X holds the rows after the explicit ones.  With F the forces that X is
+    X holds the rows after the explicit one.  With F the forces that X is
     computed from and h the column's step size:
 
         X[i, c]        = sum_j start[i, j, c] (q0, p0)[j, c]
@@ -533,13 +527,23 @@ class ArkStepper:
     sizes; the system's Omega^2 is fixed).  Instances are cheap to build and
     must not be shared across threads or stepped from their own force
     callbacks.
+
+    ``tol`` is relative to each member's own scale max(1, |q0|_inf,
+    |p0|_inf): a member has converged once no iterated row moved by more
+    than tol times its scale in a pass.  A system with ``omega_sq`` is
+    solved linearly-implicitly, testing the stages Q; one without is
+    iterated by fixed point, testing P, Q and Qt (see the module
+    docstring).  A member that has not converged after 50 passes
+    (``_MAX_PASSES``) fails; a linearly-implicit step without interior stages (lgl2)
+    is explicit and takes no pass, so the cap does not bound it.
     """
 
-    def __init__(self, scheme: ArkScheme, system: SplitForceSystem,
-                 config: StageSolveConfig | None = None):
+    def __init__(self, scheme: ArkScheme, system: SplitForceSystem, tol: float = 1e-12):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
         self.scheme = scheme
         self.system = system
-        self.config = config if config is not None else StageSolveConfig()
+        self.tol = tol
         # a system without the diagonal Omega^2 has F2 iterated by fixed
         # point; one with it has F2 solved in the block
         self._fixed_point = fixed_point = system.omega_sq is None
@@ -561,40 +565,22 @@ class ArkStepper:
             self._columns = np.zeros(system.dimension, dtype=np.intp)
             self._shape = (system.dimension,)
 
-        # the Lobatto layout of the maps (see _StageMaps), off the tableau:
-        # the explicit rows are the zero rows of a, the lagged slots the zero
-        # columns of ahat and, for the F2 slots of fixed-point mode, of AtH
-        s1 = scheme.s1
-        explicit = ~scheme.a.any(axis=1)
-        unread = ~scheme.a_hat.any(axis=0)
-        if fixed_point:
-            unread = np.concatenate((unread, ~scheme.a_tilde_hat.any(axis=0)))
-        m = len(unread)
-        slots = np.arange(m)
-        order = [slots[:s1][explicit]]
+        # the Lobatto layout of the maps (see _StageMaps): the first row is
+        # explicit where a[0] = 0, the last F1 slot lagged where ahat[:, -1] = 0
+        s1, m = scheme.s1, scheme.s1 + scheme.s2 if fixed_point else scheme.s1
+        e = int(not scheme.a[0].any())
+        lagged = int(not scheme.a_hat[:, -1].any())
         # the (force, rows of X, slots) blocks evaluated in every pass and in
         # the converging one; with no iterated slot the step is explicit
         passes, final = [], []
-        lo = e = len(order[0])
-        for force, kind in ((system.slow_force, slots[:s1][~explicit]),
-                            (system.fast_force, slots[s1:])):
-            iterated, lagged = kind[~unread[kind]], kind[unread[kind]]
-            order += [iterated, lagged]
-            for blocks, hi in ((passes, lo + len(iterated)), (final, lo + len(kind))):
-                if hi > lo:
-                    blocks.append((force, slice(lo - e, hi - e), slice(lo, hi)))
-            lo += len(kind)
-        order = np.concatenate(order)
+        for blocks, hi in ((passes, s1 - lagged), (final, s1)):
+            if hi > e:
+                blocks.append((system.slow_force, slice(0, hi - e), slice(e, hi)))
+            if fixed_point:
+                blocks.append((system.fast_force, slice(s1 - e, m - e), slice(s1, m)))
         self._passes, self._final, self._explicit = tuple(passes), tuple(final), e
-        # the fold's row of each slot's row and of every other row; X holds
-        # those after the explicit ones and reads the slots up to the last
-        # one that is not lagged
-        rows = m + s1 if fixed_point else m
-        self._layout = np.concatenate((order, np.arange(m, rows)))
-        read = np.flatnonzero(~unread[order])
-        self._read = order[:read[-1] + 1 if len(read) else 0]
-        # the fold's columns of the update map in slot order
-        self._update_columns = np.concatenate(((0, 1), 2 + order, 2 + m + order))
+        # X reads the slots up to the last one that is not lagged
+        self._read = m if fixed_point else s1 - lagged
 
     # -- linear block ------------------------------------------------------
 
@@ -629,13 +615,12 @@ class ArkStepper:
             steps, index = (h,), self._columns
         folds = self._fold(steps, lambda j, k: self._rows_with(np.isin(index, j * n_values + k)))
         start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
-        rows, columns, m = self._layout[self._explicit:], self._update_columns, primary.shape[-1]
-        maps = _StageMaps(start=self._gather(start[:, rows], index),
-                          primary=self._gather(primary[:, rows][:, :, self._read], index),
-                          update=self._gather(update[:, :, columns], index),
-                          solution=solution[:, :, columns[:2 + m]], index=index,
-                          inputs=np.empty((len(columns), len(index))),
-                          forces=np.empty((2, m, len(index))))
+        e = self._explicit
+        maps = _StageMaps(start=self._gather(start[:, e:], index),
+                          primary=self._gather(primary[:, e:, :self._read], index),
+                          update=self._gather(update, index), solution=solution, index=index,
+                          inputs=np.empty((update.shape[-1], len(index))),
+                          forces=np.empty((2, primary.shape[-1], len(index))))
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = maps
@@ -752,10 +737,8 @@ class ArkStepper:
         maps, x, X, iterations = self._iterate(state, h)
         sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index),
                         x[:maps.solution.shape[-1]])
-        # the explicit rows are q0 itself
-        stages = np.empty((len(self._layout), X.shape[1]))
-        explicit = np.broadcast_to(x[0], (self._explicit, len(x[0])))
-        stages[self._layout] = np.concatenate((explicit, X))
+        # the explicit row is q0 itself
+        stages = np.concatenate((np.broadcast_to(x[0], (self._explicit, len(x[0]))), X))
         return (stages[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
                 iterations)
 
@@ -766,7 +749,7 @@ class ArkStepper:
         ``maps.inputs``, where F are the forces X was computed from, and the
         converged X.  X starts from every force at q0, in no pass; a step
         without iterated slots is explicit, and that start is its X."""
-        system, cfg = self.system, self.config
+        system = self.system
         shape = state.q.shape
         if shape != self._shape and shape[1:] != self._shape:
             raise ValueError(f"state shape {shape} does not match the system's {self._shape}")
@@ -783,7 +766,7 @@ class ArkStepper:
         qp[0], qp[1] = q0, p0
         scale = _member_max(np.abs(qp).max(axis=0), n)
         np.maximum(scale, 1.0, out=scale)
-        limit, blowup = cfg.tolerance * scale, _DIVERGENCE_FACTOR * scale
+        limit, blowup = self.tol * scale, _DIVERGENCE_FACTOR * scale
         c0 = np.einsum("ijc,jc->ic", maps.start, qp)
 
         # the forces X was computed from, which the next forces overwrite
@@ -846,12 +829,12 @@ class ArkStepper:
                         f"stage iteration diverged after {iteration} iterations",
                         residual=float(np.max(residual[diverged])), iterations=iteration,
                         members=np.flatnonzero(diverged))
-                if iteration == cfg.max_iterations:
+                if iteration == _MAX_PASSES:
                     worst = float(np.max(residual))
                     raise NonconvergenceError(
-                        f"stage iteration did not reach tolerance {cfg.tolerance:g} "
-                        f"within {cfg.max_iterations} iterations (residual {worst:.3e})",
-                        residual=worst, iterations=cfg.max_iterations,
+                        f"stage iteration did not reach tolerance {self.tol:g} "
+                        f"within {_MAX_PASSES} iterations (residual {worst:.3e})",
+                        residual=worst, iterations=_MAX_PASSES,
                         members=np.flatnonzero(~converged))
                 if n_converged:
                     done = converged
@@ -875,16 +858,16 @@ class ArkStepper:
 
 
 def ark_step(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
-             h, config: StageSolveConfig | None = None) -> PhaseState:
+             h, tol: float = 1e-12) -> PhaseState:
     """Advance one step of size h (for a batch, one float or one per member).
-    See ArkStepper for the stage equations."""
-    return ArkStepper(scheme, system, config).step(state, h)
+    See ArkStepper for the stage equations and ``tol``."""
+    return ArkStepper(scheme, system, tol).step(state, h)
 
 
 def solve_stages(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
-                 h, config: StageSolveConfig | None = None):
+                 h, tol: float = 1e-12):
     """Solve the implicit stage system; returns (Q, P, Q_tilde, iterations)."""
-    return ArkStepper(scheme, system, config).solve_stages(state, h)
+    return ArkStepper(scheme, system, tol).solve_stages(state, h)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +984,7 @@ def _run(batch, state: PhaseState, h, n_steps, observe=None):
 
 
 def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
-              n_steps: int, config: StageSolveConfig | None = None,
+              n_steps: int, tol: float = 1e-12,
               observer: Optional[Callable] = None, stride: int = 1) -> Trajectory:
     """Repeated stepping from ``state0``; ``observer`` sees every new state.
 
@@ -1017,7 +1000,7 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
         raise ValueError("stride must be at least 1")
     if state0.q.ndim != 1:
         raise ValueError("integrate steps one state, not a batch")
-    stepper = make_stepper(scheme, system, config)
+    stepper = make_stepper(scheme, system, tol)
     t0, qs, ps, iters = state0.t, [state0.q], [state0.p], []
 
     def observe(rows, state, iterations):
@@ -1116,8 +1099,7 @@ def _composition_order(name: str) -> int:
     return int(name[-1])
 
 
-def make_stepper(spec, system: SplitForceSystem,
-                 config: StageSolveConfig | None = None):
+def make_stepper(spec, system: SplitForceSystem, tol: float = 1e-12):
     """Build a stepper from a scheme or a name, or pass a stepper through.
 
     Names: ``lgl2``/``lgl4``/``lgl6`` (interpolation family), ``lglc*``
@@ -1126,13 +1108,13 @@ def make_stepper(spec, system: SplitForceSystem,
     ``step_with_iterations(state, h)``; anything else is a TypeError.
     """
     if isinstance(spec, ArkScheme):
-        return ArkStepper(spec, system, config)
+        return ArkStepper(spec, system, tol)
     if isinstance(spec, str):
         if spec.startswith("imex-yoshida"):
             order = _composition_order(spec)   # before building the base
-            base = ArkStepper(build_scheme(2, Variant.INTERPOLATION), system, config)
+            base = ArkStepper(build_scheme(2, Variant.INTERPOLATION), system, tol)
             return yoshida_compose(base, order)
-        return ArkStepper(scheme_from_name(spec), system, config)
+        return ArkStepper(scheme_from_name(spec), system, tol)
     return _stepper(spec)
 
 

@@ -53,7 +53,6 @@ from symparc.integrator import (
     PhaseState,
     SingularStageSystemError,
     SplitForceSystem,
-    StageSolveConfig,
     _apply,
     _schur_basis,
     lu_factor,
@@ -75,6 +74,7 @@ __all__ = [
     "check_m11_equals_m22",
     "stability_intervals",
     "MAX_INTERVAL_MU",
+    "MAX_GRID_SAMPLES",
     "modified_frequency",
     "filter_functions",
     "trig_form_step_check",
@@ -396,6 +396,9 @@ _GRID_STEP = 1e-3
 # the longest interval search, 10,000,001 samples: the search holds every
 # sample, about 47 B each, and lgl4 took 2.7 s and 467 MB at this mu_max
 MAX_INTERVAL_MU = 1e4
+# the most samples the stability command writes out: those of the longest
+# interval search
+MAX_GRID_SAMPLES = 10_000_001
 
 
 def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
@@ -475,7 +478,7 @@ def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
 
 def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
                          state: PhaseState, h: float,
-                         config: StageSolveConfig | None = None) -> float:
+                         tol: float = 1e-14) -> float:
     """Residual of the two-step trigonometric identities at (state, h).
 
     Steps once with +h and once with -h, then checks
@@ -485,7 +488,8 @@ def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
 
     with mu = omega h, mu_t the modified frequency, f the slow force and
     Q_i^+- the primary stages of the two steps.  Returns the larger max-norm
-    residual.  Requires a linear fast part with a single frequency.
+    residual.  Requires a linear fast part with a single frequency.  ``tol``
+    is the stage tolerance of the two steps (see :class:`ArkStepper`).
     """
     if system.omega_sq is None:
         raise ValueError("trig form check needs the linear fast part")
@@ -500,9 +504,7 @@ def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
         raise NotStableError(f"method unstable at mu = {mu:g}")
     psi, mu_tilde = filters.psi, filters.modified_mu
 
-    if config is None:
-        config = StageSolveConfig(tolerance=1e-14, max_iterations=200)
-    stepper = ArkStepper(scheme, system, config)
+    stepper = ArkStepper(scheme, system, tol)
 
     q0, p0 = state.q, state.p
     out = []

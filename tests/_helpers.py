@@ -6,11 +6,11 @@ import numpy as np
 
 from symparc import _rk8
 from symparc.integrator import (
+    _MAX_PASSES,
     ArkStepper,
     NonconvergenceError,
     PhaseState,
     SplitForceSystem,
-    StageSolveConfig,
     StageSolveError,
 )
 from symparc.tableaux import ArkScheme, Variant
@@ -60,8 +60,8 @@ def singular_at_one() -> ArkScheme:
         order=1, variant=Variant.INTERPOLATION)
 
 
-def tight_config() -> StageSolveConfig:
-    return StageSolveConfig(tolerance=1e-14, max_iterations=200)
+# a stage tolerance near roundoff, for checks finer than the default 1e-12
+TIGHT_TOL = 1e-14
 
 
 def iterated(system: SplitForceSystem) -> SplitForceSystem:
@@ -126,8 +126,7 @@ def textbook_lawson_rk8(system: SplitForceSystem, state0: PhaseState, duration: 
 
 
 def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
-                               state: PhaseState, h: float,
-                               config: StageSolveConfig | None = None):
+                               state: PhaseState, h: float, tol: float = 1e-12):
     """One linearly-implicit step as written in the textbook.
 
     Each pass solves the full stage block [[I, -h At], [h w AtH, I]] of
@@ -135,15 +134,14 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
     side (q0, p0 + h Ahat F1) built afresh, then sets Q = q0 + h a P and
     F1 = F1(Q); F2 is -Omega^2 Qt.  The start is the engine's: one such
     solve with F1(q0) at every stage, not counted as a pass.  The
-    convergence test (max |Q_new - Q| against tolerance * max(1, |q0|,
-    |p0|)) and the divergence bound are the engine's too.  A batch (n, d)
+    convergence test (max |Q_new - Q| against tol * max(1, |q0|, |p0|)),
+    the pass cap and the divergence bound are the engine's too.  A batch (n, d)
     is stepped member by member.  Returns (q1, p1, Q, P, Qt, iterations),
     iterations being the largest over the members; raises
     NonconvergenceError naming every member that failed.
     """
-    cfg = config if config is not None else StageSolveConfig()
     if state.q.ndim == 2:
-        return _member_by_member(textbook_linear_stage_step, scheme, system, state, h, cfg)
+        return _member_by_member(textbook_linear_stage_step, scheme, system, state, h, tol)
     s1, s2 = scheme.s1, scheme.s2
     q0, p0, w = state.q, state.p, system.omega_sq
     d = len(q0)
@@ -162,14 +160,14 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
 
     Q = solve(np.tile(system.slow_force(q0), (s1, 1)))[0]
     F1 = system.slow_force(Q)
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, _MAX_PASSES + 1):
         if not np.all(np.isfinite(F1)):
             raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
         Q_new, P, Qt = solve(F1)
         residual = float(np.max(np.abs(Q_new - Q)))
         Q = Q_new
         F1 = system.slow_force(Q)
-        if residual <= cfg.tolerance * scale:
+        if residual <= tol * scale:
             break
         if residual > 1e12 * scale:
             raise NonconvergenceError("diverged", members=(0,))
@@ -181,8 +179,7 @@ def textbook_linear_stage_step(scheme: ArkScheme, system: SplitForceSystem,
 
 
 def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
-                              state: PhaseState, h: float,
-                              config: StageSolveConfig | None = None):
+                              state: PhaseState, h: float, tol: float = 1e-12):
     """One plain fixed-point step as written in the textbook.
 
     Each pass sets P = p0 + h (Ahat F1 + AtH F2) from the forces of the
@@ -190,14 +187,13 @@ def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
     F2 = F2(Qt), all with fresh arrays.  The start is the engine's: these
     stages from F1(q0) and F2(q0) at every stage, not counted as a pass.
     The convergence test (max |P_new - P|, |Q_new - Q|, |Qt_new - Qt|
-    against tolerance * max(1, |q0|, |p0|)) and the divergence bound are
-    the engine's too.  A batch (n, d) is stepped member by member.  Returns
+    against tol * max(1, |q0|, |p0|)), the pass cap and the divergence
+    bound are the engine's too.  A batch (n, d) is stepped member by member.  Returns
     (q1, p1, Q, P, Qt, iterations), iterations being the largest over the
     members; raises NonconvergenceError naming every member that failed.
     """
-    cfg = config if config is not None else StageSolveConfig()
     if state.q.ndim == 2:
-        return _member_by_member(textbook_fixed_point_step, scheme, system, state, h, cfg)
+        return _member_by_member(textbook_fixed_point_step, scheme, system, state, h, tol)
     q0, p0 = state.q, state.p
     scale = max(1.0, float(np.max(np.abs(q0))), float(np.max(np.abs(p0))))
 
@@ -209,7 +205,7 @@ def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
     P, Q, Qt = stages(np.tile(system.slow_force(q0), (scheme.s1, 1)),
                       np.tile(system.fast_force(q0), (scheme.s2, 1)))
     F1, F2 = system.slow_force(Q), system.fast_force(Qt)
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, _MAX_PASSES + 1):
         if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
             raise NonconvergenceError("force evaluation returned NaN/Inf", members=(0,))
         P_new, Q_new, Qt_new = stages(F1, F2)
@@ -217,7 +213,7 @@ def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
                        float(np.max(np.abs(Qt_new - Qt))))
         P, Q, Qt = P_new, Q_new, Qt_new
         F1, F2 = system.slow_force(Q), system.fast_force(Qt)
-        if residual <= cfg.tolerance * scale:
+        if residual <= tol * scale:
             break
         if residual > 1e12 * scale:
             raise NonconvergenceError("diverged", members=(0,))
@@ -228,7 +224,7 @@ def textbook_fixed_point_step(scheme: ArkScheme, system: SplitForceSystem,
     return q1, p1, Q, P, Qt, iteration
 
 
-def _member_by_member(textbook_step, scheme, system, state, h, cfg):
+def _member_by_member(textbook_step, scheme, system, state, h, tol):
     """``textbook_step`` applied to each member of a batch (n, d), each with
     its own row of omega_sq; the stage arrays stack along axis 1."""
     out, failed = [], []
@@ -237,7 +233,7 @@ def _member_by_member(textbook_step, scheme, system, state, h, cfg):
                                   omega_sq=system.omega_sq[k])
         try:
             out.append(textbook_step(scheme, member, PhaseState(q=state.q[k], p=state.p[k]),
-                                     h, cfg))
+                                     h, tol))
         except StageSolveError:
             failed.append(k)
     if failed:

@@ -16,7 +16,6 @@ from symparc.integrator import (
     ArkStepper,
     PhaseState,
     SplitForceSystem,
-    StageSolveConfig,
     integrate,
     reference_solve,
     scheme_from_name,
@@ -40,7 +39,7 @@ from _golden import (
     half_trace_order4,
     half_trace_order6,
 )
-from _helpers import flow_jacobian_fd, symplectic_residual, tight_config
+from _helpers import TIGHT_TOL, flow_jacobian_fd, symplectic_residual
 
 _RESULTS = []
 
@@ -177,7 +176,7 @@ def test_criterion_06_symplecticity(schemes):
     state = fput.paper_initial_state(params)
     worst = 0.0
     for name in ("lgl2", "lgl4", "lgl6"):
-        stepper = ArkStepper(schemes[name], system, tight_config())
+        stepper = ArkStepper(schemes[name], system, TIGHT_TOL)
         jac = flow_jacobian_fd(stepper.step, state, 0.01)
         worst = max(worst, symplectic_residual(jac))
     _criterion(6, "finite-difference symplecticity on the chain", worst < 1e-5,

@@ -12,7 +12,7 @@ import pytest
 import symparc
 from symparc import fput, stability
 from symparc.cli import main
-from symparc.integrator import StageSolveConfig, scheme_from_name
+from symparc.integrator import scheme_from_name
 
 from _helpers import cellwise_csv
 
@@ -103,11 +103,13 @@ def test_stability_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("grid", ["0", "-3", "10000000000000"])
 def test_stability_rejects_empty_grid(tmp_path, capsys, grid):
+    # a grid too large to hold is refused by the check, before any sample
+    # is allocated
     assert run_cli(["stability", "--scheme", "lgl4", "--grid", grid,
                     "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error: --grid")
+    assert capsys.readouterr().err.startswith("error: --grid must be")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -212,9 +214,10 @@ def test_integrate_rejects_unknown_scheme(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "inf"], ["--T", "inf"],
-                                   ["--tol", "inf"], ["--T", "-1"], ["--stride", "0"]],
+                                   ["--tol", "inf"], ["--T", "-1"], ["--stride", "0"],
+                                   ["--h", "5e-324", "--T", "1e300"]],
                          ids=["h-zero", "h-inf", "T-inf", "tol-inf", "T-negative",
-                              "stride-zero"])
+                              "stride-zero", "h-too-small"])
 def test_integrate_rejects_invalid_step(tmp_path, capsys, flags):
     out = tmp_path / "traj.csv"
     assert run_cli(["integrate", "--scheme", "lgl4", "--h", "0.1", "--T", "1",
@@ -249,18 +252,18 @@ def test_fput_sweep_takes_the_solver_flags(tmp_path, capsys, monkeypatch):
     # --tol reaches the sweep's stepper as it reaches every other
     # experiment's; the slow force's iteration diverges at h = 1.5, so every
     # point fails, and the sweep says so
-    configs = []
+    tols = []
     plain = fput.make_stepper
 
-    def recorded(scheme, system, config=None):
-        configs.append(config)
-        return plain(scheme, system, config)
+    def recorded(scheme, system, tol=1e-12):
+        tols.append(tol)
+        return plain(scheme, system, tol)
 
     monkeypatch.setattr(fput, "make_stepper", recorded)
     out = tmp_path / "sweep.csv"
     assert run_cli(["fput", "sweep", "--points", "4", "--T", "3", "--h", "1.5",
                     "--tol", "1e-11", "--out", str(out)]) == 1
-    assert configs and all(c == StageSolveConfig(tolerance=1e-11) for c in configs)
+    assert tols and all(tol == 1e-11 for tol in tols)
     err = capsys.readouterr().err
     assert "every point failed" in err and err.count("NonconvergenceError") == 4
     # each names the step it failed in, as the reduction study's failures do
@@ -285,11 +288,24 @@ def test_fput_energy_rejects_zero_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["fput", "energy", "--h", "1e-320", "--T", "1e10"],
+                                  ["fput", "highfreq", "--h", "1e-320"],
+                                  ["fput", "sweep", "--h", "1e-320", "--T", "1"]],
+                         ids=["energy", "highfreq", "sweep"])
+def test_fput_rejects_step_counts_beyond_int64(tmp_path, capsys, args):
+    # T / h of 2^63 steps or more (here inf) fits no int64 step count: it is
+    # refused by name, not left to overflow or to wrap around
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --h ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["energy", "highfreq"])
 def test_fput_energy_rejects_infinite_time(tmp_path, capsys, experiment):
     out = tmp_path / "energy.csv"
     assert run_cli(["fput", experiment, "--T", "inf", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: T must be nonnegative and finite")
+    assert capsys.readouterr().err.startswith("error: --T must be nonnegative and finite")
     assert not out.exists()
 
 
@@ -336,9 +352,15 @@ def test_reference_tolerance_zero_rejected(tmp_path, capsys, monkeypatch, comman
 @pytest.mark.parametrize("command", [["fput", "reduction", "--schemes", "lgl4",
                                       "--h-list", "0", "--omega-list", "10", "--T", "1"],
                                      ["converge", "--schemes", "lgl2", "--T", "0.5",
-                                      "--h-list", "0,0.1"]],
-                         ids=["fput-reduction", "converge"])
+                                      "--h-list", "0,0.1"],
+                                     ["fput", "reduction", "--schemes", "lgl2",
+                                      "--h-list", "1e-320", "--omega-list", "1", "--T", "0.5"],
+                                     ["converge", "--schemes", "lgl2", "--T", "0.5",
+                                      "--h-list", "1e-320,0.1"]],
+                         ids=["fput-reduction", "converge", "fput-reduction-overflow",
+                              "converge-overflow"])
 def test_zero_step_in_h_list_rejected(tmp_path, capsys, monkeypatch, command):
+    # as is an h whose step count T / h (inf here) fits no int64
     import symparc.fput as fput
 
     def never(*args, **kwargs):
@@ -347,7 +369,8 @@ def test_zero_step_in_h_list_rejected(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(fput, "reference_solve", never)
     out = tmp_path / "out.csv"
     assert run_cli(command + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--h-list" in err
     assert not out.exists()
 
 
@@ -367,7 +390,7 @@ def test_nonpositive_horizon_rejected(tmp_path, capsys, monkeypatch, command, T)
     monkeypatch.setattr(fput, "reference_solve", never)
     out = tmp_path / "out.csv"
     assert run_cli(command + ["--T", T, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: T must be positive and finite")
+    assert capsys.readouterr().err.startswith("error: --T must be positive and finite")
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from symparc.fput import (
 from symparc.integrator import (
     NonconvergenceError,
     PhaseState,
-    StageSolveConfig,
     StageSolveError,
     integrate,
     reference_solve,
@@ -330,6 +329,22 @@ def test_h_grids_rejected_before_the_oracle(monkeypatch, h_grid):
         convergence_errors(["lgl4"], params, h_grid, 1.0)
 
 
+def test_step_counts_beyond_int64_rejected():
+    # T / h of 2^63 steps or more, inf or finite, fits no int64 step count:
+    # each study refuses it by name before it steps, instead of overflowing
+    # or wrapping around to a count that never ends
+    params = FputParams(ell=3, omega=10.0)
+    with pytest.raises(ValueError, match="^h 1e-320 is too small for T 10000000000.0"):
+        experiment_energy("lgl4", params, 1e-320, 1e10)
+    with pytest.raises(ValueError, match="^h 1e-320 is too small for T 1.0"):
+        experiment_resonance_sweep("lgl4", params, 1e-320, 1.0, [10.0])
+    with pytest.raises(ValueError, match="^h 1e-320 is too small for T 0.5"):
+        fput._step_grid([0.1, 1e-320], 0.5)
+    with pytest.raises(ValueError, match="^h 1e-19 is too small for T 10.0"):
+        fput._step_grid([0.1, 1e-19], 10.0)
+    assert fput._step_grid([0.1, 0.3, 2.0], 0.5).tolist() == [5, 2, 1]
+
+
 def test_csv_writers_match_cellwise_formatting(tmp_path):
     special = np.array(SPECIAL)
     hist = fput.EnergyHistory(times=special, hamiltonian=special[::-1].copy(),
@@ -354,13 +369,15 @@ def test_csv_writers_match_cellwise_formatting(tmp_path):
 
 
 def test_reduction_records_stage_solve_failures():
+    # at h = 2 neither scheme's slow-force iteration reaches the tolerance
+    # within the pass cap in the first step
     params = FputParams(ell=3, omega=10.0)
-    table = experiment_order_reduction(["lgl4", "lgl6"], params, 10.0, [5.0],
-                                       [10.0], config=StageSolveConfig(max_iterations=1),
-                                       reference_tol=1e-10)
+    table = experiment_order_reduction(["lgl4", "lgl6"], params, 10.0, [2.0],
+                                       [10.0], reference_tol=1e-10)
     assert len(table.rows) == 2
     assert [i for i, _ in table.failures] == [0, 1]
-    assert all(msg.startswith("NonconvergenceError: step 0") for _, msg in table.failures)
+    assert all(msg.startswith("NonconvergenceError: step 0") and "within 50 iterations" in msg
+               for _, msg in table.failures)
     assert all(math.isnan(r.err_slow_q) and math.isnan(r.err_slow_p) for r in table.rows)
 
 
@@ -369,27 +386,16 @@ def test_overflowing_run_records_numerical_failure():
     # two steps of 5 diverge: the chain force overflows, and the run records
     # the engine's typed error instead of raising NumPy's overflow warning
     table = experiment_order_reduction(["imex-yoshida4"], FputParams(ell=3, omega=10.0), 10.0,
-                                       [5.0], [10.0], config=StageSolveConfig(max_iterations=1),
-                                       reference_tol=1e-10)
+                                       [5.0], [10.0], reference_tol=1e-10)
     assert table.failures == ((0, "NumericalFailureError: force evaluation returned NaN/Inf"),)
     assert math.isnan(table.rows[0].err_slow_q) and math.isnan(table.rows[0].err_slow_p)
 
 
-def _single_state_final(name, params, T, h, config=None):
+def _single_state_final(name, params, T, h):
     """The final state of one single-state run of ``name`` landing on T."""
     n_steps = max(1, int(round(T / h)))
     return integrate(name, fput_system(params), paper_initial_state(params), T / n_steps,
-                     n_steps, config=config, stride=n_steps).final_state()
-
-
-def test_max_iterations_does_not_bound_an_explicit_scheme():
-    # lgl2, the base of imex-yoshida4, has no interior stage: its steps take
-    # no pass for max_iterations to cut short
-    params = FputParams(ell=3, omega=10.0)
-    one = _single_state_final("imex-yoshida4", params, 1.0, 0.05,
-                              StageSolveConfig(max_iterations=1))
-    default = _single_state_final("imex-yoshida4", params, 1.0, 0.05)
-    assert np.array_equal(one.q, default.q) and np.array_equal(one.p, default.p)
+                     n_steps, stride=n_steps).final_state()
 
 
 def _assert_relative(got, want, bound=1e-13):

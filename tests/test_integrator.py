@@ -19,7 +19,6 @@ from symparc.integrator import (
     PhaseState,
     SingularStageSystemError,
     SplitForceSystem,
-    StageSolveConfig,
     StageSolveError,
     Trajectory,
     YOSHIDA4_SUBSTEPS,
@@ -37,6 +36,7 @@ from symparc.tableaux import MAX_STAGES, ArkScheme, Variant, build_scheme
 
 from _helpers import (
     SPECIAL_FLOATS,
+    TIGHT_TOL,
     cellwise_csv,
     flow_jacobian_fd,
     harmonic_system,
@@ -48,7 +48,6 @@ from _helpers import (
     textbook_lawson_rk8,
     textbook_linear_stage_step,
     textbook_rk8,
-    tight_config,
 )
 
 ALL_SCHEMES = ["lgl2", "lgl4", "lgl6", "lglc2", "lglc4", "lglc6"]
@@ -151,14 +150,13 @@ def test_batch_matches_single_state_runs(name, tolerance):
     # off, so every member must stop where it would alone; every sum of a
     # step runs column by column, so each member is bitwise its single run
     h = 0.02
-    config = StageSolveConfig(tolerance=tolerance)
     omegas = [20.0, 50.0, 1.1027 * math.pi / h, 2.0 * math.sqrt(3.0) / h, 300.0, 1000.0]
     systems = [fput.fput_system(fput.FputParams(ell=3, omega=w)) for w in omegas]
-    singles = [make_stepper(name, system, config) for system in systems]
+    singles = [make_stepper(name, system, tolerance) for system in systems]
     states = [fput.paper_initial_state(fput.FputParams(ell=3, omega=w)) for w in omegas]
     batch_system = SplitForceSystem(dimension=6, f1=systems[0].f1,
                                     omega_sq=np.stack([s.omega_sq for s in systems]))
-    batch = make_stepper(name, batch_system, config)
+    batch = make_stepper(name, batch_system, tolerance)
     state = PhaseState(q=np.stack([s.q for s in states]), p=np.stack([s.p for s in states]))
     for _ in range(200):
         state, iterations = batch.step_with_iterations(state, h)
@@ -197,7 +195,7 @@ def _chain_system(omega, batch):
     return fput.fput_system(params), fput.paper_initial_state(params)
 
 
-def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps=200,
+def _steps_match_textbook(textbook_step, scheme, system, state, h, steps=200,
                           explicit=False):
     """Step the engine ``steps`` times and check each step, from the engine's
     state, against ``textbook_step``: q1 and p1 (and every 20th step the
@@ -207,7 +205,7 @@ def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps
     textbook names too, or None.  The engine steps the system without its
     omega_sq where the textbook iterates by fixed point."""
     fixed_point = textbook_step is textbook_fixed_point_step
-    stepper = ArkStepper(scheme, iterated(system) if fixed_point else system, config)
+    stepper = ArkStepper(scheme, iterated(system) if fixed_point else system)
     batch = state.q.ndim == 2
 
     def members(x, axis=0):
@@ -216,7 +214,7 @@ def _steps_match_textbook(textbook_step, scheme, system, state, h, config, steps
 
     for step in range(steps):
         try:
-            q1, p1, Q, P, Qt, iterations = textbook_step(scheme, system, state, h, config)
+            q1, p1, Q, P, Qt, iterations = textbook_step(scheme, system, state, h)
         except StageSolveError as exc:
             with pytest.raises(StageSolveError) as info:
                 stepper.step_with_iterations(state, h)
@@ -248,7 +246,7 @@ def test_folded_step_matches_textbook_iteration(name, omega, h, batch):
     system, state = _chain_system(omega, batch)
     scheme = scheme_from_name(name)
     failure = _steps_match_textbook(textbook_linear_stage_step, scheme, system, state, h,
-                                    StageSolveConfig(), explicit=scheme.s1 == 2)
+                                    explicit=scheme.s1 == 2)
     # lglc4 at h*omega = 100 is outside its stability interval: the
     # slow-force iteration diverges for both, in the same members
     assert failure is None or (name, omega) == ("lglc4", 1e3)
@@ -263,7 +261,7 @@ def test_fixed_point_step_matches_textbook_iteration(name, omega, batch):
     # textbook loop does
     system, state = _chain_system(omega, batch)
     failure = _steps_match_textbook(textbook_fixed_point_step, scheme_from_name(name),
-                                    system, state, 0.02, StageSolveConfig())
+                                    system, state, 0.02)
     # the batch's member at 2 omega = 100 sits at h*omega = 2, where plain
     # iteration of lgl2 no longer contracts: the engine and the textbook
     # both fail that member, and only it
@@ -286,13 +284,13 @@ def _relabelled(scheme):
                          ids=["linearly-implicit", "fixed-point"])
 @pytest.mark.parametrize("name", ["lgl2", "lgl4", "lgl6"])
 def test_relabelled_stages_match_textbook_iteration(name, textbook):
-    # the explicit stage and the lagged force are read off the fold's zeros
-    # wherever they sit, so the loop takes them in another order here
+    # the stepper looks for the Lobatto zeros only in the first row of a and
+    # the last column of ahat; relabelled, they sit elsewhere, so the loop
+    # iterates every stage, as the textbook does, and still converges to
+    # the same step, lgl2 included
     system, state = _chain_system(5.0, batch=True)
     failure = _steps_match_textbook(textbook, _relabelled(scheme_from_name(name)), system,
-                                    state, 0.02, StageSolveConfig(), steps=40,
-                                    explicit=textbook is textbook_linear_stage_step
-                                    and name == "lgl2")
+                                    state, 0.02, steps=40)
     assert failure is None
 
 
@@ -410,11 +408,12 @@ def test_batch_failures_name_their_members():
             PhaseState(q=np.ones((4, 1)), p=np.zeros((4, 1))), [0.01, 0.02, 0.02, 0.03])
     assert info.value.members == (1, 2)
 
-    # the resting member converges at once, the displaced one needs more passes
+    # at h = 2.5 the resting member converges at once, and the displaced
+    # one's iteration diverges
     cubic = SplitForceSystem(dimension=1, f1=lambda q: -q ** 3, omega_sq=[[1.0], [1.0]])
-    with pytest.raises(NonconvergenceError) as info:
-        ArkStepper(scheme_from_name("lgl4"), cubic, StageSolveConfig(max_iterations=1)).step(
-            PhaseState(q=[[0.0], [2.0]], p=[[0.0], [1.0]]), 0.1)
+    with pytest.raises(NonconvergenceError, match="diverged") as info:
+        ArkStepper(scheme_from_name("lgl4"), cubic).step(
+            PhaseState(q=[[0.0], [2.0]], p=[[0.0], [1.0]]), 2.5)
     assert info.value.members == (1,)
 
     def blows_up(q):
@@ -483,9 +482,10 @@ def test_fixed_point_fold_factors_nothing(monkeypatch):
             ark_step(scheme, system, state, 0.02)
 
 
-def test_zero_step_keeps_the_tableau_layout():
-    # the layout comes from the tableau, so a zero step size, whose fold is
-    # zero throughout, is explicit for lgl2 as every other step size is
+def test_zero_step_keeps_the_lobatto_slots():
+    # the explicit and lagged slots come from the tableau, not the fold, so
+    # a zero step size, whose fold is zero throughout, is explicit for lgl2
+    # as every other step size is
     params = fput.FputParams(ell=3, omega=50.0)
     system, state = fput.fput_system(params), fput.paper_initial_state(params)
     for name, passes in (("lgl2", 0), ("lgl4", 1), ("lglc6", 1)):
@@ -655,20 +655,20 @@ def test_non_finite_step_size_rejected(bad):
         assert np.all(np.isfinite(stepped.q)) and np.all(np.isfinite(stepped.p))
 
 
-def _batched_run(name, system, state, hs, steps, config):
+def _batched_run(name, system, state, hs, steps):
     """``steps`` steps of per-member sizes ``hs`` from ``state`` repeated per member."""
-    stepper = make_stepper(name, system, config)
+    stepper = make_stepper(name, system)
     batch = PhaseState(q=np.tile(state.q, (len(hs), 1)), p=np.tile(state.p, (len(hs), 1)))
     for _ in range(steps):
         batch = stepper.step(batch, hs)
     return batch
 
 
-def _single_runs(name, system, state, hs, steps, config):
+def _single_runs(name, system, state, hs, steps):
     """The final state of ``steps`` single-state steps for each h of ``hs``."""
     singles = []
     for h in hs:
-        single, stepper = state, make_stepper(name, system, config)
+        single, stepper = state, make_stepper(name, system)
         for _ in range(steps):
             single = stepper.step(single, h)
         singles.append(single)
@@ -687,13 +687,13 @@ def test_per_member_step_sizes_match_single_states(name, fixed_point):
     solved = iterated if fixed_point else (lambda system: system)
     system = solved(chain)
     hs = np.array([0.02, 0.013, 0.005, 0.02, 0.0071])
-    batch = _batched_run(name, system, state, hs, 40, None)
-    for k, single in enumerate(_single_runs(name, system, state, hs, 40, None)):
+    batch = _batched_run(name, system, state, hs, 40)
+    for k, single in enumerate(_single_runs(name, system, state, hs, 40)):
         assert np.array_equal(batch.q[k], single.q) and np.array_equal(batch.p[k], single.p)
     np.testing.assert_allclose(batch.t, 40 * hs, rtol=1e-13)
     per_row = SplitForceSystem(dimension=6, f1=chain.f1,
                                omega_sq=np.tile(chain.omega_sq, (len(hs), 1)))
-    rows = _batched_run(name, solved(per_row), state, hs, 40, None)
+    rows = _batched_run(name, solved(per_row), state, hs, 40)
     assert np.array_equal(rows.q, batch.q) and np.array_equal(rows.p, batch.p)
 
 
@@ -753,14 +753,13 @@ def test_stepper_is_freed_by_reference_counting(solved):
 # system validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kwargs", [{"tolerance": 0.0}, {"tolerance": -1e-12},
-                                    {"tolerance": math.nan}, {"tolerance": math.inf},
-                                    {"max_iterations": 0}],
-                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "iters-zero"])
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan},
+                                    {"tol": math.inf}],
+                         ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf"])
 def test_stage_config_validation(kwargs):
     # an infinite tolerance would accept the start as the converged stages
-    with pytest.raises(ValueError):
-        StageSolveConfig(**kwargs)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ArkStepper(scheme_from_name("lgl4"), harmonic_system(1.0), **kwargs)
 
 
 def test_split_system_validation():
@@ -867,7 +866,7 @@ def test_determinism_bitwise():
 def test_step_is_symplectic_fd(name):
     params = fput.FputParams(ell=2, omega=10.0)
     system = fput.fput_system(params)
-    stepper = ArkStepper(scheme_from_name(name), system, tight_config())
+    stepper = ArkStepper(scheme_from_name(name), system, TIGHT_TOL)
     state = fput.paper_initial_state(params)
     jac = flow_jacobian_fd(stepper.step, state, 0.01)
     assert symplectic_residual(jac) < 1e-5
@@ -936,7 +935,7 @@ def test_composition_reports_substep_iterations(tmp_path):
 def test_composition_time_symmetry(name):
     params = fput.FputParams(ell=2, omega=3.0)
     system = fput.fput_system(params)
-    stepper = make_stepper(name, system, tight_config())
+    stepper = make_stepper(name, system, TIGHT_TOL)
     state0 = fput.paper_initial_state(params)
     mid = stepper.step(state0, 0.05)
     back = stepper.step(mid, -0.05)
@@ -1042,7 +1041,7 @@ def test_reference_agrees_with_ark_on_smooth_problem(T, q0, p0):
     state = PhaseState(q=[q0], p=[p0])
     ref = reference_solve(system, state, T, tol=1e-12)
     n = 400
-    traj = integrate("lgl6", system, state, T / n, n, config=tight_config(),
+    traj = integrate("lgl6", system, state, T / n, n, tol=TIGHT_TOL,
                      stride=n)
     final = traj.final_state()
     assert abs(final.q[0] - ref.q[0]) < 1e-9
