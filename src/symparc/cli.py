@@ -26,9 +26,11 @@ from symparc.integrator import (
     integrate,
     scheme_from_name,
 )
-from symparc.tableaux import build_scheme, scheme_to_json, verify_order_conditions
+from symparc.tableaux import (build_scheme, scheme_to_csv, scheme_to_json,
+                              verify_order_conditions)
 
 _SCHEME_CHOICES = "lgl2|lgl4|lgl6|lglc2|lglc4|lglc6|imex-yoshida4|imex-yoshida6"
+_DEFAULT = " (default: %(default)s)"
 
 
 def _fmt(x) -> str:
@@ -36,15 +38,15 @@ def _fmt(x) -> str:
 
 
 def _stage_tol(args) -> float:
-    """The stage tolerance: --tol, checked, or 1e-12 when it was not given."""
-    if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
+    """The stage tolerance --tol, checked."""
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise ValueError("--tol must be positive and finite")
-    return _given(args.tol, 1e-12)
+    return args.tol
 
 
-def _given(value, default):
-    """An option's value, or the default when it was not given (0 is given)."""
-    return default if value is None else value
+def _floats(text: str) -> list[float]:
+    """A comma-separated list of numbers, such as an --h-list."""
+    return [float(x) for x in text.split(",")]
 
 
 def _known_scheme(name: str) -> str:
@@ -59,27 +61,11 @@ def _known_scheme(name: str) -> str:
 # tableau
 # ---------------------------------------------------------------------------
 
-def _tableau_csv(scheme) -> str:
-    lines = ["name,i,j,value"]
-    matrices = {"A": scheme.a, "Ahat": scheme.a_hat, "Atilde": scheme.a_tilde,
-                "AtildeHat": scheme.a_tilde_hat}
-    vectors = {"b": scheme.b, "c": scheme.c, "btilde": scheme.b_tilde,
-               "ctilde": scheme.c_tilde}
-    for name, m in matrices.items():
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                lines.append(f"{name},{i + 1},{j + 1},{_fmt(x)}")
-    for name, v in vectors.items():
-        for i, x in enumerate(v):
-            lines.append(f"{name},{i + 1},,{_fmt(x)}")
-    return "\n".join(lines)
-
-
 def _cmd_tableau(args) -> int:
     scheme = build_scheme(args.s1, args.variant)
     if args.verify and args.format == "csv":
         raise ValueError("--verify needs --format json")
-    text = _tableau_csv(scheme) if args.format == "csv" else scheme_to_json(scheme)
+    text = scheme_to_csv(scheme) if args.format == "csv" else scheme_to_json(scheme)
     if args.verify:
         report = verify_order_conditions(scheme)
         entries = ",\n    ".join(
@@ -111,6 +97,18 @@ def _report_json(report: stab.StabilityReport) -> str:
                 report.scheme_id, str(report.p_stable).lower(), intervals, resonances))
 
 
+def _stability_rows(scheme, mus):
+    """The stability CSV's rows, one kernel chunk of mu solved at a time, so
+    that no (N, 2, 2) matrix or N-row column list is held."""
+    for start in range(0, len(mus), stab._CHUNK):
+        m = mus[start:start + stab._CHUNK]
+        M = stab.stability_matrix_samples(scheme, m)
+        m11, m22 = M[:, 0, 0], M[:, 1, 1]
+        ht = 0.5 * (m11 + m22)
+        det = m11 * m22 - M[:, 0, 1] * M[:, 1, 0]
+        yield from zip(*(c.tolist() for c in (m, ht, det, m11, m22, stab._modified_mu(ht))))
+
+
 def _cmd_stability(args) -> int:
     if not 0.0 < args.mu_max <= stab.MAX_INTERVAL_MU:
         raise ValueError(f"--mu-max must be positive and at most {stab.MAX_INTERVAL_MU:g}")
@@ -119,14 +117,9 @@ def _cmd_stability(args) -> int:
     scheme = scheme_from_name(args.scheme)
     report = stab.stability_intervals(scheme, args.mu_max)
 
-    mus = np.linspace(0.0, args.mu_max, args.grid)
-    M = stab.stability_matrix_samples(scheme, mus)
-    m11, m22 = M[:, 0, 0], M[:, 1, 1]
-    ht = 0.5 * (m11 + m22)
-    det = m11 * m22 - M[:, 0, 1] * M[:, 1, 0]
     _write_table(args.out + ".csv", "mu,half_trace,det,m11,m22,modified_mu",
-                 ",".join(["%.17g"] * 6), zip(*(col.tolist() for col in (
-                     mus, ht, det, m11, m22, stab._modified_mu(ht)))))
+                 ",".join(["%.17g"] * 6),
+                 _stability_rows(scheme, np.linspace(0.0, args.mu_max, args.grid)))
     with open(args.out + ".json", "w", newline="\n") as fh:
         fh.write(_report_json(report) + "\n")
     print(f"{report.scheme_id}: p_stable={report.p_stable} "
@@ -146,17 +139,25 @@ def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
     return values
 
 
+# the flags that each problem never reads; each is None unless given
+_FOREIGN_FLAGS = {"fput": ("--dim", "--q0", "--p0"), "free": ("--ell", "--omega")}
+
+
 def _cmd_integrate(args) -> int:
     name = _known_scheme(args.scheme)
     n_steps = _step_count(args.T, args.h, ("--T", "--h"))
     if args.stride < 1:
         raise ValueError("--stride must be at least 1")
+    for flag in _FOREIGN_FLAGS[args.problem]:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} does not apply to --problem {args.problem}")
     if args.problem == "fput":
-        params = fputmod.FputParams(ell=args.ell, omega=args.omega)
+        params = fputmod.FputParams(ell=3 if args.ell is None else args.ell,
+                                    omega=50.0 if args.omega is None else args.omega)
         system = fputmod.fput_system(params)
         state0 = fputmod.paper_initial_state(params)
     else:
-        d = args.dim
+        d = 1 if args.dim is None else args.dim
         system = SplitForceSystem(dimension=d)
         state0 = PhaseState(q=_parse_vector(args.q0, d, "--q0"),
                             p=_parse_vector(args.p0, d, "--p0"))
@@ -193,66 +194,55 @@ def _write_trajectory_json(traj, path):
 # fput experiment suite
 # ---------------------------------------------------------------------------
 
-def _cmd_fput(args) -> int:
-    if args.experiment in ("energy", "highfreq"):
-        energy = args.experiment == "energy"
-        params = fputmod.FputParams(ell=args.ell,
-                                    omega=_given(args.omega, 50.0 if energy else 1000.0))
-        h = _given(args.h, 2.0 / params.omega if energy else 0.1)
-        T = _given(args.T, 200.0 if energy else 4000.0)
-        _step_count(T, h, ("--T", "--h"))
-        history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, T,
-                                            tol=_stage_tol(args))
-        history.write_csv(args.out or args.experiment + ".csv")
-        detail = (f"{len(history.times) - 1} steps" if energy
-                  else f"h*omega/pi = {_fmt(h * params.omega / math.pi)}")
-        print(f"{args.experiment}: {detail}, "
-              f"max |H-H0| = {_fmt(np.max(history.energy_error))}", file=sys.stderr)
-        return 0
+def _cmd_energy(args) -> int:
+    """fput energy and fput highfreq: one run and its energy history."""
+    params = fputmod.FputParams(ell=args.ell, omega=args.omega)
+    h = 2.0 / params.omega if args.h is None else args.h
+    _step_count(args.T, h, ("--T", "--h"))
+    history = fputmod.experiment_energy(_known_scheme(args.scheme), params, h, args.T,
+                                        tol=_stage_tol(args))
+    history.write_csv(args.out)
+    detail = (f"{len(history.times) - 1} steps" if args.experiment == "energy"
+              else f"h*omega/pi = {_fmt(h * params.omega / math.pi)}")
+    print(f"{args.experiment}: {detail}, "
+          f"max |H-H0| = {_fmt(np.max(history.energy_error))}", file=sys.stderr)
+    return 0
 
-    if args.experiment == "sweep":
-        if args.points < 1:
-            raise ValueError("--points must be at least 1")
-        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
-        h = _given(args.h, 0.02)
-        T = _given(args.T, 100.0)
-        _step_count(T, h, ("--T", "--h"))  # the grid divides by h
-        ratios = np.linspace(4.5 / args.points, 4.5, args.points)
-        omegas = ratios * math.pi / h
-        result = fputmod.experiment_resonance_sweep(
-            _known_scheme(args.scheme), params, h, T, omegas, tol=_stage_tol(args))
-        result.write_csv(args.out or "sweep.csv")
-        errors = result.max_energy_error
-        peak = ("none, every point failed" if np.isnan(errors).all()
-                else _fmt(result.h_omega_over_pi[int(np.nanargmax(errors))]))
-        print(f"sweep: {args.points} points, largest peak at h*omega/pi = {peak}",
-              file=sys.stderr)
-        if result.failures:
-            for idx, msg in result.failures:
-                print(f"  point {idx} failed: {msg}", file=sys.stderr)
-            return 1
-        return 0
 
-    if args.experiment == "reduction":
-        names = [_known_scheme(s) for s in args.schemes.split(",")]
-        params = fputmod.FputParams(ell=args.ell, omega=_given(args.omega, 50.0))
-        h_grid = ([float(x) for x in args.h_list.split(",")] if args.h_list
-                  else [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
-        omega_grid = ([float(x) for x in args.omega_list.split(",")] if args.omega_list
-                      else [10.0, 100.0, 1000.0, 10000.0])
-        T = _given(args.T, 3.0)
-        fputmod._step_grid(h_grid, T, ("--T", "--h-list value"))
-        table = fputmod.experiment_order_reduction(
-            names, params, T, h_grid, omega_grid,
-            tol=_stage_tol(args), reference_tol=args.ref_tol)
-        table.write_csv(args.out or "reduction.csv")
-        print(f"reduction: {len(table.rows)} rows, {len(table.failures)} failed points",
-              file=sys.stderr)
-        for idx, msg in table.failures:
-            print(f"  row {idx} failed: {msg}", file=sys.stderr)
-        return 1 if table.failures else 0
+def _cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
+    params = fputmod.FputParams(ell=args.ell)
+    _step_count(args.T, args.h, ("--T", "--h"))  # the grid divides by h
+    ratios = np.linspace(4.5 / args.points, 4.5, args.points)
+    omegas = ratios * math.pi / args.h
+    result = fputmod.experiment_resonance_sweep(
+        _known_scheme(args.scheme), params, args.h, args.T, omegas, tol=_stage_tol(args))
+    result.write_csv(args.out)
+    errors = result.max_energy_error
+    peak = ("none, every point failed" if np.isnan(errors).all()
+            else _fmt(result.h_omega_over_pi[int(np.nanargmax(errors))]))
+    print(f"sweep: {args.points} points, largest peak at h*omega/pi = {peak}",
+          file=sys.stderr)
+    for idx, msg in result.failures:
+        print(f"  point {idx} failed: {msg}", file=sys.stderr)
+    return 1 if result.failures else 0
 
-    raise ValueError(f"unknown experiment {args.experiment!r}")
+
+def _cmd_reduction(args) -> int:
+    names = [_known_scheme(s) for s in args.schemes.split(",")]
+    params = fputmod.FputParams(ell=args.ell)
+    h_grid, omega_grid = _floats(args.h_list), _floats(args.omega_list)
+    fputmod._step_grid(h_grid, args.T, ("--T", "--h-list value"))
+    table = fputmod.experiment_order_reduction(
+        names, params, args.T, h_grid, omega_grid,
+        tol=_stage_tol(args), reference_tol=args.ref_tol)
+    table.write_csv(args.out)
+    print(f"reduction: {len(table.rows)} rows, {len(table.failures)} failed points",
+          file=sys.stderr)
+    for idx, msg in table.failures:
+        print(f"  row {idx} failed: {msg}", file=sys.stderr)
+    return 1 if table.failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +252,7 @@ def _cmd_fput(args) -> int:
 def _cmd_converge(args) -> int:
     names = [_known_scheme(s) for s in args.schemes.split(",")]
     params = fputmod.FputParams(ell=args.ell, omega=args.omega)
-    h_list = ([float(x) for x in args.h_list.split(",")] if args.h_list
-              else [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160])
+    h_list = _floats(args.h_list)
     fputmod._step_grid(h_list, args.T, ("--T", "--h-list value"))
     errors = fputmod.convergence_errors(names, params, h_list, args.T,
                                         tol=_stage_tol(args), reference_tol=args.ref_tol)
@@ -306,44 +295,62 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="integrate one problem, write trajectory CSV")
     p.add_argument("--scheme", required=True, help=_SCHEME_CHOICES)
     p.add_argument("--problem", choices=["fput", "free"], default="fput")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--omega", type=float, default=50.0)
-    p.add_argument("--dim", type=int, default=1, help="dimension of the free problem")
-    p.add_argument("--q0", default="", help="comma-separated initial positions (free)")
-    p.add_argument("--p0", default="", help="comma-separated initial momenta (free)")
+    p.add_argument("--ell", type=int, help="stiff springs of the chain (default: 3)")
+    p.add_argument("--omega", type=float, help="stiff frequency of the chain (default: 50)")
+    p.add_argument("--dim", type=int, help="dimension of the free problem (default: 1)")
+    p.add_argument("--q0", help="comma-separated initial positions, free problem (default: 0)")
+    p.add_argument("--p0", help="comma-separated initial momenta, free problem (default: 0)")
     p.add_argument("--h", type=float, default=0.04)
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None, help="stage tolerance")
+    p.add_argument("--tol", type=float, default=1e-12, help="stage tolerance")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="traj.csv")
     p.set_defaults(fn=_cmd_integrate)
 
     p = sub.add_parser("fput", help="oscillatory-chain experiment suite")
-    p.add_argument("experiment", choices=["energy", "sweep", "reduction", "highfreq"])
-    p.add_argument("--scheme", default="lgl4", help=_SCHEME_CHOICES)
-    p.add_argument("--schemes", default="lgl4,imex-yoshida4",
-                   help="comma list for the reduction experiment")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--omega", type=float, default=None,
-                   help="stiff frequency (default 50; 1000 for highfreq)")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--points", type=int, default=450, help="sweep grid size")
-    p.add_argument("--h-list", default=None, dest="h_list")
-    p.add_argument("--omega-list", default=None, dest="omega_list")
-    p.add_argument("--tol", type=float, default=None, help="stage tolerance")
-    p.add_argument("--ref-tol", type=float, default=1e-9, dest="ref_tol")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_fput)
+    experiments = p.add_subparsers(dest="experiment", required=True)
+
+    def experiment(name, helptext, fn, T):
+        """A sub-parser with the flags that every experiment reads."""
+        e = experiments.add_parser(name, help=helptext, allow_abbrev=False)
+        e.set_defaults(fn=fn)
+        e.add_argument("--ell", type=int, default=3, help="stiff springs" + _DEFAULT)
+        e.add_argument("--T", type=float, default=T, help="time horizon" + _DEFAULT)
+        e.add_argument("--tol", type=float, default=1e-12, help="stage tolerance" + _DEFAULT)
+        e.add_argument("--out", default=name + ".csv", help="output CSV" + _DEFAULT)
+        return e
+
+    for name, helptext, omega, h, T in (
+            ("energy", "energy conservation of one run", 50.0, None, 200.0),
+            ("highfreq", "one run at a large step h*omega", 1000.0, 0.1, 4000.0)):
+        e = experiment(name, helptext, _cmd_energy, T)
+        e.add_argument("--scheme", default="lgl4", help=_SCHEME_CHOICES + _DEFAULT)
+        e.add_argument("--omega", type=float, default=omega, help="stiff frequency" + _DEFAULT)
+        e.add_argument("--h", type=float, default=h, help="step size" + (
+            " (default: 2/omega)" if h is None else _DEFAULT))
+
+    e = experiment("sweep", "largest energy error over a grid of h*omega/pi",
+                   _cmd_sweep, 100.0)
+    e.add_argument("--scheme", default="lgl4", help=_SCHEME_CHOICES + _DEFAULT)
+    e.add_argument("--h", type=float, default=0.02, help="step size" + _DEFAULT)
+    e.add_argument("--points", type=int, default=450, help="h*omega/pi values to 4.5" + _DEFAULT)
+
+    e = experiment("reduction", "global error over grids of h and omega",
+                   _cmd_reduction, 3.0)
+    e.add_argument("--schemes", default="lgl4,imex-yoshida4", help="scheme names" + _DEFAULT)
+    e.add_argument("--h-list", default="0.2,0.1,0.05,0.025,0.0125,0.00625",
+                   help="step sizes" + _DEFAULT)
+    e.add_argument("--omega-list", default="10,100,1000,10000", help="frequencies" + _DEFAULT)
+    e.add_argument("--ref-tol", type=float, default=1e-9, help="reference tolerance" + _DEFAULT)
 
     p = sub.add_parser("converge", help="global-error convergence study")
     p.add_argument("--schemes", default="lgl2,lgl4,lgl6")
     p.add_argument("--ell", type=int, default=3)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h-list", default=None, dest="h_list")
-    p.add_argument("--tol", type=float, default=None, help="stage tolerance")
+    p.add_argument("--h-list", default="0.1,0.05,0.025,0.0125,0.00625", dest="h_list")
+    p.add_argument("--tol", type=float, default=1e-12, help="stage tolerance")
     p.add_argument("--ref-tol", type=float, default=1e-13, dest="ref_tol")
     p.add_argument("--out", default="converge.csv")
     p.set_defaults(fn=_cmd_converge)

@@ -476,9 +476,12 @@ def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
 # Two-step trigonometric form
 # ---------------------------------------------------------------------------
 
+# the stage tolerance of the check's two steps, tighter than a run's 1e-12
+_TRIG_CHECK_TOL = 1e-14
+
+
 def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
-                         state: PhaseState, h: float,
-                         tol: float = 1e-14) -> float:
+                         state: PhaseState, h: float) -> float:
     """Residual of the two-step trigonometric identities at (state, h).
 
     Steps once with +h and once with -h, then checks
@@ -488,8 +491,8 @@ def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
 
     with mu = omega h, mu_t the modified frequency, f the slow force and
     Q_i^+- the primary stages of the two steps.  Returns the larger max-norm
-    residual.  Requires a linear fast part with a single frequency.  ``tol``
-    is the stage tolerance of the two steps (see :class:`ArkStepper`).
+    residual.  Requires a linear fast part with a single frequency.  The two
+    steps solve their stages to a tolerance of 1e-14 (see :class:`ArkStepper`).
     """
     if system.omega_sq is None:
         raise ValueError("trig form check needs the linear fast part")
@@ -504,7 +507,7 @@ def trig_form_step_check(scheme: ArkScheme, system: SplitForceSystem,
         raise NotStableError(f"method unstable at mu = {mu:g}")
     psi, mu_tilde = filters.psi, filters.modified_mu
 
-    stepper = ArkStepper(scheme, system, tol)
+    stepper = ArkStepper(scheme, system, _TRIG_CHECK_TOL)
 
     q0, p0 = state.q, state.p
     out = []

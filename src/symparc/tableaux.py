@@ -46,6 +46,7 @@ __all__ = [
     "build_scheme",
     "verify_order_conditions",
     "scheme_to_json",
+    "scheme_to_csv",
     "scheme_from_json",
 ]
 
@@ -54,6 +55,18 @@ __all__ = [
 # coefficient arrays.  Larger counts are refused rather than served
 # unchecked; at the cap the order is 22 and the stage block 23 x 23.
 MAX_STAGES = 12
+
+# The largest residual of a required order condition that still passes
+_ORDER_CONDITION_TOL = 1e-11
+# The quadrature residual below which a hypothesis of the conjugate row-sum
+# identity counts as met
+_ROW_SUM_HYPOTHESIS_TOL = 1e-10
+
+# The eight coefficient arrays, in the order every serialization lists them:
+# (name in JSON and CSV, ArkScheme field)
+_COEFFICIENTS = (("A", "a"), ("Ahat", "a_hat"), ("Atilde", "a_tilde"),
+                ("AtildeHat", "a_tilde_hat"), ("b", "b"), ("c", "c"),
+                ("btilde", "b_tilde"), ("ctilde", "c_tilde"))
 
 
 class Variant(str, Enum):
@@ -212,8 +225,8 @@ class ArkScheme:
     variant: Variant
 
     def __post_init__(self):
-        for name in ("a", "a_hat", "a_tilde", "a_tilde_hat", "b", "c", "b_tilde", "c_tilde"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for _, field in _COEFFICIENTS:
+            object.__setattr__(self, field, _frozen(getattr(self, field)))
         if self.a.shape != (self.s1, self.s1) or self.a_hat.shape != (self.s1, self.s1):
             raise ValueError("primary matrices must be s1 x s1")
         if self.a_tilde.shape != (self.s2, self.s1):
@@ -460,7 +473,7 @@ def _quadrature_residual(weights, nodes, degree: int) -> float:
     return float(np.max(np.abs(moments - 1.0 / (n + 1))))
 
 
-def conjugate_row_sum_hypotheses_met(scheme: ArkScheme, tol: float = 1e-10) -> bool:
+def conjugate_row_sum_hypotheses_met(scheme: ArkScheme) -> bool:
     """Whether the row-sum identity a_tilde_hat @ 1 = c is guaranteed.
 
     Interpolation needs the secondary quadrature exact to degree s1 - 1 and
@@ -471,13 +484,13 @@ def conjugate_row_sum_hypotheses_met(scheme: ArkScheme, tol: float = 1e-10) -> b
     if scheme.variant is Variant.INTERPOLATION:
         d1 = np.max(np.abs(scheme.a.T @ scheme.b - scheme.b * (1.0 - scheme.c)))
         sec = _quadrature_residual(scheme.b_tilde, scheme.c_tilde, scheme.s1 - 1)
-        return bool(d1 < tol and sec < tol)
+        return bool(d1 < _ROW_SUM_HYPOTHESIS_TOL and sec < _ROW_SUM_HYPOTHESIS_TOL)
     prim = _quadrature_residual(scheme.b, scheme.c, scheme.s1)
     sec = _quadrature_residual(scheme.b_tilde, scheme.c_tilde, scheme.s1)
-    return bool(prim < tol and sec < tol)
+    return bool(prim < _ROW_SUM_HYPOTHESIS_TOL and sec < _ROW_SUM_HYPOTHESIS_TOL)
 
 
-def verify_order_conditions(scheme: ArkScheme, tolerance: float = 1e-11) -> OrderConditionReport:
+def verify_order_conditions(scheme: ArkScheme) -> OrderConditionReport:
     """Evaluate the algebraic identities behind the order statement.
 
     Checks, with one residual each:
@@ -490,6 +503,9 @@ def verify_order_conditions(scheme: ArkScheme, tolerance: float = 1e-11) -> Orde
       :func:`conjugate_row_sum_hypotheses_met`);
     * quadrature exactness of both rules to degree ``order - 1``;
     * the symplecticity relations defining a_hat and a_tilde_hat.
+
+    The scheme passes when every required residual is at most
+    1e-11, the report's ``tolerance``.
     """
     checks: list[ConditionCheck] = []
 
@@ -529,24 +545,24 @@ def verify_order_conditions(scheme: ArkScheme, tolerance: float = 1e-11) -> Orde
         float(np.max(np.abs(scheme.a_tilde_hat - tilde_ref))),
     ))
 
-    passed = all(c.residual <= tolerance for c in checks if c.required)
-    return OrderConditionReport(conditions=tuple(checks), tolerance=tolerance, passed=passed)
+    passed = all(c.residual <= _ORDER_CONDITION_TOL for c in checks if c.required)
+    return OrderConditionReport(conditions=tuple(checks), tolerance=_ORDER_CONDITION_TOL,
+                                passed=passed)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON and CSV serialization
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_vector(v) -> str:
+def _fmt_array(v) -> str:
+    """A vector, or a matrix as a list of row vectors, in JSON."""
+    if v.ndim == 2:
+        return "[" + ", ".join(_fmt_array(row) for row in v) + "]"
     return "[" + ", ".join(_fmt(x) for x in v) + "]"
-
-
-def _fmt_matrix(m) -> str:
-    return "[" + ", ".join(_fmt_vector(row) for row in m) + "]"
 
 
 def scheme_to_json(scheme: ArkScheme) -> str:
@@ -556,16 +572,20 @@ def scheme_to_json(scheme: ArkScheme) -> str:
         f'"s2": {scheme.s2}',
         f'"variant": "{scheme.variant.value}"',
         f'"order": {scheme.order}',
-        f'"A": {_fmt_matrix(scheme.a)}',
-        f'"Ahat": {_fmt_matrix(scheme.a_hat)}',
-        f'"Atilde": {_fmt_matrix(scheme.a_tilde)}',
-        f'"AtildeHat": {_fmt_matrix(scheme.a_tilde_hat)}',
-        f'"b": {_fmt_vector(scheme.b)}',
-        f'"c": {_fmt_vector(scheme.c)}',
-        f'"btilde": {_fmt_vector(scheme.b_tilde)}',
-        f'"ctilde": {_fmt_vector(scheme.c_tilde)}',
-    ]
+    ] + [f'"{name}": {_fmt_array(getattr(scheme, field))}' for name, field in _COEFFICIENTS]
     return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
+def scheme_to_csv(scheme: ArkScheme) -> str:
+    """The coefficients as ``name,i,j,value`` rows, 1-based; a vector's rows
+    leave j empty."""
+    lines = ["name,i,j,value"]
+    for name, field in _COEFFICIENTS:
+        v = getattr(scheme, field)
+        for i, row in enumerate(v, 1):
+            cells = enumerate(row, 1) if v.ndim == 2 else [("", row)]
+            lines += [f"{name},{i},{j},{_fmt(x)}" for j, x in cells]
+    return "\n".join(lines)
 
 
 def scheme_from_json(text: str) -> ArkScheme:
@@ -573,14 +593,7 @@ def scheme_from_json(text: str) -> ArkScheme:
     return ArkScheme(
         s1=int(data["s1"]),
         s2=int(data["s2"]),
-        a=np.array(data["A"], dtype=float),
-        a_hat=np.array(data["Ahat"], dtype=float),
-        a_tilde=np.array(data["Atilde"], dtype=float),
-        a_tilde_hat=np.array(data["AtildeHat"], dtype=float),
-        b=np.array(data["b"], dtype=float),
-        c=np.array(data["c"], dtype=float),
-        b_tilde=np.array(data["btilde"], dtype=float),
-        c_tilde=np.array(data["ctilde"], dtype=float),
         order=int(data["order"]),
         variant=Variant(data["variant"]),
+        **{field: np.array(data[name], dtype=float) for name, field in _COEFFICIENTS},
     )

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import symparc
 from symparc import fput, stability
-from symparc.cli import main
+from symparc.cli import build_parser, main
 from symparc.integrator import scheme_from_name
 
 from _helpers import cellwise_csv
@@ -129,6 +130,22 @@ def test_stability_csv_is_cellwise(tmp_path, capsys):
     assert (tmp_path / "s.csv").read_bytes() == expected
 
 
+def test_stability_csv_streams(tmp_path, capsys):
+    # the CSV is written one kernel chunk of mu at a time: a 100,001-sample
+    # grid holds its 0.8 MB of mu and one chunk's rows, where the whole
+    # (N, 2, 2) matrix and six N-row column lists took about 27 MB
+    run_cli(["stability", "--scheme", "lgl4", "--grid", "11", "--out", str(tmp_path / "w")])
+    tracemalloc.start()
+    try:
+        assert run_cli(["stability", "--scheme", "lgl4", "--mu-max", "12",
+                        "--grid", "100001", "--out", str(tmp_path / "s")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+    assert len((tmp_path / "s.csv").read_bytes().split(b"\n")) == 1 + 100001 + 1
+
+
 def test_integrate_free_problem(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = run_cli(["integrate", "--scheme", "lgl4", "--problem", "free",
@@ -152,6 +169,23 @@ def test_integrate_fput_row_count(tmp_path, capsys):
     assert len(lines) == 502  # header + T/h + 1 states
     err = capsys.readouterr().err
     assert "|H-H0|" in err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--problem", "free", "--dim", "1", "--q0", "1", "--p0", "0", "--omega", "1000",
+      "--ell", "9"], "--ell"),
+    (["--problem", "free", "--omega", "1"], "--omega"),
+    (["--dim", "4", "--q0", "1,2"], "--dim"),
+    (["--q0", "1"], "--q0"),
+    (["--problem", "fput", "--p0", "0"], "--p0"),
+], ids=["free-ell", "free-omega", "chain-dim", "chain-q0", "chain-p0"])
+def test_integrate_refuses_the_other_problems_flags(tmp_path, capsys, flags, named):
+    # a flag that the chosen problem never reads is refused by name, not ignored
+    out = tmp_path / "traj.csv"
+    assert run_cli(["integrate", "--scheme", "lgl4", "--T", "1", "--out", str(out)]
+                   + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named} does not apply to --problem ")
+    assert not out.exists()
 
 
 def _integrate_rows(tmp_path, fmt, stride):
@@ -398,6 +432,86 @@ def test_fput_unknown_experiment():
     with pytest.raises(SystemExit) as info:
         run_cli(["fput", "spectrum"])
     assert info.value.code == 2
+
+
+# the flags each experiment reads, each at its default
+_FPUT_DEFAULTS = {
+    "energy": {"--scheme": "lgl4", "--ell": "3", "--omega": "50.0", "--h": "2/omega",
+               "--T": "200.0", "--tol": "1e-12", "--out": "energy.csv"},
+    "highfreq": {"--scheme": "lgl4", "--ell": "3", "--omega": "1000.0", "--h": "0.1",
+                 "--T": "4000.0", "--tol": "1e-12", "--out": "highfreq.csv"},
+    "sweep": {"--scheme": "lgl4", "--ell": "3", "--points": "450", "--h": "0.02",
+              "--T": "100.0", "--tol": "1e-12", "--out": "sweep.csv"},
+    "reduction": {"--schemes": "lgl4,imex-yoshida4", "--ell": "3",
+                  "--h-list": "0.2,0.1,0.05,0.025,0.0125,0.00625",
+                  "--omega-list": "10,100,1000,10000", "--T": "3.0", "--tol": "1e-12",
+                  "--ref-tol": "1e-09", "--out": "reduction.csv"},
+}
+_FPUT_FLAGS = sorted(set().union(*_FPUT_DEFAULTS.values()))
+_VALUES = {"--scheme": "lgl4", "--schemes": "lgl4", "--ell": "3", "--omega": "50",
+           "--h": "0.1", "--T": "0.2", "--points": "4", "--h-list": "0.1",
+           "--omega-list": "10", "--tol": "1e-12", "--ref-tol": "1e-9", "--out": "x.csv"}
+
+
+@pytest.mark.parametrize("experiment,flag", [
+    (experiment, flag) for experiment, flags in _FPUT_DEFAULTS.items()
+    for flag in _FPUT_FLAGS if flag not in flags])
+def test_fput_refuses_flags_the_experiment_never_reads(tmp_path, capsys, monkeypatch,
+                                                      experiment, flag):
+    # 19 pairs; a prefix of a flag that the experiment reads (reduction's
+    # --h of --h-list, --scheme of --schemes) is no abbreviation of it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        run_cli(["fput", experiment, "--T", "0.2", flag, _VALUES[flag]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fput_refuses_flags_before_the_experiment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        run_cli(["fput", "--T", "2", "energy"])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", list(_FPUT_DEFAULTS))
+def test_fput_help_names_the_defaults(capsys, monkeypatch, experiment):
+    monkeypatch.setenv("COLUMNS", "200")  # no help text is wrapped
+    with pytest.raises(SystemExit) as info:
+        run_cli(["fput", experiment, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for flag, default in _FPUT_DEFAULTS[experiment].items():
+        entry = rf"^  {flag} [A-Z_]+\s+[^\n]*\(default: {re.escape(default)}\)$"
+        assert re.search(entry, out, re.MULTILINE), (flag, out)
+
+
+@pytest.mark.parametrize("experiment", list(_FPUT_DEFAULTS))
+def test_fput_defaults_given_change_nothing(tmp_path, capsys, monkeypatch, experiment):
+    # every flag given at its default parses as no flag given (energy's --h
+    # has no value to give: it is worked out from --omega), and a short run
+    # writes the same bytes either way
+    def flat(flags):
+        return [x for item in flags.items() for x in item]
+
+    given = dict(_FPUT_DEFAULTS[experiment])
+    if experiment == "energy":
+        del given["--h"]
+    parser = build_parser()
+    assert (parser.parse_args(["fput", experiment, *flat(given)])
+            == parser.parse_args(["fput", experiment]))
+
+    monkeypatch.chdir(tmp_path)
+    given["--T"] = "0.1" if experiment == "sweep" else "0.4"
+    if experiment == "energy":
+        given["--h"] = "0.04"  # 2 / omega
+    runs = []
+    for flags in (["--T", given["--T"]], flat(given)):
+        assert run_cli(["fput", experiment, *flags]) == 0
+        runs.append(((tmp_path / f"{experiment}.csv").read_bytes(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
 
 
 def test_converge_runs(tmp_path, capsys):

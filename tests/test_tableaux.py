@@ -20,6 +20,7 @@ from symparc.tableaux import (
     lobatto_iiia,
     lobatto_quadrature,
     scheme_from_json,
+    scheme_to_csv,
     scheme_to_json,
     tilde_a_collocation,
     tilde_a_interpolation,
@@ -454,6 +455,23 @@ def test_json_roundtrip_exact(s1, variant):
     for attr in ("a", "a_hat", "a_tilde", "a_tilde_hat", "b", "c", "b_tilde", "c_tilde"):
         assert np.array_equal(getattr(scheme, attr), getattr(back, attr)), attr
     assert back.variant == scheme.variant and back.order == scheme.order
+
+
+@pytest.mark.parametrize("s1", [2, 5])
+@pytest.mark.parametrize("variant", [Variant.INTERPOLATION, Variant.COLLOCATION])
+def test_csv_holds_the_json_coefficients(s1, variant):
+    # one row per entry, 1-based, j empty for a vector, exact to the bit
+    scheme = build_scheme(s1, variant)
+    header, *rows = scheme_to_csv(scheme).split("\n")
+    assert header == "name,i,j,value"
+    data = json.loads(scheme_to_json(scheme))
+    expected = []
+    for name in ("A", "Ahat", "Atilde", "AtildeHat", "b", "c", "btilde", "ctilde"):
+        for i, row in enumerate(data[name], 1):
+            expected += ([(name, str(i), str(j), x) for j, x in enumerate(row, 1)]
+                         if isinstance(row, list) else [(name, str(i), "", row)])
+    got = [row.split(",") for row in rows]
+    assert [(n, i, j, float(x)) for n, i, j, x in got] == expected
 
 
 def test_json_has_full_precision():
