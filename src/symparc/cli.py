@@ -8,6 +8,7 @@ LF line endings; reruns with identical flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -271,11 +272,13 @@ def _cmd_converge(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="symparc",
+        prog="symparc", allow_abbrev=False,
         description="Symplectic additive Runge-Kutta methods for oscillatory systems.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no parser takes a prefix of a flag for the flag: it would rename it
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("tableau", help="print the coefficient set of one method")
+    p = command("tableau", help="print the coefficient set of one method")
     p.add_argument("--s1", type=int, required=True, help="primary stage count (>= 2)")
     p.add_argument("--variant", choices=["interpolation", "collocation"],
                    required=True)
@@ -285,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_tableau)
 
-    p = sub.add_parser("stability", help="stability function, intervals, resonances")
+    p = command("stability", help="stability function, intervals, resonances")
     p.add_argument("--scheme", required=True, help="lgl2|lgl4|lgl6|lglc2|lglc4|lglc6")
     p.add_argument("--mu-max", type=float, default=12.0, dest="mu_max")
     p.add_argument("--grid", type=int, default=2001, help="CSV sample count")
     p.add_argument("--out", default="stability", help="prefix for .csv/.json output")
     p.set_defaults(fn=_cmd_stability)
 
-    p = sub.add_parser("integrate", help="integrate one problem, write trajectory CSV")
+    p = command("integrate", help="integrate one problem, write trajectory CSV")
     p.add_argument("--scheme", required=True, help=_SCHEME_CHOICES)
     p.add_argument("--problem", choices=["fput", "free"], default="fput")
     p.add_argument("--ell", type=int, help="stiff springs of the chain (default: 3)")
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="traj.csv")
     p.set_defaults(fn=_cmd_integrate)
 
-    p = sub.add_parser("fput", help="oscillatory-chain experiment suite")
+    p = command("fput", help="oscillatory-chain experiment suite")
     experiments = p.add_subparsers(dest="experiment", required=True)
 
     def experiment(name, helptext, fn, T):
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--omega-list", default="10,100,1000,10000", help="frequencies" + _DEFAULT)
     e.add_argument("--ref-tol", type=float, default=1e-9, help="reference tolerance" + _DEFAULT)
 
-    p = sub.add_parser("converge", help="global-error convergence study")
+    p = command("converge", help="global-error convergence study")
     p.add_argument("--schemes", default="lgl2,lgl4,lgl6")
     p.add_argument("--ell", type=int, default=3)
     p.add_argument("--omega", type=float, default=1.0)

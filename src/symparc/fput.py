@@ -107,12 +107,25 @@ def _extensions(q, ell: int):
     return q.reshape(-1, 2 * ell).dot(to_uv).dot(to_e)
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_force(ell: int):
+    """F1 = -E^T e^3 of the chain, for arrays broadcast over leading axes,
+    with the constant factors bound: a call makes its three products and
+    no lookup."""
+    to_uv, to_e, from_g = _chain_matrices(ell)
+    d = 2 * ell
+
+    def f1(q):
+        g = q.reshape(-1, d).dot(to_uv).dot(to_e)
+        g *= g * g
+        return g.dot(from_g).reshape(q.shape)
+
+    return f1
+
+
 def _slow_force(q, ell: int):
     """F1 = -E^T e^3, broadcast over leading axes."""
-    q = np.asarray(q)
-    g = _extensions(q, ell)
-    g *= g * g
-    return g.dot(_chain_matrices(ell)[2]).reshape(q.shape)
+    return _chain_force(ell)(np.asarray(q))
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,10 +167,7 @@ def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
     omega_sq = np.zeros(w2.shape + (2 * ell,))
     omega_sq[..., ell:] = w2[..., None]
 
-    def f1(q):
-        return _slow_force(q, ell)
-
-    return SplitForceSystem(dimension=2 * ell, f1=f1, omega_sq=omega_sq,
+    return SplitForceSystem(dimension=2 * ell, f1=_chain_force(ell), omega_sq=omega_sq,
                             hamiltonian=hamiltonian)
 
 

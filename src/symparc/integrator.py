@@ -187,6 +187,22 @@ class PhaseState:
         return self.q.shape[-1]
 
 
+def _computed_state(q, p, t) -> PhaseState:
+    """The PhaseState of arrays a step has just computed from a valid state,
+    without the copy and checks of :class:`PhaseState`: q and p, and t if it
+    is an array, are only set read-only, and a scalar t is made a float.
+    Nothing else may hold the arrays writable."""
+    q.setflags(write=False)
+    p.setflags(write=False)
+    if isinstance(t, np.ndarray):
+        t.setflags(write=False)
+    else:
+        t = float(t)
+    state = object.__new__(PhaseState)
+    vars(state).update(q=q, p=p, t=t)
+    return state
+
+
 def _probe_points(d: int):
     rng = np.random.default_rng(1729)
     return np.stack([np.ones(d), np.linspace(-1.0, 1.0, d), rng.standard_normal(d)])
@@ -427,7 +443,8 @@ def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
 
 
 def _member_max(columns, n: int):
-    """The largest of each member's entries in ``columns``, shape (n*d,) -> (n,)."""
+    """The largest of each member's entries in ``columns``, of the state's
+    shape, (d,) or (n, d) -> (n,)."""
     # NumPy reduces a short contiguous axis slowly; the transposed copy is
     # reduced along its long leading axis instead
     return np.ascontiguousarray(columns.reshape(n, -1).T).max(axis=0)
@@ -435,7 +452,7 @@ def _member_max(columns, n: int):
 
 def _failing(F, n: int):
     """Which of the n members hold a non-finite entry in the forces F,
-    shape (slots, n*d)."""
+    shape (slots,) + the state's shape."""
     return ~np.all(np.isfinite(F).reshape(len(F), n, -1), axis=(0, 2))
 
 
@@ -475,8 +492,13 @@ def _step_count(T: float, h: float, names=("T", "h")) -> int:
     return round(T / h)
 
 
+# the product of each column's maps with its inputs: out[i, c] = sum_j
+# map[i, j, c] in[j, c], where c runs over the state's shape
+_BY_COLUMN = "ij...,j...->i..."
+
+
 class _StageMaps(NamedTuple):
-    """One step as affine maps, per column c of the flattened state.  The
+    """One step as affine maps, per column c of the state.  The
     fold has rows (Q in linearly-implicit mode, (Q, Qt, P) in fixed-point
     mode) and m force slots, slot j holding the force of row j (F1(Q), or
     F1(Q) and F2(Qt)).  :class:`ArkStepper` splits the slots by the
@@ -500,22 +522,24 @@ class _StageMaps(NamedTuple):
     ``primary`` stops after the last slot that X reads; the lagged slots of
     F and F(X) that the maps multiply by an exact zero hold a finite value.
 
-    ``solution`` is the (Qt, P) map over (q0, p0, F) of each (step size,
-    Omega^2 value) pair, shape (H*V, s2 + s1, 2 + m), and ``index`` the pair
-    of each column.  ``inputs`` is the buffer each step stacks (q0, p0, F,
-    F(X)) into and ``forces`` the two force buffers a step swaps: at the
-    sweep's N a fresh array per step is larger than malloc's mmap
-    threshold, and some processes then fault its pages in anew on every
-    step.
+    The column axes have the state's shape S, (d,) or (n, d), so that
+    every row is a state's worth of stages, forces or (q, p) that the force
+    callbacks read and write without a reshape.  ``solution`` is the (Qt, P)
+    map over (q0, p0, F) of each (step size, Omega^2 value) pair, shape
+    (H*V, s2 + s1, 2 + m), and ``index`` the pair of each of the N = n*d
+    columns.  ``inputs`` is the buffer each step stacks (q0, p0, F, F(X))
+    into and ``forces`` the two force buffers a step swaps: at the sweep's
+    N a fresh array per step is larger than malloc's mmap threshold, and
+    some processes then fault its pages in anew on every step.
     """
 
-    start: np.ndarray          # (rows of X, 2, N)
-    primary: np.ndarray        # (rows of X, slots read, N)
-    update: np.ndarray         # (2, 2 + 2 m, N)
+    start: np.ndarray          # (rows of X, 2) + S
+    primary: np.ndarray        # (rows of X, slots read) + S
+    update: np.ndarray         # (2, 2 + 2 m) + S
     solution: np.ndarray       # (H*V, s2 + s1, 2 + m)
     index: np.ndarray          # (N,)
-    inputs: np.ndarray         # (2 + 2 m, N)
-    forces: np.ndarray         # (2, m, N)
+    inputs: np.ndarray         # (2 + 2 m,) + S
+    forces: np.ndarray         # (2, m) + S
 
 
 class ArkStepper:
@@ -611,16 +635,21 @@ class ArkStepper:
             if values.size != sizes.size * d:   # omega_sq shared by the members
                 values = np.tile(values, len(sizes))
             index = np.repeat(which, d) * n_values + values
+            shape = (len(h), d)
         else:
-            steps, index = (h,), self._columns
+            steps, index, shape = (h,), self._columns, self._shape
         folds = self._fold(steps, lambda j, k: self._rows_with(np.isin(index, j * n_values + k)))
         start, primary, update, solution = (np.concatenate(x) for x in zip(*folds))
+
+        def gather(by_pair):
+            by_column = self._gather(by_pair, index)
+            return by_column.reshape(by_column.shape[:-1] + shape)
+
         e = self._explicit
-        maps = _StageMaps(start=self._gather(start[:, e:], index),
-                          primary=self._gather(primary[:, e:, :self._read], index),
-                          update=self._gather(update, index), solution=solution, index=index,
-                          inputs=np.empty((update.shape[-1], len(index))),
-                          forces=np.empty((2, primary.shape[-1], len(index))))
+        maps = _StageMaps(start=gather(start[:, e:]), primary=gather(primary[:, e:, :self._read]),
+                          update=gather(update), solution=solution, index=index,
+                          inputs=np.empty((update.shape[-1],) + shape),
+                          forces=np.empty((2, primary.shape[-1]) + shape))
         if len(self._block_cache) > 16:
             self._block_cache.clear()
         self._block_cache[h] = maps
@@ -733,22 +762,31 @@ class ArkStepper:
         float, or one per member of a batch); the stage arrays have shape
         (stages,) + state shape."""
         h = _step_size(h, state)
-        shape, s1, s2 = (-1,) + state.q.shape, self.scheme.s1, self.scheme.s2
+        s1, s2 = self.scheme.s1, self.scheme.s2
         maps, x, X, iterations = self._iterate(state, h)
-        sol = np.einsum("ijc,jc->ic", self._gather(maps.solution, maps.index),
-                        x[:maps.solution.shape[-1]])
+        solution = self._gather(maps.solution, maps.index)
+        sol = np.einsum(_BY_COLUMN, solution.reshape(solution.shape[:2] + state.q.shape),
+                        x[:solution.shape[1]])
         # the explicit row is q0 itself
-        stages = np.concatenate((np.broadcast_to(x[0], (self._explicit, len(x[0]))), X))
-        return (stages[:s1].reshape(shape), sol[s2:].reshape(shape), sol[:s2].reshape(shape),
-                iterations)
+        stages = np.concatenate((np.broadcast_to(x[0], (self._explicit,) + x[0].shape), X))
+        return stages[:s1], sol[s2:], sol[:s2], iterations
 
     def _iterate(self, state, h):
-        """Iterate the rows X of the fold with the state flattened to N = n*d
-        columns.  Returns (maps, x, X, iterations): the step's
-        :class:`_StageMaps`, their inputs x = (q0, p0, F, F(X)) stacked into
-        ``maps.inputs``, where F are the forces X was computed from, and the
-        converged X.  X starts from every force at q0, in no pass; a step
-        without iterated slots is explicit, and that start is its X."""
+        """Iterate the rows X of the fold, each of the state's shape.
+        Returns (maps, x, X, iterations): the step's :class:`_StageMaps`,
+        their inputs x = (q0, p0, F, F(X)) stacked into ``maps.inputs``,
+        where F are the forces X was computed from, and the converged X.
+        X starts from every force at q0, in no pass; a step without
+        iterated slots is explicit, and that start is its X.
+
+        One reduction decides a pass: the largest change of any column,
+        against the smallest member's tolerance.  Only a batch that fails
+        that test finds out which members converged, and only then does
+        each member's bookkeeping run.  The forces are checked where nothing
+        else shows their failure: after the first evaluation and in the
+        converging pass.  A force that turns NaN or Inf in a pass between
+        makes every stage of its member so, and with it the largest change.
+        """
         system = self.system
         shape = state.q.shape
         if shape != self._shape and shape[1:] != self._shape:
@@ -760,84 +798,97 @@ class ArkStepper:
             maps = self._block_inverses(h if shape == self._shape else (h,) * n)
         else:
             maps = self._block_inverses(tuple(h.tolist()))
-        q0, p0 = state.q.reshape(-1), state.p.reshape(-1)
         x = maps.inputs
+        x[0], x[1] = state.q, state.p
         qp = x[:2]
-        qp[0], qp[1] = q0, p0
-        scale = _member_max(np.abs(qp).max(axis=0), n)
-        np.maximum(scale, 1.0, out=scale)
-        limit, blowup = self.tol * scale, _DIVERGENCE_FACTOR * scale
-        c0 = np.einsum("ijc,jc->ic", maps.start, qp)
+        c0 = np.einsum(_BY_COLUMN, maps.start, qp)
 
         # the forces X was computed from, which the next forces overwrite
         # once a pass no longer needs them, and the forces of X.  Every slot
         # starts at the force on q0, the start X = c0 + K F(q0); the
         # explicit slots keep F1(q0) throughout
         forces = maps.forces
-        forces[:, :self.scheme.s1] = system.slow_force(state.q).reshape(-1)
+        forces[:, :self.scheme.s1] = system.slow_force(state.q)
         if self._fixed_point:
-            forces[:, self.scheme.s1:] = system.fast_force(state.q).reshape(-1)
-        source, F = forces
-        read, stages = maps.primary.shape[1], (-1,) + shape
-        X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
+            forces[:, self.scheme.s1:] = system.fast_force(state.q)
+        source, F = forces[0], forces[1]   # unpacking an array costs more
+        read = maps.primary.shape[1]
+        X_new = np.einsum(_BY_COLUMN, maps.primary, F[:read])
         X_new += c0
         # a step without iterated slots is explicit: X_new is its stages
         final = not self._passes
+        if not final:
+            # each member's scale max(1, |q0|_inf, |p0|_inf)
+            if n == 1:
+                scale = max(float(np.abs(qp).max()), 1.0)
+                limit = smallest = self.tol * scale
+            else:
+                scale = _member_max(np.abs(qp).max(axis=0), n)
+                np.maximum(scale, 1.0, out=scale)
+                limit = self.tol * scale
+                smallest = limit.min()
+            blowup = _DIVERGENCE_FACTOR * scale
         blocks = self._final if final else self._passes
         iteration = 0
         done = None     # the members that have converged, once some but not all have
         while True:
             for force, rows, slots in blocks:
-                source[slots] = force(X_new[rows].reshape(stages)).reshape(-1, len(q0))
+                source[slots] = force(X_new[rows])
             X, source, F = X_new, F, source
-            # every force that X or (q1, p1) reads is checked
-            if not np.isfinite(F).all():
-                bad = _failing(F, n)
-                if iteration == 0 or final:
-                    raise NumericalFailureError("force evaluation returned NaN/Inf",
-                                                np.flatnonzero(bad))
-                if done is not None:
-                    bad &= ~done
-                if bad.any():
-                    raise NonconvergenceError(
-                        f"stage iteration diverged after {iteration + 1} iterations",
-                        residual=math.inf, iterations=iteration + 1,
-                        members=np.flatnonzero(bad))
+            # every force that X or (q1, p1) reads is checked, here or
+            # through the change of X
+            if (iteration == 0 or final) and not np.isfinite(F).all():
+                raise NumericalFailureError("force evaluation returned NaN/Inf",
+                                            np.flatnonzero(_failing(F, n)))
             if final:
                 np.concatenate((source, F), out=x[2:])
                 return maps, x, X, iteration
-            X_new = np.einsum("ijc,jc->ic", maps.primary, F[:read])
+            X_new = np.einsum(_BY_COLUMN, maps.primary, F[:read])
             X_new += c0
             iteration += 1
-            change = X_new - X
-            residual = _member_max(np.abs(change, out=change).max(axis=0), n)
             if done is not None:
                 # converged members keep the stages they converged with
                 # and the forces those came from
-                frozen = np.repeat(done, len(q0) // n)
                 np.copyto(X_new, X, where=frozen)
                 np.copyto(F, source, where=frozen)
-                residual[done] = 0.0
-            # count_nonzero is much cheaper than all/any on a few members
-            converged = residual <= limit
-            n_converged = np.count_nonzero(converged)
-            final = n_converged == n
-            if not final:
-                diverged = residual > blowup
-                if np.count_nonzero(diverged):
-                    raise NonconvergenceError(
-                        f"stage iteration diverged after {iteration} iterations",
-                        residual=float(np.max(residual[diverged])), iterations=iteration,
-                        members=np.flatnonzero(diverged))
-                if iteration == _MAX_PASSES:
-                    worst = float(np.max(residual))
-                    raise NonconvergenceError(
-                        f"stage iteration did not reach tolerance {self.tol:g} "
-                        f"within {_MAX_PASSES} iterations (residual {worst:.3e})",
-                        residual=worst, iterations=_MAX_PASSES,
-                        members=np.flatnonzero(~converged))
-                if n_converged:
-                    done = converged
+            change = np.subtract(X_new, X)
+            worst = np.abs(change, out=change).max()
+            if worst <= smallest:
+                final = True
+            # a single state that has neither converged nor failed iterates
+            # on; anything else is settled member by member
+            elif n > 1 or not worst <= blowup or iteration == _MAX_PASSES:
+                if not math.isfinite(worst):
+                    bad = _failing(F, n)
+                    if done is not None:
+                        bad &= ~done
+                    if bad.any():
+                        raise NonconvergenceError(
+                            f"stage iteration diverged after {iteration} iterations",
+                            residual=math.inf, iterations=iteration,
+                            members=np.flatnonzero(bad))
+                residual = _member_max(change.max(axis=0), n)
+                # count_nonzero is much cheaper than all/any on a few members
+                converged = residual <= limit
+                n_converged = np.count_nonzero(converged)
+                final = n_converged == n
+                if not final:
+                    diverged = residual > blowup
+                    if np.count_nonzero(diverged):
+                        raise NonconvergenceError(
+                            f"stage iteration diverged after {iteration} iterations",
+                            residual=float(np.max(residual[diverged])), iterations=iteration,
+                            members=np.flatnonzero(diverged))
+                    if iteration == _MAX_PASSES:
+                        worst = float(np.max(residual))
+                        raise NonconvergenceError(
+                            f"stage iteration did not reach tolerance {self.tol:g} "
+                            f"within {_MAX_PASSES} iterations (residual {worst:.3e})",
+                            residual=worst, iterations=_MAX_PASSES,
+                            members=np.flatnonzero(~converged))
+                    if n_converged:
+                        done = converged
+                        frozen = done[:, None]
             blocks = self._final if final else self._passes
 
     # -- stepping ----------------------------------------------------------
@@ -852,9 +903,8 @@ class ArkStepper:
         batch one per member, shape (n,); ValueError unless it is finite."""
         h = _step_size(h, state)
         maps, x, _, iterations = self._iterate(state, h)
-        q1, p1 = np.einsum("ijc,jc->ic", maps.update, x)
-        shape = state.q.shape
-        return PhaseState(q=q1.reshape(shape), p=p1.reshape(shape), t=state.t + h), iterations
+        qp1 = np.einsum(_BY_COLUMN, maps.update, x)
+        return _computed_state(qp1[0], qp1[1], state.t + h), iterations
 
 
 def ark_step(scheme: ArkScheme, system: SplitForceSystem, state: PhaseState,
@@ -1005,11 +1055,12 @@ def integrate(scheme, system: SplitForceSystem, state0: PhaseState, h: float,
 
     def observe(rows, state, iterations):
         iters.append(iterations)
+        q, p = state.q[0], state.p[0]
         if observer is not None:
-            observer(PhaseState(q=state.q[0], p=state.p[0], t=t0 + len(iters) * h))
+            observer(_computed_state(q, p, t0 + len(iters) * h))
         if len(iters) % stride == 0 or len(iters) == n_steps:
-            qs.append(state.q[0])
-            ps.append(state.p[0])
+            qs.append(q)
+            ps.append(p)
 
     batch = PhaseState(q=state0.q[None], p=state0.p[None], t=t0)
     _, failures = _run(lambda rows: stepper, batch, h, np.array([n_steps]), observe)
@@ -1062,7 +1113,7 @@ class ComposedStepper:
             state, iterations = self._step_fn(state, w * h)
             total += iterations
         # substep times accumulate roundoff; pin the exact step
-        return PhaseState(q=state.q, p=state.p, t=t0 + h), total
+        return _computed_state(state.q, state.p, t0 + h), total
 
 
 def yoshida_compose(base, target_order: int) -> ComposedStepper:

@@ -468,6 +468,22 @@ def test_fput_refuses_flags_the_experiment_never_reads(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["converge", "--scheme", "lgl2", "--T", "0.2", "--h-list", "0.05,0.025"], "--scheme"),
+    (["stability", "--scheme", "lgl2", "--mu", "3"], "--mu"),
+    (["integrate", "--scheme", "lgl4", "--h", "0.04", "--T", "0.1", "--st", "1"], "--st"),
+    (["tableau", "--s1", "3", "--var", "interpolation"], "--variant")])
+def test_cli_refuses_abbreviated_flags(tmp_path, capsys, monkeypatch, args, flag):
+    # each abbreviates one flag (--schemes, --mu-max, --stride, --variant)
+    # and used to run as it; the tableau's names the flag as missing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        run_cli(args)
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fput_refuses_flags_before_the_experiment(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:

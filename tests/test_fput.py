@@ -20,6 +20,7 @@ from symparc.fput import (
 from symparc.integrator import (
     NonconvergenceError,
     PhaseState,
+    SplitForceSystem,
     StageSolveError,
     integrate,
     reference_solve,
@@ -247,10 +248,11 @@ def test_sweep_failure_naming_no_member_fails_every_member():
 @pytest.mark.parametrize("T", [0.0, 0.009])
 def test_sweep_shorter_than_half_a_step_takes_no_step(monkeypatch, T):
     # round(T / h) = 0: every chain leaves the batch before its first step
-    def never(q, ell):
+    def never(system, q):
         raise AssertionError("a zero-step sweep evaluated the slow force")
 
-    monkeypatch.setattr(fput, "_slow_force", never)
+    # the steppers reach the chain force only through SplitForceSystem.slow_force
+    monkeypatch.setattr(SplitForceSystem, "slow_force", never)
     result = experiment_resonance_sweep("lgl4", FputParams(ell=3), 0.02, T, [10.0, 50.0])
     assert result.failures == ()
     assert np.array_equal(result.max_energy_error, [0.0, 0.0])

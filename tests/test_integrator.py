@@ -736,6 +736,100 @@ def test_fixed_point_batch_names_failing_members():
     assert info.value.members == (1,)
 
 
+def _turns_bad(value, from_call, member=None):
+    """The chain's slow force at omega = 50, which returns ``value`` from its
+    ``from_call``-th call on (in ``member``'s rows only, if given)."""
+    chain = fput.fput_system(fput.FputParams(ell=3, omega=50.0))
+    calls = []
+
+    def f1(q):
+        calls.append(None)
+        out = chain.f1(q)
+        if member is not None:
+            out[..., 0, :] = 0.25   # the other member: a constant force
+        if len(calls) >= from_call:
+            (out if member is None else out[..., member, :])[...] = value
+        return out
+
+    return SplitForceSystem(dimension=6, f1=f1, omega_sq=chain.omega_sq), calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_force_failing_between_passes_diverges_one_member(value):
+    # F1(q0) and the forces of the start are finite, so the first check
+    # passes; the second pass's forces are not, and the iterate shows it
+    lgl4, h = scheme_from_name("lgl4"), 0.04
+    state = fput.paper_initial_state(fput.FputParams(ell=3, omega=50.0))
+    system, _ = _turns_bad(value, from_call=3)
+    with pytest.raises(NonconvergenceError) as info:
+        ArkStepper(lgl4, system).step(state, h)
+    exc = info.value
+    assert str(exc) == "stage iteration diverged after 2 iterations"
+    assert (exc.residual, exc.iterations, exc.members, exc.step_index) == (math.inf, 2, (0,),
+                                                                            None)
+
+    # through integrate, in the second step
+    counting, calls = _turns_bad(value, from_call=math.inf)
+    integrate(lgl4, counting, state, h, 1)
+    system, _ = _turns_bad(value, from_call=len(calls) + 3)
+    with pytest.raises(NonconvergenceError) as info:
+        integrate(lgl4, system, state, h, 5)
+    exc = info.value
+    assert str(exc) == f"step 1 (t={h:g}): stage iteration diverged after 2 iterations"
+    assert (exc.residual, exc.iterations, exc.members, exc.step_index) == (math.inf, 2, (0,), 1)
+
+    # member 0 feels a constant force and converges in the first pass;
+    # member 1's forces fail in the second
+    system, _ = _turns_bad(value, from_call=3, member=1)
+    batch = PhaseState(q=np.tile(state.q, (2, 1)), p=np.tile(state.p, (2, 1)))
+    with pytest.raises(NonconvergenceError) as info:
+        ArkStepper(lgl4, system).step(batch, h)
+    exc = info.value
+    assert str(exc) == "stage iteration diverged after 2 iterations"
+    assert (exc.residual, exc.iterations, exc.members) == (math.inf, 2, (1,))
+
+
+def _assert_frozen(state, members=None):
+    for a in (state.q, state.p):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.q = state.q
+    if members is None:
+        assert type(state.t) is float
+    else:
+        assert state.t.shape == (members,) and not state.t.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["lgl4", "imex-yoshida4"])
+def test_stepped_states_are_frozen(name):
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    stepper = make_stepper(name, system)
+    for h in (0.04, np.float64(0.04)):
+        new = stepper.step(state, h)
+        _assert_frozen(new)
+        assert new.t == 0.04 and new.dimension == 6
+    batch = PhaseState(q=np.tile(state.q, (3, 1)), p=np.tile(state.p, (3, 1)))
+    _assert_frozen(stepper.step(batch, 0.04))
+    new = stepper.step(batch, np.array([0.01, 0.02, 0.04]))
+    _assert_frozen(new, members=3)
+    assert new.t.tolist() == [0.01, 0.02, 0.04]
+    seen = []
+    integrate(name, system, state, 0.04, 3, observer=seen.append)
+    for observed in seen:
+        _assert_frozen(observed)
+    assert [s.t for s in seen] == [0.04, 0.08, 0.04 * 3]
+    # the public constructor still copies and checks
+    q = np.array(state.q)
+    copied = PhaseState(q=q, p=state.p)
+    q[0] = 7.0
+    assert copied.q[0] == state.q[0] and not copied.q.flags.writeable
+    with pytest.raises(ValueError):
+        PhaseState(q=state.q, p=state.p[:3])
+
+
 @pytest.mark.parametrize("solved", [lambda system: system, iterated],
                          ids=["linearly-implicit", "fixed-point"])
 def test_stepper_is_freed_by_reference_counting(solved):
