@@ -145,9 +145,20 @@ def _chain_energies(q, p, omegas, ell: int):
     of H is a square of an entry of z = (p, omega q_f, e^2), so H is one
     product of z^2 with constant weights, however many chains there are.
     The product is an einsum, which sums each row alike wherever it sits
-    in the stack; BLAS would round a row by its position.
+    in the stack; BLAS would round a row by its position.  One (d,) state
+    takes the same products on (d,) operands, without the reshapes, and
+    returns H as a NumPy scalar: bitwise its row of any stack.
     """
     q, p = np.asarray(q), np.asarray(p)
+    if q.ndim == 1:
+        to_uv, to_e, _ = _chain_matrices(ell)
+        e = q.dot(to_uv).dot(to_e)
+        e *= e
+        z = np.concatenate((p, omegas * q[ell:], e))
+        z *= z
+        osc = z[ell:2 * ell] + z[2 * ell:3 * ell]
+        osc *= 0.5
+        return np.einsum("j,j->", z, _energy_weights(ell)), osc
     lead = q.shape[:-1]
     q, p = q.reshape(-1, 2 * ell), p.reshape(-1, 2 * ell)
     e = _extensions(q, ell)
@@ -203,8 +214,9 @@ def energy_breakdown(params: FputParams, state: PhaseState) -> EnergyBreakdown:
     if state.dimension != params.dimension:
         raise ValueError(f"state dimension {state.dimension} != 2*ell = {params.dimension}")
     h, osc = _chain_energies(state.q, state.p, params.omega, params.ell)
+    # np.add.reduce is osc.sum() without the Python frame around it
     return EnergyBreakdown(hamiltonian=float(h), oscillatory=osc,
-                           total_oscillatory=float(osc.sum()))
+                           total_oscillatory=float(np.add.reduce(osc)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +296,18 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     q, p = np.tile(base.q, (len(omegas), 1)), np.tile(base.p, (len(omegas), 1))
     q[:, ell] = 1.0 / omegas
 
-    def energies(state, omegas):
-        """H and omega * I_total of each row, each as it is for the row alone."""
-        hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
-        return np.array((hamiltonian, omegas * np.einsum("ij->i", osc)))
+    def energies(state, omegas, out):
+        """H and omega * I_total of each row into the two rows of ``out``,
+        each as it is for the row alone."""
+        out[0], osc = _chain_energies(state.q, state.p, omegas, ell)
+        np.einsum("ij->i", osc, out=out[1])
+        out[1] *= omegas
+        return out
 
     state = PhaseState(q=q, p=p)
-    origin = energies(state, omegas)
+    origin = energies(state, omegas, np.empty((2, len(omegas))))
     worst = np.zeros_like(origin)   # the largest drifts |E - E0|
+    current = np.empty_like(origin)
 
     def batch(rows):   # a chain's stepper holds its Omega^2
         return make_stepper(scheme, _chain_system(ell, omegas[rows]), tol)
@@ -299,8 +315,10 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     def observe(rows, state, iterations):
         # a slice while every member runs: a view, where indexing by rows copies
         running = rows if len(rows) < len(omegas) else slice(None)
-        drift = np.abs(energies(state, omegas[running]) - origin[:, running])
-        worst[:, running] = np.maximum(worst[:, running], drift)
+        drift = energies(state, omegas[running], current[:, :len(rows)])
+        drift -= origin[:, running]
+        np.abs(drift, out=drift)
+        worst[:, running] = np.maximum(worst[:, running], drift, out=drift)
 
     _, failures = _run(batch, state, h, np.full(len(omegas), n_steps), observe)
     worst[:, [i for i, _ in failures]] = math.nan

@@ -782,10 +782,14 @@ class ArkStepper:
         One reduction decides a pass: the largest change of any column,
         against the smallest member's tolerance.  Only a batch that fails
         that test finds out which members converged, and only then does
-        each member's bookkeeping run.  The forces are checked where nothing
-        else shows their failure: after the first evaluation and in the
-        converging pass.  A force that turns NaN or Inf in a pass between
-        makes every stage of its member so, and with it the largest change.
+        each member's bookkeeping run.  The forces are checked in the
+        converging pass, where nothing else shows their failure.  In the
+        other passes they are checked only once the largest change is not
+        finite, which a NaN or Inf in any slot that X reads makes it (a
+        lagged slot holds F1(q0) until the converging pass, and the start X
+        reads that).  A force that fails in its first evaluation raises
+        NumericalFailureError naming its members; one that first fails in a
+        later pass diverges them.
         """
         system = self.system
         shape = state.q.shape
@@ -835,12 +839,10 @@ class ArkStepper:
             for force, rows, slots in blocks:
                 source[slots] = force(X_new[rows])
             X, source, F = X_new, F, source
-            # every force that X or (q1, p1) reads is checked, here or
-            # through the change of X
-            if (iteration == 0 or final) and not np.isfinite(F).all():
-                raise NumericalFailureError("force evaluation returned NaN/Inf",
-                                            np.flatnonzero(_failing(F, n)))
             if final:
+                if not np.isfinite(F).all():
+                    raise NumericalFailureError("force evaluation returned NaN/Inf",
+                                                np.flatnonzero(_failing(F, n)))
                 np.concatenate((source, F), out=x[2:])
                 return maps, x, X, iteration
             X_new = np.einsum(_BY_COLUMN, maps.primary, F[:read])
@@ -860,6 +862,10 @@ class ArkStepper:
             elif n > 1 or not worst <= blowup or iteration == _MAX_PASSES:
                 if not math.isfinite(worst):
                     bad = _failing(F, n)
+                    # the first forces failing is the force's fault, not the loop's
+                    if iteration == 1 and bad.any():
+                        raise NumericalFailureError("force evaluation returned NaN/Inf",
+                                                    np.flatnonzero(bad))
                     if done is not None:
                         bad &= ~done
                     if bad.any():

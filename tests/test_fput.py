@@ -146,6 +146,46 @@ def test_chain_energies_batch_rows_match_single_states(ell):
     assert np.array_equal(stacked[0].ravel(), flat[0])
 
 
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.builds(math.copysign, st.floats(1e-150, 1e150),
+                             st.sampled_from([1.0, -1.0])))
+
+
+@st.composite
+def _chains(draw):
+    """(ell, omegas, q, p): up to four chains with entries of magnitude
+    1e-150 to 1e150 or exactly +-0, each with its own omega."""
+    ell = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    omegas = draw(st.lists(st.floats(1e-2, 1e4), min_size=n, max_size=n))
+    entries = st.lists(_ENTRY, min_size=n * 2 * ell, max_size=n * 2 * ell)
+    q = np.array(draw(entries)).reshape(n, 2 * ell)
+    p = np.array(draw(entries)).reshape(n, 2 * ell)
+    return ell, np.array(omegas), q, p
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(_chains())
+@settings(max_examples=200, deadline=None)
+def test_single_state_energies_are_their_batch_rows(chains):
+    # one state takes its own path through the chain energies, which must
+    # give bitwise its row of the batch, signed zeros and overflow included
+    ell, omegas, q, p = chains
+    with np.errstate(over="ignore"):
+        h, osc = fput._chain_energies(q, p, omegas, ell)
+        for i, omega in enumerate(omegas.tolist()):
+            params = FputParams(ell=ell, omega=omega)
+            state = PhaseState(q=q[i], p=p[i])
+            single = energy_breakdown(params, state)
+            assert _bits(single.hamiltonian) == _bits(h[i])
+            assert _bits(single.oscillatory) == _bits(osc[i])
+            assert _bits(single.total_oscillatory) == _bits(osc[i].sum())
+            assert _bits(fput_system(params).energy(state)) == _bits(h[i])
+
+
 def test_energy_breakdown_dimension_mismatch():
     with pytest.raises(ValueError):
         energy_breakdown(FputParams(ell=3, omega=1.0),

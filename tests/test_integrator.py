@@ -736,9 +736,10 @@ def test_fixed_point_batch_names_failing_members():
     assert info.value.members == (1,)
 
 
-def _turns_bad(value, from_call, member=None):
-    """The chain's slow force at omega = 50, which returns ``value`` from its
-    ``from_call``-th call on (in ``member``'s rows only, if given)."""
+def _turns_bad(value, from_call, member=None, to_call=math.inf):
+    """The chain's slow force at omega = 50, which returns ``value`` in its
+    ``from_call``-th to ``to_call``-th calls (in ``member``'s rows only, if
+    given)."""
     chain = fput.fput_system(fput.FputParams(ell=3, omega=50.0))
     calls = []
 
@@ -747,7 +748,7 @@ def _turns_bad(value, from_call, member=None):
         out = chain.f1(q)
         if member is not None:
             out[..., 0, :] = 0.25   # the other member: a constant force
-        if len(calls) >= from_call:
+        if from_call <= len(calls) <= to_call:
             (out if member is None else out[..., member, :])[...] = value
         return out
 
@@ -787,6 +788,47 @@ def test_force_failing_between_passes_diverges_one_member(value):
     exc = info.value
     assert str(exc) == "stage iteration diverged after 2 iterations"
     assert (exc.residual, exc.iterations, exc.members) == (math.inf, 2, (1,))
+
+
+@pytest.mark.parametrize("fixed_point", [False, True], ids=["linear", "fixed-point"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_first_force_failure_is_the_forces_fault(value, fixed_point):
+    # a force that fails in its first evaluation, at q0 (the explicit slot
+    # F1(q0)) or at the start's interior stages, raises NumericalFailureError
+    # naming its members; one that first fails in a later pass diverges them
+    lgl4 = scheme_from_name("lgl4")
+    h = 0.01 if fixed_point else 0.04
+    state = fput.paper_initial_state(fput.FputParams(ell=3, omega=50.0))
+    batch = PhaseState(q=np.tile(state.q, (3, 1)), p=np.tile(state.p, (3, 1)))
+
+    def bad(from_call, to_call=math.inf, member=None):
+        system, _ = _turns_bad(value, from_call, member, to_call)
+        return iterated(system) if fixed_point else system
+
+    for calls in ((1, 1), (2, 2), (1, math.inf)):   # F1(q0), the interior stages, both
+        with pytest.raises(NumericalFailureError,
+                           match=r"^force evaluation returned NaN/Inf$") as info:
+            ArkStepper(lgl4, bad(*calls)).step(state, h)
+        assert info.value.members == (0,)
+        with pytest.raises(NumericalFailureError) as info:
+            ArkStepper(lgl4, bad(*calls, member=1)).step(batch, h)
+        assert info.value.members == (1,)
+        with pytest.raises(NumericalFailureError) as info:
+            integrate(lgl4, bad(*calls), state, h, 3)
+        assert info.value.members == (0,)
+    if fixed_point:
+        # the fast force at q0 and at the start's stages
+        fast = dataclasses.replace(bad(math.inf), f2=lambda q: np.full_like(q, value))
+        with pytest.raises(NumericalFailureError) as info:
+            ArkStepper(lgl4, fast).step(state, h)
+        assert info.value.members == (0,)
+
+    with pytest.raises(NonconvergenceError, match="diverged after 2 iterations") as info:
+        ArkStepper(lgl4, bad(3)).step(state, h)
+    assert info.value.members == (0,)
+    with pytest.raises(NonconvergenceError, match="diverged after 2 iterations") as info:
+        ArkStepper(lgl4, bad(3, member=1)).step(batch, h)
+    assert info.value.members == (1,)
 
 
 def _assert_frozen(state, members=None):
