@@ -101,12 +101,6 @@ def _chain_matrices(ell: int):
     return to_uv, to_e, from_g
 
 
-def _extensions(q, ell: int):
-    """Spring elongations e = E q of the quartic part, one row per state."""
-    to_uv, to_e, _ = _chain_matrices(ell)
-    return q.reshape(-1, 2 * ell).dot(to_uv).dot(to_e)
-
-
 @functools.lru_cache(maxsize=None)
 def _chain_force(ell: int):
     """F1 = -E^T e^3 of the chain, for arrays broadcast over leading axes,
@@ -145,28 +139,19 @@ def _chain_energies(q, p, omegas, ell: int):
     of H is a square of an entry of z = (p, omega q_f, e^2), so H is one
     product of z^2 with constant weights, however many chains there are.
     The product is an einsum, which sums each row alike wherever it sits
-    in the stack; BLAS would round a row by its position.  One (d,) state
-    takes the same products on (d,) operands, without the reshapes, and
-    returns H as a NumPy scalar: bitwise its row of any stack.
+    in the stack; BLAS would round a row by its position.
     """
     q, p = np.asarray(q), np.asarray(p)
-    if q.ndim == 1:
-        to_uv, to_e, _ = _chain_matrices(ell)
-        e = q.dot(to_uv).dot(to_e)
-        e *= e
-        z = np.concatenate((p, omegas * q[ell:], e))
-        z *= z
-        osc = z[ell:2 * ell] + z[2 * ell:3 * ell]
-        osc *= 0.5
-        return np.einsum("j,j->", z, _energy_weights(ell)), osc
     lead = q.shape[:-1]
+    to_uv, to_e, _ = _chain_matrices(ell)
     q, p = q.reshape(-1, 2 * ell), p.reshape(-1, 2 * ell)
-    e = _extensions(q, ell)
+    e = q.dot(to_uv).dot(to_e)   # the spring elongations e = E q
     e *= e
-    w = np.asarray(omegas, dtype=float).reshape(-1, 1)
+    w = omegas if isinstance(omegas, float) else np.asarray(omegas, dtype=float).reshape(-1, 1)
     z = np.concatenate((p, w * q[:, ell:], e), axis=1)
     z *= z
-    osc = 0.5 * (z[:, ell:2 * ell] + z[:, 2 * ell:3 * ell])
+    osc = z[:, ell:2 * ell] + z[:, 2 * ell:3 * ell]
+    osc *= 0.5
     return (np.einsum("ij,j->i", z, _energy_weights(ell)).reshape(lead),
             osc.reshape(lead + (ell,)))
 
@@ -296,18 +281,14 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     q, p = np.tile(base.q, (len(omegas), 1)), np.tile(base.p, (len(omegas), 1))
     q[:, ell] = 1.0 / omegas
 
-    def energies(state, omegas, out):
-        """H and omega * I_total of each row into the two rows of ``out``,
-        each as it is for the row alone."""
-        out[0], osc = _chain_energies(state.q, state.p, omegas, ell)
-        np.einsum("ij->i", osc, out=out[1])
-        out[1] *= omegas
-        return out
+    def energies(state, omegas):
+        """H and omega * I_total of each row, each as it is for the row alone."""
+        hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
+        return np.array((hamiltonian, omegas * np.einsum("ij->i", osc)))
 
     state = PhaseState(q=q, p=p)
-    origin = energies(state, omegas, np.empty((2, len(omegas))))
+    origin = energies(state, omegas)
     worst = np.zeros_like(origin)   # the largest drifts |E - E0|
-    current = np.empty_like(origin)
 
     def batch(rows):   # a chain's stepper holds its Omega^2
         return make_stepper(scheme, _chain_system(ell, omegas[rows]), tol)
@@ -315,10 +296,8 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     def observe(rows, state, iterations):
         # a slice while every member runs: a view, where indexing by rows copies
         running = rows if len(rows) < len(omegas) else slice(None)
-        drift = energies(state, omegas[running], current[:, :len(rows)])
-        drift -= origin[:, running]
-        np.abs(drift, out=drift)
-        worst[:, running] = np.maximum(worst[:, running], drift, out=drift)
+        drift = np.abs(energies(state, omegas[running]) - origin[:, running])
+        worst[:, running] = np.maximum(worst[:, running], drift)
 
     _, failures = _run(batch, state, h, np.full(len(omegas), n_steps), observe)
     worst[:, [i for i, _ in failures]] = math.nan

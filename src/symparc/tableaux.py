@@ -20,7 +20,6 @@ for every stage count up to MAX_STAGES.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -78,11 +77,9 @@ class Variant(str, Enum):
 
 
 def _frozen(a, dtype=float):
-    """A read-only copy of ``a``: a view of a read-only array, so that its
-    write flag cannot be set back (schemes are shared, see build_scheme)."""
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
-    return out.view()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +435,8 @@ def build_scheme(s1: int, variant: Variant | str) -> ArkScheme:
 
     Primary: Lobatto IIIA with s1 stages.  Secondary: Gauss-Legendre with
     s2 = s1 - 1 nodes.  ``variant`` selects how the coupling matrix is built.
-    Each scheme is built once and shared: every call with the same s1 and
-    variant, by name or by member, returns the same object, whose
-    coefficient arrays are read-only.
     """
-    return _built_scheme(s1, Variant(variant))
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _built_scheme(s1: int, variant: Variant) -> ArkScheme:
+    variant = Variant(variant)
     if s1 < 2:
         raise ValueError(f"need s1 >= 2, got {s1}")
     if s1 > MAX_STAGES:

@@ -171,8 +171,8 @@ def _bits(x):
 @given(_chains())
 @settings(max_examples=200, deadline=None)
 def test_single_state_energies_are_their_batch_rows(chains):
-    # one state takes its own path through the chain energies, which must
-    # give bitwise its row of the batch, signed zeros and overflow included
+    # one state, through energy_breakdown and the system's energy, must give
+    # bitwise its row of the batch, signed zeros and overflow included
     ell, omegas, q, p = chains
     with np.errstate(over="ignore"):
         h, osc = fput._chain_energies(q, p, omegas, ell)
