@@ -317,7 +317,11 @@ def _quiet(fn):
 # elimination on S (Skeel, Math. Comp. 35, 1980).  Every operation runs
 # elementwise over the values, in an (n, k, N) layout with the values last,
 # and every sum term by term, never through BLAS, so a value's solution is
-# bitwise the one it gets alone.
+# bitwise the one it gets alone.  A right-hand side that is the same for
+# every value is passed as (n, k, 1) and broadcasts.  A pivot column whose
+# swap decisions agree for every value swaps rows by plain assignment, or
+# not at all, and only a mixed column selects per value; which values are
+# singular is read off the pivots once the elimination is done.
 # ---------------------------------------------------------------------------
 
 def _householder_hessenberg(A):
@@ -366,40 +370,60 @@ def lu_factor(H, nu):
 
     The factors are the upper triangle U, shape (n, n, N), the swap masks
     and the multipliers: elimination only ever pivots between adjacent rows.
+    A column whose swap decisions agree for every value swaps its rows by
+    plain assignment, or not at all; only a mixed column selects per value.
     ``singular`` marks the values with a pivot that is NaN or below
-    1e-14 max(1, |nu| max|H|), checked as each column is eliminated; their
-    factors hold inf or NaN, without a warning.
+    1e-14 max(1, |nu| max|H|), read off the diagonal of U once the
+    elimination is done; their factors hold inf or NaN, without a warning.
     """
     n = H.shape[0]
     swaps = np.empty((n - 1, len(nu)), dtype=bool)
     mults = np.empty((n - 1, len(nu)))
-    singular = np.zeros(len(nu), dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         U = H[:, :, None] * nu
-        U[np.arange(n), np.arange(n)] += 1.0
+        for i in range(n):
+            U[i, i] += 1.0
         tol = np.maximum(1e-14, 1e-14 * np.abs(H).max() * np.abs(nu))
         for j in range(n - 1):
             top, low = U[j, j:], U[j + 1, j:]
-            swap = np.abs(low[0]) > np.abs(top[0])
-            top, low = np.where(swap, low, top), np.where(swap, top, low)
-            singular |= ~(np.abs(top[0]) >= tol)
-            mults[j] = low[0] / top[0]
-            swaps[j] = swap
-            U[j, j:] = top
-            U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
-        singular |= ~(np.abs(U[n - 1, n - 1]) >= tol)
+            swap = np.greater(np.abs(low[0]), np.abs(top[0]), out=swaps[j])
+            swapped = np.count_nonzero(swap)
+            if swapped == len(swap):
+                # the right-hand side is evaluated first: row j is read
+                # before either row is written
+                np.divide(top[0], low[0], out=mults[j])
+                U[j, j:], U[j + 1, j + 1:] = low, top[1:] - mults[j] * low[1:]
+            elif not swapped:
+                np.divide(low[0], top[0], out=mults[j])
+                U[j + 1, j + 1:] -= mults[j] * top[1:]
+            else:
+                top, low = np.where(swap, low, top), np.where(swap, top, low)
+                np.divide(low[0], top[0], out=mults[j])
+                U[j, j:] = top
+                U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
+        # the smallest |pivot| of each value, NaN where any pivot is NaN
+        singular = ~(np.abs(U.diagonal().T).min(axis=0) >= tol)
     return (U, swaps, mults), singular
 
 
 def lu_solve(factors, B):
     """Solve (I + nu H) Y = B in place for B of shape (n, k, N), through the
-    factors of :func:`lu_factor`."""
+    factors of :func:`lu_factor`; as there, a column whose swap decisions
+    agree swaps by plain assignment or not at all."""
     U, swaps, mults = factors
     n = U.shape[0]
     for j in range(n - 1):
-        top = np.where(swaps[j], B[j + 1], B[j])
-        B[j + 1] = np.where(swaps[j], B[j], B[j + 1]) - mults[j] * top
-        B[j] = top
+        swap = swaps[j]
+        swapped = np.count_nonzero(swap)
+        if swapped == len(swap):
+            # as in lu_factor, row j is read before either row is written
+            B[j], B[j + 1] = B[j + 1], B[j] - mults[j] * B[j + 1]
+        elif not swapped:
+            B[j + 1] -= mults[j] * B[j]
+        else:
+            top = np.where(swap, B[j + 1], B[j])
+            B[j + 1] = np.where(swap, B[j], B[j + 1]) - mults[j] * top
+            B[j] = top
     for j in range(n - 1, -1, -1):
         B[j] /= U[j, j]
         B[:j] -= U[:j, j, None] * B[j]
@@ -420,9 +444,11 @@ def _apply(A, X):
 
 def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
     """S^{-1} R for the stage blocks S = [[I, -alpha At], [beta AtH, I]] of
-    the (N,) values alpha and beta, R of shape (s2 + s1, k, N) with rows
-    (Qt, P), and ``factors`` those of I + alpha beta H from
-    :func:`lu_factor`, in the basis Q of :func:`_schur_basis`.
+    the (N,) values alpha and beta, R with rows (Qt, P) of shape
+    (s2 + s1, k, N), or (s2 + s1, k, 1) for a right-hand side that is the
+    same for every value (it broadcasts, and is never copied out to N), and
+    ``factors`` those of I + alpha beta H from :func:`lu_factor`, in the
+    basis Q of :func:`_schur_basis`.  Returns X of shape (s2 + s1, k, N).
 
     Each pass solves the Schur complement (I + nu G) Qt = R_q + alpha At R_p
     in the Hessenberg basis of G, then sets P = R_p - beta AtH Qt.  The
@@ -439,7 +465,10 @@ def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
 
     Qt, P, coupling = schur_pass(R[:s2], R[s2:])
     dQt, dP, _ = schur_pass(R[:s2] - Qt + alpha * _apply(At, P), R[s2:] - P - coupling)
-    return np.concatenate([Qt + dQt, P + dP])
+    X = np.empty((s2 + scheme.s1,) + Qt.shape[1:])
+    np.add(Qt, dQt, out=X[:s2])
+    np.add(P, dP, out=X[s2:])
+    return X
 
 
 def _member_max(columns, n: int):

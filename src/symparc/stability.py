@@ -18,7 +18,9 @@ once: the stage block kernel of :mod:`symparc.integrator`, which the
 stepper's fold also solves its blocks with, at alpha = h, beta = h omega^2
 and nu = h^2 omega^2.  Here alpha = beta = mu.  It solves
 S(mu) X = [E | (0; ahat_i)]; the column (0; ahat_i) gives Qt = mu At P and
-P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  It never factors the
+P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  That right-hand side
+is the same for every mu: it is built once per call with one entry along
+the values' axis, and the kernel broadcasts it.  It never factors the
 (s2+s1) stage block itself: it eliminates the momenta and factors the
 s2 x s2 Schur complement I + nu G with G = At AtH and nu = mu^2, reduced
 once per scheme to Hessenberg form, and refines the solution once against
@@ -27,9 +29,10 @@ so the kernel fails exactly where the stage block is singular, by the rule
 the stepper applies to its blocks.
 
 The kernel solves the mu in chunks of 8,192, and every sampled quantity is
-reduced from a chunk as soon as the chunk is solved: the half trace reads
-the diagonal of M alone, the filters their own columns, the M11 = M22 check
-keeps a running max.  Only :func:`stability_matrix_samples`, whose caller
+reduced from a chunk as soon as the chunk is solved: the half trace and
+the M11 = M22 check weigh M11 and M22 alone (b against P's first column,
+-b_tilde against Qt's second), the filters their own columns, and the
+check keeps a running max.  Only :func:`stability_matrix_samples`, whose caller
 asks for M, returns an (N, 2, 2) array.
 
 Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
@@ -181,11 +184,13 @@ def _chunk_solvers(scheme: ArkScheme, mus):
                functools.partial(stage_solve, scheme, Q, factors, m, m))
 
 
-def _unit_rhs(scheme: ArkScheme, n: int, extra=None):
-    """E: the all-ones vectors of the two stage blocks, once per mu, followed
-    by a column (0; extra[:, i]) for each column of ``extra`` (s1, k)."""
+def _unit_rhs(scheme: ArkScheme, extra=None):
+    """E: the all-ones vectors of the two stage blocks, followed by a column
+    (0; extra[:, i]) for each column of ``extra`` (s1, k).  It is the same
+    for every mu, so it has one entry along the values' axis and the kernel
+    broadcasts it over each chunk."""
     extra = np.empty((scheme.s1, 0)) if extra is None else extra
-    E = np.zeros((scheme.s2 + scheme.s1, 2 + extra.shape[1], n))
+    E = np.zeros((scheme.s2 + scheme.s1, 2 + extra.shape[1], 1))
     E[:scheme.s2, 0] = 1.0
     E[scheme.s2:, 1] = 1.0
     E[scheme.s2:, 2:] = extra[:, :, None]
@@ -197,6 +202,15 @@ def _weigh(scheme: ArkScheme, X):
     s2 = scheme.s2
     return np.concatenate([_apply(scheme.b[None, :], X[s2:]),
                            -_apply(scheme.b_tilde[None, :], X[:s2])])
+
+
+def _weigh_diagonal(scheme: ArkScheme, X):
+    """(W X)[0, 0] and (W X)[1, 1] of :func:`_weigh` alone, shape (N,) each:
+    b against P's column 0 and -b_tilde against Qt's column 1, each sum
+    taken in the order :func:`_weigh` takes it."""
+    s2 = scheme.s2
+    return (_apply(scheme.b[None, :], X[s2:, :1])[0, 0],
+            -_apply(scheme.b_tilde[None, :], X[:s2, 1:2])[0, 0])
 
 
 def _check_squares(mus):
@@ -221,27 +235,30 @@ def _mu_grid(mus) -> np.ndarray:
     return mus
 
 
-def _samples(scheme: ArkScheme, mus, extra=None):
-    """Yield (slice, mu chunk, W X) for the grid ``mus`` of :func:`_mu_grid`,
-    from one refined solve of [E | (0; extra)] per chunk: M = I + mu W X[:, :2]
-    and b^T P = W X[0, 2:] for each column (0; extra[:, i]).  Callers reduce
-    each chunk as it comes, so no (N, 2, 2) array is formed on their behalf."""
+def _solutions(scheme: ArkScheme, mus, extra=None):
+    """Yield (slice, mu chunk, X) for the grid ``mus`` of :func:`_mu_grid`,
+    with X = S(mu)^{-1} [E | (0; extra)] from one refined solve per chunk:
+    M = I + mu W X[:, :2] and b^T P = W X[0, 2:] for each column
+    (0; extra[:, i]).  Callers weigh and reduce each chunk as it comes, so
+    no (N, 2, 2) array is formed on their behalf."""
+    E = _unit_rhs(scheme, extra)
     for part, m, solve in _chunk_solvers(scheme, mus):
-        yield part, m, _weigh(scheme, solve(_unit_rhs(scheme, len(m), extra)))
+        yield part, m, solve(E)
 
 
-def _diagonal(m, WX):
+def _diagonal(scheme: ArkScheme, m, X):
     """M11 and M22 of M = I + mu W X per mu, entry for entry as the full M
     of :func:`stability_matrix_samples` holds them."""
-    return 1.0 + m * WX[0, 0], 1.0 + m * WX[1, 1]
+    w11, w22 = _weigh_diagonal(scheme, X)
+    return 1.0 + m * w11, 1.0 + m * w22
 
 
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
     mus = _mu_grid(mus)
     M = np.empty((len(mus), 2, 2))
-    for part, m, WX in _samples(scheme, mus):
-        M[part] = np.eye(2) + m[:, None, None] * WX.transpose(2, 0, 1)
+    for part, m, X in _solutions(scheme, mus):
+        M[part] = np.eye(2) + m[:, None, None] * _weigh(scheme, X).transpose(2, 0, 1)
     return M
 
 
@@ -249,9 +266,10 @@ def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
     """d/dmu of the half trace, from M'(mu) = W S(mu)^{-1} X with X = S(mu)^{-1} E."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     out = np.empty(len(mus))
+    E = _unit_rhs(scheme)
     for part, m, solve in _chunk_solvers(scheme, mus):
-        WY = _weigh(scheme, solve(solve(_unit_rhs(scheme, len(m)))))
-        out[part] = 0.5 * (WY[0, 0] + WY[1, 1])
+        w11, w22 = _weigh_diagonal(scheme, solve(solve(E)))
+        out[part] = 0.5 * (w11 + w22)
     return out
 
 
@@ -265,8 +283,8 @@ def half_trace_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """tr M(mu) / 2 on an array of mu values (the stability function up to sign)."""
     mus = _mu_grid(mus)
     out = np.empty(len(mus))
-    for part, m, WX in _samples(scheme, mus):
-        m11, m22 = _diagonal(m, WX)
+    for part, m, X in _solutions(scheme, mus):
+        m11, m22 = _diagonal(scheme, m, X)
         out[part] = 0.5 * (m11 + m22)
     return out
 
@@ -279,8 +297,8 @@ def half_trace(scheme: ArkScheme, mu: float) -> float:
 def check_m11_equals_m22(scheme: ArkScheme, mu_samples) -> M11M22Check:
     """Max |M11 - M22| over the samples plus the moment identities behind it."""
     deviation = 0.0
-    for _, m, WX in _samples(scheme, _mu_grid(mu_samples)):
-        m11, m22 = _diagonal(m, WX)
+    for _, m, X in _solutions(scheme, _mu_grid(mu_samples)):
+        m11, m22 = _diagonal(scheme, m, X)
         # np.maximum, unlike max(), carries a NaN through
         deviation = float(np.maximum(deviation, np.max(np.abs(m11 - m22))))
     k_max = min(scheme.s1, scheme.s2)
@@ -327,10 +345,10 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
     grid = _mu_grid(mus)
     psi = np.empty((len(grid), scheme.s1))
     ht = np.empty(len(grid))
-    for part, m, WX in _samples(scheme, grid, scheme.a_hat):
-        m11, m22 = _diagonal(m, WX)
+    for part, m, X in _solutions(scheme, grid, scheme.a_hat):
+        m11, m22 = _diagonal(scheme, m, X)
         ht[part] = 0.5 * (m11 + m22)
-        psi[part] = WX[0, 2:].T
+        psi[part] = _apply(scheme.b[None, :], X[scheme.s2:, 2:])[0].T
     mu_t = _modified_mu(ht)
     if mus.ndim == 0:
         return FilterEvaluation(mu=float(mus), psi=psi[0], modified_mu=float(mu_t[0]))

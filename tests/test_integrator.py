@@ -515,6 +515,50 @@ def test_singular_and_nan_blocks_are_flagged():
 
 
 @pytest.mark.filterwarnings("error")
+def test_lu_pivot_paths_match_values_alone():
+    # column 0 swaps for every nu (|1 + nu H00| = 1 < |nu H10|), column 1
+    # for none, column 2 for some: the batch takes the plain-assignment, the
+    # no-swap and the select path, and each value must come out as alone
+    H = np.array([[0.0, 1.0, 0.5, -0.3],
+                  [1.0, 0.0, 0.2, 0.4],
+                  [0.0, 1e-3, 0.3, 0.7],
+                  [0.0, 0.0, 0.9, -0.2]])
+    nu = np.array([2.0, 3.0, 5.0, -4.0, 1.5, -2.5])
+    factors, singular = integrator.lu_factor(H, nu)
+    swaps = factors[1]
+    assert swaps.shape == (3, len(nu)) and not singular.any()
+    assert swaps[0].all() and not swaps[1].any()
+    assert swaps[2].any() and not swaps[2].all()
+    B = np.random.default_rng(4).standard_normal((4, 2, len(nu)))
+    Y = integrator.lu_solve(factors, B.copy())
+    for k in range(len(nu)):
+        alone, _ = integrator.lu_factor(H, nu[k:k + 1])
+        for batched, single in zip(factors, alone):
+            assert np.array_equal(batched[..., k:k + 1], single)
+        assert np.array_equal(Y[..., k:k + 1], integrator.lu_solve(alone, B[..., k:k + 1].copy()))
+        expected = np.linalg.solve(np.eye(4) + nu[k] * H, B[..., k])
+        assert np.max(np.abs(Y[..., k] - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["lgl4", "lglc12"])
+def test_stage_solve_broadcasts_a_constant_rhs(name):
+    # a right-hand side that is the same for every value may be passed as
+    # (n, k, 1): the solution is bitwise that of the copy spread over N
+    scheme = scheme_from_name(name)
+    H, Q = integrator._schur_basis(scheme)
+    alpha = np.array([0.0, 0.3, -1.7, 12.0, 250.0])
+    beta = alpha * np.array([1.0, 4.0, 0.5, 1.0, 9.0])
+    factors, singular = integrator.lu_factor(H, alpha * beta)
+    assert not singular.any()
+    R = np.random.default_rng(6).standard_normal((scheme.s2 + scheme.s1, 3, 1))
+    X = integrator.stage_solve(scheme, Q, factors, alpha, beta, R)
+    spread = np.repeat(R, len(alpha), axis=2)
+    assert X.shape == spread.shape
+    assert np.array_equal(X, integrator.stage_solve(scheme, Q, factors, alpha, beta, spread))
+
+
+@pytest.mark.filterwarnings("error")
 def test_singular_pair_names_only_its_members():
     # the block of singular_at_one is singular where h^2 w = 1; of the
     # (h, w) pairs below only (0.05, 400) is, and only member 2 steps with it

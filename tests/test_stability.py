@@ -242,6 +242,21 @@ def test_streamed_reductions_cross_chunks(scheme):
     assert check_m11_equals_m22(scheme, mus).max_deviation == np.max(np.abs(m11 - m22))
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_reductions_match_the_matrix_for_every_scheme(variant):
+    # the half trace and the M11 = M22 check weigh only the diagonal of M:
+    # bitwise what the full matrix holds, for every scheme, at mu = 0, at
+    # negative mu and up to 1000
+    mus = np.concatenate([[0.0, -2.5, -400.0],
+                          np.random.default_rng(8).uniform(0.0, 1000.0, 510)])
+    for s1 in range(2, MAX_STAGES + 1):
+        scheme = build_scheme(s1, variant)
+        M = stability_matrix_samples(scheme, mus)
+        m11, m22 = M[:, 0, 0], M[:, 1, 1]
+        assert np.array_equal(half_trace_samples(scheme, mus), 0.5 * (m11 + m22)), s1
+        assert check_m11_equals_m22(scheme, mus).max_deviation == np.max(np.abs(m11 - m22)), s1
+
+
 def test_half_trace_samples_hold_no_matrix():
     # a 1e6-mu half trace keeps its (N,) result and one chunk's working set,
     # below twice the result's 8N bytes; the (N, 2, 2) matrix alone is 32N
