@@ -29,15 +29,15 @@ contracts only for h*omega below ~2.
 A pass is affine in the forces, so the block solve is folded into the
 tableau once per step size (Hairer & Wanner, Solving ODEs II, IV.8).  The
 blocks of all the step sizes a step needs and has not folded yet are
-solved together, by one call of the stage block kernel below over all
-their (step size, Omega^2 value) pairs: it factors the s2 x s2 Schur
-complement I + h^2 w At AtH, the matrix the stability analysis factors at
-h^2 w = mu^2, so the cost is the kernel's loop overhead, paid once for all
-pairs.  In fixed-point mode w = 0 and the block is unit upper triangular,
-so the fold solves it in closed form, with no factorization.  Per
-coordinate, the iterated rows are X = c0 + K F, where c0 = u q0 + v p0 is
-formed once per step and F are the forces that read X's first rows.  The
-two modes differ only in this fold:
+solved together, by one call of the stage block kernel, ``kernel.py``
+(:mod:`symparc.kernel`), over all their (step size, Omega^2 value) pairs:
+it factors the s2 x s2 Schur complement I + h^2 w At AtH, the matrix the
+stability analysis factors at h^2 w = mu^2, so the cost is the kernel's
+loop overhead, paid once for all pairs.  In fixed-point mode w = 0 and the
+block is unit upper triangular, so the fold solves it in closed form, with
+no factorization.  Per coordinate, the iterated rows are X = c0 + K F,
+where c0 = u q0 + v p0 is formed once per step and F are the forces that
+read X's first rows.  The two modes differ only in this fold:
 
     linearly-implicit:  X = Q,          F = F1(Q)
     fixed-point:        X = (Q, Qt, P), F = (F1(Q), F2(Qt))
@@ -91,6 +91,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from symparc import _rk8
+# _fold calls lu_factor by this module's name for it, which bench/tracing.py
+# wraps to count factorizations and tests patch to refuse them
+from symparc.kernel import _schur_basis, lu_factor, stage_rhs, stage_solve
 from symparc.tableaux import ArkScheme, Variant, build_scheme
 
 __all__ = [
@@ -300,175 +303,6 @@ def _quiet(fn):
             _QUIET.reset(token)
 
     return guarded
-
-
-# ---------------------------------------------------------------------------
-# The stage block kernel
-#
-# The stepper and the stability analysis solve the same stage block
-# S = [[I, -alpha At], [beta AtH, I]] for many values at once: the stepper
-# with alpha = h and beta = h omega^2, the stability matrix with
-# alpha = beta = mu.  The kernel factors only the s2 x s2 Schur complement
-# I + nu G, G = At AtH and nu = alpha beta, whose determinant is det S
-# (Sylvester).  G is reduced once per scheme to upper Hessenberg form,
-# G = Q H Q^T, so that the elimination of I + nu H pivots only between
-# adjacent rows (Laub, IEEE TAC 26, 1981); one step of iterative refinement
-# against At and AtH themselves restores the accuracy of Gaussian
-# elimination on S (Skeel, Math. Comp. 35, 1980).  Every operation runs
-# elementwise over the values, in an (n, k, N) layout with the values last,
-# and every sum term by term, never through BLAS, so a value's solution is
-# bitwise the one it gets alone.  A right-hand side that is the same for
-# every value is passed as (n, k, 1) and broadcasts.  A pivot column whose
-# swap decisions agree for every value swaps rows by plain assignment, or
-# not at all, and only a mixed column selects per value; which values are
-# singular is read off the pivots once the elimination is done.
-# ---------------------------------------------------------------------------
-
-def _householder_hessenberg(A):
-    """(H, Q) with A = Q H Q^T, H upper Hessenberg and Q orthogonal, by
-    Householder reflections (Golub & Van Loan, Matrix Computations, 7.4).
-    The entries below the subdiagonal are exactly zero."""
-    H = np.array(A, dtype=float)
-    n = len(H)
-    Q = np.eye(n)
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        if not np.any(x[1:]):
-            continue
-        alpha = -math.copysign(float(np.linalg.norm(x)), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        # H <- P H P and Q <- Q P with the reflection P = I - 2 v v^T
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
-        H[k + 1, k], H[k + 2:, k] = alpha, 0.0
-    return H, Q
-
-
-@functools.lru_cache(maxsize=64)
-def _hessenberg(g: bytes, n: int):
-    """The read-only :func:`_householder_hessenberg` of the n x n matrix
-    G = At AtH given by its bytes ``g``: one reduction per scheme, however
-    many calls sample it."""
-    reduced = _householder_hessenberg(np.frombuffer(g).reshape(n, n))
-    for a in reduced:
-        a.setflags(write=False)
-    return reduced
-
-
-def _schur_basis(scheme: ArkScheme):
-    """(H, Q) with At AtH = Q H Q^T, H upper Hessenberg; see :func:`_hessenberg`."""
-    G = scheme.a_tilde @ scheme.a_tilde_hat
-    return _hessenberg(G.tobytes(), len(G))
-
-
-def lu_factor(H, nu):
-    """Row-pivoted LU of I + nu H for every value of the (N,) array nu, with
-    H upper Hessenberg.  Returns (factors, singular).
-
-    The factors are the upper triangle U, shape (n, n, N), the swap masks
-    and the multipliers: elimination only ever pivots between adjacent rows.
-    A column whose swap decisions agree for every value swaps its rows by
-    plain assignment, or not at all; only a mixed column selects per value.
-    ``singular`` marks the values with a pivot that is NaN or below
-    1e-14 max(1, |nu| max|H|), read off the diagonal of U once the
-    elimination is done; their factors hold inf or NaN, without a warning.
-    """
-    n = H.shape[0]
-    swaps = np.empty((n - 1, len(nu)), dtype=bool)
-    mults = np.empty((n - 1, len(nu)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        U = H[:, :, None] * nu
-        for i in range(n):
-            U[i, i] += 1.0
-        tol = np.maximum(1e-14, 1e-14 * np.abs(H).max() * np.abs(nu))
-        for j in range(n - 1):
-            top, low = U[j, j:], U[j + 1, j:]
-            swap = np.greater(np.abs(low[0]), np.abs(top[0]), out=swaps[j])
-            swapped = np.count_nonzero(swap)
-            if swapped == len(swap):
-                # the right-hand side is evaluated first: row j is read
-                # before either row is written
-                np.divide(top[0], low[0], out=mults[j])
-                U[j, j:], U[j + 1, j + 1:] = low, top[1:] - mults[j] * low[1:]
-            elif not swapped:
-                np.divide(low[0], top[0], out=mults[j])
-                U[j + 1, j + 1:] -= mults[j] * top[1:]
-            else:
-                top, low = np.where(swap, low, top), np.where(swap, top, low)
-                np.divide(low[0], top[0], out=mults[j])
-                U[j, j:] = top
-                U[j + 1, j + 1:] = low[1:] - mults[j] * top[1:]
-        # the smallest |pivot| of each value, NaN where any pivot is NaN
-        singular = ~(np.abs(U.diagonal().T).min(axis=0) >= tol)
-    return (U, swaps, mults), singular
-
-
-def lu_solve(factors, B):
-    """Solve (I + nu H) Y = B in place for B of shape (n, k, N), through the
-    factors of :func:`lu_factor`; as there, a column whose swap decisions
-    agree swaps by plain assignment or not at all."""
-    U, swaps, mults = factors
-    n = U.shape[0]
-    for j in range(n - 1):
-        swap = swaps[j]
-        swapped = np.count_nonzero(swap)
-        if swapped == len(swap):
-            # as in lu_factor, row j is read before either row is written
-            B[j], B[j + 1] = B[j + 1], B[j] - mults[j] * B[j + 1]
-        elif not swapped:
-            B[j + 1] -= mults[j] * B[j]
-        else:
-            top = np.where(swap, B[j + 1], B[j])
-            B[j + 1] = np.where(swap, B[j], B[j + 1]) - mults[j] * top
-            B[j] = top
-    for j in range(n - 1, -1, -1):
-        B[j] /= U[j, j]
-        B[:j] -= U[:j, j, None] * B[j]
-    return B
-
-
-def _apply(A, X):
-    """A @ X for each value, X of shape (n, k, N), summed term by term over n.
-
-    Plain elementwise accumulation adds in the same order for every batch
-    size, where a BLAS product may not.
-    """
-    out = A[:, 0, None, None] * X[0]
-    for j in range(1, A.shape[1]):
-        out += A[:, j, None, None] * X[j]
-    return out
-
-
-def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
-    """S^{-1} R for the stage blocks S = [[I, -alpha At], [beta AtH, I]] of
-    the (N,) values alpha and beta, R with rows (Qt, P) of shape
-    (s2 + s1, k, N), or (s2 + s1, k, 1) for a right-hand side that is the
-    same for every value (it broadcasts, and is never copied out to N), and
-    ``factors`` those of I + alpha beta H from :func:`lu_factor`, in the
-    basis Q of :func:`_schur_basis`.  Returns X of shape (s2 + s1, k, N).
-
-    Each pass solves the Schur complement (I + nu G) Qt = R_q + alpha At R_p
-    in the Hessenberg basis of G, then sets P = R_p - beta AtH Qt.  The
-    second pass solves for the residual R - S X, formed against At and AtH
-    themselves rather than the rounded G; its momentum rows reuse the
-    first pass's coupling beta AtH Qt.
-    """
-    At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
-
-    def schur_pass(Rq, Rp):
-        Qt = _apply(Q, lu_solve(factors, _apply(Q.T, Rq + alpha * _apply(At, Rp))))
-        coupling = beta * _apply(AtH, Qt)
-        return Qt, Rp - coupling, coupling
-
-    Qt, P, coupling = schur_pass(R[:s2], R[s2:])
-    dQt, dP, _ = schur_pass(R[:s2] - Qt + alpha * _apply(At, P), R[s2:] - P - coupling)
-    X = np.empty((s2 + scheme.s1,) + Qt.shape[1:])
-    np.add(Qt, dQt, out=X[:s2])
-    np.add(P, dP, out=X[s2:])
-    return X
 
 
 def _member_max(columns, n: int):
@@ -720,12 +554,10 @@ class ArkStepper:
         # the step size of each (h, w) pair, and per pair the right-hand
         # side's rows (Qt, P) and columns (q0, p0, F_1, ..., F_m)
         alpha = np.repeat(h, len(values))
-        rhs = np.zeros((s2 + s1, 2 + m, len(alpha)))
-        rhs[:s2, 0] = 1.0
-        rhs[s2:, 1] = 1.0
-        rhs[s2:, 2:2 + s1] = scheme.a_hat[:, :, None] * alpha
+        forces = (np.concatenate((scheme.a_hat, scheme.a_tilde_hat), axis=1) if fixed_point
+                  else scheme.a_hat)
+        rhs = stage_rhs(scheme, forces[:, :, None] * alpha)
         if fixed_point:
-            rhs[s2:, 2 + s1:] = scheme.a_tilde_hat[:, :, None] * alpha
             # P is the right-hand side's momentum rows and Qt = q0 + h At P,
             # summed from the last stage down as back substitution sums it;
             # adding 0.0 makes the zeros of P positive, which keeps the maps

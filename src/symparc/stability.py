@@ -14,26 +14,28 @@ q'' = -omega^2 q + f(q) it admits a two-step trigonometric form with filter
 weights  psi_i = b^T (I + mu^2 AtH At)^{-1} ahat_i.
 
 Every mu-dependent quantity goes through one kernel, for an array of mu at
-once: the stage block kernel of :mod:`symparc.integrator`, which the
-stepper's fold also solves its blocks with, at alpha = h, beta = h omega^2
-and nu = h^2 omega^2.  Here alpha = beta = mu.  It solves
+once: the stage block kernel, ``kernel.py`` (:mod:`symparc.kernel`), which
+the stepper's fold also solves its blocks with, at alpha = h,
+beta = h omega^2 and nu = h^2 omega^2.  Here alpha = beta = mu.  It solves
 S(mu) X = [E | (0; ahat_i)]; the column (0; ahat_i) gives Qt = mu At P and
 P = (I + mu^2 AtH At)^{-1} ahat_i, so psi_i = b^T P.  That right-hand side
-is the same for every mu: it is built once per call with one entry along
-the values' axis, and the kernel broadcasts it.  It never factors the
-(s2+s1) stage block itself: it eliminates the momenta and factors the
-s2 x s2 Schur complement I + nu G with G = At AtH and nu = mu^2, reduced
-once per scheme to Hessenberg form, and refines the solution once against
-At and AtH.  By Sylvester's determinant identity det S(mu) = det(I + nu G),
-so the kernel fails exactly where the stage block is singular, by the rule
-the stepper applies to its blocks.
+is the same for every mu: the kernel's :func:`~symparc.kernel.stage_rhs`
+builds it once per call with one entry along the values' axis, and the
+kernel broadcasts it.  It never factors the (s2+s1) stage block itself: it
+eliminates the momenta and factors the s2 x s2 Schur complement I + nu G
+with G = At AtH and nu = mu^2, reduced once per scheme to Hessenberg form,
+and refines the solution once against At and AtH.  By Sylvester's
+determinant identity det S(mu) = det(I + nu G), so the kernel fails exactly
+where the stage block is singular, by the rule the stepper applies to its
+blocks.
 
 The kernel solves the mu in chunks of 8,192, and every sampled quantity is
 reduced from a chunk as soon as the chunk is solved: the half trace and
 the M11 = M22 check weigh M11 and M22 alone (b against P's first column,
 -b_tilde against Qt's second), the filters their own columns, and the
 check keeps a running max.  Only :func:`stability_matrix_samples`, whose caller
-asks for M, returns an (N, 2, 2) array.
+asks for M, returns an (N, 2, 2) array; the stability command writes its
+CSV from the same chunks of M, one at a time (:func:`_matrix_chunks`).
 
 Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
 X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
@@ -56,11 +58,8 @@ from symparc.integrator import (
     PhaseState,
     SingularStageSystemError,
     SplitForceSystem,
-    _apply,
-    _schur_basis,
-    lu_factor,
-    stage_solve,
 )
+from symparc.kernel import _apply, _schur_basis, lu_factor, stage_rhs, stage_solve
 from symparc.tableaux import ArkScheme
 
 __all__ = [
@@ -184,19 +183,6 @@ def _chunk_solvers(scheme: ArkScheme, mus):
                functools.partial(stage_solve, scheme, Q, factors, m, m))
 
 
-def _unit_rhs(scheme: ArkScheme, extra=None):
-    """E: the all-ones vectors of the two stage blocks, followed by a column
-    (0; extra[:, i]) for each column of ``extra`` (s1, k).  It is the same
-    for every mu, so it has one entry along the values' axis and the kernel
-    broadcasts it over each chunk."""
-    extra = np.empty((scheme.s1, 0)) if extra is None else extra
-    E = np.zeros((scheme.s2 + scheme.s1, 2 + extra.shape[1], 1))
-    E[:scheme.s2, 0] = 1.0
-    E[scheme.s2:, 1] = 1.0
-    E[scheme.s2:, 2:] = extra[:, :, None]
-    return E
-
-
 def _weigh(scheme: ArkScheme, X):
     """W X for each mu, shape (2, k, N): b against P, -b_tilde against Qt."""
     s2 = scheme.s2
@@ -237,11 +223,12 @@ def _mu_grid(mus) -> np.ndarray:
 
 def _solutions(scheme: ArkScheme, mus, extra=None):
     """Yield (slice, mu chunk, X) for the grid ``mus`` of :func:`_mu_grid`,
-    with X = S(mu)^{-1} [E | (0; extra)] from one refined solve per chunk:
-    M = I + mu W X[:, :2] and b^T P = W X[0, 2:] for each column
+    with X = S(mu)^{-1} [E | (0; extra)] from one refined solve per chunk,
+    ``extra`` of shape (s1, k, 1) as :func:`~symparc.kernel.stage_rhs` takes
+    it: M = I + mu W X[:, :2] and b^T P = W X[0, 2:] for each column
     (0; extra[:, i]).  Callers weigh and reduce each chunk as it comes, so
     no (N, 2, 2) array is formed on their behalf."""
-    E = _unit_rhs(scheme, extra)
+    E = stage_rhs(scheme, extra)
     for part, m, solve in _chunk_solvers(scheme, mus):
         yield part, m, solve(E)
 
@@ -253,12 +240,19 @@ def _diagonal(scheme: ArkScheme, m, X):
     return 1.0 + m * w11, 1.0 + m * w22
 
 
+def _matrix_chunks(scheme: ArkScheme, mus):
+    """Yield (slice, mu chunk, M chunk) for the grid ``mus`` of
+    :func:`_mu_grid`, one kernel chunk at a time, M of shape (chunk, 2, 2)."""
+    for part, m, X in _solutions(scheme, mus):
+        yield part, m, np.eye(2) + m[:, None, None] * _weigh(scheme, X).transpose(2, 0, 1)
+
+
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
     mus = _mu_grid(mus)
     M = np.empty((len(mus), 2, 2))
-    for part, m, X in _solutions(scheme, mus):
-        M[part] = np.eye(2) + m[:, None, None] * _weigh(scheme, X).transpose(2, 0, 1)
+    for part, _, chunk in _matrix_chunks(scheme, mus):
+        M[part] = chunk
     return M
 
 
@@ -266,7 +260,7 @@ def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
     """d/dmu of the half trace, from M'(mu) = W S(mu)^{-1} X with X = S(mu)^{-1} E."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     out = np.empty(len(mus))
-    E = _unit_rhs(scheme)
+    E = stage_rhs(scheme)
     for part, m, solve in _chunk_solvers(scheme, mus):
         w11, w22 = _weigh_diagonal(scheme, solve(solve(E)))
         out[part] = 0.5 * (w11 + w22)
@@ -345,7 +339,7 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
     grid = _mu_grid(mus)
     psi = np.empty((len(grid), scheme.s1))
     ht = np.empty(len(grid))
-    for part, m, X in _solutions(scheme, grid, scheme.a_hat):
+    for part, m, X in _solutions(scheme, grid, scheme.a_hat[:, :, None]):
         m11, m22 = _diagonal(scheme, m, X)
         ht[part] = 0.5 * (m11 + m22)
         psi[part] = _apply(scheme.b[None, :], X[scheme.s2:, 2:])[0].T

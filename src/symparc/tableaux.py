@@ -105,39 +105,39 @@ def _legendre_deriv(n: int, x):
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-def _gauss_nodes(n: int):
-    """Roots of P_n on (-1, 1), Newton-refined from Chebyshev guesses."""
-    k = np.arange(1, n + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+def _newton_symmetric(x, step):
+    """Newton iteration x <- x - step(x) from the guesses x until no node
+    moves by 1e-15, sorted, with the exact +- symmetry of the root set
+    enforced."""
     for _ in range(100):
-        p, dp = _legendre_deriv(n, x)
-        dx = p / dp
+        dx = step(x)
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    # enforce the exact +- symmetry of the root set
     x = np.sort(x)
-    x = 0.5 * (x - x[::-1])
-    return x
+    return 0.5 * (x - x[::-1])
+
+
+def _gauss_nodes(n: int):
+    """Roots of P_n on (-1, 1), Newton-refined from Chebyshev guesses."""
+    def step(x):
+        p, dp = _legendre_deriv(n, x)
+        return p / dp
+
+    k = np.arange(1, n + 1)
+    return _newton_symmetric(np.cos(np.pi * (4 * k - 1) / (4 * n + 2)), step)
 
 
 def _lobatto_interior_nodes(n: int):
     """Roots of P_n' on (-1, 1); these are the interior Lobatto points."""
-    if n < 2:
-        return np.empty(0)
-    k = np.arange(1, n)
-    x = np.cos(np.pi * k / n)
-    for _ in range(100):
+    def step(x):
         p, dp = _legendre_deriv(n, x)
         # (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n
-        ddp = (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
-        dx = dp / ddp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    x = np.sort(x)
-    x = 0.5 * (x - x[::-1])
-    return x
+        return dp / ((2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x))
+
+    if n < 2:
+        return np.empty(0)
+    return _newton_symmetric(np.cos(np.pi * np.arange(1, n) / n), step)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +395,12 @@ def lobatto_iiia(s: int) -> RkTableau:
 
 
 def conjugate_primary(tab: RkTableau) -> np.ndarray:
-    """Symplectic conjugate a_hat[i, j] = b_j - b_j a[j, i] / b_i.
+    """Symplectic conjugate a_hat[i, j] = b_j - b_j a[j, i] / b_i: the
+    :func:`conjugate_tilde` of the tableau with itself.
 
     Maps Lobatto IIIA to Lobatto IIIB.
     """
-    if np.any(tab.b == 0.0):
-        raise ValueError("conjugate tableau undefined for zero weights")
-    return tab.b[np.newaxis, :] * (1.0 - tab.a.T / tab.b[:, np.newaxis])
+    return conjugate_tilde(tab.a, tab.b, tab.b)
 
 
 def conjugate_tilde(a_tilde, b, b_tilde) -> np.ndarray:

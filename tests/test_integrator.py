@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import symparc.fput as fput
 import symparc.integrator as integrator
+import symparc.kernel as kernel
 from symparc.integrator import (
     ArkStepper,
     ComposedStepper,
@@ -504,13 +505,13 @@ def test_singular_and_nan_blocks_are_flagged():
                   [0.0, 0.7, 0.5, 0.6],
                   [0.0, 0.0, -0.8, 3.0]])
     nu = np.array([0.3, 1.0, np.nextafter(1.0, 2.0), math.nan, 1e12, -0.25])
-    (U, swaps, mults), singular = integrator.lu_factor(H, nu)
+    (U, swaps, mults), singular = kernel.lu_factor(H, nu)
     assert singular.tolist() == [False, True, True, True, False, False]
     assert swaps[:, 4].any()
     B = np.random.default_rng(3).standard_normal((4, 2, len(nu)))
     for k in (0, 4, 5):
         expected = np.linalg.solve(np.eye(4) + nu[k] * H, B[..., k])
-        Y = integrator.lu_solve((U, swaps, mults), B.copy())[..., k]
+        Y = kernel.lu_solve((U, swaps, mults), B.copy())[..., k]
         assert np.max(np.abs(Y - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -524,18 +525,18 @@ def test_lu_pivot_paths_match_values_alone():
                   [0.0, 1e-3, 0.3, 0.7],
                   [0.0, 0.0, 0.9, -0.2]])
     nu = np.array([2.0, 3.0, 5.0, -4.0, 1.5, -2.5])
-    factors, singular = integrator.lu_factor(H, nu)
+    factors, singular = kernel.lu_factor(H, nu)
     swaps = factors[1]
     assert swaps.shape == (3, len(nu)) and not singular.any()
     assert swaps[0].all() and not swaps[1].any()
     assert swaps[2].any() and not swaps[2].all()
     B = np.random.default_rng(4).standard_normal((4, 2, len(nu)))
-    Y = integrator.lu_solve(factors, B.copy())
+    Y = kernel.lu_solve(factors, B.copy())
     for k in range(len(nu)):
-        alone, _ = integrator.lu_factor(H, nu[k:k + 1])
+        alone, _ = kernel.lu_factor(H, nu[k:k + 1])
         for batched, single in zip(factors, alone):
             assert np.array_equal(batched[..., k:k + 1], single)
-        assert np.array_equal(Y[..., k:k + 1], integrator.lu_solve(alone, B[..., k:k + 1].copy()))
+        assert np.array_equal(Y[..., k:k + 1], kernel.lu_solve(alone, B[..., k:k + 1].copy()))
         expected = np.linalg.solve(np.eye(4) + nu[k] * H, B[..., k])
         assert np.max(np.abs(Y[..., k] - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
@@ -546,16 +547,16 @@ def test_stage_solve_broadcasts_a_constant_rhs(name):
     # a right-hand side that is the same for every value may be passed as
     # (n, k, 1): the solution is bitwise that of the copy spread over N
     scheme = scheme_from_name(name)
-    H, Q = integrator._schur_basis(scheme)
+    H, Q = kernel._schur_basis(scheme)
     alpha = np.array([0.0, 0.3, -1.7, 12.0, 250.0])
     beta = alpha * np.array([1.0, 4.0, 0.5, 1.0, 9.0])
-    factors, singular = integrator.lu_factor(H, alpha * beta)
+    factors, singular = kernel.lu_factor(H, alpha * beta)
     assert not singular.any()
     R = np.random.default_rng(6).standard_normal((scheme.s2 + scheme.s1, 3, 1))
-    X = integrator.stage_solve(scheme, Q, factors, alpha, beta, R)
+    X = kernel.stage_solve(scheme, Q, factors, alpha, beta, R)
     spread = np.repeat(R, len(alpha), axis=2)
     assert X.shape == spread.shape
-    assert np.array_equal(X, integrator.stage_solve(scheme, Q, factors, alpha, beta, spread))
+    assert np.array_equal(X, kernel.stage_solve(scheme, Q, factors, alpha, beta, spread))
 
 
 @pytest.mark.filterwarnings("error")

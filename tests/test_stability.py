@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -287,6 +288,44 @@ def test_half_trace_closed_forms():
     assert np.max(np.abs(half_trace_samples(LGL6, mus) - half_trace_order6(mus))) < 1e-12
 
 
+def _pade_half_trace(s2: int, mus):
+    """Re R(i mu) for the diagonal Pade approximant R(z) = P(z)/P(-z) of exp,
+    P(z) = sum_k (2 s2 - k)! s2! / ((2 s2)! k! (s2 - k)!) z^k, at 40 digits.
+
+    P's coefficients are real, so P(-i mu) is the conjugate of P(i mu) =
+    A(nu) + i mu B(nu) with nu = mu^2, and Re R(i mu) is
+    (A^2 - nu B^2) / (A^2 + nu B^2)."""
+    f = math.factorial
+    c = [Fraction(f(2 * s2 - k) * f(s2), f(2 * s2) * f(k) * f(s2 - k)) for k in range(s2 + 1)]
+    with mpmath.workdps(40):
+        # A and B in nu, highest power first, as polyval takes them
+        even = [mpmath.mpf(c[k].numerator) / c[k].denominator * (-1) ** (k // 2)
+                for k in range(0, s2 + 1, 2)][::-1]
+        odd = [mpmath.mpf(c[k].numerator) / c[k].denominator * (-1) ** (k // 2)
+               for k in range(1, s2 + 1, 2)][::-1]
+        out = []
+        for mu in mus:
+            nu = mpmath.mpf(mu) ** 2
+            a, b = mpmath.polyval(even, nu), mpmath.polyval(odd, nu)
+            out.append(float((a * a - nu * b * b) / (a * a + nu * b * b)))
+    return np.array(out)
+
+
+# every resonance of the family lies below 84.6 (lgl22); the rest of the
+# range reaches the kernel's large-mu regime
+PADE_MUS = np.concatenate([np.linspace(0.0, 100.0, 301), np.geomspace(100.0, 1e4, 201)[1:]])
+
+
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
+def test_interpolation_half_trace_is_the_diagonal_pade_approximant(s1):
+    # with F1 = 0 the interpolation method is the s2-stage Gauss method on
+    # the oscillator, whose stability function is the diagonal Pade
+    # approximant of exp (Hairer & Wanner, Solving ODEs II, IV.3-IV.5)
+    scheme = build_scheme(s1, Variant.INTERPOLATION)
+    error = np.abs(half_trace_samples(scheme, PADE_MUS) - _pade_half_trace(scheme.s2, PADE_MUS))
+    assert np.max(error) <= 1e-13, (float(np.max(error)), float(PADE_MUS[np.argmax(error)]))
+
+
 def test_half_trace_touch_points():
     assert half_trace(LGL4, 2.0 * math.sqrt(3.0)) == pytest.approx(-1.0, abs=1e-12)
     assert half_trace(LGL6, math.sqrt(10.0)) == pytest.approx(-1.0, abs=1e-12)
@@ -442,7 +481,7 @@ def test_non_finite_mu_rejected(fn):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_householder_hessenberg_of_every_scheme(variant):
-    from symparc.integrator import _hessenberg
+    from symparc.kernel import _hessenberg
     for s1 in range(2, MAX_STAGES + 1):
         scheme = build_scheme(s1, variant)
         G = scheme.a_tilde @ scheme.a_tilde_hat
@@ -457,7 +496,7 @@ def test_householder_hessenberg_of_every_scheme(variant):
 
 
 def test_nan_pivot_is_a_failure():
-    from symparc.integrator import lu_factor
+    from symparc.kernel import lu_factor
     _, singular = lu_factor(np.array([[2.0]]), np.array([0.25, math.nan, 1.0]))
     assert singular.tolist() == [False, True, False]
     # the first singular mu of a sample names the failure
