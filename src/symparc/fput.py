@@ -39,6 +39,7 @@ import numpy as np
 from symparc.integrator import (
     PhaseState,
     SplitForceSystem,
+    _einsum,
     _run,
     _step_count,
     _write_table,
@@ -138,8 +139,9 @@ def _chain_energies(q, p, omegas, ell: int):
     H has the leading shape and I the leading shape + (ell,).  Every term
     of H is a square of an entry of z = (p, omega q_f, e^2), so H is one
     product of z^2 with constant weights, however many chains there are.
-    The product is an einsum, which sums each row alike wherever it sits
-    in the stack; BLAS would round a row by its position.
+    The product is an einsum (``_einsum``, NumPy's C einsum), which sums
+    each row alike wherever it sits in the stack; BLAS would round a row by
+    its position.
     """
     q, p = np.asarray(q), np.asarray(p)
     lead = q.shape[:-1]
@@ -152,7 +154,7 @@ def _chain_energies(q, p, omegas, ell: int):
     z *= z
     osc = z[:, ell:2 * ell] + z[:, 2 * ell:3 * ell]
     osc *= 0.5
-    return (np.einsum("ij,j->i", z, _energy_weights(ell)).reshape(lead),
+    return (_einsum("ij,j->i", z, _energy_weights(ell)).reshape(lead),
             osc.reshape(lead + (ell,)))
 
 
@@ -284,7 +286,7 @@ def experiment_resonance_sweep(scheme, params: FputParams, h: float, T: float, o
     def energies(state, omegas):
         """H and omega * I_total of each row, each as it is for the row alone."""
         hamiltonian, osc = _chain_energies(state.q, state.p, omegas, ell)
-        return np.array((hamiltonian, omegas * np.einsum("ij->i", osc)))
+        return np.array((hamiltonian, omegas * _einsum("ij->i", osc)))
 
     state = PhaseState(q=q, p=p)
     origin = energies(state, omegas)

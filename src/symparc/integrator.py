@@ -355,8 +355,21 @@ def _step_count(T: float, h: float, names=("T", "h")) -> int:
     return round(T / h)
 
 
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:     # NumPy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+# _einsum is the C function np.einsum(..., optimize=False) ends in, so it
+# gives the same bits.  Calling it directly skips np.einsum's Python
+# dispatcher and __array_function__ check, about 1-2 us per call, which a
+# single-state step pays for every map product and the energy observer for
+# every state.  kernel._apply does not use it: on a contiguous (n, 1, 1)
+# operand einsum sums in a SIMD dot order, not term by term, and the kernel
+# must add alike for every batch size.
+
 # the product of each column's maps with its inputs: out[i, c] = sum_j
-# map[i, j, c] in[j, c], where c runs over the state's shape
+# map[i, j, c] in[j, c], where c runs over the state's shape; every stage
+# pass and update forms it through _einsum
 _BY_COLUMN = "ij...,j...->i..."
 
 
@@ -626,8 +639,8 @@ class ArkStepper:
         s1, s2 = self.scheme.s1, self.scheme.s2
         maps, x, X, iterations = self._iterate(state, h)
         solution = self._gather(maps.solution, maps.index)
-        sol = np.einsum(_BY_COLUMN, solution.reshape(solution.shape[:2] + state.q.shape),
-                        x[:solution.shape[1]])
+        sol = _einsum(_BY_COLUMN, solution.reshape(solution.shape[:2] + state.q.shape),
+                      x[:solution.shape[1]])
         # the explicit row is q0 itself
         stages = np.concatenate((np.broadcast_to(x[0], (self._explicit,) + x[0].shape), X))
         return stages[:s1], sol[s2:], sol[:s2], iterations
@@ -666,7 +679,7 @@ class ArkStepper:
         x = maps.inputs
         x[0], x[1] = state.q, state.p
         qp = x[:2]
-        c0 = np.einsum(_BY_COLUMN, maps.start, qp)
+        c0 = _einsum(_BY_COLUMN, maps.start, qp)
 
         # the forces X was computed from, which the next forces overwrite
         # once a pass no longer needs them, and the forces of X.  Every slot
@@ -678,7 +691,7 @@ class ArkStepper:
             forces[:, self.scheme.s1:] = system.fast_force(state.q)
         source, F = forces[0], forces[1]   # unpacking an array costs more
         read = maps.primary.shape[1]
-        X_new = np.einsum(_BY_COLUMN, maps.primary, F[:read])
+        X_new = _einsum(_BY_COLUMN, maps.primary, F[:read])
         X_new += c0
         # a step without iterated slots is explicit: X_new is its stages
         final = not self._passes
@@ -704,9 +717,10 @@ class ArkStepper:
                 if not np.isfinite(F).all():
                     raise NumericalFailureError("force evaluation returned NaN/Inf",
                                                 np.flatnonzero(_failing(F, n)))
-                np.concatenate((source, F), out=x[2:])
+                x[2:2 + len(F)] = source
+                x[2 + len(F):] = F
                 return maps, x, X, iteration
-            X_new = np.einsum(_BY_COLUMN, maps.primary, F[:read])
+            X_new = _einsum(_BY_COLUMN, maps.primary, F[:read])
             X_new += c0
             iteration += 1
             if done is not None:
@@ -770,7 +784,7 @@ class ArkStepper:
         batch one per member, shape (n,); ValueError unless it is finite."""
         h = _step_size(h, state)
         maps, x, _, iterations = self._iterate(state, h)
-        qp1 = np.einsum(_BY_COLUMN, maps.update, x)
+        qp1 = _einsum(_BY_COLUMN, maps.update, x)
         return _computed_state(qp1[0], qp1[1], state.t + h), iterations
 
 

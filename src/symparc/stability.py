@@ -418,10 +418,15 @@ def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
 
     Sign changes of half-trace -+ 1 are refined by bisection to 1e-10 and
     become interval boundaries.  Interior extrema are located by bisecting
-    the exact slope to 1e-14 (eight ulps from mu = 8 on); those touching +-1 (to within 1e-7)
-    are reported as tangent resonances.  ``p_stable`` holds when the single
-    interval covers [0, mu_max] and every resonance point carries two
-    independent eigenvectors (M = +-I there).  All brackets are refined
+    the exact slope to 1e-14 (eight ulps from mu = 8 on); those touching
+    +-1 (to within 1e-7) are reported as tangent resonances.  An extremum
+    past +-(1 + slack) between stable samples is an unstable gap narrower
+    than the grid: its two crossings of +-1 are bisected to 1e-10 too,
+    reported as resonances that are not tangent, and split the interval
+    that holds them.  The search sees such a gap only where the grid
+    brackets its extremum.  ``p_stable`` holds when the single interval
+    covers [0, mu_max] and every resonance point carries two independent
+    eigenvectors (M = +-I there).  The brackets of each kind are refined
     together, one batched call per bisection step.  ``mu_max`` above
     :data:`MAX_INTERVAL_MU` is a ValueError.
     """
@@ -461,7 +466,26 @@ def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
     i = np.arange(1, n - 2)
     i = i[(df[i - 1] > 0.0) != (df[i] > 0.0)]
     mu_stars = _refine_extrema(scheme, mus[i - 1], mus[i + 1])
-    for mu_star, val in zip(mu_stars.tolist(), f_at(mu_stars).tolist()):
+    vals = f_at(mu_stars)
+    # an extremum past the slack between stable samples is an unstable gap
+    # narrower than the grid: its two crossings, one on each side of it
+    # within its grid bracket, split the interval that holds it
+    side = np.where(vals > 0.0, 1.0, -1.0)
+    gap = ((np.abs(vals) > 1.0 + _TANGENCY_SLACK) & stable[i]
+           & (side * f[i - 1] < 1.0) & (side * f[i + 1] < 1.0))
+    lo = np.concatenate([mus[i - 1][gap], mu_stars[gap]])
+    hi = np.concatenate([mu_stars[gap], mus[i + 1][gap]])
+    targets = np.tile(side[gap], 2)
+    ends = _bisect(lambda x, idx: f_at(x) - targets[idx],
+                   lo, hi, np.concatenate([f[i - 1][gap], vals[gap]]) - targets)
+    for a, b, s in zip(*ends.reshape(2, -1).tolist(), side[gap].tolist()):
+        resonances += [Resonance(mu=a, sign=int(s), tangent=False),
+                       Resonance(mu=b, sign=int(s), tangent=False)]
+        for k, (lo_k, hi_k) in enumerate(intervals):
+            if lo_k < a and b < hi_k:
+                intervals[k:k + 1] = [(lo_k, a), (b, hi_k)]
+                break
+    for mu_star, val in zip(mu_stars[~gap].tolist(), vals[~gap].tolist()):
         for sign in (1, -1):
             if abs(val - sign) < 1e-7 and not any(
                     abs(mu_star - r.mu) < 10.0 * _GRID_STEP for r in resonances):

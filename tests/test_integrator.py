@@ -931,6 +931,55 @@ def test_stepper_is_freed_by_reference_counting(solved):
 
 
 # ---------------------------------------------------------------------------
+# NumPy's C einsum
+# ---------------------------------------------------------------------------
+
+def test_einsum_is_numpys_c_einsum():
+    # the function np.einsum(..., optimize=False) forwards to
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        from numpy.core.einsumfunc import c_einsum
+    else:
+        from numpy._core.einsumfunc import c_einsum
+    assert integrator._einsum is c_einsum
+
+
+@pytest.mark.parametrize("subscripts,shapes", [
+    (integrator._BY_COLUMN, [(3, 2, 6), (2, 6)]),           # c0 of one state
+    (integrator._BY_COLUMN, [(4, 3, 5, 6), (3, 5, 6)]),     # a pass of a batch
+    (integrator._BY_COLUMN, [(2, 10, 1, 6), (10, 1, 6)]),   # integrate's update
+    ("ij,j->i", [(1, 18), (18,)]),                          # H of one chain
+    ("ij,j->i", [(450, 18), (18,)]),                        # H of the sweep
+    ("ij->i", [(450, 6)]),                                  # the sweep's I total
+], ids=["start", "batch-pass", "update", "energy-one", "energy-sweep", "row-sum"])
+def test_einsum_gives_numpy_einsum_bits(subscripts, shapes):
+    rng = np.random.default_rng(11)
+    operands = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 9, s) for s in shapes]
+    expected = np.einsum(subscripts, *operands)
+    assert integrator._einsum(subscripts, *operands).tobytes() == expected.tobytes()
+    out, want = np.empty_like(expected), np.empty_like(expected)
+    np.einsum(subscripts, *operands, out=want)
+    assert integrator._einsum(subscripts, *operands, out=out) is out
+    assert out.tobytes() == want.tobytes() == expected.tobytes()
+
+
+def test_steps_and_energies_bypass_numpy_einsum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    for name, chain in (("lgl4", system), ("imex-yoshida4", system), ("lgl4", iterated(system))):
+        traj = integrate(name, chain, state, 0.01, 5)
+        assert np.isfinite(traj.qs).all()
+    Q, P, Qt, _ = solve_stages(scheme_from_name("lgl6"), system, state, 0.04)
+    assert np.isfinite(Q).all() and np.isfinite(P).all() and np.isfinite(Qt).all()
+    assert math.isfinite(fput.energy_breakdown(params, state).hamiltonian)
+    sweep = fput.experiment_resonance_sweep("lgl4", params, 0.02, 0.1, [10.0, 20.0])
+    assert not sweep.failures and np.isfinite(sweep.max_energy_error).all()
+
+
+# ---------------------------------------------------------------------------
 # system validation
 # ---------------------------------------------------------------------------
 

@@ -288,13 +288,11 @@ def test_half_trace_closed_forms():
     assert np.max(np.abs(half_trace_samples(LGL6, mus) - half_trace_order6(mus))) < 1e-12
 
 
-def _pade_half_trace(s2: int, mus):
-    """Re R(i mu) for the diagonal Pade approximant R(z) = P(z)/P(-z) of exp,
-    P(z) = sum_k (2 s2 - k)! s2! / ((2 s2)! k! (s2 - k)!) z^k, at 40 digits.
-
-    P's coefficients are real, so P(-i mu) is the conjugate of P(i mu) =
-    A(nu) + i mu B(nu) with nu = mu^2, and Re R(i mu) is
-    (A^2 - nu B^2) / (A^2 + nu B^2)."""
+def _pade_values(s2: int, mus):
+    """P(i mu) = A(nu) + i mu B(nu), nu = mu^2, as mpmath pairs (A, mu B) at
+    40 digits, for P(z) = sum_k (2 s2 - k)! s2! / ((2 s2)! k! (s2 - k)!) z^k,
+    the numerator of the diagonal Pade approximant R(z) = P(z)/P(-z) of exp.
+    Use the pairs within ``mpmath.workdps(40)``."""
     f = math.factorial
     c = [Fraction(f(2 * s2 - k) * f(s2), f(2 * s2) * f(k) * f(s2 - k)) for k in range(s2 + 1)]
     with mpmath.workdps(40):
@@ -305,9 +303,28 @@ def _pade_half_trace(s2: int, mus):
                for k in range(1, s2 + 1, 2)][::-1]
         out = []
         for mu in mus:
-            nu = mpmath.mpf(mu) ** 2
-            a, b = mpmath.polyval(even, nu), mpmath.polyval(odd, nu)
-            out.append(float((a * a - nu * b * b) / (a * a + nu * b * b)))
+            mu = mpmath.mpf(mu)
+            out.append((mpmath.polyval(even, mu * mu), mu * mpmath.polyval(odd, mu * mu)))
+    return out
+
+
+def _pade_half_trace(s2: int, mus):
+    """Re R(i mu) at 40 digits.  P's coefficients are real, so P(-i mu) is
+    the conjugate of P(i mu) = A + i mu B, and Re R(i mu) is
+    (A^2 - nu B^2) / (A^2 + nu B^2)."""
+    with mpmath.workdps(40):
+        return np.array([float((a * a - b * b) / (a * a + b * b))
+                         for a, b in _pade_values(s2, mus)])
+
+
+def _pade_modified_frequency(s2: int, mus):
+    """2 arg P(i mu) folded into [0, pi] at 40 digits: R(i mu) = P(i mu) /
+    conj(P(i mu)) is exp(2i arg P(i mu)), whose cosine is the half trace."""
+    with mpmath.workdps(40):
+        out = []
+        for a, b in _pade_values(s2, mus):
+            angle = 2 * mpmath.atan2(b, a) % (2 * mpmath.pi)
+            out.append(float(min(angle, 2 * mpmath.pi - angle)))
     return np.array(out)
 
 
@@ -324,6 +341,16 @@ def test_interpolation_half_trace_is_the_diagonal_pade_approximant(s1):
     scheme = build_scheme(s1, Variant.INTERPOLATION)
     error = np.abs(half_trace_samples(scheme, PADE_MUS) - _pade_half_trace(scheme.s2, PADE_MUS))
     assert np.max(error) <= 1e-13, (float(np.max(error)), float(PADE_MUS[np.argmax(error)]))
+
+
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
+def test_interpolation_modified_frequency_is_twice_the_pade_argument(s1):
+    scheme = build_scheme(s1, Variant.INTERPOLATION)
+    mus = np.linspace(0.05, 8.0, 160)
+    # arccos is ill-conditioned next to +-1, where the resonances sit
+    mus = mus[np.abs(_pade_half_trace(scheme.s2, mus)) <= 1.0 - 1e-4]
+    error = np.abs(modified_frequency(scheme, mus) - _pade_modified_frequency(scheme.s2, mus))
+    assert np.max(error) <= 1e-11, (float(np.max(error)), float(mus[np.argmax(error)]))
 
 
 def test_half_trace_touch_points():
@@ -362,6 +389,29 @@ def test_collocation_instability_beyond_window():
         upper = COLLOCATION_INTERVALS[key][-1][1]
         mus = np.linspace(upper + 0.1, upper + 50.0, 2000)
         assert np.all(np.abs(half_trace_samples(scheme, mus)) > 1.0)
+
+
+# unstable gaps narrower than the 1e-3 grid, by s1 of the collocation
+# scheme: the sign of the line the half trace crosses and the gap's ends,
+# the positive roots of D -+ N at 50 digits from the float tableau
+NARROW_GAPS = {8: (1, 6.2831189488, 6.2832903357),
+               10: (-1, 9.4246652390, 9.4249386298),
+               12: (1, 12.5662418127, 12.5665423270)}
+
+
+@pytest.mark.parametrize("s1,mu_max", [(8, 12.0), (8, 50.0), (10, 12.0), (10, 50.0), (12, 50.0)],
+                         ids=["lglc14-12", "lglc14-50", "lglc18-12", "lglc18-50", "lglc22-50"])
+def test_gap_narrower_than_the_grid_splits_its_interval(s1, mu_max):
+    sign, lo, hi = NARROW_GAPS[s1]
+    report = stability_intervals(build_scheme(s1, Variant.COLLOCATION), mu_max)
+    # two crossings, and no tangent resonance between them
+    found = [r for r in report.resonance_points if lo - 1e-3 < r.mu < hi + 1e-3]
+    assert [(r.sign, r.tangent) for r in found] == [(sign, False), (sign, False)]
+    assert abs(found[0].mu - lo) < 1e-9 and abs(found[1].mu - hi) < 1e-9
+    # one interval ends at the gap and the next starts after it
+    k = [b for _, b in report.intervals].index(found[0].mu)
+    assert report.intervals[k + 1][0] == found[1].mu
+    assert not report.p_stable
 
 
 @pytest.mark.parametrize("scheme", [LGL4, LGL6], ids=["lgl4", "lgl6"])
