@@ -453,17 +453,12 @@ class ArkStepper:
         # the factorized stage solve per scalar step size, which the maps are
         # gathered from: a member that leaves a batch refactors no other
         self._folds = {}
-        if not fixed_point:
-            # one block per distinct entry of Omega^2; _columns maps each
-            # coordinate of the flattened omega_sq to its block
-            self._values, self._columns = np.unique(system.omega_sq.ravel(),
-                                                    return_inverse=True)
-            self._shape = system.omega_sq.shape
-        else:
-            # the one block at w = 0 serves every coordinate
-            self._values = np.zeros(1)
-            self._columns = np.zeros(system.dimension, dtype=np.intp)
-            self._shape = (system.dimension,)
+        # one block per distinct entry of Omega^2, which is 0 throughout when
+        # F2 is iterated; _columns maps each coordinate of the flattened
+        # diagonal to its block
+        omega_sq = np.zeros(system.dimension) if fixed_point else system.omega_sq
+        self._values, self._columns = np.unique(omega_sq.ravel(), return_inverse=True)
+        self._shape = omega_sq.shape
 
         # the Lobatto layout of the maps (see _StageMaps): the first row is
         # explicit where a[0] = 0, the last F1 slot lagged where ahat[:, -1] = 0
@@ -1055,17 +1050,18 @@ def make_stepper(spec, system: SplitForceSystem, tol: float = 1e-12):
 #
 # A step of the 12-stage tableau of _rk8 is a linear map of the rows
 # (q_n, p_n, F(Q_0), ..., F(Q_11)), each stage reading the rows before its
-# force; only the weights depend on the system.  Without a diagonal fast
-# part they are the tableau's Nystrom form for q'' = F1 + F2 (Hairer,
-# Norsett & Wanner, Solving ODEs I, II.14).  With one (omega_sq), the flow
-# of q' = p, p' = -Omega^2 q is an exact rotation per coordinate (free
-# flight where omega = 0), and the tableau integrates only the slow force
-# in the frame that rotates with it: Lawson's integrating-factor method
-# (Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck & Ostermann, Acta
-# Numerica 19 (2010)), whose step is limited by how fast F1 varies along
-# the rotating trajectory, not by h*omega.  The rotation is not what the
-# additive methods do (they apply Gauss quadrature to the fast force), so
-# the oracle does not share their error; it imports none of their code.
+# force; only the weights depend on the system.  They are those of Lawson's
+# integrating-factor method (Lawson, SIAM J. Numer. Anal. 4 (1967);
+# Hochbruck & Ostermann, Acta Numerica 19 (2010)): the flow of q' = p,
+# p' = -Omega^2 q is an exact rotation per coordinate (free flight where
+# omega = 0), and the tableau integrates the remaining force in the frame
+# that moves with it.  With a diagonal fast part (omega_sq) that force is
+# F1 alone, and the step is limited by how fast F1 varies along the
+# rotating trajectory, not by h*omega.  Without one, every coordinate is in
+# free flight (omega = 0) and the tableau integrates F1 + F2.  The rotation
+# is not what the additive methods do (they apply Gauss quadrature to the
+# fast force), so the oracle does not share their error; it imports none of
+# their code.
 #
 # Certification compares a run of n steps with one of 2n.  The two step as
 # one pair: each coarse step of 2h is one batched step over both runs' rows
@@ -1115,23 +1111,6 @@ def _lawson_weights(omega, h: float):
     return weights
 
 
-def _nystrom_weights(h: float, d: int):
-    """Weights of one step of size h of the tableau on q'' = F(q), in the
-    layout of :func:`_lawson_weights`; with the stage momenta eliminated,
-
-        Q_i     = q_n + c_i h p_n + h^2 sum_j (A^2)_ij F(Q_j)
-        q_{n+1} = q_n + h p_n + h^2 sum_j (b A)_j F(Q_j)
-        p_{n+1} = p_n + h sum_j b_j F(Q_j).
-    """
-    n, a, b = _rk8.N_STAGES, _rk8.A, _rk8.B
-    weights = np.zeros((n + 2, n + 2, d))
-    weights[:n, 0], weights[:n, 1] = 1.0, (h * _rk8.C)[:, None]
-    weights[:n, 2:] = (h * h * (a @ a))[..., None]
-    weights[n, 0], weights[n, 1], weights[n, 2:] = 1.0, h, (h * h * (b @ a))[:, None]
-    weights[n + 1, 1], weights[n + 1, 2:] = 1.0, (h * b)[:, None]
-    return weights
-
-
 def _check_finite(y):
     if not np.all(np.isfinite(y)):
         raise OracleFailureError("reference integration produced NaN/Inf")
@@ -1142,11 +1121,11 @@ def _rk8_final_state(system: SplitForceSystem, state0: PhaseState, duration: flo
     """(q, p) after ``n_steps`` equal order-8 steps over ``duration`` (row
     0) and after ``n_steps / 2`` steps of twice the size (row 1), as one
     (2, 2d) array; ``n_steps`` must be even.  Integrating-factor steps over
-    F1 when the system has ``omega_sq``, Nystrom steps over F1 + F2
-    otherwise; a system with no force left steps the exact rotation or free
-    flight.  The coarse run is a second member that rides along the fine
-    one, as the comment above describes; each row is bitwise the run that
-    member makes alone."""
+    F1 around the rotations of ``omega_sq``, or, for a system without it,
+    over F1 + F2 around free flight (omega = 0); a system with no force
+    left steps the exact rotation or free flight.  The coarse run is a
+    second member that rides along the fine one, as the comment above
+    describes; each row is bitwise the run that member makes alone."""
     if n_steps < 2 or n_steps % 2:
         raise ValueError("n_steps must be even and positive")
     d, n = state0.dimension, _rk8.N_STAGES
@@ -1154,10 +1133,10 @@ def _rk8_final_state(system: SplitForceSystem, state0: PhaseState, duration: flo
     if system.omega_sq is None:
         f1, f2 = system.f1, system.f2
         force = f2 if f1 is None else f1 if f2 is None else lambda q: f1(q) + f2(q)
-        weights = np.stack([_nystrom_weights(h, d) for h in hs])
+        omega = np.zeros(d)
     else:
-        omega = np.sqrt(system.omega_sq)
-        force, weights = system.f1, np.stack([_lawson_weights(omega, h) for h in hs])
+        force, omega = system.f1, np.sqrt(system.omega_sq)
+    weights = np.stack([_lawson_weights(omega, h) for h in hs])
     # maps[member, o] is output o's (d, (n + 2) d) map of that member's rows
     maps = np.einsum("mojk,kl->mokjl", weights, np.eye(d)).reshape(2, n + 2, d, (n + 2) * d)
     final = maps[:, n:].reshape(2, 2 * d, (n + 2) * d)
@@ -1219,12 +1198,13 @@ def reference_solve(system: SplitForceSystem, state0: PhaseState, T: float,
                     tol: float = 1e-12) -> PhaseState:
     """State at time T by fixed-step order-8 integration with step halving.
 
+    The order-8 tableau steps Lawson's integrating-factor method above.
     With ``omega_sq`` set, the fast linear force is taken exactly by one
-    rotation per coordinate and the order-8 tableau integrates only the slow
-    force (the integrating-factor method above); otherwise the tableau
-    integrates both forces.  Each pass steps a pair of runs, n steps and 2n
-    steps, as the two members of one batch (so a (2n, 4n) pair costs the
-    force calls of the 4n run alone); until the two agree to ``tol``
+    rotation per coordinate and the tableau integrates only the slow force;
+    otherwise every coordinate is in free flight between the stages and the
+    tableau integrates both forces.  Each pass steps a pair of runs, n steps
+    and 2n steps, as the two members of one batch (so a (2n, 4n) pair costs
+    the force calls of the 4n run alone); until the two agree to ``tol``
     (max-norm, relative to max(1, finer state)), n doubles and the next
     pair runs.  The finer run is returned.  Each level is logged at DEBUG
     with its step count and its agreement with the level before divided by

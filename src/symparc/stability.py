@@ -416,19 +416,20 @@ MAX_GRID_SAMPLES = 10_000_001
 def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
     """Sample the stability function on [0, mu_max] and locate its structure.
 
-    Sign changes of half-trace -+ 1 are refined by bisection to 1e-10 and
-    become interval boundaries.  Interior extrema are located by bisecting
-    the exact slope to 1e-14 (eight ulps from mu = 8 on); those touching
-    +-1 (to within 1e-7) are reported as tangent resonances.  An extremum
-    past +-(1 + slack) between stable samples is an unstable gap narrower
-    than the grid: its two crossings of +-1 are bisected to 1e-10 too,
-    reported as resonances that are not tangent, and split the interval
-    that holds them.  The search sees such a gap only where the grid
-    brackets its extremum.  ``p_stable`` holds when the single interval
-    covers [0, mu_max] and every resonance point carries two independent
-    eigenvectors (M = +-I there).  The brackets of each kind are refined
-    together, one batched call per bisection step.  ``mu_max`` above
-    :data:`MAX_INTERVAL_MU` is a ValueError.
+    Interior extrema of the samples are located by bisecting the exact slope
+    to 1e-14 (eight ulps from mu = 8 on).  An extremum past +-(1 + slack)
+    between stable samples is an unstable gap narrower than the grid.  Every
+    crossing of +-1, whether between two samples of which one is stable and
+    one not or on either side of such a gap, is bisected to 1e-10 toward the
+    line its unstable end lies beyond, all in one lock-step call, and is
+    reported as a resonance that is not tangent.  The intervals are the
+    stretches between consecutive crossings whose midpoint is stable.  The
+    other extrema that touch +-1 (to within 1e-7) are reported as tangent
+    resonances.  The search sees a gap only where the grid brackets its
+    extremum.  ``p_stable`` holds when the single interval covers
+    [0, mu_max] and every resonance point carries two independent
+    eigenvectors (M = +-I there).  ``mu_max`` above :data:`MAX_INTERVAL_MU`
+    is a ValueError.
     """
     if not 0.0 < mu_max <= MAX_INTERVAL_MU:
         raise ValueError(f"mu_max must be positive and at most {MAX_INTERVAL_MU:g}, "
@@ -439,57 +440,44 @@ def stability_intervals(scheme: ArkScheme, mu_max: float) -> StabilityReport:
     f_at = functools.partial(half_trace_samples, scheme)
     stable = np.abs(f) <= 1.0 + _TANGENCY_SLACK
 
-    # the crossing is through +1 or -1 depending on the local values; in a
-    # kinked bracket |f| - 1 changes sign via the other branch
-    cross = np.flatnonzero(stable[:-1] != stable[1:])
-    f0, f1 = f[cross], f[cross + 1]
-    target = np.where((np.maximum(f0, f1) > 1.0) | (np.minimum(f0, f1) > 0.0), 1.0, -1.0)
-    kinked = (f0 - target < 0.0) == (f1 - target < 0.0)
-    target[kinked] = -target[kinked]
-    roots = _bisect(lambda x, idx: f_at(x) - target[idx],
-                    mus[cross], mus[cross + 1], f0 - target)
-    boundaries = [(float(r), int(t)) for r, t in zip(roots, target)]
-
-    intervals = []
-    resonances = [Resonance(mu=b, sign=s, tangent=False) for b, s in boundaries]
-    edges = [0.0] + [b for b, _ in boundaries] + [mu_max]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        idx = min(n - 1, int(round(mid / mu_max * (n - 1))))
-        if stable[idx]:
-            intervals.append((lo, hi))
-
-    # interior extrema that touch the lines +-1 without crossing
+    # interior extrema of the samples, refined on the exact slope
     df = np.diff(f)
     i = np.arange(1, n - 2)
     i = i[(df[i - 1] > 0.0) != (df[i] > 0.0)]
     mu_stars = _refine_extrema(scheme, mus[i - 1], mus[i + 1])
     vals = f_at(mu_stars)
-    # an extremum past the slack between stable samples is an unstable gap
-    # narrower than the grid: its two crossings, one on each side of it
-    # within its grid bracket, split the interval that holds it
     side = np.where(vals > 0.0, 1.0, -1.0)
+    # an extremum past the slack between stable samples is an unstable gap
+    # narrower than the grid, with one crossing on each side of it
     gap = ((np.abs(vals) > 1.0 + _TANGENCY_SLACK) & stable[i]
            & (side * f[i - 1] < 1.0) & (side * f[i + 1] < 1.0))
-    lo = np.concatenate([mus[i - 1][gap], mu_stars[gap]])
-    hi = np.concatenate([mu_stars[gap], mus[i + 1][gap]])
-    targets = np.tile(side[gap], 2)
-    ends = _bisect(lambda x, idx: f_at(x) - targets[idx],
-                   lo, hi, np.concatenate([f[i - 1][gap], vals[gap]]) - targets)
-    for a, b, s in zip(*ends.reshape(2, -1).tolist(), side[gap].tolist()):
-        resonances += [Resonance(mu=a, sign=int(s), tangent=False),
-                       Resonance(mu=b, sign=int(s), tangent=False)]
-        for k, (lo_k, hi_k) in enumerate(intervals):
-            if lo_k < a and b < hi_k:
-                intervals[k:k + 1] = [(lo_k, a), (b, hi_k)]
-                break
-    for mu_star, val in zip(mu_stars[~gap].tolist(), vals[~gap].tolist()):
-        for sign in (1, -1):
-            if abs(val - sign) < 1e-7 and not any(
-                    abs(mu_star - r.mu) < 10.0 * _GRID_STEP for r in resonances):
-                resonances.append(Resonance(mu=mu_star, sign=sign, tangent=True))
+
+    # every crossing of +-1 lies between a stable and an unstable end: the
+    # grid's changes of stability and both sides of each gap.  Each is
+    # bisected toward the line its unstable end lies beyond
+    cross = np.flatnonzero(stable[:-1] != stable[1:])
+    lo = np.concatenate([mus[cross], mus[i - 1][gap], mu_stars[gap]])
+    hi = np.concatenate([mus[cross + 1], mu_stars[gap], mus[i + 1][gap]])
+    f_lo = np.concatenate([f[cross], f[i - 1][gap], vals[gap]])
+    beyond = np.concatenate([np.where(stable[cross], f[cross + 1], f[cross]),
+                             vals[gap], vals[gap]])
+    target = np.where(beyond > 0.0, 1.0, -1.0)
+    roots = _bisect(lambda x, idx: f_at(x) - target[idx], lo, hi, f_lo - target)
+    resonances = [Resonance(mu=r, sign=int(t), tangent=False)
+                  for r, t in zip(roots.tolist(), target.tolist())]
+
+    # the stretches between consecutive boundaries whose midpoint is stable
+    edges = [0.0, *sorted(roots.tolist()), mu_max]
+    stretches = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    mids = f_at([0.5 * (a + b) for a, b in stretches])
+    intervals = [ab for ab, m in zip(stretches, mids) if abs(m) <= 1.0 + _TANGENCY_SLACK]
+
+    # the other extrema that touch the lines +-1 without crossing
+    for mu_star, val, s in zip(mu_stars[~gap].tolist(), vals[~gap].tolist(),
+                               side[~gap].tolist()):
+        if abs(val - s) < 1e-7 and not any(
+                abs(mu_star - r.mu) < 10.0 * _GRID_STEP for r in resonances):
+            resonances.append(Resonance(mu=mu_star, sign=int(s), tangent=True))
 
     resonances.sort(key=lambda r: r.mu)
 

@@ -70,40 +70,23 @@ def iterated(system: SplitForceSystem) -> SplitForceSystem:
     return dataclasses.replace(system, omega_sq=None)
 
 
-def textbook_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,
-                 n_steps: int) -> np.ndarray:
-    """The order-8 Dormand-Prince loop as written in the textbook: fresh
-    arrays everywhere, forces through the system's public accessors."""
-    d = state0.dimension
-    h = duration / n_steps
-
-    def rhs(y):
-        q = y[:d]
-        return np.concatenate([y[d:], system.slow_force(q) + system.fast_force(q)])
-
-    y = np.concatenate([state0.q, state0.p])
-    for _ in range(n_steps):
-        k = np.zeros((_rk8.N_STAGES, 2 * d))
-        for i in range(_rk8.N_STAGES):
-            k[i] = rhs(y + h * (_rk8.A[i, :i] @ k[:i]))
-        y = y + h * (_rk8.B @ k)
-    return y
-
-
 def textbook_lawson_rk8(system: SplitForceSystem, state0: PhaseState, duration: float,
                         n_steps: int) -> np.ndarray:
-    """Lawson's integrating-factor form of the same tableau, as written in the
-    textbook: with L the linear part (q' = p, p' = -Omega^2 q) and
-    N(y) = (0, F1(q)),
+    """Lawson's integrating-factor form of the order-8 Dormand-Prince
+    tableau, as written in the textbook: with L the linear part (q' = p,
+    p' = -Omega^2 q) and N(y) = (0, F1(q)),
 
         Y_i     = exp(c_i h L) (y_n + h sum_j a_ij exp(-c_j h L) N(Y_j))
         y_{n+1} = exp(h L) (y_n + h sum_j b_j exp(-c_j h L) N(Y_j)),
 
-    with fresh arrays everywhere, the slow force through the system's public
-    accessor and every rotation recomputed from cos and sin where it is used."""
+    with fresh arrays everywhere, the forces through the system's public
+    accessors and every rotation recomputed from cos and sin where it is
+    used.  A system without ``omega_sq`` takes Omega = 0, so that L is free
+    flight, and N(y) = (0, F1(q) + F2(q))."""
     d = state0.dimension
     h = duration / n_steps
-    omega = np.sqrt(system.omega_sq)
+    linear = system.omega_sq is not None
+    omega = np.sqrt(system.omega_sq) if linear else np.zeros(d)
 
     def flow(y, t):
         """exp(t L) y: a rotation per coordinate, free flight where omega = 0."""
@@ -113,7 +96,9 @@ def textbook_lawson_rk8(system: SplitForceSystem, state0: PhaseState, duration: 
         return np.concatenate([cos * q + sin_over_omega * p, -omega * sin * q + cos * p])
 
     def slow(y):
-        return np.concatenate([np.zeros(d), system.slow_force(y[:d])])
+        q = y[:d]
+        force = system.slow_force(q) if linear else system.slow_force(q) + system.fast_force(q)
+        return np.concatenate([np.zeros(d), force])
 
     y = np.concatenate([state0.q, state0.p])
     for _ in range(n_steps):

@@ -48,7 +48,6 @@ from _helpers import (
     textbook_fixed_point_step,
     textbook_lawson_rk8,
     textbook_linear_stage_step,
-    textbook_rk8,
 )
 
 ALL_SCHEMES = ["lgl2", "lgl4", "lgl6", "lglc2", "lglc4", "lglc6"]
@@ -667,6 +666,48 @@ def test_batched_state_rejected_where_unsupported():
         PhaseState(q=np.zeros((2, 2, 1)), p=np.zeros((2, 2, 1)))
 
 
+def test_time_of_the_wrong_shape_rejected():
+    for q, t in ((np.zeros((3, 2)), np.zeros(2)), (np.zeros((3, 2)), np.zeros((3, 1))),
+                 (np.zeros(2), np.zeros(1))):
+        with pytest.raises(ValueError, match="one time"):
+            PhaseState(q=q, p=q, t=t)
+
+
+def test_integrate_rejects_negative_steps_and_zero_stride():
+    state = PhaseState(q=[1.0], p=[0.0])
+    with pytest.raises(ValueError, match="n_steps"):
+        integrate("lgl4", harmonic_system(1.0), state, 0.1, -1)
+    with pytest.raises(ValueError, match="stride"):
+        integrate("lgl4", harmonic_system(1.0), state, 0.1, 3, stride=0)
+
+
+def test_explicit_fast_force_checked_against_a_diagonal_per_member():
+    w = np.array([[1.0, 4.0], [9.0, 16.0]])
+    system = SplitForceSystem(dimension=2, f2=lambda q: -w * q, omega_sq=w)
+    assert np.array_equal(system.omega_sq, w)
+    for wrong in (lambda q: -w[::-1] * q, lambda q: -w[0] * q):
+        with pytest.raises(ValueError, match="disagrees"):
+            SplitForceSystem(dimension=2, f2=wrong, omega_sq=w)
+
+
+def test_step_after_the_fold_cache_clears_is_a_fresh_steppers():
+    # the folds of more than 64 step sizes are dropped at once; a step size
+    # folded again after that steps bitwise as a new stepper steps it, alone
+    # and in a batch with one step size per member
+    params = fput.FputParams(ell=3, omega=50.0)
+    system, state = fput.fput_system(params), fput.paper_initial_state(params)
+    batch = PhaseState(q=np.tile(state.q, (2, 1)), p=np.tile(state.p, (2, 1)))
+    lgl4 = scheme_from_name("lgl4")
+    sizes = (0.01 + 1e-4 * np.arange(70)).tolist()
+    stepper = ArkStepper(lgl4, system)
+    for h in sizes:
+        stepper.step(state, h)
+    assert sizes[0] not in stepper._folds
+    for start, h in ((state, sizes[0]), (batch, [sizes[1], sizes[-1]])):
+        got, fresh = stepper.step(start, h), ArkStepper(lgl4, system).step(start, h)
+        assert np.array_equal(got.q, fresh.q) and np.array_equal(got.p, fresh.p)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_step_size_rejected(bad):
@@ -1280,26 +1321,26 @@ def test_reference_agrees_with_ark_on_smooth_problem(T, q0, p0):
 
 def _oracle_cases():
     params = fput.FputParams(ell=3, omega=1e4)
-    chain = (fput.fput_system(params), fput.paper_initial_state(params), 0.02, 2000,
-             textbook_lawson_rk8)
-    harmonic = (harmonic_system(3.0, 2), PhaseState(q=[1.0, 2.0], p=[-0.5, 0.25]), 2.0, 200,
-                textbook_lawson_rk8)
+    chain = (fput.fput_system(params), fput.paper_initial_state(params), 0.02, 2000)
+    harmonic = (harmonic_system(3.0, 2), PhaseState(q=[1.0, 2.0], p=[-0.5, 0.25]), 2.0, 200)
+    # at 20 steps the integrating-factor method around free flight and the
+    # tableau's Nystrom form differ by 6.9e-9 in the fine run
     duffing = (SplitForceSystem(dimension=2, f1=lambda q: -q ** 3, f2=lambda q: -4.0 * q),
-               PhaseState(q=[1.0, -0.5], p=[0.0, 0.3]), 3.0, 300, textbook_rk8)
+               PhaseState(q=[1.0, -0.5], p=[0.0, 0.3]), 3.0, 20)
     return {"chain": chain, "no-f1": harmonic, "explicit-f2": duffing}
 
 
 @pytest.mark.parametrize("case", ["chain", "no-f1", "explicit-f2"])
 def test_rk8_matches_textbook_loop(case):
-    # systems with omega_sq take the integrating-factor weights, the others
-    # the same tableau in Nystrom form over the same rows; each is checked
-    # against its textbook first-order loop, the fine run (row 0) at n steps
-    # and the coarse run (row 1) at n / 2
+    # every system steps the integrating-factor weights, around the
+    # rotations of omega_sq or around free flight without it; each is
+    # checked against the textbook Lawson loop, the fine run (row 0) at n
+    # steps and the coarse run (row 1) at n / 2
     from symparc.integrator import _rk8_final_state
-    system, state0, duration, n_steps, textbook = _oracle_cases()[case]
+    system, state0, duration, n_steps = _oracle_cases()[case]
     fine, coarse = _rk8_final_state(system, state0, duration, n_steps)
     for got, steps in ((fine, n_steps), (coarse, n_steps // 2)):
-        ref = textbook(system, state0, duration, steps)
+        ref = textbook_lawson_rk8(system, state0, duration, steps)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -1309,7 +1350,7 @@ def test_rk8_coarse_member_is_its_run_alone(case):
     # through its own maps: row 1 of a 2n-step call is bitwise row 0 of an
     # n-step call
     from symparc.integrator import _rk8_final_state
-    system, state0, duration, n_steps, _ = _oracle_cases()[case]
+    system, state0, duration, n_steps = _oracle_cases()[case]
     paired = _rk8_final_state(system, state0, duration, 2 * n_steps)
     alone = _rk8_final_state(system, state0, duration, n_steps)
     assert np.array_equal(paired[1], alone[0])
@@ -1325,11 +1366,12 @@ def test_rk8_rejects_odd_step_counts(n_steps):
 @pytest.mark.parametrize("omega, T, n_steps", [(1.0, 1.0, 100), (50.0, 0.5, 500),
                                                (1e3, 0.05, 1000), (1e4, 0.005, 1000)])
 def test_reference_matches_fine_plain_rk8(omega, T, n_steps):
-    # the plain loop at h*omega <= 0.05 is converged to a few 1e-15 here; the
+    # the loop that integrates both forces around free flight, with no
+    # rotation, at h*omega <= 0.05 is converged to a few 1e-15 here; the
     # certified oracle agreed with it to 2.1e-14 at worst (omega = 1)
     params = fput.FputParams(ell=3, omega=omega)
     system, state0 = fput.fput_system(params), fput.paper_initial_state(params)
-    fine = textbook_rk8(system, state0, T, n_steps)
+    fine = textbook_lawson_rk8(iterated(system), state0, T, n_steps)
     ref = reference_solve(system, state0, T, tol=1e-12)
     assert np.max(np.abs(np.concatenate([ref.q, ref.p]) - fine)) <= 5e-14
 
@@ -1367,6 +1409,18 @@ def test_reference_rejects_uncertifiable_tolerance(monkeypatch, kwargs):
     monkeypatch.setattr(integrator, "_rk8_final_state", never)
     with pytest.raises(ValueError):
         reference_solve(harmonic_system(1.0), PhaseState(q=[1.0], p=[0.0]), 1.0, **kwargs)
+
+
+def test_reference_rejects_a_batch_and_a_non_finite_time():
+    state = PhaseState(q=[1.0], p=[0.0])
+    batch = PhaseState(q=[[1.0], [0.5]], p=[[0.0], [0.0]])
+    with pytest.raises(ValueError, match="one state"):
+        reference_solve(harmonic_system(1.0), batch, 1.0)
+    with pytest.raises(ValueError, match="one state"):
+        reference_solve(SplitForceSystem(dimension=1, omega_sq=[[1.0], [4.0]]), state, 1.0)
+    for T in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            reference_solve(harmonic_system(1.0), state, T)
 
 
 def test_reference_logs_each_level(caplog):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -391,6 +392,12 @@ def test_collocation_instability_beyond_window():
         assert np.all(np.abs(half_trace_samples(scheme, mus)) > 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _collocation_report(s1: int, mu_max: float):
+    """The interval report of the collocation scheme, shared by the tests."""
+    return stability_intervals(build_scheme(s1, Variant.COLLOCATION), mu_max)
+
+
 # unstable gaps narrower than the 1e-3 grid, by s1 of the collocation
 # scheme: the sign of the line the half trace crosses and the gap's ends,
 # the positive roots of D -+ N at 50 digits from the float tableau
@@ -403,7 +410,7 @@ NARROW_GAPS = {8: (1, 6.2831189488, 6.2832903357),
                          ids=["lglc14-12", "lglc14-50", "lglc18-12", "lglc18-50", "lglc22-50"])
 def test_gap_narrower_than_the_grid_splits_its_interval(s1, mu_max):
     sign, lo, hi = NARROW_GAPS[s1]
-    report = stability_intervals(build_scheme(s1, Variant.COLLOCATION), mu_max)
+    report = _collocation_report(s1, mu_max)
     # two crossings, and no tangent resonance between them
     found = [r for r in report.resonance_points if lo - 1e-3 < r.mu < hi + 1e-3]
     assert [(r.sign, r.tangent) for r in found] == [(sign, False), (sign, False)]
@@ -412,6 +419,106 @@ def test_gap_narrower_than_the_grid_splits_its_interval(s1, mu_max):
     k = [b for _, b in report.intervals].index(found[0].mu)
     assert report.intervals[k + 1][0] == found[1].mu
     assert not report.p_stable
+
+
+def _dyadic(a):
+    """(ints, scale): the float array ``a`` as an object array of Python
+    ints over one power of two, a = ints / scale exactly."""
+    exact = [Fraction(float(v)) for v in np.ravel(a)]
+    scale = max(f.denominator for f in exact)
+    return np.array([int(f * scale) for f in exact], dtype=object).reshape(np.shape(a)), scale
+
+
+def _resolvent(G, x):
+    """(e, q) for an integer matrix G and vector x, exactly: det(I + u G) =
+    sum_k e_k u^k and x^T adj(I + u G) 1 = sum_k q_k u^k.  The e_k follow
+    from the traces of the powers of G by Newton's identities, and q from
+    the moments x^T G^j 1, since (I + u G)^{-1} = sum_j (-u)^j G^j."""
+    n = len(G)
+    power, v = G, np.ones(n, dtype=object)
+    traces, moments = [None], [int(x.sum())]
+    for _ in range(n):
+        traces.append(int(np.trace(power)))
+        power = power.dot(G)
+        v = G.dot(v)
+        moments.append(int(x.dot(v)))
+    e = [1]
+    for k in range(1, n + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
+        assert total % k == 0
+        e.append(total // k)
+    q = [sum(e[k - j] * (-1) ** j * moments[j] for j in range(k + 1)) for k in range(n)]
+    return e, q
+
+
+def _exact_half_trace(scheme):
+    """(N, D), the half trace N(nu)/D(nu) of the float tableau with nu =
+    mu^2, as ascending coefficients in Fractions, exactly.  From the
+    kernel's solve, M11 = 1 - nu b AtH (I + nu G)^{-1} 1 with G = At AtH and
+    M22 = 1 - nu bt At (I + nu G')^{-1} 1 with G' = AtH At; both resolvents
+    share the denominator det(I + nu G) = det(I + nu G')."""
+    At, s_at = _dyadic(scheme.a_tilde)
+    AtH, s_ath = _dyadic(scheme.a_tilde_hat)
+    b, s_b = _dyadic(scheme.b)
+    bt, s_bt = _dyadic(scheme.b_tilde)
+    e, q11 = _resolvent(At.dot(AtH), b.dot(AtH))
+    e22, q22 = _resolvent(AtH.dot(At), bt.dot(At))
+    assert e22 == e + [0] * (len(e22) - len(e))
+    # nu G = u (At AtH as integers) with u = nu / k
+    k = s_at * s_ath
+    D = [Fraction(c, k ** j) for j, c in enumerate(e)]
+    N = D + [Fraction(0)] * (len(q22) + 1 - len(D))
+    for q, scale in ((q11, s_b * s_ath), (q22, s_bt * s_at)):
+        for j, c in enumerate(q):
+            N[j + 1] -= Fraction(c, 2 * scale * k ** j)
+    return N, D
+
+
+def _at(coefficients, nu):
+    out = Fraction(0)
+    for c in reversed(coefficients):
+        out = out * nu + c
+    return out
+
+
+@pytest.mark.parametrize("s1", range(2, MAX_STAGES + 1))
+def test_collocation_search_is_certified_by_exact_stability_polynomials(s1):
+    # the float tableau's own N and D, exactly, so a wrong search fails here
+    # however the kernel rounds
+    scheme = build_scheme(s1, Variant.COLLOCATION)
+    report = _collocation_report(s1, 50.0)
+    N, D = _exact_half_trace(scheme)
+    mus = [0.3, 3.0, 31.0]
+    exact = [float(_at(N, Fraction(mu) ** 2) / _at(D, Fraction(mu) ** 2)) for mu in mus]
+    assert np.max(np.abs(half_trace_samples(scheme, mus) - exact)) <= 1e-13
+    # every crossing lies within the search's 1e-10 of a sign change of
+    # N - s D, and every tangency within its 1e-9 slack of the line s
+    eps = Fraction(1, 10 ** 10)
+    for r in report.resonance_points:
+        if r.tangent:
+            nu = Fraction(r.mu) ** 2
+            assert abs(_at(N, nu)) <= (1 + Fraction(1, 10 ** 9)) * abs(_at(D, nu))
+        else:
+            lo, hi = ((Fraction(r.mu) + d) ** 2 for d in (-eps, eps))
+            assert (_at(N, lo) - r.sign * _at(D, lo) < 0) != (_at(N, hi) - r.sign * _at(D, hi) < 0)
+    # stable at each interval's midpoint, unstable midway between intervals
+    for a, b in report.intervals:
+        nu = Fraction(0.5 * (a + b)) ** 2
+        assert abs(_at(N, nu)) <= abs(_at(D, nu))
+    for (_, a), (b, _) in zip(report.intervals, report.intervals[1:]):
+        nu = Fraction(0.5 * (a + b)) ** 2
+        assert abs(_at(N, nu)) > abs(_at(D, nu))
+
+
+def test_stability_matrix_properties():
+    at = stability_matrix(LGL4, 47.0)
+    assert at.half_trace == half_trace(LGL4, 47.0)
+    assert abs(at.det - 1.0) <= 1e-13
+    assert at.stable
+    beyond = stability_matrix(LGLC2, 5.0)
+    assert beyond.half_trace == half_trace(LGLC2, 5.0)
+    assert abs(beyond.det - 1.0) <= 1e-13
+    assert not beyond.stable
 
 
 @pytest.mark.parametrize("scheme", [LGL4, LGL6], ids=["lgl4", "lgl6"])
