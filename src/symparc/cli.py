@@ -101,7 +101,9 @@ def _report_json(report: stab.StabilityReport) -> str:
 def _stability_rows(scheme, mus):
     """The stability CSV's rows, one kernel chunk of mu solved at a time, so
     that no (N, 2, 2) matrix or N-row column list is held."""
-    for _, m, M in stab._matrix_chunks(scheme, stab._mu_grid(mus)):
+    mus = stab._mu_grid(mus)
+    for part, M in stab._matrix_chunks(scheme, mus):
+        m = mus[part]
         m11, m22 = M[:, 0, 0], M[:, 1, 1]
         ht = 0.5 * (m11 + m22)
         det = m11 * m22 - M[:, 0, 1] * M[:, 1, 0]

@@ -691,12 +691,13 @@ class ArkStepper:
         # a step without iterated slots is explicit: X_new is its stages
         final = not self._passes
         if not final:
-            # each member's scale max(1, |q0|_inf, |p0|_inf)
+            # each member's scale max(1, |q0|_inf, |p0|_inf); np.maximum.reduce
+            # is the reduction ndarray.max runs, without its Python frame
             if n == 1:
-                scale = max(float(np.abs(qp).max()), 1.0)
+                scale = max(float(np.maximum.reduce(np.abs(qp), axis=None)), 1.0)
                 limit = smallest = self.tol * scale
             else:
-                scale = _member_max(np.abs(qp).max(axis=0), n)
+                scale = _member_max(np.maximum.reduce(np.abs(qp)), n)
                 np.maximum(scale, 1.0, out=scale)
                 limit = self.tol * scale
                 smallest = limit.min()
@@ -724,7 +725,7 @@ class ArkStepper:
                 np.copyto(X_new, X, where=frozen)
                 np.copyto(F, source, where=frozen)
             change = np.subtract(X_new, X)
-            worst = np.abs(change, out=change).max()
+            worst = np.maximum.reduce(np.abs(change, out=change), axis=None)
             if worst <= smallest:
                 final = True
             # a single state that has neither converged nor failed iterates
@@ -743,7 +744,7 @@ class ArkStepper:
                             f"stage iteration diverged after {iteration} iterations",
                             residual=math.inf, iterations=iteration,
                             members=np.flatnonzero(bad))
-                residual = _member_max(change.max(axis=0), n)
+                residual = _member_max(np.maximum.reduce(change), n)
                 # count_nonzero is much cheaper than all/any on a few members
                 converged = residual <= limit
                 n_converged = np.count_nonzero(converged)

@@ -18,6 +18,12 @@ decisions agree for every value swaps rows by plain assignment, or not at
 all, and only a mixed column selects per value; which values are singular
 is read off the pivots once the elimination is done.
 
+A caller that reads only some columns of the solution's two blocks asks
+:func:`stage_solve` for those alone, and the second pass then completes
+only them.  A caller whose G needed no reflection, so that Q is exactly I,
+may pass Q = None to skip the products by Q and Q^T; the stability
+analysis does, the stepper's fold does not (see :func:`stage_solve`).
+
 Both callers build their right-hand sides with :func:`stage_rhs`.
 """
 
@@ -149,7 +155,7 @@ def _apply(A, X):
     return out
 
 
-def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
+def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R, columns=None):
     """S^{-1} R for the stage blocks S = [[I, -alpha At], [beta AtH, I]] of
     the (N,) values alpha and beta, R with rows (Qt, P) of shape
     (s2 + s1, k, N), or (s2 + s1, k, 1) for a right-hand side that is the
@@ -162,16 +168,60 @@ def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R):
     second pass solves for the residual R - S X, formed against At and AtH
     themselves rather than the rounded G; its momentum rows reuse the
     first pass's coupling beta AtH Qt.
+
+    ``Q`` may be None where the reduction made no reflection (s2 <= 2), so
+    that Q is exactly I: the products by Q and Q^T are then skipped.  A
+    product by I adds 0 * X terms, which can turn a -0 into +0 and an inf
+    into NaN, so the skip is not bitwise everywhere, and the stepper's fold,
+    whose maps keep their signs of zero, passes its Q.  ``columns``, a pair
+    (q, p) of column indices (slices or index arrays), asks for the blocks
+    (Qt[:, q], P[:, p]) alone, returned as that pair in place of X: once
+    the second pass's right-hand side is formed, only those columns of Qt,
+    P and the residual are kept, and the second pass's momentum update
+    beta AtH Qt, its subtraction and the final adds run on them alone.
+
+    Products and sums are formed in arrays the solve owns, in place where
+    the shapes allow, so that a solve holds few (s2 + s1, k, N) arrays at
+    once; each operation is the one the formulas above name, in their
+    order, so every entry is bitwise the same as with fresh arrays.
     """
     At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
 
-    def schur_pass(Rq, Rp):
-        Qt = _apply(Q, lu_solve(factors, _apply(Q.T, Rq + alpha * _apply(At, Rp))))
-        coupling = beta * _apply(AtH, Qt)
-        return Qt, Rp - coupling, coupling
+    def scaled(c, X):
+        """c * X, in X itself where X already spans the values."""
+        return np.multiply(c, X, out=X if X.shape[-1] == len(c) else None)
 
-    Qt, P, coupling = schur_pass(R[:s2], R[s2:])
-    dQt, dP, _ = schur_pass(R[:s2] - Qt + alpha * _apply(At, P), R[s2:] - P - coupling)
+    def schur_solve(rhs):
+        """The Schur complement's solution for ``rhs``, which it may overwrite."""
+        if Q is None:
+            return lu_solve(factors, rhs)
+        return _apply(Q, lu_solve(factors, _apply(Q.T, rhs)))
+
+    # pass 1: Qt for R_q + alpha At R_p, then P = R_p - beta AtH Qt
+    rhs = scaled(alpha, _apply(At, R[s2:]))
+    Qt = schur_solve(np.add(R[:s2], rhs, out=rhs))
+    coupling = scaled(beta, _apply(AtH, Qt))
+    P = np.subtract(R[s2:], coupling)
+    # pass 2: the residual R - S X, its momentum rows reusing the coupling
+    Rp = np.subtract(R[s2:], P)
+    Rp -= coupling
+    del coupling
+    q, p = (slice(None), slice(None)) if columns is None else columns
+    rhs = np.subtract(R[:s2], Qt)
+    if columns is not None:
+        Qt = Qt[:, q].copy()
+    rhs += scaled(alpha, _apply(At, P))
+    if columns is not None:
+        P = P[:, p].copy()
+    rhs += scaled(alpha, _apply(At, Rp))
+    if columns is not None:
+        Rp = Rp[:, p].copy()
+    dQt = schur_solve(rhs)
+    del rhs
+    dP = scaled(beta, _apply(AtH, dQt[:, p]))
+    np.subtract(Rp, dP, out=dP)
+    if columns is not None:
+        return np.add(Qt, dQt[:, q]), np.add(P, dP, out=dP)
     X = np.empty((s2 + scheme.s1,) + Qt.shape[1:])
     np.add(Qt, dQt, out=X[:s2])
     np.add(P, dP, out=X[s2:])

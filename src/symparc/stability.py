@@ -29,13 +29,21 @@ determinant identity det S(mu) = det(I + nu G), so the kernel fails exactly
 where the stage block is singular, by the rule the stepper applies to its
 blocks.
 
-The kernel solves the mu in chunks of 8,192, and every sampled quantity is
-reduced from a chunk as soon as the chunk is solved: the half trace and
-the M11 = M22 check weigh M11 and M22 alone (b against P's first column,
--b_tilde against Qt's second), the filters their own columns, and the
-check keeps a running max.  Only :func:`stability_matrix_samples`, whose caller
-asks for M, returns an (N, 2, 2) array; the stability command writes its
-CSV from the same chunks of M, one at a time (:func:`_matrix_chunks`).
+The kernel solves the mu in chunks of 8,192 (:func:`_chunks`), and every
+sampled quantity is reduced inside its chunk, as the chunk is solved: the
+half trace and the M11 = M22 check weigh M11 and M22 alone (b against P's
+first column, -b_tilde against Qt's second), and ask the kernel for those
+two columns only, the filters weigh their own columns, and the check keeps
+a running max.  Where G needs no reflection (s2 <= 2), Q is exactly I and
+the kernel skips it.  On a grid of two chunks or more, with two CPUs or more
+to run on, the caller and one worker thread solve two chunks at a time: the
+caller starts with chunk 0 and the worker with chunk 1, and each then takes
+the next chunk, never more than one past the chunk to be yielded next, so
+at most two chunks are in flight.  A one-chunk grid, or a process allowed
+one CPU, starts no thread.  Only :func:`stability_matrix_samples`,
+whose caller asks for M, returns an (N, 2, 2) array; the stability command
+writes its CSV from the same chunks of M, one at a time
+(:func:`_matrix_chunks`).
 
 Since S(mu) is affine in mu, the slope is M'(mu) = W S(mu)^{-2} E: with
 X = S(mu)^{-1} E the kernel's own solution, one more refined solve through
@@ -49,6 +57,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +180,108 @@ class M11M22Check:
 _CHUNK = 8192
 
 
-def _chunk_solvers(scheme: ArkScheme, mus):
-    """Yield (slice, mu chunk, solve) with solve(R) = S(mu)^{-1} R per chunk."""
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _chunks(scheme: ArkScheme, mus, reduce):
+    """Yield (slice, reduce(m, solve)) for each chunk m of the grid ``mus``
+    of :func:`_mu_grid`, in grid order, with solve(R, columns=None) the
+    kernel's :func:`~symparc.kernel.stage_solve` of S(mu) through the
+    chunk's factors.  A singular mu raises SingularStageSystemError naming
+    the first one of the grid.
+
+    On a grid of two chunks or more, and with two CPUs or more to run on,
+    the caller and one worker thread solve two chunks at a time: the caller
+    starts with chunk 0 and the worker with chunk 1, and each then takes
+    the next chunk, never more than one past the chunk to be yielded next,
+    so at most two chunks are taken and not yet yielded.  The worker runs
+    under the caller's floating-point error handling (np.geterr and
+    np.geterrcall), and an error of any chunk is raised in grid order,
+    after the chunks before it are yielded.  Chunks are independent, so
+    each result is bitwise the one it gets alone.
+    """
     H, Q = _schur_basis(scheme)
-    for start in range(0, len(mus), _CHUNK):
-        m = mus[start:start + _CHUNK]
+    # Q is exactly I where the reduction made no reflection
+    basis = None if scheme.s2 <= 2 else Q
+    starts = range(0, len(mus), _CHUNK)
+
+    def run(k):
+        m = mus[starts[k]:starts[k] + _CHUNK]
         factors, singular = lu_factor(H, m * m)
         if singular.any():
             mu = m[np.flatnonzero(singular)[0]]
             raise SingularStageSystemError(f"stage block singular at mu = {mu:.17g}")
-        yield (slice(start, start + len(m)), m,
-               functools.partial(stage_solve, scheme, Q, factors, m, m))
+        solve = functools.partial(stage_solve, scheme, basis, factors, m, m)
+        return slice(starts[k], starts[k] + len(m)), reduce(m, solve)
+
+    n = len(starts)
+    if n < 2 or _cpus() < 2:
+        yield from map(run, range(n))
+        return
+
+    # the solved chunks not yet yielded, the next chunk to hand out, the next
+    # to yield and whether the consumer has stopped, all guarded by ``lock``
+    done, taken, head, closed = {}, 2, 0, False
+    lock = threading.Condition()
+    errors = dict(np.geterr(), call=np.geterrcall())
+
+    def take():
+        """The next chunk to solve, or None while none may be taken."""
+        nonlocal taken
+        if taken < n and taken <= head + 1:
+            taken += 1
+            return taken - 1
+        return None
+
+    def work():
+        k = 1
+        with np.errstate(**errors):
+            while True:
+                try:
+                    result = run(k)
+                except BaseException as exc:    # the caller raises it in grid order
+                    result = exc
+                with lock:
+                    done[k] = result
+                    lock.notify()
+                    while not closed and (k := take()) is None and taken < n:
+                        lock.wait()
+                    if closed or k is None:
+                        return
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        k = 0
+        while head < n:
+            if k is not None:
+                try:
+                    result = run(k)
+                except Exception as exc:    # raised in grid order
+                    result = exc
+            with lock:
+                if k is not None:
+                    done[k] = result
+                if head not in done:
+                    if (k := take()) is None:
+                        lock.wait()
+                    continue
+                result, k = done.pop(head), None
+                head += 1
+                lock.notify()
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        with lock:
+            closed = True
+            lock.notify()
+        worker.join()
 
 
 def _weigh(scheme: ArkScheme, X):
@@ -190,13 +291,28 @@ def _weigh(scheme: ArkScheme, X):
                            -_apply(scheme.b_tilde[None, :], X[:s2])])
 
 
-def _weigh_diagonal(scheme: ArkScheme, X):
-    """(W X)[0, 0] and (W X)[1, 1] of :func:`_weigh` alone, shape (N,) each:
-    b against P's column 0 and -b_tilde against Qt's column 1, each sum
-    taken in the order :func:`_weigh` takes it."""
-    s2 = scheme.s2
-    return (_apply(scheme.b[None, :], X[s2:, :1])[0, 0],
-            -_apply(scheme.b_tilde[None, :], X[:s2, 1:2])[0, 0])
+def _diagonal_blocks(solve, R, p=slice(0, 1)):
+    """The blocks (Qt[:, 1:2], P[:, p]) of solve(R), with P's columns p
+    starting at column 0: the columns M11 and M22 weigh, and only those are
+    completed."""
+    return solve(R, (slice(1, 2), p))
+
+
+def _diagonal(scheme: ArkScheme, m, blocks):
+    """M11 and M22 of M = I + mu W X per mu, entry for entry as the full M
+    of :func:`stability_matrix_samples` holds them, from the blocks of
+    :func:`_diagonal_blocks`: b against P's column 0 and -b_tilde against
+    Qt's column 1, each sum taken in the order :func:`_weigh` takes it."""
+    w11, w22 = _weigh_diagonal(scheme, blocks)
+    return 1.0 + m * w11, 1.0 + m * w22
+
+
+def _weigh_diagonal(scheme: ArkScheme, blocks):
+    """(W X)[0, 0] and (W X)[1, 1] of :func:`_weigh` alone, shape (N,) each,
+    from the blocks of :func:`_diagonal_blocks`."""
+    qt, p = blocks
+    return (_apply(scheme.b[None, :], p[:, :1])[0, 0],
+            -_apply(scheme.b_tilde[None, :], qt)[0, 0])
 
 
 def _check_squares(mus):
@@ -221,37 +337,22 @@ def _mu_grid(mus) -> np.ndarray:
     return mus
 
 
-def _solutions(scheme: ArkScheme, mus, extra=None):
-    """Yield (slice, mu chunk, X) for the grid ``mus`` of :func:`_mu_grid`,
-    with X = S(mu)^{-1} [E | (0; extra)] from one refined solve per chunk,
-    ``extra`` of shape (s1, k, 1) as :func:`~symparc.kernel.stage_rhs` takes
-    it: M = I + mu W X[:, :2] and b^T P = W X[0, 2:] for each column
-    (0; extra[:, i]).  Callers weigh and reduce each chunk as it comes, so
-    no (N, 2, 2) array is formed on their behalf."""
-    E = stage_rhs(scheme, extra)
-    for part, m, solve in _chunk_solvers(scheme, mus):
-        yield part, m, solve(E)
-
-
-def _diagonal(scheme: ArkScheme, m, X):
-    """M11 and M22 of M = I + mu W X per mu, entry for entry as the full M
-    of :func:`stability_matrix_samples` holds them."""
-    w11, w22 = _weigh_diagonal(scheme, X)
-    return 1.0 + m * w11, 1.0 + m * w22
-
-
 def _matrix_chunks(scheme: ArkScheme, mus):
-    """Yield (slice, mu chunk, M chunk) for the grid ``mus`` of
-    :func:`_mu_grid`, one kernel chunk at a time, M of shape (chunk, 2, 2)."""
-    for part, m, X in _solutions(scheme, mus):
-        yield part, m, np.eye(2) + m[:, None, None] * _weigh(scheme, X).transpose(2, 0, 1)
+    """Yield (slice, M chunk) for the grid ``mus`` of :func:`_mu_grid`, one
+    kernel chunk at a time, M of shape (chunk, 2, 2)."""
+    E = stage_rhs(scheme)
+
+    def matrices(m, solve):
+        return np.eye(2) + m[:, None, None] * _weigh(scheme, solve(E)).transpose(2, 0, 1)
+
+    return _chunks(scheme, mus, matrices)
 
 
 def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """M(mu) for an array of mu values; returns shape (len(mus), 2, 2)."""
     mus = _mu_grid(mus)
     M = np.empty((len(mus), 2, 2))
-    for part, _, chunk in _matrix_chunks(scheme, mus):
+    for part, chunk in _matrix_chunks(scheme, mus):
         M[part] = chunk
     return M
 
@@ -259,11 +360,15 @@ def stability_matrix_samples(scheme: ArkScheme, mus) -> np.ndarray:
 def _half_trace_slopes(scheme: ArkScheme, mus) -> np.ndarray:
     """d/dmu of the half trace, from M'(mu) = W S(mu)^{-1} X with X = S(mu)^{-1} E."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out = np.empty(len(mus))
     E = stage_rhs(scheme)
-    for part, m, solve in _chunk_solvers(scheme, mus):
-        w11, w22 = _weigh_diagonal(scheme, solve(solve(E)))
-        out[part] = 0.5 * (w11 + w22)
+
+    def slopes(m, solve):
+        w11, w22 = _weigh_diagonal(scheme, _diagonal_blocks(solve, solve(E)))
+        return 0.5 * (w11 + w22)
+
+    out = np.empty(len(mus))
+    for part, chunk in _chunks(scheme, mus, slopes):
+        out[part] = chunk
     return out
 
 
@@ -276,10 +381,15 @@ def stability_matrix(scheme: ArkScheme, mu: float) -> StabilityMatrix:
 def half_trace_samples(scheme: ArkScheme, mus) -> np.ndarray:
     """tr M(mu) / 2 on an array of mu values (the stability function up to sign)."""
     mus = _mu_grid(mus)
+    E = stage_rhs(scheme)
+
+    def half_traces(m, solve):
+        m11, m22 = _diagonal(scheme, m, _diagonal_blocks(solve, E))
+        return 0.5 * (m11 + m22)
+
     out = np.empty(len(mus))
-    for part, m, X in _solutions(scheme, mus):
-        m11, m22 = _diagonal(scheme, m, X)
-        out[part] = 0.5 * (m11 + m22)
+    for part, chunk in _chunks(scheme, mus, half_traces):
+        out[part] = chunk
     return out
 
 
@@ -290,11 +400,16 @@ def half_trace(scheme: ArkScheme, mu: float) -> float:
 
 def check_m11_equals_m22(scheme: ArkScheme, mu_samples) -> M11M22Check:
     """Max |M11 - M22| over the samples plus the moment identities behind it."""
+    E = stage_rhs(scheme)
+
+    def deviations(m, solve):
+        m11, m22 = _diagonal(scheme, m, _diagonal_blocks(solve, E))
+        return np.max(np.abs(m11 - m22))
+
     deviation = 0.0
-    for _, m, X in _solutions(scheme, _mu_grid(mu_samples)):
-        m11, m22 = _diagonal(scheme, m, X)
+    for _, chunk in _chunks(scheme, _mu_grid(mu_samples), deviations):
         # np.maximum, unlike max(), carries a NaN through
-        deviation = float(np.maximum(deviation, np.max(np.abs(m11 - m22))))
+        deviation = float(np.maximum(deviation, chunk))
     k_max = min(scheme.s1, scheme.s2)
     lhs = np.empty(k_max)
     rhs = np.empty(k_max)
@@ -337,12 +452,17 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
     """
     mus = np.array(mu, dtype=float)
     grid = _mu_grid(mus)
+    R = stage_rhs(scheme, scheme.a_hat[:, :, None])
+
+    def filters(m, solve):
+        blocks = _diagonal_blocks(solve, R, slice(None))
+        m11, m22 = _diagonal(scheme, m, blocks)
+        return 0.5 * (m11 + m22), _apply(scheme.b[None, :], blocks[1][:, 2:])[0].T
+
     psi = np.empty((len(grid), scheme.s1))
     ht = np.empty(len(grid))
-    for part, m, X in _solutions(scheme, grid, scheme.a_hat[:, :, None]):
-        m11, m22 = _diagonal(scheme, m, X)
-        ht[part] = 0.5 * (m11 + m22)
-        psi[part] = _apply(scheme.b[None, :], X[scheme.s2:, 2:])[0].T
+    for part, (half_traces, weights) in _chunks(scheme, grid, filters):
+        ht[part], psi[part] = half_traces, weights
     mu_t = _modified_mu(ht)
     if mus.ndim == 0:
         return FilterEvaluation(mu=float(mus), psi=psi[0], modified_mu=float(mu_t[0]))

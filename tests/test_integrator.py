@@ -559,6 +559,34 @@ def test_stage_solve_broadcasts_a_constant_rhs(name):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["lgl4", "lglc4", "lgl6", "lglc12"])
+def test_stage_solve_returns_selected_columns_bitwise(name):
+    # a column selection returns (Qt[:, q], P[:, p]) bitwise as the full
+    # solve holds them; where Q is exactly I (s2 <= 2), Q = None gives the
+    # same values
+    scheme = scheme_from_name(name)
+    H, Q = kernel._schur_basis(scheme)
+    alpha = np.array([0.0, -0.0, 0.3, -2.5, 12.0, 1e5, 1e150])
+    beta = alpha * np.array([1.0, 1.0, 4.0, 0.5, 1.0, 9.0, 1.0])
+    factors, singular = kernel.lu_factor(H, alpha * beta)
+    assert not singular.any()
+    s2 = scheme.s2
+    bases = [Q, None] if s2 <= 2 else [Q]
+    for R in (kernel.stage_rhs(scheme),
+              np.random.default_rng(7).standard_normal((s2 + scheme.s1, 4, len(alpha)))):
+        X = kernel.stage_solve(scheme, Q, factors, alpha, beta, R)
+        for basis in bases:
+            full = kernel.stage_solve(scheme, basis, factors, alpha, beta, R)
+            assert np.array_equal(full, X)
+            columns = [(slice(1, 2), slice(0, 1)), (slice(1, 2), slice(None)),
+                       (np.array([0, 1]), np.array([1])), (slice(None), slice(None))]
+            for q, p in columns:
+                Qt, P = kernel.stage_solve(scheme, basis, factors, alpha, beta, R, (q, p))
+                assert Qt.tobytes() == full[:s2][:, q].tobytes()
+                assert P.tobytes() == full[s2:][:, p].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
 def test_singular_pair_names_only_its_members():
     # the block of singular_at_one is singular where h^2 w = 1; of the
     # (h, w) pairs below only (0.05, 400) is, and only member 2 steps with it

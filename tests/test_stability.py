@@ -1,5 +1,10 @@
+import contextlib
 import functools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symparc.stability as stability
 from symparc.integrator import (
     ArkStepper,
     PhaseState,
@@ -259,8 +265,220 @@ def test_reductions_match_the_matrix_for_every_scheme(variant):
         assert check_m11_equals_m22(scheme, mus).max_deviation == np.max(np.abs(m11 - m22)), s1
 
 
+# the mu the overlap tests put in the worker's chunk: zeros of both signs, a
+# negative mu, tiny and large ones, one whose square is near the largest float
+_WORKER_MUS = [0.0, -0.0, -2.5, 1e-8, 1e5, 1e150]
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """Chunks of six mu, two CPUs whatever the host allows, and a list that
+    counts the worker threads started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(stability, "_CHUNK", len(_WORKER_MUS))
+    monkeypatch.setattr(stability, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def _reductions(scheme, mus):
+    """Every sampled quantity of the stability layer on the grid ``mus``, as
+    bytes, with the M11 = M22 deviation."""
+    filters = filter_functions(scheme, mus)
+    return ([a.tobytes() for a in (half_trace_samples(scheme, mus),
+                                   stability_matrix_samples(scheme, mus),
+                                   filters.psi, filters.modified_mu,
+                                   stability._half_trace_slopes(scheme, mus))],
+            check_m11_equals_m22(scheme, mus).max_deviation)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n_chunks", [2, 3])
+def test_overlapped_chunks_match_one_chunk_calls(overlap, variant, n_chunks):
+    # the caller solves chunk 0 while a worker solves chunk 1, which holds
+    # the special mu; each chunk's reductions are bitwise those of a call
+    # that solves it alone, and the M11 = M22 check is their largest
+    caller = np.random.default_rng(9).uniform(-20.0, 1000.0, stability._CHUNK)
+    mus = np.concatenate([caller, _WORKER_MUS, [0.5, 17.0, 999.0][:3 * (n_chunks - 2)]])
+    parts = [slice(k, k + stability._CHUNK) for k in range(0, len(mus), stability._CHUNK)]
+    assert len(parts) == n_chunks
+    for s1 in range(2, MAX_STAGES + 1):
+        scheme = build_scheme(s1, variant)
+        overlap.clear()
+        arrays, deviation = _reductions(scheme, mus)
+        assert len(overlap) == 5, s1
+        alone = [_reductions(scheme, mus[part]) for part in parts]
+        for i, got in enumerate(arrays):
+            assert got == b"".join(chunk[0][i] for chunk in alone), (s1, i)
+        assert deviation == max(chunk[1] for chunk in alone), s1
+
+
+def test_singular_mu_in_the_workers_chunk_is_named(overlap):
+    bad = singular_at_one()
+    # only the worker's chunk holds a singular mu
+    with pytest.raises(SingularStageSystemError, match="mu = 1$"):
+        half_trace_samples(bad, [0.5, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 1.0, 0.9])
+    assert len(overlap) == 1
+    # several chunks do: the error names the first singular mu of the grid
+    with pytest.raises(SingularStageSystemError, match="mu = -1$"):
+        filter_functions(bad, [0.5, 0.2, -1.0, 0.4, 0.6, 0.7, 0.8, 1.0, 0.9])
+    with pytest.raises(SingularStageSystemError, match="mu = -1$"):
+        stability_matrix_samples(bad, [0.5, 0.2, 0.3, 0.4, 0.6, -1.0, 1.0, 0.3])
+    with pytest.raises(SingularStageSystemError, match="mu = 1$"):
+        half_trace_samples(bad, [0.5] * 6 + [0.2, 1.0, 0.3, 0.4, 0.6, 0.7] + [-1.0, 0.3])
+    assert not any(worker.is_alive() for worker in overlap)
+
+
+@contextlib.contextmanager
+def _set_errors(how, errors):
+    """The error handling ``errors`` through np.errstate or np.seterr."""
+    if how == "errstate":
+        with np.errstate(**errors):
+            yield
+        return
+    old = np.seterr(**errors)
+    try:
+        yield
+    finally:
+        np.seterr(**old)
+
+
+@pytest.mark.parametrize("how", ["errstate", "seterr"])
+@pytest.mark.parametrize("errors, raised", [({"under": "raise"}, True),
+                                            ({"over": "raise"}, False)])
+def test_worker_runs_under_the_callers_error_handling(overlap, how, errors, raised):
+    # at mu = 1e150 the lgl4 kernel underflows and does not overflow; a mu
+    # in the worker's chunk behaves as in the caller's, whether the caller
+    # set its error handling through the context or not
+    mus = np.linspace(0.0, 10.0, 12)
+    for where in (0, 6):
+        grid = mus.copy()
+        grid[where + 3] = 1e150
+        with _set_errors(how, errors):
+            if raised:
+                with pytest.raises(FloatingPointError):
+                    half_trace_samples(LGL4, grid)
+            else:
+                got = half_trace_samples(LGL4, grid)
+                assert np.array_equal(got, np.concatenate([half_trace_samples(LGL4, grid[:6]),
+                                                           half_trace_samples(LGL4, grid[6:])]))
+    assert len(overlap) == 2
+
+
+def test_worker_calls_the_callers_error_callback(overlap):
+    # under "call" the worker's underflows reach the caller's callback, as
+    # many as the same chunk makes in the caller's hands
+    seen = []
+    counts = []
+    old = np.seterrcall(lambda kind, flag: seen.append(kind))
+    try:
+        for where in (0, 6):
+            grid = np.linspace(0.0, 10.0, 12)
+            grid[where + 3] = 1e150
+            seen.clear()
+            with np.errstate(under="call"):
+                half_trace_samples(LGL4, grid)
+            counts.append(len(seen))
+    finally:
+        np.seterrcall(old)
+    assert counts[0] == counts[1] > 0
+    assert set(seen) == {"underflow"}
+
+
+def test_chunks_in_flight_and_in_order(overlap):
+    # at most two chunks are solved at a time, the caller starts with chunk
+    # 0 and the worker with chunk 1, the chunks come in grid order, and a
+    # consumer that stops early leaves no worker running
+    lock = threading.Lock()
+    running, solvers, most = [0], {}, [0]
+
+    def reduce(m, solve):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        solvers[float(m[0])] = threading.current_thread()
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return m.copy()
+
+    mus = np.arange(60.0)
+    got = [(part, chunk) for part, chunk in stability._chunks(LGL4, mus, reduce)]
+    assert [part.start for part, _ in got] == list(range(0, 60, 6))
+    assert np.array_equal(np.concatenate([chunk for _, chunk in got]), mus)
+    assert most[0] <= 2
+    assert solvers[0.0] is threading.main_thread()
+    assert solvers[6.0] is overlap[0]
+    chunks = stability._chunks(LGL4, mus, reduce)
+    next(chunks)
+    chunks.close()
+    assert len(overlap) == 2 and not overlap[1].is_alive()
+
+
+def test_chunks_under_a_short_switch_interval(overlap):
+    # four callers at once, each with its worker, eight threads switching
+    # every microsecond: each caller's chunks are solved once each and come
+    # in grid order, so no update of the shared hand-out state is lost
+    mus = np.arange(120.0)
+    expected = [float(k) for k in range(0, len(mus), 6)]
+    failures = []
+
+    def caller():
+        solved = []
+
+        def reduce(m, solve):
+            solved.append(float(m[0]))
+            return float(m[0])
+
+        got = [chunk for _, chunk in stability._chunks(LGL4, mus, reduce)]
+        if got != expected or sorted(solved) != expected:
+            failures.append((got, solved))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert not any(thread.is_alive() for thread in overlap)
+
+
+def test_one_chunk_or_one_cpu_starts_no_thread(monkeypatch):
+    class Refused(threading.Thread):
+        def start(self):
+            raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", Refused)
+    assert half_trace(LGL4, 1.3) == half_trace_samples(LGL4, [1.3])[0]
+    stability_matrix(LGL6, 2.0)
+    filter_functions(LGL4, np.linspace(0.0, 5.0, stability._CHUNK))
+    # a process allowed one CPU solves every chunk itself
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(stability, "_CHUNK", 4)
+    assert stability._cpus() == 1
+    mus = np.linspace(0.0, 5.0, 11)
+    assert np.array_equal(half_trace_samples(LGL4, mus),
+                          np.concatenate([half_trace_samples(LGL4, mus[k:k + 4])
+                                          for k in (0, 4, 8)]))
+
+
 def test_half_trace_samples_hold_no_matrix():
-    # a 1e6-mu half trace keeps its (N,) result and one chunk's working set,
+    # a 1e6-mu half trace keeps its (N,) result and two chunks' working sets,
     # below twice the result's 8N bytes; the (N, 2, 2) matrix alone is 32N
     mus = np.linspace(0.0, 1000.0, 10**6)
     half_trace_samples(LGL4, mus[:10])
