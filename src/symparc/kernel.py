@@ -143,13 +143,14 @@ def lu_solve(factors, B):
     return B
 
 
-def _apply(A, X):
-    """A @ X for each value, X of shape (n, k, N), summed term by term over n.
+def _apply(A, X, out=None):
+    """A @ X for each value, X of shape (n, k, N), summed term by term over n,
+    into ``out`` when given (an array that does not overlap X).
 
     Plain elementwise accumulation adds in the same order for every batch
     size, where a BLAS product may not.
     """
-    out = A[:, 0, None, None] * X[0]
+    out = np.multiply(A[:, 0, None, None], X[0], out=out)
     for j in range(1, A.shape[1]):
         out += A[:, j, None, None] * X[j]
     return out
@@ -181,50 +182,61 @@ def stage_solve(scheme: ArkScheme, Q, factors, alpha, beta, R, columns=None):
     beta AtH Qt, its subtraction and the final adds run on them alone.
 
     Products and sums are formed in arrays the solve owns, in place where
-    the shapes allow, so that a solve holds few (s2 + s1, k, N) arrays at
-    once; each operation is the one the formulas above name, in their
-    order, so every entry is bitwise the same as with fresh arrays.
+    the shapes allow: the Schur solve returns in its right-hand side's
+    array, the second pass's alpha At P is formed while P is whole, and
+    with ``columns`` the residual's rows are formed in the arrays of the
+    first pass's Qt and P once their kept columns are copied out.  So a
+    solve holds few (s2 + s1, k, N) arrays at once, which bounds the
+    memory of a stability chunk; each operation is the one the formulas
+    above name, in their order, so every entry is bitwise the same as with
+    fresh arrays.
     """
     At, AtH, s2 = scheme.a_tilde, scheme.a_tilde_hat, scheme.s2
+    Rq, Rp = R[:s2], R[s2:]
+    q, p = (slice(None), slice(None)) if columns is None else columns
 
     def scaled(c, X):
         """c * X, in X itself where X already spans the values."""
         return np.multiply(c, X, out=X if X.shape[-1] == len(c) else None)
 
     def schur_solve(rhs):
-        """The Schur complement's solution for ``rhs``, which it may overwrite."""
+        """The Schur complement's solution for ``rhs``, in rhs's own array."""
         if Q is None:
             return lu_solve(factors, rhs)
-        return _apply(Q, lu_solve(factors, _apply(Q.T, rhs)))
+        return _apply(Q, lu_solve(factors, _apply(Q.T, rhs)), out=rhs)
+
+    def kept(X, cols):
+        """X's columns ``cols``, copied out when X's array is to be reused."""
+        return X if columns is None else X[:, cols].copy()
 
     # pass 1: Qt for R_q + alpha At R_p, then P = R_p - beta AtH Qt
-    rhs = scaled(alpha, _apply(At, R[s2:]))
-    Qt = schur_solve(np.add(R[:s2], rhs, out=rhs))
+    rhs = scaled(alpha, _apply(At, Rp))
+    Qt = schur_solve(np.add(Rq, rhs, out=rhs))
     coupling = scaled(beta, _apply(AtH, Qt))
-    P = np.subtract(R[s2:], coupling)
-    # pass 2: the residual R - S X, its momentum rows reusing the coupling
-    Rp = np.subtract(R[s2:], P)
-    Rp -= coupling
-    del coupling
-    q, p = (slice(None), slice(None)) if columns is None else columns
-    rhs = np.subtract(R[:s2], Qt)
-    if columns is not None:
-        Qt = Qt[:, q].copy()
-    rhs += scaled(alpha, _apply(At, P))
-    if columns is not None:
-        P = P[:, p].copy()
-    rhs += scaled(alpha, _apply(At, Rp))
-    if columns is not None:
-        Rp = Rp[:, p].copy()
+    P = np.subtract(Rp, coupling)
+    # pass 2: the residual R - S X is (R_q - Qt + alpha At P, dRp) with
+    # dRp = R_p - P - coupling; its solution is added to Qt and P
+    at_p = scaled(alpha, _apply(At, P))
+    P_out = kept(P, p)
+    dRp = np.subtract(Rp, P, out=None if columns is None else P)
+    dRp -= coupling
+    del coupling, P
+    Qt_out = kept(Qt, q)
+    rhs = np.subtract(Rq, Qt, out=None if columns is None else Qt)
+    del Qt
+    rhs += at_p
+    del at_p
+    rhs += scaled(alpha, _apply(At, dRp))
+    dRp = kept(dRp, p)
     dQt = schur_solve(rhs)
-    del rhs
     dP = scaled(beta, _apply(AtH, dQt[:, p]))
-    np.subtract(Rp, dP, out=dP)
+    np.subtract(dRp, dP, out=dP)
     if columns is not None:
-        return np.add(Qt, dQt[:, q]), np.add(P, dP, out=dP)
-    X = np.empty((s2 + scheme.s1,) + Qt.shape[1:])
-    np.add(Qt, dQt, out=X[:s2])
-    np.add(P, dP, out=X[s2:])
+        np.add(Qt_out, dQt[:, q], out=Qt_out)
+        return Qt_out, np.add(P_out, dP, out=dP)
+    X = np.empty((s2 + scheme.s1,) + Qt_out.shape[1:])
+    np.add(Qt_out, dQt, out=X[:s2])
+    np.add(P_out, dP, out=X[s2:])
     return X
 
 

@@ -29,7 +29,7 @@ determinant identity det S(mu) = det(I + nu G), so the kernel fails exactly
 where the stage block is singular, by the rule the stepper applies to its
 blocks.
 
-The kernel solves the mu in chunks of 8,192 (:func:`_chunks`), and every
+The kernel solves the mu in chunks of 7,168 (:func:`_chunks`), and every
 sampled quantity is reduced inside its chunk, as the chunk is solved: the
 half trace and the M11 = M22 check weigh M11 and M22 alone (b against P's
 first column, -b_tilde against Qt's second), and ask the kernel for those
@@ -176,8 +176,12 @@ class M11M22Check:
 
 
 # mu values per pass of the kernel; bounds the (s2, s2, chunk) factors and
-# the (s2 + s1, 2 + k, chunk) solutions
-_CHUNK = 8192
+# the (s2 + s1, 2 + k, chunk) solutions.  The worker thread's malloc arena
+# keeps its chunk's pages after use, about 3 MB at 7,168 mu for lgl6, and
+# shorter chunks lose time to the caller and the worker handing the GIL
+# back and forth between NumPy calls: at 4,096 mu the two together took
+# longer than one thread alone at 8,192
+_CHUNK = 7168
 
 
 def _cpus() -> int:
