@@ -133,8 +133,14 @@ def _cmd_stability(args) -> int:
 # integrate
 # ---------------------------------------------------------------------------
 
-def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
-    values = np.array([float(x) for x in text.split(",")]) if text else np.zeros(d)
+def _parse_vector(text, d: int, what: str) -> np.ndarray:
+    """The d components of flag ``what``; zeros only where it was not given."""
+    if text is None:
+        return np.zeros(d)
+    try:
+        values = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{what} must list {d} numbers, got {text!r}") from None
     if len(values) != d:
         raise ValueError(f"{what} must have {d} components")
     return values

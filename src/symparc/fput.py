@@ -161,7 +161,10 @@ def _chain_energies(q, p, omegas, ell: int):
 def _chain_system(ell: int, omegas, hamiltonian=None) -> SplitForceSystem:
     """The chain with stiff frequency ``omegas``: a scalar for one chain, an
     array of n for a batch of n chains (omega_sq of shape (n, 2*ell))."""
-    w2 = np.asarray(omegas, dtype=float) ** 2
+    with np.errstate(over="ignore"):
+        w2 = np.asarray(omegas, dtype=float) ** 2
+    if not np.isfinite(w2).all():
+        raise ValueError("omega must be finite with a finite square")
     omega_sq = np.zeros(w2.shape + (2 * ell,))
     omega_sq[..., ell:] = w2[..., None]
 

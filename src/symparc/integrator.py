@@ -710,7 +710,8 @@ class ArkStepper:
                 source[slots] = force(X_new[rows])
             X, source, F = X_new, F, source
             if final:
-                if not np.isfinite(F).all():
+                # the reduce skips the Python frame of .all()
+                if not np.logical_and.reduce(np.isfinite(F), axis=None):
                     raise NumericalFailureError("force evaluation returned NaN/Inf",
                                                 np.flatnonzero(_failing(F, n)))
                 x[2:2 + len(F)] = source

@@ -35,12 +35,13 @@ half trace and the M11 = M22 check weigh M11 and M22 alone (b against P's
 first column, -b_tilde against Qt's second), and ask the kernel for those
 two columns only, the filters weigh their own columns, and the check keeps
 a running max.  Where G needs no reflection (s2 <= 2), Q is exactly I and
-the kernel skips it.  On a grid of two chunks or more, with two CPUs or more
-to run on, the caller and one worker thread solve two chunks at a time: the
-caller starts with chunk 0 and the worker with chunk 1, and each then takes
-the next chunk, never more than one past the chunk to be yielded next, so
-at most two chunks are in flight.  A one-chunk grid, or a process allowed
-one CPU, starts no thread.  Only :func:`stability_matrix_samples`,
+the kernel skips it.  On a grid long enough to repay a fork, in a process
+with two CPUs or more and one thread, a forked child solves the odd chunks
+and sends each reduced result back through a pipe while the caller solves
+the even ones; the child only speculates, and the caller solves any chunk
+the child gave up on, so results, errors and warnings are those of the
+caller alone.  A shorter grid, or a process allowed one CPU, forks no
+child.  Only :func:`stability_matrix_samples`,
 whose caller asks for M, returns an (N, 2, 2) array; the stability command
 writes its CSV from the same chunks of M, one at a time
 (:func:`_matrix_chunks`).
@@ -56,9 +57,14 @@ same M and psi in any batch: a scalar call agrees with any sweep holding it.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,12 +182,20 @@ class M11M22Check:
 
 
 # mu values per pass of the kernel; bounds the (s2, s2, chunk) factors and
-# the (s2 + s1, 2 + k, chunk) solutions.  The worker thread's malloc arena
-# keeps its chunk's pages after use, about 3 MB at 7,168 mu for lgl6, and
-# shorter chunks lose time to the caller and the worker handing the GIL
-# back and forth between NumPy calls: at 4,096 mu the two together took
-# longer than one thread alone at 8,192
+# the (s2 + s1, 2 + k, chunk) solutions.  Solved in one process, lgl4 and
+# lgl6 half traces on 1e6 mu ran fastest at this length of those measured
+# (4,096, 16,384 and 32,768 mu were slower), and one chunk's half traces,
+# 56 KiB, fit the 64 KiB of a Linux pipe to the child of :func:`_chunks`
 _CHUNK = 7168
+# the fewest chunks on which :func:`_chunks` forks a child.  At the 50 MB of
+# a benchmark process the fork takes 1 ms, and the copy-on-write faults that
+# follow cost the caller about 3.4 ms more on its first two chunks.  Half
+# traces on n chunks, forked against solved in the caller (2 CPUs, medians
+# of 15 alternating runs): lgl4 broke even between 16 and 32 chunks over two
+# sessions (at 32 17.5 against 19.6 ms, at 140 62 against 83), lgl6 gained
+# from 12 on (14.8 against 17.4 ms), and lgl2, whose chunk takes 0.3 ms,
+# still lost 3 ms at 32 and broke even at 140
+_FORK_CHUNKS = 32
 
 
 def _cpus() -> int:
@@ -192,6 +206,79 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forks(n: int) -> bool:
+    """Whether :func:`_chunks` solves a grid of ``n`` chunks with a forked
+    child: on a grid of :data:`_FORK_CHUNKS` or more, with two CPUs or more
+    to run on, in a process that runs one Python thread and where os.fork
+    would warn of no other thread.  From Python 3.12 on it warns where the
+    process runs any other OS thread, OpenBLAS's pool included."""
+    if n < _FORK_CHUNKS or not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if _cpus() < 2:
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:     # no way to count the threads: no fork
+        return False
+
+
+def _stop(kind, flag):
+    """The child's floating-point error callback: any event stops it."""
+    raise FloatingPointError(kind)
+
+
+def _speculate(run, n, read, write):
+    """The forked child of :func:`_chunks`: send run(k) for the odd chunks k
+    of ``n`` through the pipe (read, write), in order, each as its length
+    and its pickle.  The first exception, warning or floating-point event
+    that the caller's np.geterr does not ignore stops it, and so does a
+    pipe whose reader has gone; the caller then solves that chunk and the
+    later odd ones itself.  The child writes nothing else anywhere: its
+    file descriptors 1 and 2 go to the null device and sys.stdout and
+    sys.stderr are None, so neither a print nor a traceback reaches the
+    caller's output, while the streams they held stay referenced, so none
+    is freed and flushed; garbage collection stays off, so no finalizer of
+    the caller's objects runs; and it leaves through os._exit whatever happens,
+    so no exit handler of the caller's runs and no buffered file of the
+    caller's is flushed twice."""
+    try:
+        os.close(read)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        streams = sys.stdout, sys.stderr    # held until os._exit
+        sys.stdout = sys.stderr = None
+        gc.disable()
+        np.seterr(**{kind: "ignore" if mode == "ignore" else "call"
+                     for kind, mode in np.geterr().items()})
+        np.seterrcall(_stop)
+        warnings.simplefilter("error")
+        with open(write, "wb") as out:
+            for k in range(1, n, 2):
+                message = pickle.dumps(run(k), pickle.HIGHEST_PROTOCOL)
+                out.write(len(message).to_bytes(8, "little"))
+                out.write(message)
+                out.flush()
+    finally:
+        os._exit(0)     # even on an exception: the child never returns
+
+
+def _received(pipe):
+    """The next (slice, result) the child sent, or None once it has stopped,
+    perhaps mid-message.  Each message is its length and then its pickle,
+    read in one piece: pickle.load would read ahead on the pipe, allocating
+    whatever had arrived, and in some runs that left a chunk's worth of the
+    caller's heap pinned (7.5 MB more peak memory on the benchmark)."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    message = pipe.read(size)
+    return pickle.loads(message) if len(message) == size else None
+
+
 def _chunks(scheme: ArkScheme, mus, reduce):
     """Yield (slice, reduce(m, solve)) for each chunk m of the grid ``mus``
     of :func:`_mu_grid`, in grid order, with solve(R, columns=None) the
@@ -199,15 +286,17 @@ def _chunks(scheme: ArkScheme, mus, reduce):
     chunk's factors.  A singular mu raises SingularStageSystemError naming
     the first one of the grid.
 
-    On a grid of two chunks or more, and with two CPUs or more to run on,
-    the caller and one worker thread solve two chunks at a time: the caller
-    starts with chunk 0 and the worker with chunk 1, and each then takes
-    the next chunk, never more than one past the chunk to be yielded next,
-    so at most two chunks are taken and not yet yielded.  The worker runs
-    under the caller's floating-point error handling (np.geterr and
-    np.geterrcall), and an error of any chunk is raised in grid order,
-    after the chunks before it are yielded.  Chunks are independent, so
-    each result is bitwise the one it gets alone.
+    Where :func:`_forks` holds, a forked child solves the odd chunks and
+    sends each result through a pipe while the caller solves the even ones
+    (:func:`_speculate`).  The pipe blocks the child when full, so the
+    results not yet taken stay within the pipe's capacity.  The child only
+    speculates: it stops at the first exception, warning or floating-point
+    event the caller's error handling does not ignore, and the caller then
+    solves that chunk and every later odd chunk itself.  So errors come in
+    grid order, warnings, np.errstate and np.seterrcall act as in a run
+    without the child, and each result is bitwise the one the caller gets
+    alone.  ``reduce`` must not rely on side effects, which stay in the
+    child.  The child is killed and reaped however the caller stops.
     """
     H, Q = _schur_basis(scheme)
     # Q is exactly I where the reduction made no reflection
@@ -224,68 +313,30 @@ def _chunks(scheme: ArkScheme, mus, reduce):
         return slice(starts[k], starts[k] + len(m)), reduce(m, solve)
 
     n = len(starts)
-    if n < 2 or _cpus() < 2:
+    if not _forks(n):
         yield from map(run, range(n))
         return
 
-    # the solved chunks not yet yielded, the next chunk to hand out, the next
-    # to yield and whether the consumer has stopped, all guarded by ``lock``
-    done, taken, head, closed = {}, 2, 0, False
-    lock = threading.Condition()
-    errors = dict(np.geterr(), call=np.geterrcall())
-
-    def take():
-        """The next chunk to solve, or None while none may be taken."""
-        nonlocal taken
-        if taken < n and taken <= head + 1:
-            taken += 1
-            return taken - 1
-        return None
-
-    def work():
-        k = 1
-        with np.errstate(**errors):
-            while True:
-                try:
-                    result = run(k)
-                except BaseException as exc:    # the caller raises it in grid order
-                    result = exc
-                with lock:
-                    done[k] = result
-                    lock.notify()
-                    while not closed and (k := take()) is None and taken < n:
-                        lock.wait()
-                    if closed or k is None:
-                        return
-
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
+    read, write = os.pipe()
     try:
-        k = 0
-        while head < n:
-            if k is not None:
-                try:
-                    result = run(k)
-                except Exception as exc:    # raised in grid order
-                    result = exc
-            with lock:
-                if k is not None:
-                    done[k] = result
-                if head not in done:
-                    if (k := take()) is None:
-                        lock.wait()
-                    continue
-                result, k = done.pop(head), None
-                head += 1
-                lock.notify()
-            if isinstance(result, BaseException):
-                raise result
-            yield result
+        pid = os.fork()
+    except OSError:     # no process to be had: the caller solves every chunk
+        os.close(read)
+        os.close(write)
+        yield from map(run, range(n))
+        return
+    if pid == 0:
+        _speculate(run, n, read, write)
+    try:
+        os.close(write)
+        with open(read, "rb") as pipe:
+            for k in range(n):
+                # once the child has stopped, every read meets the end of the pipe
+                got = _received(pipe) if k % 2 else None
+                yield run(k) if got is None else got
     finally:
-        with lock:
-            closed = True
-            lock.notify()
-        worker.join()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _weigh(scheme: ArkScheme, X):
@@ -477,30 +528,64 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
 # Stability intervals and resonances
 # ---------------------------------------------------------------------------
 
+# halvings of every open bracket that one call of :func:`_bisect`'s function
+# evaluates ahead: 2**6 - 1 midpoints per bracket.  The benchmark's three
+# collocation searches then make 41 calls in place of 160
+_BISECT_LEVELS = 6
+
+
+def _halvings(lo, hi, levels):
+    """The midpoints of ``levels`` successive halvings of each bracket
+    (lo, hi), shape (len(lo), 2**levels - 1): level j fills the 2**j
+    columns from 2**j - 1 on, and node i of a level has the nodes 2i (its
+    left half) and 2i + 1 (its right half) below it.  Each midpoint is
+    0.5 * (a + b) of its own bracket (a, b), as the lock-step loop forms it."""
+    a, b = lo[:, None], hi[:, None]
+    mids = []
+    for _ in range(levels):
+        m = 0.5 * (a + b)
+        mids.append(m)
+        a = np.stack([a, m], axis=-1).reshape(len(lo), -1)
+        b = np.stack([m, b], axis=-1).reshape(len(lo), -1)
+    return np.concatenate(mids, axis=1)
+
+
 def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
     """Roots on sign-changing brackets, all bisected in lock step.
 
     ``fn(x, idx)`` evaluates the functions of brackets ``idx`` at the points
-    ``x``, so each iteration costs one batched call.  A bracket stops once it
-    is narrower than ``tol`` (one width, or one per bracket) or hits an exact
-    zero, and returns its midpoint.
+    ``x``.  A bracket stops once it is narrower than ``tol`` (one width, or
+    one per bracket) or hits an exact zero, and returns its midpoint.  Each
+    call of ``fn`` evaluates the midpoints of the next
+    :data:`_BISECT_LEVELS` halvings of every open bracket
+    (:func:`_halvings`), and the loop then walks down them one halving per
+    iteration, so it takes the decisions, and returns the roots, of one
+    call per halving.
     """
     lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
     tol = np.broadcast_to(tol, lo.shape)
     root = np.empty(len(lo))
     idx = np.arange(len(lo))
-    for _ in range(max_iter):
+    # each bracket's row of the evaluated halvings, and its node in the level
+    row, node = np.zeros((2, len(lo)), dtype=np.intp)
+    for it in range(max_iter):
         mid = 0.5 * (lo[idx] + hi[idx])
         done = hi[idx] - lo[idx] < tol[idx]
         root[idx[done]] = mid[done]
         idx, mid = idx[~done], mid[~done]
         if not len(idx):
             return root
-        f_mid = fn(mid, idx)
+        level = it % _BISECT_LEVELS
+        if level == 0:
+            x = _halvings(lo[idx], hi[idx], min(_BISECT_LEVELS, max_iter - it))
+            values = fn(x.ravel(), np.repeat(idx, x.shape[1])).reshape(x.shape)
+            row[idx], node[idx] = np.arange(len(idx)), 0
+        f_mid = values[row[idx], 2 ** level - 1 + node[idx]]
         done = f_mid == 0.0
         root[idx[done]] = mid[done]
         idx, mid, f_mid = idx[~done], mid[~done], f_mid[~done]
         left = (f_lo[idx] < 0.0) != (f_mid < 0.0)
+        node[idx] = 2 * node[idx] + ~left
         hi[idx[left]] = mid[left]
         lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
     root[idx] = 0.5 * (lo[idx] + hi[idx])

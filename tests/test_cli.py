@@ -188,6 +188,34 @@ def test_integrate_refuses_the_other_problems_flags(tmp_path, capsys, flags, nam
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["integrate", "--scheme", "lgl4", "--omega", "1e308", "--T", "1"],
+    ["fput", "highfreq", "--omega", "1e308", "--T", "1"],
+    ["fput", "reduction", "--omega-list", "10,1e308", "--h-list", "0.05", "--T", "0.1"],
+    ["converge", "--schemes", "lgl2", "--omega", "1e308", "--h-list", "0.05,0.025",
+     "--T", "0.2"],
+], ids=["integrate", "highfreq", "reduction", "converge"])
+def test_omega_whose_square_overflows_is_refused(tmp_path, capsys, args):
+    # omega^2 overflows: refused by name, with no warning and no traceback
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: omega ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--q0", "--p0"])
+def test_integrate_refuses_an_empty_vector(tmp_path, capsys, flag):
+    # an empty value is refused by name, not read as the zeros of an absent flag
+    out = tmp_path / "traj.csv"
+    assert run_cli(["integrate", "--scheme", "lgl4", "--problem", "free", "--dim", "2",
+                    flag, "", "--T", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must list 2 numbers, got ''\n"
+    assert not out.exists()
+
+
 def _integrate_rows(tmp_path, fmt, stride):
     """The CSV rows, or the JSON object, of a 50-step lgl4 chain run."""
     out = tmp_path / f"traj-{stride}.{fmt}"

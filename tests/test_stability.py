@@ -2,11 +2,14 @@ import contextlib
 import functools
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,6 +24,7 @@ from symparc.integrator import (
     SingularStageSystemError,
     SplitForceSystem,
 )
+from symparc.kernel import lu_factor
 from symparc.stability import (
     NotStableError,
     check_m11_equals_m22,
@@ -265,26 +269,49 @@ def test_reductions_match_the_matrix_for_every_scheme(variant):
         assert check_m11_equals_m22(scheme, mus).max_deviation == np.max(np.abs(m11 - m22)), s1
 
 
-# the mu the overlap tests put in the worker's chunk: zeros of both signs, a
-# negative mu, tiny and large ones, one whose square is near the largest float
-_WORKER_MUS = [0.0, -0.0, -2.5, 1e-8, 1e5, 1e150]
+# the mu the overlap tests put in the child's chunk: zeros of both signs,
+# negative mu, tiny and large ones, two whose squares are near the largest
+# float
+_CHILD_MUS = [0.0, -0.0, -2.5, 1e-8, 1e5, 1e150, 1.3e154, -1e150]
+
+
+def _no_child_left():
+    """Whether this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _fork_or_skip(monkeypatch):
+    """Take two CPUs whatever the host allows, and skip where os.fork would
+    warn: from Python 3.12 on, in a process that runs another OS thread,
+    such as OpenBLAS's pool."""
+    monkeypatch.setattr(stability, "_cpus", lambda: 2)
+    if not stability._forks(max(stability._FORK_CHUNKS, 2)):
+        pytest.skip("os.fork would warn of another thread here")
 
 
 @pytest.fixture
 def overlap(monkeypatch):
-    """Chunks of six mu, two CPUs whatever the host allows, and a list that
-    counts the worker threads started."""
-    started = []
+    """Chunks of eight mu, a child forked on every grid of two chunks or
+    more whatever the host allows, and a list of the forked children's pids."""
+    _fork_or_skip(monkeypatch)
+    forked = []
+    fork = os.fork
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(stability, "_CHUNK", len(_WORKER_MUS))
-    monkeypatch.setattr(stability, "_cpus", lambda: 2)
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
+    monkeypatch.setattr(stability, "_CHUNK", len(_CHILD_MUS))
+    monkeypatch.setattr(stability, "_FORK_CHUNKS", 2)
+    monkeypatch.setattr(os, "fork", counted)
+    yield forked
+    assert _no_child_left()
 
 
 def _reductions(scheme, mus):
@@ -301,18 +328,29 @@ def _reductions(scheme, mus):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n_chunks", [2, 3])
-def test_overlapped_chunks_match_one_chunk_calls(overlap, variant, n_chunks):
-    # the caller solves chunk 0 while a worker solves chunk 1, which holds
-    # the special mu; each chunk's reductions are bitwise those of a call
-    # that solves it alone, and the M11 = M22 check is their largest
+def test_overlapped_chunks_match_one_chunk_calls(overlap, monkeypatch, variant, n_chunks):
+    # the caller solves chunk 0 while a forked child solves chunk 1, which
+    # holds the special mu, and sends it back; each chunk's reductions are
+    # bitwise those of a call that solves it alone, the M11 = M22 check is
+    # their largest, and the caller solves only the even chunks
     caller = np.random.default_rng(9).uniform(-20.0, 1000.0, stability._CHUNK)
-    mus = np.concatenate([caller, _WORKER_MUS, [0.5, 17.0, 999.0][:3 * (n_chunks - 2)]])
+    mus = np.concatenate([caller, _CHILD_MUS, [0.5, 17.0, 999.0][:3 * (n_chunks - 2)]])
     parts = [slice(k, k + stability._CHUNK) for k in range(0, len(mus), stability._CHUNK)]
     assert len(parts) == n_chunks
+    solved = []
+
+    def counted(H, nu):
+        solved.append(len(nu))
+        return lu_factor(H, nu)
+
     for s1 in range(2, MAX_STAGES + 1):
         scheme = build_scheme(s1, variant)
         overlap.clear()
-        arrays, deviation = _reductions(scheme, mus)
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "lu_factor", counted)
+            solved.clear()
+            arrays, deviation = _reductions(scheme, mus)
+            assert solved == [len(caller), 3][:n_chunks - 1] * 5, s1
         assert len(overlap) == 5, s1
         alone = [_reductions(scheme, mus[part]) for part in parts]
         for i, got in enumerate(arrays):
@@ -322,18 +360,21 @@ def test_overlapped_chunks_match_one_chunk_calls(overlap, variant, n_chunks):
 
 def test_singular_mu_in_the_workers_chunk_is_named(overlap):
     bad = singular_at_one()
-    # only the worker's chunk holds a singular mu
+    # only the child's chunk holds a singular mu: the child stops there and
+    # the caller solves the chunk itself
     with pytest.raises(SingularStageSystemError, match="mu = 1$"):
-        half_trace_samples(bad, [0.5, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 1.0, 0.9])
+        half_trace_samples(bad, [0.5, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.1, 0.9, 1.0, 0.3])
     assert len(overlap) == 1
+    assert _no_child_left()
     # several chunks do: the error names the first singular mu of the grid
     with pytest.raises(SingularStageSystemError, match="mu = -1$"):
-        filter_functions(bad, [0.5, 0.2, -1.0, 0.4, 0.6, 0.7, 0.8, 1.0, 0.9])
+        filter_functions(bad, [0.5, 0.2, -1.0, 0.4, 0.6, 0.7, 0.8, 0.1, 1.0, 0.9])
     with pytest.raises(SingularStageSystemError, match="mu = -1$"):
-        stability_matrix_samples(bad, [0.5, 0.2, 0.3, 0.4, 0.6, -1.0, 1.0, 0.3])
+        stability_matrix_samples(bad, [0.5] * 7 + [-1.0, 1.0, 0.3])
     with pytest.raises(SingularStageSystemError, match="mu = 1$"):
-        half_trace_samples(bad, [0.5] * 6 + [0.2, 1.0, 0.3, 0.4, 0.6, 0.7] + [-1.0, 0.3])
-    assert not any(worker.is_alive() for worker in overlap)
+        half_trace_samples(bad, [0.5] * 8 + [0.2, 1.0, 0.3, 0.4, 0.6, 0.7, 0.8, 0.1]
+                           + [-1.0, 0.3])
+    assert len(overlap) == 4
 
 
 @contextlib.contextmanager
@@ -355,10 +396,10 @@ def _set_errors(how, errors):
                                             ({"over": "raise"}, False)])
 def test_worker_runs_under_the_callers_error_handling(overlap, how, errors, raised):
     # at mu = 1e150 the lgl4 kernel underflows and does not overflow; a mu
-    # in the worker's chunk behaves as in the caller's, whether the caller
+    # in the child's chunk behaves as in the caller's, whether the caller
     # set its error handling through the context or not
-    mus = np.linspace(0.0, 10.0, 12)
-    for where in (0, 6):
+    mus = np.linspace(0.0, 10.0, 16)
+    for where in (0, 8):
         grid = mus.copy()
         grid[where + 3] = 1e150
         with _set_errors(how, errors):
@@ -367,20 +408,47 @@ def test_worker_runs_under_the_callers_error_handling(overlap, how, errors, rais
                     half_trace_samples(LGL4, grid)
             else:
                 got = half_trace_samples(LGL4, grid)
-                assert np.array_equal(got, np.concatenate([half_trace_samples(LGL4, grid[:6]),
-                                                           half_trace_samples(LGL4, grid[6:])]))
+                assert np.array_equal(got, np.concatenate([half_trace_samples(LGL4, grid[:8]),
+                                                           half_trace_samples(LGL4, grid[8:])]))
     assert len(overlap) == 2
 
 
+def test_warnings_of_the_childs_chunk_come_from_the_caller(overlap):
+    # under "warn" the underflows of the child's chunk warn in the caller,
+    # as many times as the same chunk does in the caller's hands, and so
+    # does a warning of the reduction: the child stops at the first one
+    counts = []
+    for where in (0, 8):
+        grid = np.linspace(0.0, 10.0, 16)
+        grid[where + 3] = 1e150
+        with np.errstate(under="warn"), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            half_trace_samples(LGL4, grid)
+        counts.append([str(w.message) for w in seen])
+    assert counts[0] == counts[1] != []
+
+    def reduce(m, solve):
+        if m[0] == 8.0:
+            warnings.warn("chunk 1", UserWarning)
+        return m[0]
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert [chunk for _, chunk in stability._chunks(LGL4, np.arange(24.0), reduce)] == [
+            0.0, 8.0, 16.0]
+    assert [str(w.message) for w in seen] == ["chunk 1"]
+    assert len(overlap) == 3
+
+
 def test_worker_calls_the_callers_error_callback(overlap):
-    # under "call" the worker's underflows reach the caller's callback, as
-    # many as the same chunk makes in the caller's hands
+    # under "call" the underflows of the child's chunk reach the caller's
+    # callback, as many as the same chunk makes in the caller's hands
     seen = []
     counts = []
     old = np.seterrcall(lambda kind, flag: seen.append(kind))
     try:
-        for where in (0, 6):
-            grid = np.linspace(0.0, 10.0, 12)
+        for where in (0, 8):
+            grid = np.linspace(0.0, 10.0, 16)
             grid[where + 3] = 1e150
             seen.clear()
             with np.errstate(under="call"):
@@ -390,44 +458,57 @@ def test_worker_calls_the_callers_error_callback(overlap):
         np.seterrcall(old)
     assert counts[0] == counts[1] > 0
     assert set(seen) == {"underflow"}
+    assert len(overlap) == 2
 
 
-def test_chunks_in_flight_and_in_order(overlap):
-    # at most two chunks are solved at a time, the caller starts with chunk
-    # 0 and the worker with chunk 1, the chunks come in grid order, and a
-    # consumer that stops early leaves no worker running
-    lock = threading.Lock()
-    running, solvers, most = [0], {}, [0]
+def test_chunks_in_flight_and_in_order(overlap, tmp_path, capfd):
+    # the caller solves the even chunks and the child the odd ones, each
+    # once, and the chunks come in grid order; a child whose result does
+    # not fit the pipe waits for the caller to take it, so a consumer that
+    # stops after chunk 0 leaves chunk 3 unsolved, and no child behind.
+    # What the child prints goes nowhere
+    log = tmp_path / "solved"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    caller = os.getpid()
 
     def reduce(m, solve):
-        with lock:
-            running[0] += 1
-            most[0] = max(most[0], running[0])
-        solvers[float(m[0])] = threading.current_thread()
-        time.sleep(0.002)
-        with lock:
-            running[0] -= 1
-        return m.copy()
+        os.write(fd, b"%d\n" % int(m[0]))
+        if os.getpid() != caller:
+            print("from the child", file=sys.stderr)
+            os.write(1, b"from the child\n")
+            os.write(2, b"from the child\n")
+        return m.copy(), os.getpid(), np.zeros(2 ** 16)    # 512 KiB
 
-    mus = np.arange(60.0)
-    got = [(part, chunk) for part, chunk in stability._chunks(LGL4, mus, reduce)]
-    assert [part.start for part, _ in got] == list(range(0, 60, 6))
-    assert np.array_equal(np.concatenate([chunk for _, chunk in got]), mus)
-    assert most[0] <= 2
-    assert solvers[0.0] is threading.main_thread()
-    assert solvers[6.0] is overlap[0]
-    chunks = stability._chunks(LGL4, mus, reduce)
-    next(chunks)
-    chunks.close()
-    assert len(overlap) == 2 and not overlap[1].is_alive()
+    def solved():
+        return sorted(int(line) for line in log.read_text().split())
+
+    try:
+        mus = np.arange(80.0)
+        got = list(stability._chunks(LGL4, mus, reduce))
+        assert [part.start for part, _ in got] == list(range(0, 80, 8))
+        assert np.array_equal(np.concatenate([chunk[0] for _, chunk in got]), mus)
+        assert [chunk[1] == os.getpid() for _, chunk in got] == [k % 2 == 0 for k in range(10)]
+        assert solved() == list(range(0, 80, 8))
+        assert _no_child_left()
+        log.write_text("")
+        chunks = stability._chunks(LGL4, mus, reduce)
+        next(chunks)
+        time.sleep(0.2)
+        assert set(solved()) <= {0, 8}
+        chunks.close()
+        assert len(overlap) == 2
+    finally:
+        os.close(fd)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_chunks_under_a_short_switch_interval(overlap):
-    # four callers at once, each with its worker, eight threads switching
-    # every microsecond: each caller's chunks are solved once each and come
-    # in grid order, so no update of the shared hand-out state is lost
-    mus = np.arange(120.0)
-    expected = [float(k) for k in range(0, len(mus), 6)]
+    # four callers at once, each in a thread of its own, switching every
+    # microsecond: a process that runs more than one Python thread forks no
+    # child, and each caller's chunks are solved once each and come in grid
+    # order
+    mus = np.arange(160.0)
+    expected = [float(k) for k in range(0, len(mus), 8)]
     failures = []
 
     def caller():
@@ -454,22 +535,29 @@ def test_chunks_under_a_short_switch_interval(overlap):
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
-    assert not any(thread.is_alive() for thread in overlap)
+    assert overlap == []
 
 
 def test_one_chunk_or_one_cpu_starts_no_thread(monkeypatch):
+    # the chunks run in the caller alone, with no thread started and no
+    # child forked, on a grid shorter than _FORK_CHUNKS chunks and in a
+    # process allowed one CPU
     class Refused(threading.Thread):
         def start(self):
             raise AssertionError("a thread was started")
 
+    def refused():
+        raise AssertionError("a child was forked")
+
     monkeypatch.setattr(threading, "Thread", Refused)
+    monkeypatch.setattr(os, "fork", refused)
     assert half_trace(LGL4, 1.3) == half_trace_samples(LGL4, [1.3])[0]
     stability_matrix(LGL6, 2.0)
-    filter_functions(LGL4, np.linspace(0.0, 5.0, stability._CHUNK))
-    # a process allowed one CPU solves every chunk itself
+    filter_functions(LGL4, np.linspace(0.0, 5.0, (stability._FORK_CHUNKS - 1) * _CHUNK))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stability, "_CHUNK", 4)
+    monkeypatch.setattr(stability, "_FORK_CHUNKS", 2)
     assert stability._cpus() == 1
     mus = np.linspace(0.0, 5.0, 11)
     assert np.array_equal(half_trace_samples(LGL4, mus),
@@ -477,9 +565,92 @@ def test_one_chunk_or_one_cpu_starts_no_thread(monkeypatch):
                                           for k in (0, 4, 8)]))
 
 
+def test_forked_grid_leaves_no_child(monkeypatch):
+    # a grid long enough to fork reaps its child on return, when its
+    # consumer stops after one chunk, on an interrupt in the caller's chunk
+    # and on an error in the child's
+    _fork_or_skip(monkeypatch)
+    mus = np.linspace(0.0, 1000.0, stability._FORK_CHUNKS * _CHUNK)
+    half_trace_samples(LGL4, mus)
+    assert _no_child_left()
+    chunks = stability._chunks(LGL4, mus, lambda m, solve: m[0])
+    next(chunks)
+    chunks.close()
+    assert _no_child_left()
+
+    def interrupted(m, solve):
+        if m[0] == mus[2 * _CHUNK]:
+            raise KeyboardInterrupt
+        return m[0]
+
+    with pytest.raises(KeyboardInterrupt):
+        list(stability._chunks(LGL4, mus, interrupted))
+    assert _no_child_left()
+
+
+def test_failed_fork_solves_every_chunk_in_the_caller(monkeypatch):
+    # a fork refused for want of processes or memory leaves the grid to the
+    # caller, with the same results
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    mus = np.linspace(0.0, 50.0, 3 * _CHUNK)
+    expected = half_trace_samples(LGL4, mus)
+    monkeypatch.setattr(stability, "_FORK_CHUNKS", 2)
+    monkeypatch.setattr(stability, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert np.array_equal(half_trace_samples(LGL4, mus), expected)
+    bad = singular_at_one()
+    grid = np.full(len(mus), 0.5)
+    grid[_CHUNK + 1] = 1.0
+    with pytest.raises(SingularStageSystemError, match="mu = 1$"):
+        half_trace_samples(bad, grid)
+    assert _no_child_left()
+
+
+def test_forked_child_never_returns_into_the_caller(monkeypatch, tmp_path):
+    # a script that runs one forked grid and then prints, while its output
+    # is a pipe whose buffer holds what it printed before: the line comes
+    # once and the buffered text is not flushed twice, so the child neither
+    # ran on into the script nor flushed the caller's files.  Its stderr is
+    # a file held by sys.stderr alone, which the child must not free, and
+    # after the grid the script appends one line per process to a log
+    _fork_or_skip(monkeypatch)
+    held, log = tmp_path / "held", tmp_path / "log"
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from symparc import stability\n"
+        "from symparc.tableaux import build_scheme\n"
+        "stability._cpus = lambda: 2\n"
+        "sys.stderr = open(sys.argv[1], 'w')\n"
+        "sys.stderr.write('buffered ')\n"
+        "print('before', end=' ')\n"
+        "n = stability._FORK_CHUNKS * stability._CHUNK\n"
+        "assert stability._forks(stability._FORK_CHUNKS)\n"
+        "ht = stability.half_trace_samples(build_scheme(3, 'interpolation'),\n"
+        "                                  np.linspace(0.0, 1000.0, n))\n"
+        "with open(sys.argv[2], 'a') as out:\n"
+        "    out.write('%d\\n' % os.getpid())\n"
+        "sys.stderr.write('once')\n"
+        "sys.stderr.close()\n"
+        "sys.stderr = sys.__stderr__\n"
+        "print('after', len(ht))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(stability.__file__).parents[1])] + sys.path))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script, str(held), str(log)],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"before after {stability._FORK_CHUNKS * _CHUNK}\n", "")
+    assert held.read_text() == "buffered once"
+    assert len(log.read_text().splitlines()) == 1
+
+
 def test_half_trace_samples_hold_no_matrix():
-    # a 1e6-mu half trace keeps its (N,) result and two chunks' working sets,
-    # below twice the result's 8N bytes; the (N, 2, 2) matrix alone is 32N
+    # a 1e6-mu half trace keeps its (N,) result, one chunk's working set and
+    # the child's results as they arrive, below twice the result's 8N bytes;
+    # the (N, 2, 2) matrix alone is 32N
     mus = np.linspace(0.0, 1000.0, 10**6)
     half_trace_samples(LGL4, mus[:10])
     tracemalloc.start()
@@ -771,19 +942,40 @@ def test_tangent_resonances_to_roundoff():
     assert abs(mus[1] - 2.0 * math.sqrt(15.0)) < 1e-12
 
 
-@pytest.mark.parametrize("max_iter", [200, 10])
+@pytest.mark.parametrize("max_iter", [200, 10, 1, 7, 13])
 def test_lockstep_bisection_matches_scalar_loop(max_iter):
     # brackets that stop on the tolerance, on an exact zero at the first
     # midpoint (targets 0 and 1/8), narrower than tol from the start, and
-    # after max_iter steps when that is small
-    targets = np.array([0.3, -0.7, 0.0, 0.125, 0.008])
-    lo = np.array([0.0, -1.0, -0.5, 0.0, 0.2])
-    hi = np.array([1.0, 0.0, 0.5, 1.0, 0.2 + 1e-11])
+    # after max_iter steps when that is small.  One call evaluates six
+    # halvings ahead, so brackets that stop on the tolerance after 1 to 13
+    # halvings stop at every depth of the first two calls' trees, and the
+    # roots (21/64)**3 and (333/1024)**3 are exact zeros at the midpoints
+    # of halvings 6 and 10
+    depths = np.arange(1, 14)
+    targets = np.concatenate([[0.3, -0.7, 0.0, 0.125, 0.008, (21 / 64) ** 3,
+                               (333 / 1024) ** 3], (0.2 + 1e-12 * depths) ** 3])
+    lo = np.concatenate([[0.0, -1.0, -0.5, 0.0, 0.2, 0.0, 0.0], np.full(len(depths), 0.2)])
+    hi = np.concatenate([[1.0, 0.0, 0.5, 1.0, 0.2 + 1e-11, 1.0, 1.0],
+                         0.2 + 0.75e-10 * 2.0 ** depths])
     f_lo = lo ** 3 - targets
-    roots = _bisect(lambda x, idx: x ** 3 - targets[idx], lo, hi, f_lo, max_iter=max_iter)
+    calls = []
+
+    def batched(x, idx):
+        calls.append(len(x))
+        return x ** 3 - targets[idx]
+
+    roots = _bisect(batched, lo, hi, f_lo, max_iter=max_iter)
+    iterations = 0
     for k, t in enumerate(targets):
-        assert roots[k] == scalar_bisect(lambda x: x ** 3 - t, lo[k], hi[k], f_lo[k],
-                                         max_iter=max_iter)
+        evaluated = []
+
+        def scalar(x):
+            evaluated.append(x)
+            return x ** 3 - t
+
+        assert roots[k] == scalar_bisect(scalar, lo[k], hi[k], f_lo[k], max_iter=max_iter), k
+        iterations = max(iterations, len(evaluated))
+    assert len(calls) == -(-iterations // stability._BISECT_LEVELS)
 
 
 def test_tangency_matrix_is_minus_identity():
