@@ -189,12 +189,12 @@ class M11M22Check:
 _CHUNK = 7168
 # the fewest chunks on which :func:`_chunks` forks a child.  At the 50 MB of
 # a benchmark process the fork takes 1 ms, and the copy-on-write faults that
-# follow cost the caller about 3.4 ms more on its first two chunks.  Half
+# follow cost the caller about 3.5 ms more on its next two chunks.  Half
 # traces on n chunks, forked against solved in the caller (2 CPUs, medians
-# of 15 alternating runs): lgl4 broke even between 16 and 32 chunks over two
-# sessions (at 32 17.5 against 19.6 ms, at 140 62 against 83), lgl6 gained
-# from 12 on (14.8 against 17.4 ms), and lgl2, whose chunk takes 0.3 ms,
-# still lost 3 ms at 32 and broke even at 140
+# of 15 alternating runs): lgl4 took 12.5 against 10.9 ms at 16 chunks,
+# 21.0 against 23.4 at 32 and 32.5 against 41.4 at 64, lgl6 21.0 against
+# 25.3 at 16, and lgl2, whose chunk takes 0.3 ms, still lost at 64 (21.2
+# against 17.8)
 _FORK_CHUNKS = 32
 
 
@@ -206,22 +206,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _os_threads() -> int:
+    """The number of OS threads this process runs, 0 where it cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
 def _forks(n: int) -> bool:
     """Whether :func:`_chunks` solves a grid of ``n`` chunks with a forked
     child: on a grid of :data:`_FORK_CHUNKS` or more, with two CPUs or more
     to run on, in a process that runs one Python thread and where os.fork
     would warn of no other thread.  From Python 3.12 on it warns where the
-    process runs any other OS thread, OpenBLAS's pool included."""
+    process runs any other OS thread, and NumPy's OpenBLAS starts a pool of
+    them on import on a host with two CPUs or more, so there no child is
+    forked and the caller solves every chunk."""
     if n < _FORK_CHUNKS or not hasattr(os, "fork") or threading.active_count() != 1:
         return False
-    if _cpus() < 2:
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:     # no way to count the threads: no fork
-        return False
+    return _cpus() >= 2 and (sys.version_info < (3, 12) or _os_threads() == 1)
 
 
 def _stop(kind, flag):
@@ -528,10 +531,27 @@ def filter_functions(scheme: ArkScheme, mu) -> FilterEvaluation:
 # Stability intervals and resonances
 # ---------------------------------------------------------------------------
 
-# halvings of every open bracket that one call of :func:`_bisect`'s function
-# evaluates ahead: 2**6 - 1 midpoints per bracket.  The benchmark's three
-# collocation searches then make 41 calls in place of 160
+# the most halvings of every open bracket that one call of :func:`_bisect`'s
+# function evaluates ahead, and the most midpoints it evaluates in all: each
+# halving ahead saves a call's overhead but doubles the kernel's work, so
+# the more brackets are open, the fewer halvings pay.  Bisecting B brackets
+# of width 1e-3 to 1e-10 on the lgl4 and lglc12 half traces took, at B = 1,
+# 2.8 and 4.6 ms six halvings ahead against 8.1 and 18.5 one halving ahead;
+# at B = 100, 10.9 and 43.7 six ahead against 5.5 and 19.0 three ahead; at
+# B = 1,000, 16.4 and 70.4 one ahead against 19.6 and 53.3 two ahead.  A
+# search brackets each extremum and crossing of the half trace, a rational
+# function of mu, and the 22 schemes' searches at mu_max 1e3 and 1e4 held
+# 15 brackets at most
 _BISECT_LEVELS = 6
+_BISECT_POINTS = 1024
+
+
+def _lookahead(brackets):
+    """The halvings of each of ``brackets`` open brackets that one call of
+    :func:`_bisect`'s function evaluates: the most, up to
+    :data:`_BISECT_LEVELS`, whose brackets * (2**levels - 1) midpoints stay
+    within :data:`_BISECT_POINTS`, and one at least."""
+    return max(1, min(_BISECT_LEVELS, (_BISECT_POINTS // brackets + 1).bit_length() - 1))
 
 
 def _halvings(lo, hi, levels):
@@ -556,8 +576,8 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
     ``fn(x, idx)`` evaluates the functions of brackets ``idx`` at the points
     ``x``.  A bracket stops once it is narrower than ``tol`` (one width, or
     one per bracket) or hits an exact zero, and returns its midpoint.  Each
-    call of ``fn`` evaluates the midpoints of the next
-    :data:`_BISECT_LEVELS` halvings of every open bracket
+    call of ``fn`` evaluates the midpoints of the next halvings of every
+    open bracket, as many as :func:`_lookahead` allows for their number
     (:func:`_halvings`), and the loop then walks down them one halving per
     iteration, so it takes the decisions, and returns the roots, of one
     call per halving.
@@ -568,6 +588,8 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
     idx = np.arange(len(lo))
     # each bracket's row of the evaluated halvings, and its node in the level
     row, node = np.zeros((2, len(lo)), dtype=np.intp)
+    # the halving the loop takes next of those evaluated, and their number
+    level = depth = 0
     for it in range(max_iter):
         mid = 0.5 * (lo[idx] + hi[idx])
         done = hi[idx] - lo[idx] < tol[idx]
@@ -575,9 +597,9 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
         idx, mid = idx[~done], mid[~done]
         if not len(idx):
             return root
-        level = it % _BISECT_LEVELS
-        if level == 0:
-            x = _halvings(lo[idx], hi[idx], min(_BISECT_LEVELS, max_iter - it))
+        if level == depth:
+            level, depth = 0, min(_lookahead(len(idx)), max_iter - it)
+            x = _halvings(lo[idx], hi[idx], depth)
             values = fn(x.ravel(), np.repeat(idx, x.shape[1])).reshape(x.shape)
             row[idx], node[idx] = np.arange(len(idx)), 0
         f_mid = values[row[idx], 2 ** level - 1 + node[idx]]
@@ -588,6 +610,7 @@ def _bisect(fn, lo, hi, f_lo, tol=1e-10, max_iter=200):
         node[idx] = 2 * node[idx] + ~left
         hi[idx[left]] = mid[left]
         lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
+        level += 1
     root[idx] = 0.5 * (lo[idx] + hi[idx])
     return root
 

@@ -284,20 +284,31 @@ def _no_child_left():
     return False
 
 
-def _fork_or_skip(monkeypatch):
-    """Take two CPUs whatever the host allows, and skip where os.fork would
-    warn: from Python 3.12 on, in a process that runs another OS thread,
-    such as OpenBLAS's pool."""
+def _force_fork(monkeypatch):
+    """Take two CPUs and one OS thread whatever the host has, so a long
+    enough grid forks a child on any interpreter.  From Python 3.12 on the
+    fork then warns of OpenBLAS's pool, which shuts down across a fork and
+    which the child's NumPy, summing without BLAS, does not call: the
+    warning is silenced."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork here")
     monkeypatch.setattr(stability, "_cpus", lambda: 2)
-    if not stability._forks(max(stability._FORK_CHUNKS, 2)):
-        pytest.skip("os.fork would warn of another thread here")
+    monkeypatch.setattr(stability, "_os_threads", lambda: 1)
+    fork = os.fork
+
+    def quiet():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return fork()
+
+    monkeypatch.setattr(os, "fork", quiet)
 
 
 @pytest.fixture
 def overlap(monkeypatch):
     """Chunks of eight mu, a child forked on every grid of two chunks or
     more whatever the host allows, and a list of the forked children's pids."""
-    _fork_or_skip(monkeypatch)
+    _force_fork(monkeypatch)
     forked = []
     fork = os.fork
 
@@ -569,7 +580,7 @@ def test_forked_grid_leaves_no_child(monkeypatch):
     # a grid long enough to fork reaps its child on return, when its
     # consumer stops after one chunk, on an interrupt in the caller's chunk
     # and on an error in the child's
-    _fork_or_skip(monkeypatch)
+    _force_fork(monkeypatch)
     mus = np.linspace(0.0, 1000.0, stability._FORK_CHUNKS * _CHUNK)
     half_trace_samples(LGL4, mus)
     assert _no_child_left()
@@ -586,6 +597,20 @@ def test_forked_grid_leaves_no_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         list(stability._chunks(LGL4, mus, interrupted))
     assert _no_child_left()
+
+
+def test_fork_only_where_os_fork_would_not_warn(monkeypatch):
+    # from Python 3.12 on, os.fork warns in a process that runs another OS
+    # thread, so no child is forked there, nor where the threads cannot be
+    # counted; before 3.12 it never warns
+    monkeypatch.setattr(stability, "_cpus", lambda: 2)
+    n = stability._FORK_CHUNKS
+    assert stability._os_threads() >= 1
+    for threads, forks in ((1, True), (2, sys.version_info < (3, 12)),
+                           (0, sys.version_info < (3, 12))):
+        monkeypatch.setattr(stability, "_os_threads", lambda: threads)
+        assert stability._forks(n) is forks, threads
+        assert not stability._forks(n - 1)
 
 
 def test_failed_fork_solves_every_chunk_in_the_caller(monkeypatch):
@@ -615,14 +640,16 @@ def test_forked_child_never_returns_into_the_caller(monkeypatch, tmp_path):
     # ran on into the script nor flushed the caller's files.  Its stderr is
     # a file held by sys.stderr alone, which the child must not free, and
     # after the grid the script appends one line per process to a log
-    _fork_or_skip(monkeypatch)
+    _force_fork(monkeypatch)
     held, log = tmp_path / "held", tmp_path / "log"
     script = (
-        "import os, sys\n"
+        "import os, sys, warnings\n"
+        "warnings.filterwarnings('ignore', 'This process', DeprecationWarning)\n"
         "import numpy as np\n"
         "from symparc import stability\n"
         "from symparc.tableaux import build_scheme\n"
         "stability._cpus = lambda: 2\n"
+        "stability._os_threads = lambda: 1\n"
         "sys.stderr = open(sys.argv[1], 'w')\n"
         "sys.stderr.write('buffered ')\n"
         "print('before', end=' ')\n"
@@ -946,36 +973,67 @@ def test_tangent_resonances_to_roundoff():
 def test_lockstep_bisection_matches_scalar_loop(max_iter):
     # brackets that stop on the tolerance, on an exact zero at the first
     # midpoint (targets 0 and 1/8), narrower than tol from the start, and
-    # after max_iter steps when that is small.  One call evaluates six
+    # after max_iter steps when that is small.  One call evaluates up to six
     # halvings ahead, so brackets that stop on the tolerance after 1 to 13
-    # halvings stop at every depth of the first two calls' trees, and the
+    # halvings stop at every depth of the first calls' trees, and the
     # roots (21/64)**3 and (333/1024)**3 are exact zeros at the midpoints
-    # of halvings 6 and 10
+    # of halvings 6 and 10.  The first ``count`` of the 20 brackets repeated
+    # look six halvings ahead (16), five (20) or one (1,200): each call
+    # looks as far ahead as _lookahead allows for the brackets still open,
+    # and the calls are the fewest whose depths cover the halvings of the
+    # longest scalar loop
     depths = np.arange(1, 14)
-    targets = np.concatenate([[0.3, -0.7, 0.0, 0.125, 0.008, (21 / 64) ** 3,
-                               (333 / 1024) ** 3], (0.2 + 1e-12 * depths) ** 3])
-    lo = np.concatenate([[0.0, -1.0, -0.5, 0.0, 0.2, 0.0, 0.0], np.full(len(depths), 0.2)])
-    hi = np.concatenate([[1.0, 0.0, 0.5, 1.0, 0.2 + 1e-11, 1.0, 1.0],
-                         0.2 + 0.75e-10 * 2.0 ** depths])
-    f_lo = lo ** 3 - targets
-    calls = []
+    all_targets = np.concatenate([[0.3, -0.7, 0.0, 0.125, 0.008, (21 / 64) ** 3,
+                                   (333 / 1024) ** 3], (0.2 + 1e-12 * depths) ** 3])
+    all_lo = np.concatenate([[0.0, -1.0, -0.5, 0.0, 0.2, 0.0, 0.0],
+                             np.full(len(depths), 0.2)])
+    all_hi = np.concatenate([[1.0, 0.0, 0.5, 1.0, 0.2 + 1e-11, 1.0, 1.0],
+                             0.2 + 0.75e-10 * 2.0 ** depths])
+    for count in (16, 20, 1200):
+        distinct = min(count, len(all_targets))
+        targets, lo, hi = (np.resize(v[:distinct], count)
+                           for v in (all_targets, all_lo, all_hi))
+        f_lo = lo ** 3 - targets
+        calls = []
 
-    def batched(x, idx):
-        calls.append(len(x))
-        return x ** 3 - targets[idx]
+        def batched(x, idx):
+            brackets = len(np.unique(idx))
+            calls.append((brackets, (len(x) // brackets + 1).bit_length() - 1))
+            assert len(x) == brackets * (2 ** calls[-1][1] - 1)
+            return x ** 3 - targets[idx]
 
-    roots = _bisect(batched, lo, hi, f_lo, max_iter=max_iter)
-    iterations = 0
-    for k, t in enumerate(targets):
-        evaluated = []
+        roots = _bisect(batched, lo, hi, f_lo, max_iter=max_iter)
+        iterations = 0
+        for k in range(distinct):
+            evaluated = []
 
-        def scalar(x):
-            evaluated.append(x)
-            return x ** 3 - t
+            def scalar(x):
+                evaluated.append(x)
+                return x ** 3 - targets[k]
 
-        assert roots[k] == scalar_bisect(scalar, lo[k], hi[k], f_lo[k], max_iter=max_iter), k
-        iterations = max(iterations, len(evaluated))
-    assert len(calls) == -(-iterations // stability._BISECT_LEVELS)
+            expected = scalar_bisect(scalar, lo[k], hi[k], f_lo[k], max_iter=max_iter)
+            assert all(r == expected for r in roots[k::distinct]), (count, k)
+            iterations = max(iterations, len(evaluated))
+        done = 0
+        for brackets, depth in calls:
+            assert depth == min(stability._lookahead(brackets), max_iter - done), count
+            done += depth
+        # the last call's tree may reach below the halvings taken
+        assert done - calls[-1][1] < iterations <= done, count
+        assert calls[0][1] == min({16: 6, 20: 5, 1200: 1}[count], max_iter)
+        if count == 16:
+            assert len(calls) == -(-iterations // stability._BISECT_LEVELS)
+
+
+def test_lookahead_keeps_each_call_short():
+    # six halvings ahead for up to 16 brackets, as many as keep the call
+    # within _BISECT_POINTS midpoints beyond that, and one at the least
+    assert [stability._lookahead(b) for b in (1, 16, 17, 33, 34, 100, 341, 342, 1024, 5000)] \
+        == [6, 6, 5, 5, 4, 3, 2, 1, 1, 1]
+    for b in range(1, 1100):
+        depth = stability._lookahead(b)
+        assert depth == 1 or b * (2 ** depth - 1) <= stability._BISECT_POINTS
+        assert depth == 6 or b * (2 ** (depth + 1) - 1) > stability._BISECT_POINTS
 
 
 def test_tangency_matrix_is_minus_identity():
